@@ -168,11 +168,86 @@ type sourceConfig struct {
 	budget    int    // probe trains per round for rr/active (0 = default)
 	report    string // sink HTTP base URL for link-state POSTs (optional)
 	duration  time.Duration
-	shards    int // >1 runs the sharded driver (paths split round-robin)
+	shards    int // scheduling domains; paths split round-robin (<1 = 1)
+}
+
+const packetBits = 12000
+
+// pathSlot locates a global path inside its shard's domain.
+type pathSlot struct{ shard, local int }
+
+// sourcePlane is the source's scheduling state: the live driver, the
+// global IDs of its per-shard streams, and each global path's slot.
+type sourcePlane struct {
+	d      *live.ShardedDriver
+	ids    []int
+	pathAt []pathSlot
+	// warm gates the CBR offers until the CDF predictors can map.
+	warm atomic.Bool
+}
+
+// newSourcePlane builds the source's live driver over cfg.shards
+// scheduling domains. Paths split round-robin across shards (a path is
+// paced by exactly one shard), the offered load splits into one stream
+// per shard, and the driver's and every shard's scheduler metrics land in
+// reg, the latter labeled shard="k".
+func newSourcePlane(cfg sourceConfig, clock live.Clock, reg *telemetry.Registry,
+	paths []sched.PathService, mons []*monitor.PathMonitor) *sourcePlane {
+	domains := make([]live.ShardDomain, cfg.shards)
+	sp := &sourcePlane{pathAt: make([]pathSlot, len(paths))}
+	for j := range paths {
+		k := j % cfg.shards
+		sp.pathAt[j] = pathSlot{k, len(domains[k].Paths)}
+		domains[k].Paths = append(domains[k].Paths, paths[j])
+		domains[k].Mons = append(domains[k].Mons, mons[j])
+	}
+	perStream := cfg.rateMbps / float64(cfg.shards)
+	cbrs := make([]*live.CBR, cfg.shards)
+	sp.d = live.NewShardedDriver(live.ShardedConfig{
+		Config: live.Config{
+			TickSeconds: cfg.tickSec,
+			TwSec:       cfg.windowSec,
+			Clock:       clock,
+			Telemetry:   reg,
+			OnTick: func(int64) {
+				if !sp.warm.Load() {
+					return
+				}
+				for i, cbr := range cbrs {
+					n := cbr.Packets(cfg.tickSec)
+					for p := 0; p < n; p++ {
+						sp.d.Offer(sp.ids[i], packetBits)
+					}
+				}
+			},
+		},
+		// Least-loaded placement round-robins the streams so each shard
+		// schedules exactly one.
+		Placement: shard.LeastLoaded{},
+	}, domains)
+	for i := range cbrs {
+		spec := stream.Spec{Name: fmt.Sprintf("live%d", i), Kind: stream.BestEffort, PacketBits: packetBits}
+		if cfg.prob > 0 {
+			spec.Kind = stream.Probabilistic
+			spec.RequiredMbps = perStream
+			spec.Probability = cfg.prob
+		}
+		cbrs[i] = &live.CBR{Mbps: perStream, PacketBits: packetBits}
+		id, _ := sp.d.AddStream(spec)
+		sp.ids = append(sp.ids, id)
+	}
+	return sp
+}
+
+// meanBandwidth returns global path j's mean available-bandwidth estimate.
+func (sp *sourcePlane) meanBandwidth(j int) float64 {
+	at := sp.pathAt[j]
+	return sp.d.MeanBandwidth(at.shard, at.local)
 }
 
 // runSource is `-role source`: dial every overlay path, warm the CDF
-// predictors from live probes, then drive a CBR stream through PGOS.
+// predictors from live probes, then drive the offered load through the
+// live driver's PGOS plane as one CBR stream per shard.
 func runSource(ctx context.Context, cfg sourceConfig) error {
 	type pathSpec struct{ name, addr string }
 	var specs []pathSpec
@@ -183,8 +258,16 @@ func runSource(ctx context.Context, cfg sourceConfig) error {
 		}
 		specs = append(specs, pathSpec{name, addr})
 	}
-	if len(specs) == 0 {
-		return fmt.Errorf("source: -paths is required")
+	if cfg.shards < 1 {
+		cfg.shards = 1
+	}
+	if cfg.shards > len(specs) {
+		return fmt.Errorf("source: -shards %d exceeds path count %d (each shard needs a path)", cfg.shards, len(specs))
+	}
+	switch cfg.planner {
+	case "", "timer", "rr", "active":
+	default:
+		return fmt.Errorf("source: unknown -probe-planner %q (timer | rr | active)", cfg.planner)
 	}
 
 	clock := live.NewWallClock()
@@ -210,155 +293,11 @@ func runSource(ctx context.Context, cfg sourceConfig) error {
 		log.Printf("source: path %s via %s", ps.name, ps.addr)
 	}
 
-	if cfg.shards > 1 {
-		return runSourceSharded(ctx, cfg, clock, conns, paths, mons, names)
-	}
-
-	const packetBits = 12000
-	kind := stream.BestEffort
-	spec := stream.Spec{Name: "live", Kind: kind, PacketBits: packetBits}
-	if cfg.prob > 0 {
-		spec.Kind = stream.Probabilistic
-		spec.RequiredMbps = cfg.rateMbps
-		spec.Probability = cfg.prob
-	}
-
-	var warm atomic.Bool
-	cbr := &live.CBR{Mbps: cfg.rateMbps, PacketBits: packetBits}
-	var d *live.Driver
-	dcfg := live.Config{
-		TickSeconds: cfg.tickSec,
-		TwSec:       cfg.windowSec,
-		Clock:       clock,
-		OnTick: func(int64) {
-			if !warm.Load() {
-				return
-			}
-			n := cbr.Packets(cfg.tickSec)
-			for i := 0; i < n; i++ {
-				d.Offer(0, packetBits)
-			}
-		},
-	}
-	d = live.NewDriver(dcfg, []stream.Spec{spec}, paths, mons)
-
-	quota := int(cfg.rateMbps * 1e6 * cfg.windowSec / packetBits)
-	hello := live.MarshalHello(live.Hello{
-		Stream:       0,
-		Name:         spec.Name,
-		QuotaPackets: uint32(quota),
-		WindowNanos:  int64(cfg.windowSec * 1e9),
-		GraceNanos:   int64(150 * time.Millisecond),
-		SkipWindows:  3,
-	})
-	if err := conns[0].Send(&transport.Message{Kind: transport.KindControl, Seq: 1, Payload: hello}); err != nil {
-		return fmt.Errorf("source: hello: %w", err)
-	}
-
-	runCtx := ctx
-	if cfg.duration > 0 {
-		var cancel context.CancelFunc
-		runCtx, cancel = context.WithTimeout(ctx, cfg.duration)
-		defer cancel()
-	}
-	if err := startProbing(runCtx, cfg, clock, conns, d); err != nil {
-		return err
-	}
-	go d.Run(runCtx)
-	if cfg.report != "" {
-		go reportLinkState(runCtx, cfg, d.MeanBandwidth, names)
-	}
-
-	ticker := time.NewTicker(time.Second)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-runCtx.Done():
-			st := d.SchedStats()
-			log.Printf("source: done; scheduled=%d other-path=%d unscheduled=%d lag-resyncs=%d",
-				st.ScheduledSent, st.OtherPathSent, st.UnscheduledSent, d.LagResyncs())
-			return nil
-		case <-ticker.C:
-			if !warm.Load() {
-				if d.Warm() {
-					warm.Store(true)
-					log.Printf("source: predictors warm (%s): starting %0.1f Mbps stream",
-						monSummary(d, names), cfg.rateMbps)
-				}
-				continue
-			}
-			log.Printf("source: tick=%d backlog=%d mapping=%v", d.Tick(), d.Backlog(0), d.Mapping().Packets)
-		}
-	}
-}
-
-// runSourceSharded is `-role source -shards N`: the same live deployment
-// with the PGOS engine sharded across N scheduling domains. Paths split
-// round-robin across shards (a path is paced by exactly one shard), the
-// offered load splits into one stream per shard, and every shard's
-// scheduler metrics land in the process registry labeled shard="k", so
-// /metrics serves per-shard stats alongside the plane aggregates.
-func runSourceSharded(ctx context.Context, cfg sourceConfig, clock live.Clock,
-	conns []*transport.RUDPConn, paths []sched.PathService, mons []*monitor.PathMonitor, names []string) error {
-	nShards := cfg.shards
-	if nShards > len(paths) {
-		return fmt.Errorf("source: -shards %d exceeds path count %d (each shard needs a path)", nShards, len(paths))
-	}
-	domains := make([]live.ShardDomain, nShards)
-	// pathAt[j] locates global path j inside its shard's domain.
-	type slot struct{ shard, local int }
-	pathAt := make([]slot, len(paths))
-	for j := range paths {
-		k := j % nShards
-		pathAt[j] = slot{k, len(domains[k].Paths)}
-		domains[k].Paths = append(domains[k].Paths, paths[j])
-		domains[k].Mons = append(domains[k].Mons, mons[j])
-	}
-
-	const packetBits = 12000
-	perStream := cfg.rateMbps / float64(nShards)
-
-	var warm atomic.Bool
-	cbrs := make([]*live.CBR, nShards)
-	ids := make([]int, nShards)
-	var d *live.ShardedDriver
-	d = live.NewShardedDriver(live.ShardedConfig{
-		Config: live.Config{
-			TickSeconds: cfg.tickSec,
-			TwSec:       cfg.windowSec,
-			Clock:       clock,
-			Telemetry:   telemetry.Default(),
-			OnTick: func(int64) {
-				if !warm.Load() {
-					return
-				}
-				for i, cbr := range cbrs {
-					n := cbr.Packets(cfg.tickSec)
-					for p := 0; p < n; p++ {
-						d.Offer(ids[i], packetBits)
-					}
-				}
-			},
-		},
-		// Least-loaded placement round-robins the N streams so each
-		// shard schedules exactly one.
-		Placement: shard.LeastLoaded{},
-	}, domains)
+	sp := newSourcePlane(cfg, clock, telemetry.Default(), paths, mons)
+	d := sp.d
 	defer d.Stop()
-
-	for i := 0; i < nShards; i++ {
-		spec := stream.Spec{Name: fmt.Sprintf("live%d", i), Kind: stream.BestEffort, PacketBits: packetBits}
-		if cfg.prob > 0 {
-			spec.Kind = stream.Probabilistic
-			spec.RequiredMbps = perStream
-			spec.Probability = cfg.prob
-		}
-		cbrs[i] = &live.CBR{Mbps: perStream, PacketBits: packetBits}
-		ids[i], _ = d.AddStream(spec)
-	}
-
-	quota := int(perStream * 1e6 * cfg.windowSec / packetBits)
-	for i, id := range ids {
+	quota := int(cfg.rateMbps / float64(cfg.shards) * 1e6 * cfg.windowSec / packetBits)
+	for i, id := range sp.ids {
 		hello := live.MarshalHello(live.Hello{
 			Stream:       uint32(id),
 			Name:         fmt.Sprintf("live%d", i),
@@ -378,24 +317,13 @@ func runSourceSharded(ctx context.Context, cfg sourceConfig, clock live.Clock,
 		runCtx, cancel = context.WithTimeout(ctx, cfg.duration)
 		defer cancel()
 	}
-	for j, conn := range conns {
-		p := live.NewProber(live.ProbeConfig{IntervalSec: cfg.probeSec}, clock, conn)
-		at := pathAt[j]
-		p.OnBandwidth = func(mbps float64) { d.ObserveBandwidth(at.shard, at.local, mbps) }
-		p.OnRTT = func(sec float64) { d.ObserveRTT(at.shard, at.local, sec) }
-		p.OnLoss = func(rate float64) { d.ObserveLoss(at.shard, at.local, rate) }
-		live.Bind(conn, p, nil)
-		go p.Run(runCtx)
-	}
+	startProbing(runCtx, cfg, clock, conns, sp)
 	go d.Run(runCtx)
 	if cfg.report != "" {
-		go reportLinkState(runCtx, cfg, func(j int) float64 {
-			at := pathAt[j]
-			return d.MeanBandwidth(at.shard, at.local)
-		}, names)
+		go reportLinkState(runCtx, cfg, sp.meanBandwidth, names)
 	}
 
-	log.Printf("source: sharded driver, %d shards over %d paths (%s)", nShards, len(paths), strings.Join(names, " "))
+	log.Printf("source: %d shard(s) over %d paths (%s)", cfg.shards, len(paths), strings.Join(names, " "))
 	ticker := time.NewTicker(time.Second)
 	defer ticker.Stop()
 	for {
@@ -410,11 +338,11 @@ func runSourceSharded(ctx context.Context, cfg sourceConfig, clock live.Clock,
 			}
 			return nil
 		case <-ticker.C:
-			if !warm.Load() {
+			if !sp.warm.Load() {
 				if d.Warm() {
-					warm.Store(true)
-					log.Printf("source: predictors warm: starting %.1f Mbps across %d shard streams",
-						cfg.rateMbps, nShards)
+					sp.warm.Store(true)
+					log.Printf("source: predictors warm (%s): starting %.1f Mbps across %d shard streams",
+						monSummary(sp, names), cfg.rateMbps, cfg.shards)
 				}
 				continue
 			}
@@ -425,83 +353,74 @@ func runSourceSharded(ctx context.Context, cfg sourceConfig, clock live.Clock,
 	}
 }
 
-// startProbing wires probe trains for the unsharded source. "timer" is
-// the historical deployment: one Run loop per path, every path trained
-// every interval. "rr" and "active" replace the per-path timers with one
-// budgeted ProberSet planning loop; "active" additionally routes every
-// measurement through a bwest.Estimator whose information-gain planner
-// concentrates the budget on the paths with the most posterior
-// uncertainty, and whose credible intervals back the driver's monitors
-// with shared-bottleneck-informed posteriors.
+// startProbing wires probe trains, routing each path's measurements to
+// its (shard, local) slot. "timer" is the historical deployment: one Run
+// loop per path, every path trained every interval. "rr" and "active"
+// replace the per-path timers with one budgeted ProberSet planning loop;
+// "active" additionally routes every measurement through a
+// bwest.Estimator whose information-gain planner concentrates the budget
+// on the paths with the most posterior uncertainty. The planner name was
+// validated before any path was dialed.
 func startProbing(ctx context.Context, cfg sourceConfig, clock live.Clock,
-	conns []*transport.RUDPConn, d *live.Driver) error {
-	probers := make([]*live.Prober, len(conns))
-	mk := func(est *bwest.Estimator) {
-		for j, conn := range conns {
-			p := live.NewProber(live.ProberConfig{IntervalSec: cfg.probeSec}, clock, conn)
-			j := j
-			p.OnBandwidth = func(mbps float64) {
-				d.ObserveBandwidth(j, mbps)
-				if est != nil {
-					est.ObserveProbe(j, mbps)
-				}
-			}
-			p.OnRTT = func(sec float64) {
-				d.ObserveRTT(j, sec)
-				if est != nil {
-					est.ObserveRTT(j, sec)
-				}
-			}
-			p.OnLoss = func(rate float64) {
-				d.ObserveLoss(j, rate)
-				if est != nil {
-					est.ObserveLoss(j, rate, d.MeanBandwidth(j))
-				}
-			}
-			live.Bind(conn, p, nil)
-			probers[j] = p
-		}
-	}
+	conns []*transport.RUDPConn, sp *sourcePlane) {
 	budget := cfg.budget
 	if budget <= 0 {
-		budget = len(conns) / 2
-		if budget < 1 {
-			budget = 1
-		}
+		budget = max(1, len(conns)/2)
 	}
-	switch cfg.planner {
-	case "", "timer":
-		mk(nil)
-		for _, p := range probers {
-			go p.Run(ctx)
-		}
-	case "rr":
-		mk(nil)
-		ps := live.NewProberSet(live.ProberSetConfig{IntervalSec: cfg.probeSec, Budget: budget},
-			clock, probers, live.NewFixedPlanner(len(conns)))
-		go ps.Run(ctx)
-		log.Printf("source: round-robin probe planner, %d trains/round over %d paths", budget, len(conns))
-	case "active":
-		est := bwest.NewEstimator(bwest.Config{
+	var est *bwest.Estimator
+	if cfg.planner == "active" {
+		est = bwest.NewEstimator(bwest.Config{
 			Paths:     len(conns),
 			Budget:    budget,
 			Telemetry: telemetry.Default(),
 		})
-		mk(est)
-		ps := live.NewProberSet(live.ProberSetConfig{IntervalSec: cfg.probeSec, Budget: budget},
-			clock, probers, est)
-		go ps.Run(ctx)
-		log.Printf("source: active probe planner, %d trains/round over %d paths", budget, len(conns))
-	default:
-		return fmt.Errorf("source: unknown -probe-planner %q (timer | rr | active)", cfg.planner)
 	}
-	return nil
+	probers := make([]*live.Prober, len(conns))
+	for j, conn := range conns {
+		p := live.NewProber(live.ProberConfig{IntervalSec: cfg.probeSec}, clock, conn)
+		at := sp.pathAt[j]
+		p.OnBandwidth = func(mbps float64) {
+			sp.d.ObserveBandwidth(at.shard, at.local, mbps)
+			if est != nil {
+				est.ObserveProbe(j, mbps)
+			}
+		}
+		p.OnRTT = func(sec float64) {
+			sp.d.ObserveRTT(at.shard, at.local, sec)
+			if est != nil {
+				est.ObserveRTT(j, sec)
+			}
+		}
+		p.OnLoss = func(rate float64) {
+			sp.d.ObserveLoss(at.shard, at.local, rate)
+			if est != nil {
+				est.ObserveLoss(j, rate, sp.meanBandwidth(j))
+			}
+		}
+		live.Bind(conn, p, nil)
+		probers[j] = p
+	}
+	switch cfg.planner {
+	case "rr", "active":
+		var planner live.TrainPlanner = live.NewFixedPlanner(len(conns))
+		if est != nil {
+			planner = est
+		}
+		ps := live.NewProberSet(live.ProberSetConfig{IntervalSec: cfg.probeSec, Budget: budget},
+			clock, probers, planner)
+		go ps.Run(ctx)
+		log.Printf("source: %s probe planner, %d trains/round over %d paths", cfg.planner, budget, len(conns))
+	default:
+		for _, p := range probers {
+			go p.Run(ctx)
+		}
+	}
 }
 
-func monSummary(d *live.Driver, names []string) string {
+func monSummary(sp *sourcePlane, names []string) string {
 	parts := make([]string, len(names))
 	for j, n := range names {
-		parts[j] = fmt.Sprintf("%s≈%.1fMbps", n, d.MeanBandwidth(j))
+		parts[j] = fmt.Sprintf("%s≈%.1fMbps", n, sp.meanBandwidth(j))
 	}
 	return strings.Join(parts, " ")
 }

@@ -78,7 +78,7 @@ func main() {
 		probeBudg = flag.Int("probe-budget", 0, "source: probe trains per round for rr/active planners (0 = max(1, paths/2))")
 		report    = flag.String("report", "", "source: sink HTTP base URL for link-state reports (optional)")
 		duration  = flag.Duration("duration", 0, "source: stop after this long (0 runs until signal)")
-		shardsN   = flag.Int("shards", 1, "source: shard count for the sharded data plane (1 = unsharded; paths split round-robin)")
+		shardsN   = flag.Int("shards", 1, "source: scheduling domains of the live PGOS plane, one stream each (paths split round-robin)")
 	)
 	flag.Parse()
 

@@ -21,19 +21,18 @@ func BenchmarkDriverPacing(b *testing.B) {
 		mons[0].ObserveBandwidth(100)
 		mons[1].ObserveBandwidth(50)
 	}
-	specs := []stream.Spec{
-		{Name: "g", Kind: stream.Probabilistic, RequiredMbps: 12, Probability: 0.9, PacketBits: 12000},
-		{Name: "be", Kind: stream.BestEffort, PacketBits: 12000},
-	}
-	var d *Driver
+	var d *ShardedDriver
+	var id int
 	cbr := &CBR{Mbps: 12, PacketBits: 12000}
 	cfg := Config{TickSeconds: 0.005, TwSec: 0.5, Clock: clock, OnTick: func(int64) {
 		n := cbr.Packets(0.005)
 		for i := 0; i < n; i++ {
-			d.Offer(0, 12000)
+			d.Offer(id, 12000)
 		}
 	}}
-	d = NewDriver(cfg, specs, paths, mons)
+	d = NewShardedDriver(ShardedConfig{Config: cfg}, []ShardDomain{{Paths: paths, Mons: mons}})
+	id, _ = d.AddStream(stream.Spec{Name: "g", Kind: stream.Probabilistic, RequiredMbps: 12, Probability: 0.9, PacketBits: 12000})
+	d.AddStream(stream.Spec{Name: "be", Kind: stream.BestEffort, PacketBits: 12000})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.Step()

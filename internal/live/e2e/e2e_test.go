@@ -183,7 +183,8 @@ func runPhase(t *testing.T, kind stream.GuaranteeKind, name string, relayA, rela
 
 	var warm atomic.Bool
 	cbr := &live.CBR{Mbps: streamMbps, PacketBits: packetBits}
-	var d *live.Driver
+	var d *live.ShardedDriver
+	var id int
 	cfg := live.Config{
 		TickSeconds: tickSec,
 		TwSec:       twSec,
@@ -194,15 +195,18 @@ func runPhase(t *testing.T, kind stream.GuaranteeKind, name string, relayA, rela
 			}
 			n := cbr.Packets(tickSec)
 			for i := 0; i < n; i++ {
-				d.Offer(0, packetBits)
+				d.Offer(id, packetBits)
 			}
 		},
 	}
-	d = live.NewDriver(cfg, []stream.Spec{spec}, []sched.PathService{pathA, pathB}, mons)
+	d = live.NewShardedDriver(live.ShardedConfig{Config: cfg},
+		[]live.ShardDomain{{Paths: []sched.PathService{pathA, pathB}, Mons: mons}})
+	defer d.Stop()
+	id, _ = d.AddStream(spec)
 
 	// Both phases are judged against the same contract.
 	hello := live.MarshalHello(live.Hello{
-		Stream:       0,
+		Stream:       uint32(id),
 		Name:         name,
 		QuotaPackets: uint32(quotaPackets),
 		WindowNanos:  int64(twSec * 1e9),
@@ -218,35 +222,40 @@ func runPhase(t *testing.T, kind stream.GuaranteeKind, name string, relayA, rela
 	for j, conn := range []*transport.RUDPConn{connA, connB} {
 		p := live.NewProber(live.ProbeConfig{IntervalSec: probeSec}, clock, conn)
 		j := j
-		p.OnBandwidth = func(mbps float64) { d.ObserveBandwidth(j, mbps) }
-		p.OnRTT = func(sec float64) { d.ObserveRTT(j, sec) }
-		p.OnLoss = func(rate float64) { d.ObserveLoss(j, rate) }
+		p.OnBandwidth = func(mbps float64) { d.ObserveBandwidth(0, j, mbps) }
+		p.OnRTT = func(sec float64) { d.ObserveRTT(0, j, sec) }
+		p.OnLoss = func(rate float64) { d.ObserveLoss(0, j, rate) }
 		live.Bind(conn, p, nil)
 		go p.Run(ctx)
 	}
-	go d.Run(ctx)
+	runDone := make(chan struct{})
+	go func() {
+		d.Run(ctx)
+		close(runDone)
+	}()
 
-	// The CDF predictors must warm from real probe measurements before the
-	// stream starts; PGOS then maps it from live CDFs at the first window.
+	// The CDF predictors must warm from real probe measurements (8
+	// bandwidth samples per monitor) before the stream starts; PGOS then
+	// maps it from live CDFs at the first window.
 	waitUntil(t, 20*time.Second, "live CDF warmup", d.Warm)
-	if mons[0].Samples() < 8 || mons[1].Samples() < 8 {
-		t.Fatalf("monitors warmed with %d/%d samples", mons[0].Samples(), mons[1].Samples())
-	}
 	t.Logf("%s: warm after real measurements: A≈%.1f Mbps, B≈%.1f Mbps",
-		name, mons[0].MeanBandwidth(), mons[1].MeanBandwidth())
+		name, d.MeanBandwidth(0, 0), d.MeanBandwidth(0, 1))
 	warm.Store(true)
 	startTick := d.Tick()
 	waitUntil(t, 45*time.Second, "scheduling windows", func() bool {
 		return d.Tick() >= startTick+int64(runWindows*(twSec/tickSec))
 	})
+	cancel()
+	<-runDone
+	// Run has returned, so the plane is quiescent and its scheduler state
+	// is safe to read from this goroutine.
 	if kind != stream.BestEffort {
-		m := d.Mapping()
+		m := d.Plane().Shard(0).Scheduler().Mapping()
 		if len(m.Rejected) > 0 && m.Rejected[0] {
 			t.Fatal("admission rejected the guaranteed stream")
 		}
 		t.Logf("%s: mapping quotas %v", name, m.Packets)
 	}
-	cancel()
 
 	// Let the tail drain and the final window deadlines pass.
 	time.Sleep(2 * time.Second)

@@ -20,8 +20,8 @@ type benchSink struct {
 	sent uint64
 }
 
-func (p *benchSink) ID() int                      { return p.id }
-func (p *benchSink) Name() string                 { return p.name }
+func (p *benchSink) ID() int      { return p.id }
+func (p *benchSink) Name() string { return p.name }
 func (p *benchSink) Send(pkt *simnet.Packet) bool {
 	p.sent++
 	// Mirror transport.Path's writer: once the packet is "on the wire" the
@@ -29,10 +29,10 @@ func (p *benchSink) Send(pkt *simnet.Packet) bool {
 	simnet.ReleasePacket(pkt)
 	return true
 }
-func (p *benchSink) QueuedPackets() int           { return 0 }
+func (p *benchSink) QueuedPackets() int { return 0 }
 
 type liveScaleBench struct {
-	d     *Driver
+	d     *ShardedDriver
 	clock *FakeClock
 	rates []float64
 	debt  []float64
@@ -82,12 +82,17 @@ func newLiveScaleBench(nStreams, nPaths int) *liveScaleBench {
 		cap:   capMbps,
 		mons:  mons,
 	}
-	lb.d = NewDriver(Config{
+	lb.d = NewShardedDriver(ShardedConfig{Config: Config{
 		TickSeconds: 0.005,
 		TwSec:       0.5,
 		Clock:       lb.clock,
 		OnTick:      lb.onTick,
-	}, specs, paths, mons)
+	}}, []ShardDomain{{Paths: paths, Mons: mons}})
+	// A one-domain plane numbers streams 0..n-1 in AddStream order, so
+	// rates[i] feeds stream i.
+	for _, sp := range specs {
+		lb.d.AddStream(sp)
+	}
 
 	for k := 0; k < 500; k++ {
 		lb.sampleMonitors()
@@ -103,7 +108,7 @@ func newLiveScaleBench(nStreams, nPaths int) *liveScaleBench {
 
 func (lb *liveScaleBench) sampleMonitors() {
 	for j := range lb.mons {
-		lb.d.ObserveBandwidth(j, lb.cap*(1+0.03*lb.noise.NormFloat64()))
+		lb.d.ObserveBandwidth(0, j, lb.cap*(1+0.03*lb.noise.NormFloat64()))
 	}
 }
 
@@ -120,9 +125,9 @@ func (lb *liveScaleBench) onTick(tick int64) {
 	}
 }
 
-// BenchmarkScaleLive sweeps the live FakeClock driver: one op is one
-// driver Step — traffic Offer, window bookkeeping, one PGOS dispatch
-// round — at streams × paths scale.
+// BenchmarkScaleLive sweeps the live FakeClock driver on one scheduling
+// domain: one op is one driver Step — traffic Offer, window bookkeeping,
+// one PGOS dispatch round — at streams × paths scale.
 func BenchmarkScaleLive(b *testing.B) {
 	for _, nStreams := range []int{10, 100, 1000, 5000} {
 		for _, nPaths := range []int{2, 4, 8} {

@@ -14,6 +14,60 @@ import (
 	"iqpaths/internal/telemetry"
 )
 
+// Config parameterizes the live driver's tick loop.
+type Config struct {
+	// TickSeconds is the scheduling tick (default 0.005). Each tick the
+	// driver runs one PGOS dispatch round against the paths' pacing state.
+	TickSeconds float64
+	// TwSec is the scheduling-window length in seconds (default 0.5).
+	TwSec float64
+	// Clock paces the driver; nil selects a new wall clock. Tests inject
+	// a FakeClock.
+	Clock Clock
+	// Telemetry receives iqpaths_live_* metrics and the plane's shard and
+	// scheduler metrics (nil keeps them private).
+	Telemetry *telemetry.Registry
+	// OnTick, when set, is invoked once per tick before dispatch — the
+	// hook traffic generators use to Offer packets. It runs on the driver
+	// goroutine without the driver lock held, so it may call Offer.
+	OnTick func(tick int64)
+}
+
+// maxCatchUp bounds the ticks Run processes per wake when the driver has
+// fallen behind wall time; beyond it the driver resyncs and counts the
+// lag instead of spiraling.
+const maxCatchUp = 50
+
+func (c *Config) fillDefaults() {
+	if c.TickSeconds <= 0 {
+		c.TickSeconds = 0.005
+	}
+	if c.TwSec <= 0 {
+		c.TwSec = 0.5
+	}
+	if c.Clock == nil {
+		c.Clock = NewWallClock()
+	}
+}
+
+// tickFlusher is the structural surface of a write-batching path: the
+// driver kicks it once per tick, after dispatch placed the tick's packets.
+// transport.Path implements it; emulated simnet paths don't and aren't
+// flushed.
+type tickFlusher interface {
+	FlushTick()
+}
+
+func collectFlushers(paths []sched.PathService) []tickFlusher {
+	var fs []tickFlusher
+	for _, p := range paths {
+		if f, ok := p.(tickFlusher); ok {
+			fs = append(fs, f)
+		}
+	}
+	return fs
+}
+
 // ShardDomain is the per-shard resource bundle for a sharded live
 // driver: the shard's private live paths and their monitors (mons[j]
 // watches Paths[j]). A path must belong to exactly one shard — two
@@ -24,25 +78,25 @@ type ShardDomain struct {
 }
 
 // ShardedConfig parameterizes a ShardedDriver. The embedded Config's
-// OnTick/OnWindow hooks run on the coordinator goroutine exactly as in
-// the unsharded driver; OnShardTick additionally runs on each shard's
-// goroutine every tick.
+// OnTick hook runs on the coordinator goroutine.
 type ShardedConfig struct {
 	Config
 	// Placement assigns new streams to shards (default hash placement).
 	Placement shard.Placement
-	// OnShardTick, when set, runs on the shard goroutine after the
-	// command drain and before dispatch. It must touch only that shard's
-	// streams (via the *shard.Shard accessors).
-	OnShardTick func(sh *shard.Shard, tick int64)
 }
 
-// ShardedDriver runs the PGOS engine sharded across cores in wall-clock
-// time: one scheduling domain per ShardDomain, streams spread by
-// placement, all control (admission, rebind, offers, probe feeds)
-// flowing through the plane's per-shard command queues. With one domain
-// it degenerates to the unsharded driver's behavior — same engine, same
-// tick loop, no extra goroutines.
+// ShardedDriver is the live driver: it runs the unchanged PGOS engine in
+// wall-clock time. Applications Offer packets into stream backlogs,
+// probers feed the path monitors via Observe*, and each tick every
+// scheduling domain runs one PGOS dispatch round, which paces each
+// admitted stream's packets onto its domain's live paths per the
+// scheduler's per-window rate decisions and re-runs the resource mapping
+// whenever the monitored CDFs drift (the scheduler's own KS trigger).
+// There is one domain per ShardDomain, streams spread by placement, and
+// all control (admission, rebind, offers, probe feeds) flows through the
+// plane's per-shard command queues, taking effect at the owning shard's
+// next tick boundary. With one domain the plane ticks inline on the
+// driver goroutine, byte-identical to a bare scheduler.
 //
 // Offer/Observe*/AddStream/Rebind are safe from any goroutine. Step and
 // Run must be called from a single goroutine; Stats/Mapping-style reads
@@ -72,7 +126,6 @@ type ShardedDriver struct {
 
 	mTicks   *telemetry.Counter
 	mOffered *telemetry.Counter
-	mDropped *telemetry.Counter
 	mLag     *telemetry.Counter
 }
 
@@ -91,17 +144,9 @@ func NewShardedDriver(cfg ShardedConfig, domains []ShardDomain) *ShardedDriver {
 		d.flushers = append(d.flushers, collectFlushers(dom.Paths)...)
 	}
 	d.plane = shard.NewPlane(shard.Config{
-		PGOS: pgos.Config{
-			TwSec:            cfg.TwSec,
-			TickSeconds:      cfg.TickSeconds,
-			KSThreshold:      cfg.KSThreshold,
-			FeasibilitySlack: cfg.FeasibilitySlack,
-			PaceLimit:        cfg.PaceLimit,
-			MeanPrediction:   cfg.MeanPrediction,
-		},
-		Placement:   cfg.Placement,
-		Telemetry:   cfg.Telemetry,
-		OnShardTick: cfg.OnShardTick,
+		PGOS:      pgos.Config{TwSec: cfg.TwSec, TickSeconds: cfg.TickSeconds},
+		Placement: cfg.Placement,
+		Telemetry: cfg.Telemetry,
 	}, planeDomains)
 	d.windowTicks = int64(cfg.TwSec/cfg.TickSeconds + 0.5)
 	if d.windowTicks < 1 {
@@ -115,7 +160,6 @@ func NewShardedDriver(cfg ShardedConfig, domains []ShardDomain) *ShardedDriver {
 	}
 	d.mTicks = reg.Counter("iqpaths_live_ticks_total", "Driver scheduling ticks executed.")
 	d.mOffered = reg.Counter("iqpaths_live_offered_packets_total", "Packets offered into stream backlogs.")
-	d.mDropped = reg.Counter("iqpaths_live_offer_drops_total", "Offers refused because a stream backlog was full.")
 	d.mLag = reg.Counter("iqpaths_live_lag_resyncs_total", "Times the driver resynced after falling behind wall time.")
 	return d
 }
@@ -123,9 +167,6 @@ func NewShardedDriver(cfg ShardedConfig, domains []ShardDomain) *ShardedDriver {
 // Plane exposes the underlying shard plane (for per-shard inspection in
 // coordinator context, e.g. between ticks in tests).
 func (d *ShardedDriver) Plane() *shard.Plane { return d.plane }
-
-// NumShards returns the shard count.
-func (d *ShardedDriver) NumShards() int { return d.plane.NumShards() }
 
 // Stop releases the shard goroutines. Call after Run has returned.
 func (d *ShardedDriver) Stop() { d.plane.Stop() }
@@ -142,9 +183,10 @@ func (d *ShardedDriver) Rebind(id, shardIdx int) error {
 	return d.plane.Rebind(id, shardIdx)
 }
 
-// Offer enqueues one packet of the given wire size for global stream id,
-// stamped exactly like the unsharded driver's offers: PGOS deadline at
-// the end of the current scheduling window, wire deadline in Frame.
+// Offer enqueues one packet of the given wire size for global stream id.
+// The packet's deadline is the end of the current scheduling window, both
+// in driver ticks (for PGOS) and as a wire Stamp carried in the packet's
+// Frame field (for the sink's on-time accounting).
 func (d *ShardedDriver) Offer(id int, bits float64) {
 	d.mu.Lock()
 	d.maybeEnterWindow()
@@ -163,7 +205,11 @@ func (d *ShardedDriver) Offer(id int, bits float64) {
 	d.mOffered.Inc()
 }
 
-// maybeEnterWindow refreshes window bookkeeping; callers hold d.mu.
+// maybeEnterWindow refreshes the window bookkeeping when the tick counter
+// has crossed into a new scheduling window: the new window's wire deadline
+// is TwSec from the wall time of its first event — whichever of Offer or
+// Step touches it first — so every packet offered inside the window
+// carries one consistent stamp. Callers hold d.mu.
 func (d *ShardedDriver) maybeEnterWindow() {
 	if d.tick >= d.nextWindowTick {
 		d.deadlineStamp = d.clock.Stamp() + int64(d.cfg.TwSec*1e9)
@@ -188,7 +234,7 @@ func (d *ShardedDriver) ObserveLoss(k, j int, rate float64) {
 }
 
 // Step executes one scheduling tick across every shard (a barrier; see
-// shard.Plane.Tick) plus the window bookkeeping and hooks.
+// shard.Plane.Tick) after the OnTick hook and window bookkeeping.
 func (d *ShardedDriver) Step() {
 	d.mu.Lock()
 	t := d.tick
@@ -207,17 +253,14 @@ func (d *ShardedDriver) Step() {
 	}
 	d.mu.Lock()
 	d.tick++
-	windowDone := d.tick == d.nextWindowTick
-	window := d.tick/d.windowTicks - 1
 	d.mu.Unlock()
 	d.mTicks.Inc()
-	if windowDone && d.cfg.OnWindow != nil {
-		d.cfg.OnWindow(window)
-	}
 }
 
 // Run paces Step at TickSeconds on the configured clock until ctx is
-// done, with the same catch-up bound as the unsharded driver.
+// done. When the process falls behind (GC pause, noisy neighbor) it
+// catches up at most maxCatchUp ticks per wake, then resyncs — stretching
+// virtual time rather than bursting unbounded dispatch rounds.
 func (d *ShardedDriver) Run(ctx context.Context) {
 	tickDur := time.Duration(d.cfg.TickSeconds * float64(time.Second))
 	next := d.clock.Now() + tickDur
@@ -230,7 +273,7 @@ func (d *ShardedDriver) Run(ctx context.Context) {
 		}
 		now := d.clock.Now()
 		steps := 0
-		for next <= now && steps < d.cfg.MaxCatchUp {
+		for next <= now && steps < maxCatchUp {
 			d.Step()
 			next += tickDur
 			steps++
@@ -298,5 +341,24 @@ func (d *ShardedDriver) MeanBandwidth(k, j int) float64 {
 	return mons[j].MeanBandwidth()
 }
 
-// Invalidate forces a remap on every shard at its next window boundary.
-func (d *ShardedDriver) Invalidate() { d.plane.Invalidate() }
+// CBR generates constant-bit-rate traffic in whole packets: each call
+// accumulates dtSec worth of bits and returns how many full packets are
+// due. Carry keeps long-run rate exact regardless of tick size.
+type CBR struct {
+	Mbps       float64
+	PacketBits float64
+	carry      float64
+}
+
+// Packets returns the number of whole packets due after dtSec elapsed.
+// Each call advances the generator by dtSec, so call it exactly once per
+// tick and reuse the result (not in a loop condition, which re-evaluates).
+func (c *CBR) Packets(dtSec float64) int {
+	if c.PacketBits <= 0 {
+		c.PacketBits = 12000
+	}
+	c.carry += c.Mbps * 1e6 * dtSec
+	n := int(c.carry / c.PacketBits)
+	c.carry -= float64(n) * c.PacketBits
+	return n
+}

@@ -32,7 +32,7 @@ type Config struct {
 // Plane owns N shards and the stream directory mapping global stream IDs
 // to their owning shard. Exactly one goroutine — the coordinator — may
 // call Tick/Stop and read shard state between ticks; every other method
-// (AddStream, Rebind, Offer, Observe*, SetShardPaths, Invalidate) is safe
+// (AddStream, Rebind, Offer, Observe*, SetShardPaths) is safe
 // from any goroutine at any time and takes effect at the next tick
 // boundary of the affected shard.
 type Plane struct {
@@ -242,14 +242,6 @@ func (p *Plane) ObserveLoss(k, j int, rate float64) {
 // next tick boundary — the control plane's reroute upcall, sharded.
 func (p *Plane) SetShardPaths(k int, paths []sched.PathService, mons []*monitor.PathMonitor) {
 	p.shards[k].ring.push(command{op: opSetPaths, paths: paths, mons: mons})
-}
-
-// Invalidate forces a resource remap on every shard at its next window
-// boundary (e.g. after spec changes).
-func (p *Plane) Invalidate() {
-	for _, sh := range p.shards {
-		sh.ring.push(command{op: opInvalidate})
-	}
 }
 
 // Owner returns the shard currently owning global stream id.

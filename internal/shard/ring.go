@@ -31,8 +31,6 @@ const (
 	opObserve
 	// opSetPaths rebinds the shard's scheduler to a new path set.
 	opSetPaths
-	// opInvalidate forces a resource remap at the next window boundary.
-	opInvalidate
 )
 
 // Monitor-sample kinds carried by opObserve.

@@ -26,7 +26,7 @@ func TestCmdQueueSwapEmptyIsNil(t *testing.T) {
 	if got := q.swap(); got != nil {
 		t.Fatalf("swap of empty queue = %v, want nil", got)
 	}
-	q.push(command{op: opInvalidate})
+	q.push(command{op: opObserve})
 	if got := q.swap(); len(got) != 1 {
 		t.Fatalf("swap after one push: len = %d, want 1", len(got))
 	}

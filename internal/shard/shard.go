@@ -246,8 +246,6 @@ func (sh *Shard) apply(c *command, now int64) {
 		sh.paths = c.paths
 		sh.mons = c.mons
 		sh.sched.SetPaths(c.paths, c.mons)
-	case opInvalidate:
-		sh.sched.Invalidate()
 	}
 }
 
