@@ -41,7 +41,8 @@ bench-compare:
 	$(GO) test -bench=. -benchmem -benchtime=$(BENCHTIME) \
 		./internal/pgos/ ./internal/live/ ./internal/sched/ ./internal/predict/ \
 		./internal/shard/ ./internal/telemetry/ ./internal/transport/ \
-		./internal/gossip/ ./internal/bwest/ | \
+		./internal/gossip/ ./internal/bwest/ ./internal/control/ \
+		./internal/simnet/ ./internal/quantile/ | \
 		$(GO) run ./cmd/benchjson -out /tmp/bench-compare.json -compare BENCH_PR9.json -max-regress 20
 
 # Live end-to-end smoke: the Fig. 8 overlay as shaped relay subprocesses

@@ -87,6 +87,11 @@ type Admission struct {
 	remote   []float64
 	headroom HeadroomSource
 	tel      admTelemetry
+	// snap caches cdfs(); snap[j] was taken from snapMons[j] at its
+	// bandwidth generation snapGens[j].
+	snap     []stats.Distribution
+	snapMons []*monitor.PathMonitor
+	snapGens []uint64
 }
 
 // NewAdmission returns an admission controller over the given path
@@ -344,12 +349,24 @@ func (a *Admission) reject(spec stream.Spec, reason string, cdfs []stats.Distrib
 // cdfs snapshots the monitored bandwidth distributions. Cold monitors
 // contribute their (near-empty) distribution, which the guarantee math
 // treats as zero headroom — admission is conservative until paths warm.
+// A path's snapshot is reused while its monitor and that monitor's
+// bandwidth generation are unchanged, however the monitor is fed. The
+// returned slice is shared: callers read it under a.mu and neither keep
+// nor modify it.
 func (a *Admission) cdfs() []stats.Distribution {
-	out := make([]stats.Distribution, len(a.mons))
-	for i, m := range a.mons {
-		out[i] = m.CDF()
+	if len(a.snap) != len(a.mons) {
+		a.snap = make([]stats.Distribution, len(a.mons))
+		a.snapMons = make([]*monitor.PathMonitor, len(a.mons))
+		a.snapGens = make([]uint64, len(a.mons))
 	}
-	return out
+	for i, m := range a.mons {
+		if a.snapMons[i] != m || a.snapGens[i] != m.BandwidthGen() {
+			a.snap[i] = m.CDF()
+			a.snapMons[i] = m
+			a.snapGens[i] = m.BandwidthGen()
+		}
+	}
+	return a.snap
 }
 
 // committed computes the per-path rates already promised: the PGOS

@@ -2,6 +2,7 @@ package control
 
 import (
 	"io"
+	"reflect"
 	"testing"
 
 	"iqpaths/internal/monitor"
@@ -212,4 +213,55 @@ func TestAdmissionDeterministic(t *testing.T) {
 		d1.BestProbability != d2.BestProbability {
 		t.Fatalf("admission diverged: %+v vs %+v", d1, d2)
 	}
+}
+
+// TestAdmissionSnapshotFollowsMonitors pins the CDF snapshot cache: a
+// monitor fed directly (not through Observe) between two Admits, and a
+// SetPaths to other monitors at the same sample counts, must each give
+// the decision a fresh Admission over the same monitors gives.
+func TestAdmissionSnapshotFollowsMonitors(t *testing.T) {
+	mons := []*monitor.PathMonitor{warmMon("A", 10, 11, 12), warmMon("B", 8, 9, 10)}
+	adm := NewAdmission(AdmissionOptions{}, mons)
+	cand := probSpec("cand", 30, 0.9)
+	same := func(step string, got Decision, over []*monitor.PathMonitor) {
+		t.Helper()
+		if want := NewAdmission(AdmissionOptions{}, over).Admit(cand); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: decision %+v, fresh admission %+v", step, got, want)
+		}
+	}
+	first := adm.Admit(cand)
+	if first.Admitted {
+		t.Fatalf("candidate admitted over ~20 Mbps of paths: %+v", first)
+	}
+	same("first", first, mons)
+
+	mons[0].ObserveBandwidth(40)
+	same("one direct sample", adm.Admit(cand), mons)
+
+	for i := 0; i < 256; i++ {
+		mons[0].ObserveBandwidth(60)
+	}
+	d := adm.Admit(cand)
+	if !d.Admitted {
+		t.Fatalf("candidate rejected after path A rose to 60 Mbps: %+v", d)
+	}
+	same("window refilled", d, mons)
+	adm.Release(cand.Name)
+
+	// Narrow paths fed as many samples as the cached ones, so at the same
+	// generations: only the monitor identity tells them apart.
+	narrow := func(name string, n uint64) *monitor.PathMonitor {
+		m := monitor.New(name, 256, 10)
+		for i := uint64(0); i < n; i++ {
+			m.ObserveBandwidth(10 + float64(i%3))
+		}
+		return m
+	}
+	other := []*monitor.PathMonitor{narrow("C", mons[0].BandwidthGen()), narrow("D", mons[1].BandwidthGen())}
+	adm.SetPaths(other)
+	d = adm.Admit(cand)
+	if d.Admitted {
+		t.Fatalf("candidate admitted on the new, narrow paths: %+v", d)
+	}
+	same("SetPaths", d, other)
 }

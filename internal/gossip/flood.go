@@ -123,11 +123,7 @@ func (f *FullFlood) cachedEnc(n overlay.NodeID) *encCache {
 	ec := &f.enc[n]
 	tab := f.tabs[n]
 	if !ec.valid || ec.gen != tab.Gen() {
-		ec.recs = ec.recs[:0]
-		for _, r := range tab.recs {
-			ec.recs = append(ec.recs, r)
-		}
-		sortRecords(ec.recs)
+		ec.recs = append(ec.recs[:0], tab.ordered()...)
 		ec.buf = appendDelta(ec.buf[:0], ec.recs)
 		ec.gen = tab.Gen()
 		ec.valid = true

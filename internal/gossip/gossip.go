@@ -34,9 +34,10 @@
 package gossip
 
 import (
+	"cmp"
 	"hash/fnv"
 	"math"
-	"sort"
+	"slices"
 
 	"iqpaths/internal/overlay"
 )
@@ -48,13 +49,15 @@ type LinkKey struct {
 	From, To overlay.NodeID
 }
 
-// less orders keys canonically (From, then To).
-func (k LinkKey) less(o LinkKey) bool {
-	if k.From != o.From {
-		return k.From < o.From
+// compare orders keys canonically (From, then To).
+func (k LinkKey) compare(o LinkKey) int {
+	if c := cmp.Compare(k.From, o.From); c != 0 {
+		return c
 	}
-	return k.To < o.To
+	return cmp.Compare(k.To, o.To)
 }
+
+func (k LinkKey) less(o LinkKey) bool { return k.compare(o) < 0 }
 
 // AdmissionKey returns the reserved key under which admission shard
 // `shard` publishes its committed load on path `path`. The negative From
@@ -110,18 +113,26 @@ func (r Record) Supersedes(o Record) bool {
 type Digest map[overlay.NodeID]uint64
 
 // Table is one node's link-state database plus its version vector.
-// Not safe for concurrent use; engines own their tables, daemons guard
-// them with their own mutex.
+// Not safe for concurrent use (even its ordered reads sort pending
+// inserts in place); engines own their tables, daemons guard them with
+// their own mutex.
+//
+// Records live in a slice kept in canonical key order, so the ordered
+// reads every push and digest reply makes walk it without sorting. A new
+// key is appended and merged into place at the next ordered read, so a
+// burst of inserts costs one merge rather than one shift per insert.
 type Table struct {
-	recs   map[LinkKey]Record
-	vv     Digest
-	gen    uint64
-	maxVer int64
+	recs    []Record
+	idx     map[LinkKey]int // key → position in recs
+	nSorted int             // recs[:nSorted] is in key order; the rest awaits a merge
+	vv      Digest
+	gen     uint64
+	maxVer  int64
 }
 
 // NewTable returns an empty table.
 func NewTable() *Table {
-	return &Table{recs: make(map[LinkKey]Record), vv: make(Digest)}
+	return &Table{idx: make(map[LinkKey]int), vv: make(Digest)}
 }
 
 // Gen returns the table generation: it increments whenever the table or
@@ -139,8 +150,11 @@ func (t *Table) MaxVer() int64 { return t.maxVer }
 
 // Get returns the current record for key.
 func (t *Table) Get(key LinkKey) (Record, bool) {
-	r, ok := t.recs[key]
-	return r, ok
+	i, ok := t.idx[key]
+	if !ok {
+		return Record{}, false
+	}
+	return t.recs[i], true
 }
 
 // Apply merges one record last-writer-wins and reports whether the
@@ -156,14 +170,21 @@ func (t *Table) Apply(r Record) bool {
 		t.vv[r.Origin] = r.Seq
 		t.gen++
 	}
-	cur, ok := t.recs[r.Key]
-	if ok && !r.Supersedes(cur) {
+	i, ok := t.idx[r.Key]
+	if !ok {
+		n := len(t.recs)
+		if t.nSorted == n && (n == 0 || t.recs[n-1].Key.less(r.Key)) {
+			t.nSorted++ // appended in key order: nothing to merge
+		}
+		t.idx[r.Key] = n
+		t.recs = append(t.recs, r)
+		t.gen++
+	} else if cur := t.recs[i]; !r.Supersedes(cur) {
 		return false
-	}
-	if !ok || cur != r {
+	} else if cur != r {
+		t.recs[i] = r
 		t.gen++
 	}
-	t.recs[r.Key] = r
 	if r.Ver > t.maxVer {
 		t.maxVer = r.Ver
 	}
@@ -175,7 +196,7 @@ func (t *Table) Apply(r Record) bool {
 // so the new record supersedes whatever any node currently holds.
 func (t *Table) Originate(origin overlay.NodeID, key LinkKey, up bool, mbps float64, ver int64) Record {
 	seq := t.vv[origin]
-	if cur, ok := t.recs[key]; ok && cur.Seq > seq {
+	if cur, ok := t.Get(key); ok && cur.Seq > seq {
 		seq = cur.Seq
 	}
 	r := Record{Key: key, Up: up, Mbps: mbps, Ver: ver, Origin: origin, Seq: seq + 1}
@@ -192,6 +213,34 @@ func (t *Table) DigestCopy() Digest {
 	return d
 }
 
+// ordered returns the live records in canonical key order, first
+// merging keys inserted since the last ordered read into place. The
+// slice is the table's own storage: callers copy what they keep.
+func (t *Table) ordered() []Record {
+	if t.nSorted == len(t.recs) {
+		return t.recs
+	}
+	tail := slices.Clone(t.recs[t.nSorted:])
+	slices.SortFunc(tail, func(a, b Record) int { return a.Key.compare(b.Key) })
+	// Merge from the back; records left of the last one moved keep their
+	// positions, so only the moved suffix is reindexed.
+	i, k := t.nSorted-1, len(t.recs)-1
+	for j := len(tail) - 1; j >= 0; k-- {
+		if i >= 0 && tail[j].Key.less(t.recs[i].Key) {
+			t.recs[k] = t.recs[i]
+			i--
+		} else {
+			t.recs[k] = tail[j]
+			j--
+		}
+	}
+	for p := i + 1; p < len(t.recs); p++ {
+		t.idx[t.recs[p].Key] = p
+	}
+	t.nSorted = len(t.recs)
+	return t.recs
+}
+
 // MissingSince returns the live records newer than the peer digest —
 // every record whose (Origin, Seq) lies above d[Origin] — in canonical
 // key order. This is both the delta-push payload (d = the sender's
@@ -199,28 +248,17 @@ func (t *Table) DigestCopy() Digest {
 // advertised digest).
 func (t *Table) MissingSince(d Digest) []Record {
 	var out []Record
-	for _, r := range t.recs {
+	for _, r := range t.ordered() {
 		if r.Seq > d[r.Origin] {
 			out = append(out, r)
 		}
 	}
-	sortRecords(out)
 	return out
-}
-
-// sortRecords orders records canonically by key.
-func sortRecords(recs []Record) {
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Key.less(recs[j].Key) })
 }
 
 // Records returns every live record in canonical key order.
 func (t *Table) Records() []Record {
-	out := make([]Record, 0, len(t.recs))
-	for _, r := range t.recs {
-		out = append(out, r)
-	}
-	sortRecords(out)
-	return out
+	return append([]Record(nil), t.ordered()...)
 }
 
 // AppendCanonical appends the table's canonical serialization — every
@@ -229,7 +267,7 @@ func (t *Table) Records() []Record {
 // equality the delta engine is differentially tested against the
 // full-flood oracle with.
 func (t *Table) AppendCanonical(dst []byte) []byte {
-	for _, r := range t.Records() {
+	for _, r := range t.ordered() {
 		dst = AppendRecord(dst, r)
 	}
 	return dst
@@ -245,7 +283,7 @@ func (t *Table) Hash() uint64 {
 // Covers reports whether the table holds rec or something that
 // supersedes it at its key — the per-change convergence test.
 func (t *Table) Covers(rec Record) bool {
-	cur, ok := t.recs[rec.Key]
+	cur, ok := t.Get(rec.Key)
 	if !ok {
 		return false
 	}

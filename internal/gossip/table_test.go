@@ -3,6 +3,8 @@ package gossip
 import (
 	"bytes"
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"iqpaths/internal/overlay"
@@ -190,5 +192,68 @@ func TestTopologyRepresentatives(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("Members(1) = %v, want %v", got, want)
 		}
+	}
+}
+
+// TestTableArrivalOrderInvariant builds tables from shuffled Apply
+// orders of one record set, some reading in key order between inserts
+// so new keys merge into a partly sorted table, and checks every read
+// agrees: Records, canonical bytes, Hash, Get, Covers, and MissingSince,
+// which must come back in key order.
+func TestTableArrivalOrderInvariant(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var recs []Record
+	for i := 0; i < 300; i++ {
+		recs = append(recs, Record{
+			Key:    LinkKey{From: overlay.NodeID(rng.Intn(12) - 2), To: overlay.NodeID(rng.Intn(12))},
+			Up:     rng.Intn(2) == 0,
+			Mbps:   float64(rng.Intn(100)),
+			Origin: overlay.NodeID(rng.Intn(5)),
+			Seq:    uint64(1 + rng.Intn(40)),
+		})
+	}
+	digest := Digest{0: 10, 1: 20, 3: 35}
+	var ref *Table
+	for trial := 0; trial < 12; trial++ {
+		tab := NewTable()
+		readEvery := trial % 4 // 0: never read while inserting
+		for i, j := range rng.Perm(len(recs)) {
+			tab.Apply(recs[j])
+			if readEvery > 0 && i%readEvery == 0 {
+				tab.MissingSince(digest)
+			}
+		}
+		miss := tab.MissingSince(digest)
+		for i := 1; i < len(miss); i++ {
+			if !miss[i-1].Key.less(miss[i].Key) {
+				t.Fatalf("trial %d: MissingSince out of key order at %d: %v then %v", trial, i, miss[i-1].Key, miss[i].Key)
+			}
+		}
+		if ref == nil {
+			ref = tab
+			continue
+		}
+		if !reflect.DeepEqual(tab.Records(), ref.Records()) {
+			t.Fatalf("trial %d: Records differ", trial)
+		}
+		if !bytes.Equal(tab.AppendCanonical(nil), ref.AppendCanonical(nil)) || tab.Hash() != ref.Hash() {
+			t.Fatalf("trial %d: canonical bytes differ", trial)
+		}
+		if !reflect.DeepEqual(miss, ref.MissingSince(digest)) {
+			t.Fatalf("trial %d: MissingSince differs", trial)
+		}
+		for _, r := range recs {
+			got, ok := tab.Get(r.Key)
+			want, wantOK := ref.Get(r.Key)
+			if got != want || ok != wantOK || !ok {
+				t.Fatalf("trial %d: Get(%v) = %+v,%v, want %+v,%v", trial, r.Key, got, ok, want, wantOK)
+			}
+			if tab.Covers(r) != ref.Covers(r) || !tab.Covers(r) {
+				t.Fatalf("trial %d: Covers(%+v) disagrees or fails", trial, r)
+			}
+		}
+	}
+	if ref.Len() < 50 {
+		t.Fatalf("only %d distinct keys; the test needs a larger table", ref.Len())
 	}
 }

@@ -135,7 +135,8 @@ type relayFlow struct {
 
 // queuedDatagram is one shaped datagram in flight through the pacer. Its
 // bytes live in a pooled wire buffer owned by the queue entry; the pacer
-// releases the buffer after the forward write (or the drain on shutdown).
+// releases the buffer after the forward write, and Close drains whatever
+// is still queued.
 type queuedDatagram struct {
 	wb      *transport.WireBuf
 	flow    *relayFlow
@@ -218,7 +219,16 @@ func (r *Relay) Close() error {
 		f.out.Close()
 	}
 	r.wg.Wait()
-	return err
+	// Only now can nothing enqueue: readLoop may have admitted a datagram
+	// after paceLoop returned, so drain here, not in paceLoop.
+	for {
+		select {
+		case q := <-r.queue:
+			transport.ReleaseWire(q.wb)
+		default:
+			return err
+		}
+	}
 }
 
 // now returns seconds since the relay started.
@@ -284,17 +294,6 @@ func (r *Relay) admit(data []byte, from *net.UDPAddr) {
 // paceLoop drains the shaping queue at the link's available rate.
 func (r *Relay) paceLoop() {
 	defer r.wg.Done()
-	defer func() {
-		// Return any still-queued buffers to the pool on shutdown.
-		for {
-			select {
-			case q := <-r.queue:
-				transport.ReleaseWire(q.wb)
-			default:
-				return
-			}
-		}
-	}()
 	nextFree := 0.0
 	for {
 		select {

@@ -5,6 +5,8 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"iqpaths/internal/transport"
 )
 
 func TestAvailMbps(t *testing.T) {
@@ -111,9 +113,62 @@ func TestRelayForwardsBothDirections(t *testing.T) {
 			t.Fatalf("echo %d: got %v", i, buf[:n])
 		}
 	}
-	st := r.Stats()
-	if st.Forwarded != 10 || st.Returned != 10 {
-		t.Fatalf("stats %+v, want 10 forwarded and returned", st)
+	// The relay counts a datagram after its socket write returns, so the
+	// 10th echo can reach the client before the counters move.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		st := r.Stats()
+		if st.Forwarded == 10 && st.Returned == 10 {
+			break
+		}
+		if st.Forwarded > 10 || st.Returned > 10 || time.Now().After(deadline) {
+			t.Fatalf("stats %+v, want 10 forwarded and returned", st)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestRelayCloseUnderTrafficReleasesBuffers closes relays while a client
+// keeps their shaping queues busy: a datagram admitted after the pacer
+// stopped must still go back to the wire-buffer pool.
+func TestRelayCloseUnderTrafficReleasesBuffers(t *testing.T) {
+	echo, closeEcho := echoServer(t)
+	defer closeEcho()
+	if n := transport.WireOutstanding(); n != 0 {
+		t.Fatalf("%d wire buffers outstanding before the test", n)
+	}
+	payload := make([]byte, 1200)
+	for i := 0; i < 100; i++ {
+		// 1 Mbps keeps the pacer waiting on a backlog while reads continue.
+		r, err := NewRelay("127.0.0.1:0", echo, LinkShape{CapacityMbps: 1, QueuePackets: 64}, int64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		client, err := net.Dial("udp", r.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		stop := make(chan struct{})
+		sent := make(chan struct{})
+		go func() {
+			defer close(sent)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				client.Write(payload) // refused once the relay is closed
+			}
+		}()
+		time.Sleep(2 * time.Millisecond)
+		r.Close()
+		close(stop)
+		<-sent
+		client.Close()
+		if n := transport.WireOutstanding(); n != 0 {
+			t.Fatalf("close %d: %d wire buffers outstanding", i, n)
+		}
 	}
 }
 

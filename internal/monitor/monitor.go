@@ -25,6 +25,9 @@ type PathMonitor struct {
 	// mapping; DramaticChange compares against it.
 	baseline *stats.CDF
 	minWarm  int
+	// bwGen counts mutations of the bandwidth window, so a reader can
+	// tell that a CDF it snapshotted earlier is still current.
+	bwGen uint64
 }
 
 // New creates a monitor keeping the last windowN bandwidth samples
@@ -53,7 +56,15 @@ func New(name string, windowN, minWarm int) *PathMonitor {
 func (m *PathMonitor) Name() string { return m.name }
 
 // ObserveBandwidth records one available-bandwidth sample in Mbps.
-func (m *PathMonitor) ObserveBandwidth(mbps float64) { m.bw.Add(mbps) }
+func (m *PathMonitor) ObserveBandwidth(mbps float64) {
+	m.bw.Add(mbps)
+	m.bwGen++
+}
+
+// BandwidthGen returns the bandwidth-sample generation: it changes
+// whenever the bandwidth window may have, so an unchanged generation
+// means a CDF taken earlier still describes the window.
+func (m *PathMonitor) BandwidthGen() uint64 { return m.bwGen }
 
 // ObserveRTT records one round-trip-time sample in seconds.
 func (m *PathMonitor) ObserveRTT(sec float64) { m.rtt.Add(sec) }

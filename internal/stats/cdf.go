@@ -14,8 +14,11 @@ import (
 //	TailMean(b) = E[X | X ≤ b]·F(b) contributions     (Lemma 2's M[b0])
 //
 // A CDF is immutable once built; Build sorts a private copy of the samples.
+// Its mean and standard deviation are computed once, at build time, since
+// the mapping reads them for every (stream, path) pair it tries.
 type CDF struct {
-	sorted []float64
+	sorted    []float64
+	mean, std float64
 }
 
 // BuildCDF constructs an empirical CDF from samples. The input slice is not
@@ -25,7 +28,32 @@ func BuildCDF(samples []float64) *CDF {
 	s := make([]float64, len(samples))
 	copy(s, samples)
 	sort.Float64s(s)
-	return &CDF{sorted: s}
+	return newCDF(s)
+}
+
+// newCDF wraps an ascending sample slice it takes ownership of, folding
+// the moments in ascending order.
+func newCDF(sorted []float64) *CDF {
+	c := &CDF{sorted: sorted}
+	n := len(sorted)
+	if n == 0 {
+		return c
+	}
+	sum := 0.0
+	for _, v := range sorted {
+		sum += v
+	}
+	c.mean = sum / float64(n)
+	if n < 2 {
+		return c
+	}
+	s := 0.0
+	for _, v := range sorted {
+		d := v - c.mean
+		s += d * d
+	}
+	c.std = math.Sqrt(s / float64(n-1))
+	return c
 }
 
 // IsEmpty reports whether the CDF was built from zero samples.
@@ -46,16 +74,19 @@ func (c *CDF) F(x float64) float64 {
 
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) using the nearest-rank method:
 // the smallest sample b with F(b) ≥ q. Quantile(0) is the minimum sample.
-func (c *CDF) Quantile(q float64) float64 {
-	n := len(c.sorted)
+func (c *CDF) Quantile(q float64) float64 { return nearestRank(c.sorted, q) }
+
+// nearestRank is Quantile over an ascending slice.
+func nearestRank(sorted []float64, q float64) float64 {
+	n := len(sorted)
 	if n == 0 {
 		return 0
 	}
 	if q <= 0 {
-		return c.sorted[0]
+		return sorted[0]
 	}
 	if q >= 1 {
-		return c.sorted[n-1]
+		return sorted[n-1]
 	}
 	// The 1e-9 slack absorbs float error in expressions like 1-0.95 so that
 	// nominally exact ranks (0.05·100 = 5) do not round up a rank.
@@ -66,7 +97,7 @@ func (c *CDF) Quantile(q float64) float64 {
 	if rank >= n {
 		rank = n - 1
 	}
-	return c.sorted[rank]
+	return sorted[rank]
 }
 
 // Min returns the smallest sample (0 when empty).
@@ -85,32 +116,12 @@ func (c *CDF) Max() float64 {
 	return c.sorted[len(c.sorted)-1]
 }
 
-// Mean returns the mean of all samples.
-func (c *CDF) Mean() float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range c.sorted {
-		sum += v
-	}
-	return sum / float64(len(c.sorted))
-}
+// Mean returns the mean of all samples (0 when empty).
+func (c *CDF) Mean() float64 { return c.mean }
 
-// StdDev returns the sample standard deviation of the underlying samples.
-func (c *CDF) StdDev() float64 {
-	n := len(c.sorted)
-	if n < 2 {
-		return 0
-	}
-	m := c.Mean()
-	s := 0.0
-	for _, v := range c.sorted {
-		d := v - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(n-1))
-}
+// StdDev returns the sample standard deviation of the underlying samples
+// (0 below two samples).
+func (c *CDF) StdDev() float64 { return c.std }
 
 // TailMean returns M[b0] from Lemma 2: the mean of all samples ≤ b0.
 // It returns 0 when no sample is ≤ b0.

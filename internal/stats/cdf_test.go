@@ -181,3 +181,51 @@ func TestCDFQuantileMatchesSort(t *testing.T) {
 		}
 	}
 }
+
+// TestCDFMomentsExact checks that the moments a CDF computes when built
+// are bit-equal to folding its sorted samples on demand, for CDFs built
+// from a slice and snapshotted from a window.
+func TestCDFMomentsExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{0, 1, 2, 64} {
+		for trial := 0; trial < 20; trial++ {
+			xs := make([]float64, n)
+			w := NewWindow(64)
+			for i := range xs {
+				xs[i] = rng.ExpFloat64() * math.Pow(10, float64(rng.Intn(7)-3))
+				w.Add(xs[i])
+			}
+			sorted := append([]float64(nil), xs...)
+			sort.Float64s(sorted)
+			mean, std := foldMoments(sorted)
+			for name, c := range map[string]*CDF{"BuildCDF": BuildCDF(xs), "Snapshot": w.Snapshot()} {
+				if math.Float64bits(c.Mean()) != math.Float64bits(mean) ||
+					math.Float64bits(c.StdDev()) != math.Float64bits(std) {
+					t.Fatalf("%s n=%d: moments (%v, %v), folded (%v, %v)", name, n, c.Mean(), c.StdDev(), mean, std)
+				}
+			}
+		}
+	}
+}
+
+// foldMoments is the on-demand mean and sample standard deviation over
+// an ascending slice.
+func foldMoments(sorted []float64) (mean, std float64) {
+	n := len(sorted)
+	if n == 0 {
+		return 0, 0
+	}
+	for _, v := range sorted {
+		mean += v
+	}
+	mean /= float64(n)
+	if n < 2 {
+		return mean, 0
+	}
+	s := 0.0
+	for _, v := range sorted {
+		d := v - mean
+		s += d * d
+	}
+	return mean, math.Sqrt(s / float64(n-1))
+}

@@ -34,14 +34,13 @@ func Summarize(series []float64) Summary {
 	for _, v := range series {
 		w.Add(v)
 	}
-	c := &CDF{sorted: sorted}
 	s.Mean = w.Mean()
 	s.StdDev = w.StdDev()
 	s.Min = sorted[0]
 	s.Max = sorted[len(sorted)-1]
-	s.P05 = c.Quantile(0.05)
-	s.P01 = c.Quantile(0.01)
-	s.Median = c.Quantile(0.50)
+	s.P05 = nearestRank(sorted, 0.05)
+	s.P01 = nearestRank(sorted, 0.01)
+	s.Median = nearestRank(sorted, 0.50)
 	s.Samples = sorted
 	return s
 }
@@ -63,8 +62,7 @@ func (s Summary) SustainedAt(fraction float64) float64 {
 	if s.N == 0 {
 		return 0
 	}
-	c := &CDF{sorted: s.Samples}
-	return c.Quantile(1 - fraction)
+	return nearestRank(s.Samples, 1-fraction)
 }
 
 // RelativeError returns |predicted−actual| / |actual|, the Fig. 4 error

@@ -184,8 +184,7 @@ func (w *Window) Max() float64 {
 // Snapshot returns an immutable CDF of the current window contents.
 func (w *Window) Snapshot() *CDF {
 	s := make([]float64, 0, w.n)
-	s = w.ms.AppendSorted(s)
-	return &CDF{sorted: s}
+	return newCDF(w.ms.AppendSorted(s))
 }
 
 // Values returns the window contents in insertion order (oldest first).

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -13,7 +14,9 @@ import (
 // steady-state cost tracks the loss rate, not the window size. Entries are
 // lazy: an acked sequence simply isn't in the unacked map when its slot
 // fires, and a sequence retransmitted early (fast retransmit on dup-acks)
-// re-files itself at its new deadline.
+// re-files itself at its new deadline. While the wheel is empty and no
+// delayed ack is pending the monitor parks: an idle connection costs no
+// wakeups, and the next schedule (or ack-pending delivery) restarts it.
 
 const (
 	// retxTick is the wheel granularity — well under the 20 ms RTO floor,
@@ -30,19 +33,29 @@ type retxEntry struct {
 	due int64 // wall nanoseconds
 }
 
-// retxMonitor is one connection's timer wheel. schedule may be called with
-// the connection lock held (lock order: RUDPConn.mu → retxMonitor.mu);
-// the run loop therefore always drops mon.mu before touching the conn.
+// retxMonitor is one connection's timer wheel. schedule and kick may be
+// called with the connection lock held (lock order: RUDPConn.mu →
+// retxMonitor.mu); the run loop therefore always drops mon.mu before
+// touching the conn.
 type retxMonitor struct {
 	c *RUDPConn
 
 	mu     sync.Mutex
 	slots  [retxSlots][]retxEntry
+	queued int  // entries filed across all slots
+	parked bool // run is waiting on wake
+	wake   chan struct{}
 	cursor int64 // last wheel tick index processed
+
+	wakes atomic.Int64 // loop iterations: ticks plus unparks
 }
 
 func newRetxMonitor(c *RUDPConn) *retxMonitor {
-	return &retxMonitor{c: c, cursor: time.Now().UnixNano() / int64(retxTick)}
+	return &retxMonitor{
+		c:      c,
+		cursor: time.Now().UnixNano() / int64(retxTick),
+		wake:   make(chan struct{}, 1),
+	}
 }
 
 // schedule files seq to fire at due (wall nanoseconds). Safe under c.mu.
@@ -53,7 +66,37 @@ func (mon *retxMonitor) schedule(seq uint64, due int64) {
 	}
 	mon.mu.Lock()
 	mon.slots[slot] = append(mon.slots[slot], retxEntry{seq: seq, due: due})
+	mon.queued++
+	mon.unparkLocked()
 	mon.mu.Unlock()
+}
+
+// kick restarts a parked monitor so it flushes a delayed ack. Safe
+// under c.mu.
+func (mon *retxMonitor) kick() {
+	mon.mu.Lock()
+	mon.unparkLocked()
+	mon.mu.Unlock()
+}
+
+func (mon *retxMonitor) unparkLocked() {
+	if mon.parked {
+		mon.parked = false
+		mon.wake <- struct{}{} // one token per park: never blocks
+	}
+}
+
+// parkIfIdle marks the monitor parked when nothing is filed and no
+// delayed ack is pending, reporting whether it did.
+func (mon *retxMonitor) parkIfIdle() bool {
+	c := mon.c
+	c.mu.Lock()
+	mon.mu.Lock()
+	parked := mon.queued == 0 && !c.ackPending
+	mon.parked = parked
+	mon.mu.Unlock()
+	c.mu.Unlock()
+	return parked
 }
 
 // run drives the wheel until the connection closes.
@@ -62,11 +105,28 @@ func (mon *retxMonitor) run() {
 	ticker := time.NewTicker(retxTick)
 	defer ticker.Stop()
 	for {
+		if mon.parkIfIdle() {
+			ticker.Stop()
+			select {
+			case <-ticker.C: // drop a tick that fired before Stop
+			default:
+			}
+			select {
+			case <-c.done:
+				return
+			case <-mon.wake:
+			}
+			mon.wakes.Add(1)
+			// Resume on the tick cadence, so a delayed ack still waits
+			// one tick for later deliveries to join it.
+			ticker.Reset(retxTick)
+		}
 		select {
 		case <-c.done:
 			return
 		case <-ticker.C:
 		}
+		mon.wakes.Add(1)
 		// Delayed-ack flush: cover a quiescent in-order tail before the
 		// peer's RTO can fire.
 		c.mu.Lock()
@@ -99,6 +159,7 @@ func (mon *retxMonitor) fire(slot int64) bool {
 	mon.mu.Lock()
 	entries := mon.slots[slot]
 	mon.slots[slot] = nil
+	mon.queued -= len(entries)
 	mon.mu.Unlock()
 	if len(entries) == 0 {
 		return true

@@ -83,7 +83,7 @@ type RUDPConn struct {
 	ooo      map[uint64]*Message
 	recvQ    chan *Message
 	// ackPending marks in-order deliveries that did not reach an ack
-	// boundary; retransmitLoop flushes them as a delayed ack.
+	// boundary; the retransmit monitor flushes them as a delayed ack.
 	ackPending bool
 
 	// stats
@@ -506,11 +506,15 @@ func (c *RUDPConn) onData(m *Message) {
 	ackDue := outOfOrder || crossed
 	if !ackDue && delivered > 0 {
 		// Delayed ack: the final packets of a transfer may never reach a
-		// boundary. Mark them ack-pending so retransmitLoop flushes a
-		// cumulative ack within one ticker period — well inside the
-		// sender's RTO floor — instead of forcing an RTO retransmit and a
-		// duplicate-triggered re-ack.
-		c.ackPending = true
+		// boundary. Mark them ack-pending so the retransmit monitor
+		// flushes a cumulative ack within one ticker period — well inside
+		// the sender's RTO floor — instead of forcing an RTO retransmit
+		// and a duplicate-triggered re-ack. The monitor only parks with
+		// no ack pending, so only this transition can find it parked.
+		if !c.ackPending {
+			c.ackPending = true
+			c.mon.kick()
+		}
 	}
 	c.mu.Unlock()
 	if delivered > 0 {

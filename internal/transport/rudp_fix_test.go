@@ -127,3 +127,56 @@ func TestRUDPQuiescentTailNoRTO(t *testing.T) {
 		t.Fatalf("quiescent tail forced %d RTO retransmits, want 0", n)
 	}
 }
+
+// TestRUDPIdleMonitorParks checks that an idle connection's retransmit
+// monitor sleeps instead of ticking: fresh from the handshake, and again
+// once a burst has been acked and its wheel has drained.
+func TestRUDPIdleMonitorParks(t *testing.T) {
+	client, server, cleanup := rudpPair(t)
+	defer cleanup()
+	conns := []*RUDPConn{client, server}
+	idleWakes := func(phase string) {
+		t.Helper()
+		var before [2]int64
+		for i, c := range conns {
+			before[i] = c.mon.wakes.Load()
+		}
+		time.Sleep(200 * time.Millisecond)
+		for i, c := range conns {
+			if n := c.mon.wakes.Load() - before[i]; n > 5 {
+				t.Fatalf("%s: idle connection %d woke %d times in 200 ms", phase, i, n)
+			}
+		}
+	}
+	idleWakes("after handshake")
+
+	for i := 0; i < 5; i++ { // the tail past the ack boundary needs a delayed ack
+		if err := client.Send(&Message{Kind: KindData, Payload: []byte("burst")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := server.Recv(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for _, c := range conns {
+		for !monParked(c.mon) {
+			if time.Now().After(deadline) {
+				t.Fatalf("monitor never parked after the burst (in flight %d)", client.InFlight())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if client.InFlight() != 0 || client.Retransmits() != 0 {
+		t.Fatalf("burst left %d in flight after %d retransmits", client.InFlight(), client.Retransmits())
+	}
+	idleWakes("after burst")
+}
+
+func monParked(mon *retxMonitor) bool {
+	mon.mu.Lock()
+	defer mon.mu.Unlock()
+	return mon.parked
+}
