@@ -16,7 +16,8 @@ import (
 //	POST /gossip/digest  <digest> → delta records the peer is missing
 //	POST /gossip/push    <delta>  → merge pushed records, {"applied": n}
 //
-// A peer daemon polls GET /gossip/digest, diffs against its own table,
+// where n counts the pushed records that changed the table. A peer
+// daemon polls GET /gossip/digest, diffs against its own table,
 // POSTs its digest to fetch what it lacks, and pushes fresh local
 // originations with /gossip/push. All payloads use the fuzz-hardened
 // internal/gossip codec.
@@ -73,6 +74,5 @@ func (g *daemonGossip) handlePush(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusBadRequest, "malformed delta: "+err.Error())
 		return
 	}
-	g.adm.adm.Ingest(recs)
-	writeJSON(w, http.StatusOK, map[string]int{"applied": len(recs)})
+	writeJSON(w, http.StatusOK, map[string]int{"applied": g.adm.adm.Ingest(recs)})
 }

@@ -3,12 +3,16 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"iqpaths/internal/gossip"
+	"iqpaths/internal/overlay"
 )
 
 // testSink builds a warmed sink admission plane plus its HTTP mux, the
@@ -212,5 +216,110 @@ func TestGossipRejectsMalformedBodies(t *testing.T) {
 	}
 	if w := do(mux, http.MethodGet, "/gossip/push", nil); w.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("GET push: %d, want 405", w.Code)
+	}
+}
+
+// TestGossipPushHostileOrigins pushes admission records whose origins
+// sit at the extremes of the id range, as an unchecked peer may send
+// them, plus one record for a shard this sink does not host and one
+// outside the admission namespace. The push reports only the records
+// that changed the table, and a repeat reports none; the digest then
+// names the extreme origins, and a digest naming them gets back exactly
+// the record it is behind on.
+func TestGossipPushHostileOrigins(t *testing.T) {
+	_, mux := testSink(t, 2)
+	origins := []overlay.NodeID{1 << 62, -1 << 62, math.MinInt64}
+	var recs []gossip.Record
+	for i, o := range origins {
+		recs = append(recs, gossip.Record{Key: gossip.AdmissionKey(i%2, i), Up: true, Mbps: 3, Origin: o, Seq: uint64(10 + i)})
+	}
+	skipped := []gossip.Record{
+		{Key: gossip.AdmissionKey(5, 0), Up: true, Mbps: 3, Origin: 1 << 62, Seq: 99},
+		{Key: gossip.LinkKey{From: 1, To: 2}, Up: true, Mbps: 3, Origin: 1 << 62, Seq: 99},
+	}
+	delta := gossip.EncodeDelta(append(append([]gossip.Record(nil), recs...), skipped...))
+	for _, want := range []int{len(recs), 0} {
+		w := do(mux, http.MethodPost, "/gossip/push", delta)
+		if w.Code != http.StatusOK {
+			t.Fatalf("push: %d %s", w.Code, w.Body.String())
+		}
+		var got struct{ Applied int }
+		if err := json.Unmarshal(w.Body.Bytes(), &got); err != nil || got.Applied != want {
+			t.Fatalf("push reported %s, want applied=%d", w.Body.String(), want)
+		}
+	}
+
+	w := do(mux, http.MethodGet, "/gossip/digest", nil)
+	d, err := gossip.ParseDigest(w.Body.Bytes())
+	if err != nil {
+		t.Fatalf("GET digest: %v", err)
+	}
+	want := gossip.Digest{}
+	for _, r := range recs {
+		want[r.Origin] = r.Seq
+	}
+	if !reflect.DeepEqual(d, want) {
+		t.Fatalf("digest = %v, want %v", d, want)
+	}
+
+	d[math.MinInt64]--
+	w = do(mux, http.MethodPost, "/gossip/digest", gossip.EncodeDigest(d))
+	if w.Code != http.StatusOK {
+		t.Fatalf("POST digest: %d %s", w.Code, w.Body.String())
+	}
+	got, err := gossip.ParseDelta(w.Body.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0] != recs[2] {
+		t.Fatalf("delta for a digest one behind on MinInt64 = %+v, want %+v", got, recs[2])
+	}
+}
+
+// TestGossipPushManyOrigins pushes full-size deltas in which every
+// record names a new origin, ascending into one sink and descending into
+// another. Ingesting them costs the same in either order (a sorted
+// insert per origin would make the descending pushes quadratic, holding
+// the admission lock for seconds), and the digest then covers every
+// origin.
+func TestGossipPushManyOrigins(t *testing.T) {
+	const perPush, pushes = 50000, 2
+	push := func(descending bool) time.Duration {
+		_, mux := testSink(t, 2)
+		var took time.Duration
+		for p := 0; p < pushes; p++ {
+			recs := make([]gossip.Record, perPush)
+			for i := range recs {
+				o := overlay.NodeID(p*perPush + i)
+				if descending {
+					o = overlay.NodeID(pushes*perPush - 1 - p*perPush - i)
+				}
+				recs[i] = gossip.Record{Key: gossip.AdmissionKey(0, 0), Up: true, Mbps: 1, Origin: o, Seq: 1}
+			}
+			delta := gossip.EncodeDelta(recs)
+			if len(delta) > maxGossipBody {
+				t.Fatalf("delta of %d records is %d bytes, over the %d-byte limit", perPush, len(delta), maxGossipBody)
+			}
+			start := time.Now()
+			w := do(mux, http.MethodPost, "/gossip/push", delta)
+			took += time.Since(start)
+			if w.Code != http.StatusOK {
+				t.Fatalf("push: %d %s", w.Code, w.Body.String())
+			}
+		}
+		d, err := gossip.ParseDigest(do(mux, http.MethodGet, "/gossip/digest", nil).Body.Bytes())
+		if err != nil {
+			t.Fatalf("GET digest: %v", err)
+		}
+		for o := overlay.NodeID(0); o < pushes*perPush; o++ {
+			if d[o] != 1 {
+				t.Fatalf("digest[%d] = %d, want 1", o, d[o])
+			}
+		}
+		return took
+	}
+	asc, desc := push(false), push(true)
+	if desc > 4*asc && desc > 250*time.Millisecond {
+		t.Fatalf("descending-origin pushes took %v, ascending %v", desc, asc)
 	}
 }

@@ -78,10 +78,10 @@ func TestParseRejects(t *testing.T) {
 		nanSumm[3+i] = b
 	}
 	cases := []struct {
-		name  string
-		buf   []byte
-		plan  bool
-		summ  bool
+		name string
+		buf  []byte
+		plan bool
+		summ bool
 	}{
 		{"empty plan", nil, true, false},
 		{"bad plan magic", []byte{0x00, 0x01}, true, false},

@@ -105,24 +105,27 @@ func (s *ShardedAdmission) Publish(shard int, ver int64) []gossip.Record {
 // Ingest merges replicated committed-load records (local or from remote
 // daemons) and re-derives every shard's remote vector: for shard k,
 // remote[j] is the sum of every other shard's published load on path j.
-func (s *ShardedAdmission) Ingest(recs []gossip.Record) {
+// It returns how many records changed the table; skipped records and
+// ones that lose last-writer-wins do not count.
+func (s *ShardedAdmission) Ingest(recs []gossip.Record) int {
 	s.mu.Lock()
-	changed := false
+	applied := 0
 	for _, r := range recs {
 		if shard, _, ok := gossip.ParseAdmissionKey(r.Key); !ok || shard >= len(s.shards) {
 			continue // not an admission record, or a shard we don't host
 		}
 		if s.tab.Apply(r) {
-			changed = true
+			applied++
 		}
 	}
-	if !changed {
+	if applied == 0 {
 		s.mu.Unlock()
-		return
+		return 0
 	}
 	remote := s.remoteLocked()
 	s.mu.Unlock()
 	s.setRemote(remote)
+	return applied
 }
 
 // remoteLocked rebuilds each shard's view of foreign load from the

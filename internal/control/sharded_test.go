@@ -165,7 +165,7 @@ func TestShardedAdmitStress(t *testing.T) {
 			mesh.SetNodeUp(n, i%3 != 0)
 			mesh.Originate(overlay.NodeID((i+1)%64), gossip.LinkKey{From: n, To: n}, true, 0, i)
 			mesh.Round(i)
-			recs := s.Publish(int(i % shards), i)
+			recs := s.Publish(int(i%shards), i)
 			b := gossip.EncodeDelta(recs)
 			parsed, err := gossip.ParseDelta(b)
 			if err != nil {

@@ -179,6 +179,28 @@ func appendDigest(dst []byte, d Digest) []byte {
 	return dst
 }
 
+// appendTableDigest appends t's version vector as a digest message,
+// byte-equal to EncodeDigest(t.DigestCopy()): it walks the slots in
+// origin order, so no map is sorted, and skips slots still at 0 as
+// DigestCopy does.
+func appendTableDigest(dst []byte, t *Table) []byte {
+	n := 0
+	for _, e := range t.vv {
+		if e.seq > 0 {
+			n++
+		}
+	}
+	dst = append(dst, digestMagic)
+	dst = binary.AppendUvarint(dst, uint64(n))
+	for _, s := range t.origins() {
+		if e := t.vv[s]; e.seq > 0 {
+			dst = binary.AppendVarint(dst, int64(e.origin))
+			dst = binary.AppendUvarint(dst, e.seq)
+		}
+	}
+	return dst
+}
+
 // ParseDigest decodes a digest message. Duplicate origins and trailing
 // bytes are errors.
 func ParseDigest(b []byte) (Digest, error) {

@@ -189,8 +189,8 @@ func FuzzRecordRoundTrip(f *testing.F) {
 			return
 		}
 		r := Record{
-			Key:    LinkKey{From: overlay.NodeID(from), To: overlay.NodeID(to)},
-			Up:     up, Mbps: mbps, Ver: ver,
+			Key: LinkKey{From: overlay.NodeID(from), To: overlay.NodeID(to)},
+			Up:  up, Mbps: mbps, Ver: ver,
 			Origin: overlay.NodeID(origin), Seq: seq,
 		}
 		b := AppendRecord(nil, r)

@@ -121,18 +121,45 @@ type Digest map[overlay.NodeID]uint64
 // reads every push and digest reply makes walk it without sorting. A new
 // key is appended and merged into place at the next ordered read, so a
 // burst of inserts costs one merge rather than one shift per insert.
+//
+// The version vector is dense: every origin the table has seen gets a
+// slot, numbered in first-seen order and never reused, and vv[slot]
+// holds that origin and the highest sequence covered for it. Each
+// stored record carries its origin's slot in a slice parallel to recs,
+// so the delta paths compare r.Seq against a floor indexed by slot
+// instead of hashing the origin per record. Origins are interned rather
+// than used as indices because they arrive off the wire unchecked:
+// memory grows with the number of distinct origins seen, never with an
+// origin's value. Digest stays the map form the codec and callers
+// exchange.
 type Table struct {
 	recs    []Record
+	slots   []int           // slots[i] is recs[i].Origin's slot
 	idx     map[LinkKey]int // key → position in recs
 	nSorted int             // recs[:nSorted] is in key order; the rest awaits a merge
-	vv      Digest
-	gen     uint64
-	maxVer  int64
+	vv      []slotSeq       // by slot
+	// slotOf maps each origin seen to its slot once there are more than
+	// smallOrigins of them; until then lookup scans vv.
+	slotOf map[overlay.NodeID]int
+	// byOrigin lists slots in ascending origin order for the ordered
+	// walks digest encoding and floorFrom make. It covers
+	// vv[:len(byOrigin)]; newer slots are merged in at the next ordered
+	// read, as recs are.
+	byOrigin []int
+	gen      uint64
+	maxVer   int64
+}
+
+// slotSeq is one version-vector slot: an origin and the highest
+// sequence covered for it.
+type slotSeq struct {
+	origin overlay.NodeID
+	seq    uint64
 }
 
 // NewTable returns an empty table.
 func NewTable() *Table {
-	return &Table{idx: make(map[LinkKey]int), vv: make(Digest)}
+	return &Table{idx: make(map[LinkKey]int)}
 }
 
 // Gen returns the table generation: it increments whenever the table or
@@ -157,6 +184,77 @@ func (t *Table) Get(key LinkKey) (Record, bool) {
 	return t.recs[i], true
 }
 
+// smallOrigins is how many origins a table finds by scanning vv before
+// it builds slotOf: many tables see only a handful.
+const smallOrigins = 8
+
+// lookup returns origin o's slot, if it has one.
+func (t *Table) lookup(o overlay.NodeID) (int, bool) {
+	if t.slotOf != nil {
+		s, ok := t.slotOf[o]
+		return s, ok
+	}
+	for s, e := range t.vv {
+		if e.origin == o {
+			return s, true
+		}
+	}
+	return 0, false
+}
+
+// intern returns origin o's slot, giving it the next one on first sight.
+func (t *Table) intern(o overlay.NodeID) int {
+	if s, ok := t.lookup(o); ok {
+		return s
+	}
+	s := len(t.vv)
+	t.vv = append(t.vv, slotSeq{origin: o})
+	switch {
+	case t.slotOf != nil:
+		t.slotOf[o] = s
+	case len(t.vv) > smallOrigins:
+		t.slotOf = make(map[overlay.NodeID]int, 2*len(t.vv))
+		for s, e := range t.vv {
+			t.slotOf[e.origin] = s
+		}
+	}
+	return s
+}
+
+// seqOf returns the highest sequence covered for origin o (0 if unseen).
+func (t *Table) seqOf(o overlay.NodeID) uint64 {
+	if s, ok := t.lookup(o); ok {
+		return t.vv[s].seq
+	}
+	return 0
+}
+
+// origins returns every slot in ascending origin order, first merging
+// slots interned since the last ordered read into place.
+func (t *Table) origins() []int {
+	n := len(t.byOrigin)
+	if n == len(t.vv) {
+		return t.byOrigin
+	}
+	tail := make([]int, len(t.vv)-n)
+	for j := range tail {
+		tail[j] = n + j
+	}
+	slices.SortFunc(tail, func(a, b int) int { return cmp.Compare(t.vv[a].origin, t.vv[b].origin) })
+	t.byOrigin = append(t.byOrigin, tail...)
+	i, k := n-1, len(t.byOrigin)-1
+	for j := len(tail) - 1; j >= 0; k-- {
+		if i >= 0 && t.vv[tail[j]].origin < t.vv[t.byOrigin[i]].origin {
+			t.byOrigin[k] = t.byOrigin[i]
+			i--
+		} else {
+			t.byOrigin[k] = tail[j]
+			j--
+		}
+	}
+	return t.byOrigin
+}
+
 // Apply merges one record last-writer-wins and reports whether the
 // table changed. The version vector always advances to cover the
 // record's (Origin, Seq) — a superseded record still counts as seen.
@@ -166,11 +264,17 @@ func (t *Table) Apply(r Record) bool {
 	if math.IsNaN(r.Mbps) || math.IsInf(r.Mbps, 0) {
 		return false
 	}
-	if r.Seq > t.vv[r.Origin] {
-		t.vv[r.Origin] = r.Seq
+	i, ok := t.idx[r.Key]
+	var s int
+	if ok && t.recs[i].Origin == r.Origin {
+		s = t.slots[i]
+	} else {
+		s = t.intern(r.Origin)
+	}
+	if r.Seq > t.vv[s].seq {
+		t.vv[s].seq = r.Seq
 		t.gen++
 	}
-	i, ok := t.idx[r.Key]
 	if !ok {
 		n := len(t.recs)
 		if t.nSorted == n && (n == 0 || t.recs[n-1].Key.less(r.Key)) {
@@ -178,11 +282,13 @@ func (t *Table) Apply(r Record) bool {
 		}
 		t.idx[r.Key] = n
 		t.recs = append(t.recs, r)
+		t.slots = append(t.slots, s)
 		t.gen++
 	} else if cur := t.recs[i]; !r.Supersedes(cur) {
 		return false
 	} else if cur != r {
 		t.recs[i] = r
+		t.slots[i] = s
 		t.gen++
 	}
 	if r.Ver > t.maxVer {
@@ -195,7 +301,7 @@ func (t *Table) Apply(r Record) bool {
 // bumped past both the origin's own counter and the key's current tag,
 // so the new record supersedes whatever any node currently holds.
 func (t *Table) Originate(origin overlay.NodeID, key LinkKey, up bool, mbps float64, ver int64) Record {
-	seq := t.vv[origin]
+	seq := t.seqOf(origin)
 	if cur, ok := t.Get(key); ok && cur.Seq > seq {
 		seq = cur.Seq
 	}
@@ -204,11 +310,14 @@ func (t *Table) Originate(origin overlay.NodeID, key LinkKey, up bool, mbps floa
 	return r
 }
 
-// DigestCopy snapshots the version vector.
+// DigestCopy snapshots the version vector. Slots still at 0 (an origin
+// seen only on seq-0 records) are left out, as they cover nothing.
 func (t *Table) DigestCopy() Digest {
 	d := make(Digest, len(t.vv))
-	for o, s := range t.vv {
-		d[o] = s
+	for _, e := range t.vv {
+		if e.seq > 0 {
+			d[e.origin] = e.seq
+		}
 	}
 	return d
 }
@@ -220,17 +329,24 @@ func (t *Table) ordered() []Record {
 	if t.nSorted == len(t.recs) {
 		return t.recs
 	}
-	tail := slices.Clone(t.recs[t.nSorted:])
-	slices.SortFunc(tail, func(a, b Record) int { return a.Key.compare(b.Key) })
+	type slotted struct {
+		r Record
+		s int
+	}
+	tail := make([]slotted, len(t.recs)-t.nSorted)
+	for j := range tail {
+		tail[j] = slotted{t.recs[t.nSorted+j], t.slots[t.nSorted+j]}
+	}
+	slices.SortFunc(tail, func(a, b slotted) int { return a.r.Key.compare(b.r.Key) })
 	// Merge from the back; records left of the last one moved keep their
 	// positions, so only the moved suffix is reindexed.
 	i, k := t.nSorted-1, len(t.recs)-1
 	for j := len(tail) - 1; j >= 0; k-- {
-		if i >= 0 && tail[j].Key.less(t.recs[i].Key) {
-			t.recs[k] = t.recs[i]
+		if i >= 0 && tail[j].r.Key.less(t.recs[i].Key) {
+			t.recs[k], t.slots[k] = t.recs[i], t.slots[i]
 			i--
 		} else {
-			t.recs[k] = tail[j]
+			t.recs[k], t.slots[k] = tail[j].r, tail[j].s
 			j--
 		}
 	}
@@ -241,19 +357,55 @@ func (t *Table) ordered() []Record {
 	return t.recs
 }
 
-// MissingSince returns the live records newer than the peer digest —
-// every record whose (Origin, Seq) lies above d[Origin] — in canonical
-// key order. This is both the delta-push payload (d = the sender's
-// acked floor for the peer) and the anti-entropy reply (d = the peer's
-// advertised digest).
-func (t *Table) MissingSince(d Digest) []Record {
-	var out []Record
-	for _, r := range t.ordered() {
-		if r.Seq > d[r.Origin] {
-			out = append(out, r)
+// appendMissing appends to dst, in canonical key order, every live
+// record whose Seq lies above floor[its origin's slot]; slots past the
+// end of floor count as 0.
+func (t *Table) appendMissing(dst []Record, floor []uint64) []Record {
+	for i, r := range t.ordered() {
+		var f uint64
+		if s := t.slots[i]; s < len(floor) {
+			f = floor[s]
+		}
+		if r.Seq > f {
+			dst = append(dst, r)
 		}
 	}
-	return out
+	return dst
+}
+
+// floorFrom writes into dst, indexed by t's slots, what peer's version
+// vector covers of each of t's origins: a merge walk over both tables'
+// origin orders, with no per-origin lookup.
+func (t *Table) floorFrom(dst []uint64, peer *Table) []uint64 {
+	dst = append(dst[:0], make([]uint64, len(t.vv))...)
+	mine, theirs := t.origins(), peer.origins()
+	for i, j := 0, 0; i < len(mine) && j < len(theirs); {
+		s, ps := mine[i], theirs[j]
+		switch o, po := t.vv[s].origin, peer.vv[ps].origin; {
+		case o < po:
+			i++
+		case o > po:
+			j++
+		default:
+			dst[s] = peer.vv[ps].seq
+			i++
+			j++
+		}
+	}
+	return dst
+}
+
+// MissingSince returns the live records newer than the peer digest —
+// every record whose (Origin, Seq) lies above d[Origin] — in canonical
+// key order. This is the anti-entropy reply to a digest that arrived as
+// a map (the daemons' /gossip/digest); Mesh answers its own peers
+// through the same loop with slot-indexed floors.
+func (t *Table) MissingSince(d Digest) []Record {
+	floor := make([]uint64, len(t.vv))
+	for s, e := range t.vv {
+		floor[s] = d[e.origin]
+	}
+	return t.appendMissing(nil, floor)
 }
 
 // Records returns every live record in canonical key order.

@@ -43,11 +43,12 @@ func (p Params) withDefaults() Params {
 type pairKey struct{ a, b overlay.NodeID }
 
 // peerState is a sender's belief about one receiver: the acked floor
-// (a version vector the receiver is assumed to cover) and the sender's
-// table generation at the last push, so quiet rounds skip the table
-// scan entirely.
+// (a version vector the receiver is assumed to cover, indexed by the
+// sender's slots: it only ever merges the sender's own vector) and the
+// sender's table generation at the last push, so quiet rounds skip the
+// table scan entirely.
 type peerState struct {
-	floor   Digest
+	floor   []uint64
 	lastGen uint64
 	inited  bool
 }
@@ -83,6 +84,12 @@ type Mesh struct {
 	scratch    []byte
 	repScratch []overlay.NodeID
 	memScratch []overlay.NodeID
+	// Delta payloads are applied as soon as they are built and never
+	// kept, so their record slices are reused: a push fills bufA, and an
+	// exchange builds both directions before either side applies, hence
+	// two.
+	bufA, bufB []Record
+	floorBuf   []uint64
 }
 
 // NewMesh builds a delta/anti-entropy engine. Same Params + same call
@@ -181,7 +188,7 @@ func (m *Mesh) peer(from, to overlay.NodeID) *peerState {
 	k := pairKey{from, to}
 	st := m.peers[k]
 	if st == nil {
-		st = &peerState{floor: make(Digest)}
+		st = &peerState{}
 		m.peers[k] = st
 	}
 	return st
@@ -200,11 +207,12 @@ func (m *Mesh) push(from, to overlay.NodeID) {
 	if st.inited && st.lastGen == tab.Gen() {
 		return // nothing happened at the sender since the last acked push
 	}
-	recs := tab.MissingSince(st.floor)
+	recs := tab.appendMissing(m.bufA[:0], st.floor)
+	m.bufA = recs
 	if len(recs) == 0 {
 		st.lastGen = tab.Gen()
 		st.inited = true
-		mergeDigest(st.floor, tab.vv)
+		st.floor = raiseFloor(st.floor, tab)
 		return
 	}
 	m.scratch = appendDelta(m.scratch[:0], recs)
@@ -219,7 +227,7 @@ func (m *Mesh) push(from, to overlay.NodeID) {
 	}
 	st.lastGen = tab.Gen()
 	st.inited = true
-	mergeDigest(st.floor, tab.vv)
+	st.floor = raiseFloor(st.floor, tab)
 }
 
 // exchange runs one bidirectional anti-entropy round-trip between a and
@@ -244,8 +252,11 @@ func (m *Mesh) exchange(a, b overlay.NodeID) {
 	}
 	// Both missing sets are computed before either side applies, as a
 	// real exchange would: each reply answers the digest as advertised.
-	recsToA := tb.MissingSince(ta.vv)
-	recsToB := ta.MissingSince(tb.vv)
+	m.floorBuf = tb.floorFrom(m.floorBuf, ta)
+	recsToA := tb.appendMissing(m.bufA[:0], m.floorBuf)
+	m.floorBuf = ta.floorFrom(m.floorBuf, tb)
+	recsToB := ta.appendMissing(m.bufB[:0], m.floorBuf)
+	m.bufA, m.bufB = recsToA, recsToB
 	if len(recsToA) > 0 {
 		m.scratch = appendDelta(m.scratch[:0], recsToA)
 		m.stats.Messages++
@@ -277,7 +288,7 @@ func (m *Mesh) exchange(a, b overlay.NodeID) {
 
 func (m *Mesh) syncFloor(from, to overlay.NodeID) {
 	st := m.peer(from, to)
-	mergeDigest(st.floor, m.tabs[from].vv)
+	st.floor = raiseFloor(st.floor, m.tabs[from])
 	st.lastGen = m.tabs[from].Gen()
 	st.inited = true
 }
@@ -285,18 +296,23 @@ func (m *Mesh) syncFloor(from, to overlay.NodeID) {
 func (m *Mesh) cachedDigest(n overlay.NodeID) []byte {
 	dc := &m.dig[n]
 	if !dc.valid || dc.gen != m.tabs[n].Gen() {
-		dc.buf = appendDigest(dc.buf[:0], m.tabs[n].vv)
+		dc.buf = appendTableDigest(dc.buf[:0], m.tabs[n])
 		dc.gen = m.tabs[n].Gen()
 		dc.valid = true
 	}
 	return dc.buf
 }
 
-// mergeDigest raises dst to cover src.
-func mergeDigest(dst, src Digest) {
-	for o, s := range src {
-		if s > dst[o] {
-			dst[o] = s
+// raiseFloor raises floor, indexed by t's slots, to cover t's version
+// vector.
+func raiseFloor(floor []uint64, t *Table) []uint64 {
+	if n := len(t.vv) - len(floor); n > 0 {
+		floor = append(floor, make([]uint64, n)...)
+	}
+	for s, e := range t.vv {
+		if e.seq > floor[s] {
+			floor[s] = e.seq
 		}
 	}
+	return floor
 }

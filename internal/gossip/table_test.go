@@ -62,8 +62,8 @@ func TestApplyAdvancesVVOnSupersededRecord(t *testing.T) {
 	if tab.Apply(stale) {
 		t.Fatal("superseded record must not change the table")
 	}
-	if tab.vv[1] != 4 {
-		t.Fatalf("vv[1] = %d, want 4 (seen even though superseded)", tab.vv[1])
+	if tab.seqOf(1) != 4 {
+		t.Fatalf("vv[1] = %d, want 4 (seen even though superseded)", tab.seqOf(1))
 	}
 	if tab.Gen() == gen {
 		t.Fatal("generation must advance on a vv-only change")
@@ -106,9 +106,9 @@ func TestMissingSinceSoundness(t *testing.T) {
 	for _, r := range a.MissingSince(b.DigestCopy()) {
 		b.Apply(r)
 	}
-	for o, s := range a.vv {
-		if b.vv[o] < s {
-			t.Fatalf("after transfer, b.vv[%d] = %d < a's %d", o, b.vv[o], s)
+	for o, s := range a.DigestCopy() {
+		if b.seqOf(o) < s {
+			t.Fatalf("after transfer, b.vv[%d] = %d < a's %d", o, b.seqOf(o), s)
 		}
 	}
 	for _, r := range a.Records() {

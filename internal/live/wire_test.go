@@ -39,11 +39,11 @@ func TestLinkStateRoundtrip(t *testing.T) {
 func TestParseFrameMalformed(t *testing.T) {
 	cases := [][]byte{
 		nil,
-		{99},             // unknown type
-		{frameHello},     // empty hello
-		{frameHello, 1},  // truncated stream id
-		{frameLinkState}, // empty link state
-		MarshalHello(Hello{Name: "x"})[:8],      // truncated mid-frame
+		{99},                               // unknown type
+		{frameHello},                       // empty hello
+		{frameHello, 1},                    // truncated stream id
+		{frameLinkState},                   // empty link state
+		MarshalHello(Hello{Name: "x"})[:8], // truncated mid-frame
 		MarshalLinkState(LinkState{Node: "n"})[:4],
 	}
 	for i, b := range cases {

@@ -139,9 +139,9 @@ type Scheduler struct {
 	// Reusable window-boundary scratch: live Distribution views, path
 	// metrics, and the mapping-validity check's ordering buffers. These
 	// make a steady-state window boundary allocation-free.
-	dists         []stats.Distribution
-	metricsBuf    []PathMetrics
-	satScratch    satisfyScratch
+	dists      []stats.Distribution
+	metricsBuf []PathMetrics
+	satScratch satisfyScratch
 
 	// debugCheck makes every dispatch decision run both the incremental
 	// structure and the reference scan and panic on divergence (tests).
