@@ -80,7 +80,7 @@ type Admission struct {
 	mu       sync.Mutex
 	opt      AdmissionOptions
 	mons     []*monitor.PathMonitor
-	admitted []stream.Spec
+	admitted []admittedStream
 	// remote is per-path load committed by other admission shards,
 	// replicated in via SetRemoteCommitted; feasibility subtracts it from
 	// headroom alongside local commitments.
@@ -92,6 +92,25 @@ type Admission struct {
 	snap     []stats.Distribution
 	snapMons []*monitor.PathMonitor
 	snapGens []uint64
+	// guaranteed is committed's scratch for the admitted guaranteed
+	// streams it maps.
+	guaranteed []*stream.Stream
+}
+
+// admittedStream is one admitted spec. A guaranteed spec's stream is
+// built once, at admission, for every later committed-load mapping; the
+// mapping reads only its spec, so one instance serves them all.
+type admittedStream struct {
+	spec   stream.Spec
+	stream *stream.Stream // nil for best effort
+}
+
+func newAdmitted(spec stream.Spec) admittedStream {
+	e := admittedStream{spec: spec}
+	if spec.Kind != stream.BestEffort {
+		e.stream = stream.New(0, spec)
+	}
+	return e
 }
 
 // NewAdmission returns an admission controller over the given path
@@ -168,7 +187,11 @@ func (a *Admission) SetRemoteCommitted(load []float64) {
 func (a *Admission) Admitted() []stream.Spec {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return append([]stream.Spec(nil), a.admitted...)
+	out := make([]stream.Spec, len(a.admitted))
+	for i, e := range a.admitted {
+		out[i] = e.spec
+	}
+	return out
 }
 
 // Release withdraws a previously admitted stream by name, freeing its
@@ -176,8 +199,8 @@ func (a *Admission) Admitted() []stream.Spec {
 func (a *Admission) Release(name string) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for i, s := range a.admitted {
-		if s.Name == name {
+	for i, e := range a.admitted {
+		if e.spec.Name == name {
 			a.admitted = append(a.admitted[:i], a.admitted[i+1:]...)
 			a.tel.release(len(a.admitted))
 			return true
@@ -197,14 +220,14 @@ func (a *Admission) Admit(spec stream.Spec) Decision {
 	defer a.mu.Unlock()
 
 	if spec.Kind == stream.BestEffort {
-		a.admitted = append(a.admitted, spec)
+		a.admitted = append(a.admitted, newAdmitted(spec))
 		d := Decision{Spec: spec, Admitted: true}
 		a.tel.admit(d, len(a.admitted))
 		return d
 	}
 	cdfs := a.cdfs()
 	if len(cdfs) == 0 {
-		return a.reject(spec, "no paths available", cdfs)
+		return a.reject(spec, "no paths available", cdfs, nil)
 	}
 	if !a.anyWarm() {
 		// Distinguish "we don't know yet" from "we know there isn't room":
@@ -218,11 +241,19 @@ func (a *Admission) Admit(spec stream.Spec) Decision {
 		}
 		return d
 	}
-	if reason, vetoed := a.posteriorVeto(spec, cdfs); vetoed {
-		return a.reject(spec, reason, cdfs)
+	// The admitted streams' committed mapping is computed once here and
+	// shared by the veto, the test and every best-rate/best-probability
+	// probe of a rejection: none of them changes the admitted set. The
+	// veto reads the local commitments before withRemote folds the remote
+	// shards' load into the same vector.
+	committed := a.committed(cdfs, a.admitted)
+	reason, vetoed := a.posteriorVeto(spec, cdfs, committed)
+	load := a.withRemote(committed)
+	if vetoed {
+		return a.reject(spec, reason, cdfs, load)
 	}
-	if a.feasible(spec, cdfs, a.admitted) {
-		a.admitted = append(a.admitted, spec)
+	if a.feasible(spec, cdfs, load) {
+		a.admitted = append(a.admitted, newAdmitted(spec))
 		d := Decision{Spec: spec, Admitted: true}
 		a.tel.admit(d, len(a.admitted))
 		return d
@@ -232,7 +263,7 @@ func (a *Admission) Admit(spec stream.Spec) Decision {
 			return d
 		}
 	}
-	return a.reject(spec, "insufficient guaranteed headroom", cdfs)
+	return a.reject(spec, "insufficient guaranteed headroom", cdfs, load)
 }
 
 // anyWarm reports whether at least one path monitor has enough samples
@@ -253,7 +284,7 @@ func (a *Admission) anyWarm() bool {
 // stale) window CDFs say. Paths the source reports as unknown contribute
 // their window-CDF guarantee level instead, so a partially-observed
 // overlay is not unfairly capped.
-func (a *Admission) posteriorVeto(spec stream.Spec, cdfs []stats.Distribution) (string, bool) {
+func (a *Admission) posteriorVeto(spec stream.Spec, cdfs []stats.Distribution, committed []float64) (string, bool) {
 	if a.headroom == nil || spec.RequiredMbps <= 0 {
 		return "", false
 	}
@@ -270,7 +301,6 @@ func (a *Admission) posteriorVeto(spec stream.Spec, cdfs []stats.Distribution) (
 	if known == 0 {
 		return "", false
 	}
-	committed := a.committed(cdfs, a.admitted)
 	need := spec.RequiredMbps
 	for j, c := range committed {
 		need += c
@@ -288,20 +318,20 @@ func (a *Admission) posteriorVeto(spec stream.Spec, cdfs []stats.Distribution) (
 // becomes feasible. If even a best-effort-free overlay cannot host it,
 // nothing is evicted.
 func (a *Admission) tryPreempt(spec stream.Spec, cdfs []stats.Distribution) (Decision, bool) {
-	working := append([]stream.Spec(nil), a.admitted...)
+	working := append([]admittedStream(nil), a.admitted...)
 	var evicted []stream.Spec
 	for {
 		i := lastBestEffort(working)
 		if i < 0 {
 			return Decision{}, false
 		}
-		evicted = append(evicted, working[i])
+		evicted = append(evicted, working[i].spec)
 		working = append(working[:i], working[i+1:]...)
-		if a.feasible(spec, cdfs, working) {
+		if a.feasible(spec, cdfs, a.withRemote(a.committed(cdfs, working))) {
 			break
 		}
 	}
-	a.admitted = append(working, spec)
+	a.admitted = append(working, newAdmitted(spec))
 	d := Decision{Spec: spec, Admitted: true}
 	for _, e := range evicted {
 		d.Preempted = append(d.Preempted, e.Name)
@@ -314,9 +344,9 @@ func (a *Admission) tryPreempt(spec stream.Spec, cdfs []stats.Distribution) (Dec
 	return d, true
 }
 
-func lastBestEffort(specs []stream.Spec) int {
-	for i := len(specs) - 1; i >= 0; i-- {
-		if specs[i].Kind == stream.BestEffort {
+func lastBestEffort(admitted []admittedStream) int {
+	for i := len(admitted) - 1; i >= 0; i-- {
+		if admitted[i].spec.Kind == stream.BestEffort {
 			return i
 		}
 	}
@@ -326,12 +356,14 @@ func lastBestEffort(specs []stream.Spec) int {
 // reject assembles the rejection decision: the best feasible rate at the
 // requested guarantee level, the best feasible probability at the
 // requested rate, and the resulting best spec, then fires the upcall.
-func (a *Admission) reject(spec stream.Spec, reason string, cdfs []stats.Distribution) Decision {
+// load is the per-path load the searches test against (nil when there
+// are no paths).
+func (a *Admission) reject(spec stream.Spec, reason string, cdfs []stats.Distribution, load []float64) Decision {
 	d := Decision{Spec: spec, Reason: reason}
 	if len(cdfs) > 0 {
-		d.BestRateMbps = a.bestRate(spec, cdfs)
+		d.BestRateMbps = a.bestRate(spec, cdfs, load)
 		if spec.Kind == stream.Probabilistic {
-			d.BestProbability = a.bestProbability(spec, cdfs)
+			d.BestProbability = a.bestProbability(spec, cdfs, load)
 		}
 		if d.BestRateMbps > 0 {
 			best := spec
@@ -372,20 +404,21 @@ func (a *Admission) cdfs() []stats.Distribution {
 // committed computes the per-path rates already promised: the PGOS
 // mapping of the admitted guaranteed streams (in admission order), plus
 // each admitted best-effort stream's assumed load spread evenly.
-func (a *Admission) committed(cdfs []stats.Distribution, admitted []stream.Spec) []float64 {
-	var guaranteed []*stream.Stream
+func (a *Admission) committed(cdfs []stats.Distribution, admitted []admittedStream) []float64 {
+	guaranteed := a.guaranteed[:0]
 	beLoad := 0.0
-	for _, s := range admitted {
-		if s.Kind == stream.BestEffort {
-			if s.RequiredMbps > 0 {
-				beLoad += s.RequiredMbps
+	for _, e := range admitted {
+		if e.stream == nil {
+			if e.spec.RequiredMbps > 0 {
+				beLoad += e.spec.RequiredMbps
 			} else {
 				beLoad += a.opt.BestEffortMbps
 			}
 			continue
 		}
-		guaranteed = append(guaranteed, stream.New(len(guaranteed), s))
+		guaranteed = append(guaranteed, e.stream)
 	}
+	a.guaranteed = guaranteed
 	m := pgos.ComputeMappingOpts(guaranteed, cdfs, a.opt.TwSec, pgos.MapOptions{})
 	out := m.Committed
 	if beLoad > 0 && len(cdfs) > 0 {
@@ -397,26 +430,32 @@ func (a *Admission) committed(cdfs []stats.Distribution, admitted []stream.Spec)
 	return out
 }
 
-// feasible asks whether spec fits after the commitments of admitted: the
-// candidate is mapped alone with InitialCommitted seeding each path's
-// promised rate, so its priority cannot displace already-admitted
-// streams.
-func (a *Admission) feasible(spec stream.Spec, cdfs []stats.Distribution, admitted []stream.Spec) bool {
-	committed := a.committed(cdfs, admitted)
+// withRemote adds the load remote shards committed to a committed-load
+// vector, in place, and returns it: the per-path load a candidate must
+// fit on top of.
+func (a *Admission) withRemote(committed []float64) []float64 {
 	for j := range committed {
 		if j < len(a.remote) {
 			committed[j] += a.remote[j]
 		}
 	}
+	return committed
+}
+
+// feasible asks whether spec fits on top of load: the candidate is
+// mapped alone with InitialCommitted seeding each path's promised rate,
+// so its priority cannot displace already-admitted streams. The mapping
+// only reads load.
+func (a *Admission) feasible(spec stream.Spec, cdfs []stats.Distribution, load []float64) bool {
 	cand := []*stream.Stream{stream.New(0, spec)}
-	m := pgos.ComputeMappingOpts(cand, cdfs, a.opt.TwSec, pgos.MapOptions{InitialCommitted: committed})
+	m := pgos.ComputeMappingOpts(cand, cdfs, a.opt.TwSec, pgos.MapOptions{InitialCommitted: load})
 	return !m.Rejected[0]
 }
 
 // bestRate binary-searches the largest feasible rate at spec's own
 // guarantee level. The iteration count is fixed, so the result is
 // deterministic for a given monitor state.
-func (a *Admission) bestRate(spec stream.Spec, cdfs []stats.Distribution) float64 {
+func (a *Admission) bestRate(spec stream.Spec, cdfs []stats.Distribution, load []float64) float64 {
 	hi := 0.0
 	for _, c := range cdfs {
 		if !c.IsEmpty() {
@@ -430,7 +469,7 @@ func (a *Admission) bestRate(spec stream.Spec, cdfs []stats.Distribution) float6
 		s := spec
 		s.RequiredMbps = r
 		s.WindowX, s.WindowY = 0, 0 // rate drives the packet need
-		return a.feasible(s, cdfs, a.admitted)
+		return a.feasible(s, cdfs, load)
 	}
 	if at(hi) {
 		return hi
@@ -449,11 +488,11 @@ func (a *Admission) bestRate(spec stream.Spec, cdfs []stats.Distribution) float6
 
 // bestProbability binary-searches the highest guarantee probability
 // feasible at the requested rate, for probabilistic specs.
-func (a *Admission) bestProbability(spec stream.Spec, cdfs []stats.Distribution) float64 {
+func (a *Admission) bestProbability(spec stream.Spec, cdfs []stats.Distribution, load []float64) float64 {
 	at := func(p float64) bool {
 		s := spec
 		s.Probability = p
-		return a.feasible(s, cdfs, a.admitted)
+		return a.feasible(s, cdfs, load)
 	}
 	const pMin, pMax = 0.01, 0.999
 	if !at(pMin) {

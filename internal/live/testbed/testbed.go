@@ -17,6 +17,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 
@@ -109,7 +110,10 @@ type Stats struct {
 
 // Relay is one emulated link: a UDP forwarder shaping client → target
 // traffic through a LinkShape. Each distinct client address gets its own
-// outbound socket so return traffic finds its way back (NAT-style).
+// outbound socket so return traffic finds its way back (NAT-style). Flows
+// are keyed by the client's unmapped AddrPort, a value, so forwarding a
+// datagram allocates nothing: receive buffers and queued copies are
+// pooled wire buffers and the pacer reuses one timer.
 type Relay struct {
 	shape  LinkShape
 	in     *net.UDPConn
@@ -118,7 +122,7 @@ type Relay struct {
 	start  time.Time
 
 	mu     sync.Mutex
-	flows  map[string]*relayFlow
+	flows  map[netip.AddrPort]*relayFlow
 	stats  Stats
 	rng    *rand.Rand
 	closed bool
@@ -129,7 +133,7 @@ type Relay struct {
 }
 
 type relayFlow struct {
-	client *net.UDPAddr
+	client netip.AddrPort
 	out    *net.UDPConn
 }
 
@@ -178,7 +182,7 @@ func NewRelay(listenAddr, target string, shape LinkShape, seed int64) (*Relay, e
 		bc:     bc,
 		target: taddr,
 		start:  time.Now(),
-		flows:  map[string]*relayFlow{},
+		flows:  map[netip.AddrPort]*relayFlow{},
 		rng:    rand.New(rand.NewSource(seed)),
 		queue:  make(chan queuedDatagram, shape.QueuePackets),
 		done:   make(chan struct{}),
@@ -265,7 +269,7 @@ func (r *Relay) readLoop() {
 // admit runs one datagram through loss and queue admission, copying the
 // survivors into their own pooled buffer (the receive buffers are reused
 // by the next ReadBatch).
-func (r *Relay) admit(data []byte, from *net.UDPAddr) {
+func (r *Relay) admit(data []byte, from netip.AddrPort) {
 	flow, err := r.flowFor(from)
 	if err != nil {
 		return
@@ -291,9 +295,16 @@ func (r *Relay) admit(data []byte, from *net.UDPAddr) {
 	}
 }
 
-// paceLoop drains the shaping queue at the link's available rate.
+// paceLoop drains the shaping queue at the link's available rate. One
+// timer serves every departure wait: a time.After per datagram allocated
+// a timer and its channel each time.
 func (r *Relay) paceLoop() {
 	defer r.wg.Done()
+	timer := time.NewTimer(time.Hour)
+	if !timer.Stop() {
+		<-timer.C
+	}
+	defer timer.Stop()
 	nextFree := 0.0
 	for {
 		select {
@@ -305,11 +316,12 @@ func (r *Relay) paceLoop() {
 			dep, nextFree = departure(q.arrival, nextFree, bits, r.shape.AvailMbps(q.arrival))
 			dep += r.shape.DelayMs / 1e3
 			if wait := dep - r.now(); wait > 0 {
+				timer.Reset(time.Duration(wait * float64(time.Second)))
 				select {
 				case <-r.done:
 					transport.ReleaseWire(q.wb)
 					return
-				case <-time.After(time.Duration(wait * float64(time.Second))):
+				case <-timer.C: // drained, so the next Reset starts clean
 				}
 			}
 			_, err := q.flow.out.Write(q.wb.B)
@@ -329,8 +341,8 @@ const datagramIPOverhead = 28
 
 // flowFor returns (creating if needed) the per-client flow, whose
 // outbound socket also carries the unshaped reverse direction.
-func (r *Relay) flowFor(from *net.UDPAddr) (*relayFlow, error) {
-	key := from.String()
+func (r *Relay) flowFor(from netip.AddrPort) (*relayFlow, error) {
+	key := netip.AddrPortFrom(from.Addr().Unmap(), from.Port())
 	r.mu.Lock()
 	if f, ok := r.flows[key]; ok {
 		r.mu.Unlock()
@@ -372,7 +384,7 @@ func (r *Relay) reverseLoop(f *relayFlow) {
 		if err != nil {
 			return // flow socket closed
 		}
-		if _, err := r.in.WriteToUDP(buf[:n], f.client); err != nil {
+		if _, err := r.in.WriteToUDPAddrPort(buf[:n], f.client); err != nil {
 			return
 		}
 		r.mu.Lock()

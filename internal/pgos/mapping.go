@@ -142,6 +142,12 @@ func ComputeMappingOpts(streams []*stream.Stream, cdfs []stats.Distribution, twS
 			m.Committed[j] = c
 		}
 	}
+	var cvBuf [16]float64
+	var knownBuf [16]bool
+	cv := pathCV{vals: cvBuf[:], known: knownBuf[:]}
+	if l > len(cvBuf) {
+		cv = pathCV{vals: make([]float64, l), known: make([]bool, l)}
+	}
 	for _, i := range mapOrder(streams) {
 		s := streams[i]
 		x := s.RequiredPacketsPerWindow(twSec)
@@ -150,7 +156,7 @@ func ComputeMappingOpts(streams []*stream.Stream, cdfs []stats.Distribution, twS
 		}
 		switch s.Kind {
 		case stream.Probabilistic:
-			mapProbabilistic(&m, s, i, x, cdfs, twSec)
+			mapProbabilistic(&m, s, i, x, cdfs, twSec, &cv)
 		case stream.ViolationBound:
 			mapViolationBound(&m, s, i, x, cdfs, twSec)
 		}
@@ -158,7 +164,29 @@ func ComputeMappingOpts(streams []*stream.Stream, cdfs []stats.Distribution, twS
 	return m
 }
 
-func mapProbabilistic(m *Mapping, s *stream.Stream, i, x int, cdfs []stats.Distribution, twSec float64) {
+// pathCV memoizes each path's coefficient of variation for one mapping
+// computation. The distributions do not change during the call, so the
+// first evaluation is exactly what every later stream would recompute —
+// and a window distribution walks its whole window for Mean and StdDev.
+type pathCV struct {
+	vals  []float64
+	known []bool
+}
+
+// at returns path j's coefficient of variation (1 for a non-positive
+// mean).
+func (c *pathCV) at(j int, cdf stats.Distribution) float64 {
+	if !c.known[j] {
+		v := 1.0
+		if mean := cdf.Mean(); mean > 0 {
+			v = cdf.StdDev() / mean
+		}
+		c.vals[j], c.known[j] = v, true
+	}
+	return c.vals[j]
+}
+
+func mapProbabilistic(m *Mapping, s *stream.Stream, i, x int, cdfs []stats.Distribution, twSec float64, cvs *pathCV) {
 	b0 := s.RequiredMbps
 	// Single path: among paths meeting the guarantee, take the one with
 	// the highest guarantee probability; probabilities within 2 % are
@@ -174,10 +202,7 @@ func mapProbabilistic(m *Mapping, s *stream.Stream, i, x int, cdfs []stats.Distr
 		if p < s.Probability {
 			continue
 		}
-		cv := 1.0
-		if mean := cdf.Mean(); mean > 0 {
-			cv = cdf.StdDev() / mean
-		}
+		cv := cvs.at(j, cdf)
 		better := p > bestProb+0.02 ||
 			(p > bestProb-0.02 && best >= 0 && cv < bestCV) ||
 			best < 0

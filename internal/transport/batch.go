@@ -2,6 +2,7 @@ package transport
 
 import (
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -23,13 +24,16 @@ import (
 // slices and be recycled by whoever owns them next.
 
 // Datagram is one datagram of a batched socket operation. For writes, Buf
-// is the full wire image and Addr the destination (nil on a connected
-// socket). For reads, Buf is the receive buffer, and the call fills N
-// (payload length) and Addr (source).
+// is the full wire image and Addr the destination (the zero AddrPort on a
+// connected socket). For reads, Buf is the receive buffer, and the call
+// fills N (payload length) and Addr (source). Addr is a value, so neither
+// direction allocates per datagram; demultiplexers key maps by the source
+// with its address unmapped (Addr().Unmap()), which folds an IPv4-mapped
+// IPv6 source onto its IPv4 form.
 type Datagram struct {
 	Buf  []byte
 	N    int
-	Addr *net.UDPAddr
+	Addr netip.AddrPort
 }
 
 // BatchStats counts a BatchConn's syscalls and datagrams per direction —
@@ -84,7 +88,7 @@ func NewBatchConn(c *net.UDPConn) (*BatchConn, error) {
 	}
 	bc := &BatchConn{c: c, rc: rc}
 	if mmsgAvailable {
-		bc.w, bc.r = newBatchScratch(), newBatchScratch()
+		bc.w, bc.r = newBatchScratch(true), newBatchScratch(false)
 	}
 	return bc, nil
 }
@@ -122,7 +126,7 @@ func (bc *BatchConn) ReadBatch(dgs []Datagram) (int, error) {
 	if bc.Batched() {
 		return bc.readBatchMMsg(dgs)
 	}
-	n, addr, err := bc.c.ReadFromUDP(dgs[0].Buf)
+	n, addr, err := bc.c.ReadFromUDPAddrPort(dgs[0].Buf)
 	if err != nil {
 		return 0, err
 	}
@@ -145,8 +149,8 @@ func (bc *BatchConn) WriteBatch(dgs []Datagram) (int, error) {
 	}
 	for i := range dgs {
 		var err error
-		if dgs[i].Addr != nil {
-			_, err = bc.c.WriteToUDP(dgs[i].Buf, dgs[i].Addr)
+		if dgs[i].Addr.IsValid() {
+			_, err = bc.c.WriteToUDPAddrPort(dgs[i].Buf, dgs[i].Addr)
 		} else {
 			_, err = bc.c.Write(dgs[i].Buf)
 		}

@@ -10,7 +10,7 @@ const mmsgAvailable = false
 
 type batchScratch struct{}
 
-func newBatchScratch() *batchScratch { return nil }
+func newBatchScratch(write bool) *batchScratch { return nil }
 
 func (bc *BatchConn) writeBatchMMsg(dgs []Datagram) (int, error) {
 	panic("transport: mmsg path invoked on a fallback build")

@@ -4,7 +4,7 @@ package transport
 
 import (
 	"fmt"
-	"net"
+	"net/netip"
 	"syscall"
 	"unsafe"
 )
@@ -57,70 +57,93 @@ type mmsghdr struct {
 // batchScratch is one direction's reusable mmsg call state: headers,
 // iovecs, raw sockaddr storage (sized for IPv6, the larger form), GSO
 // control buffers, and the datagrams-per-entry map a partial send resumes
-// from.
+// from. It also carries the syscall callback the runtime poller invokes,
+// bound once at construction: a closure built per call would escape to
+// the heap on every ReadBatch/WriteBatch. The callback reads its inputs
+// (k) and leaves its outcome (n, err) here; the direction's BatchConn
+// mutex serializes every use.
 type batchScratch struct {
 	hdrs   [maxMMsgBatch]mmsghdr
 	iovs   [maxMMsgBatch]syscall.Iovec
 	names  [maxMMsgBatch][syscall.SizeofSockaddrInet6]byte
 	ctrls  [maxMMsgBatch][24]byte // ≥ CmsgSpace(2)
 	counts [maxMMsgBatch]int      // datagrams covered by each entry
+
+	sysno uintptr // sysSENDMMSG or sysRECVMMSG
+	k     int     // entries in hdrs the next call covers
+	n     int     // entries the last call transferred
+	err   error   // the last call's errno, nil on success
+	call  func(fd uintptr) bool
 }
 
-func newBatchScratch() *batchScratch { return &batchScratch{} }
+func newBatchScratch(write bool) *batchScratch {
+	s := &batchScratch{sysno: sysRECVMMSG}
+	if write {
+		s.sysno = sysSENDMMSG
+	}
+	s.call = s.mmsg
+	return s
+}
+
+// mmsg issues one non-blocking sendmmsg/recvmmsg over hdrs[:k]. It
+// returns false on EAGAIN so the poller waits for readiness and retries.
+func (s *batchScratch) mmsg(fd uintptr) bool {
+	r, _, e := syscall.Syscall6(s.sysno, fd,
+		uintptr(unsafe.Pointer(&s.hdrs[0])), uintptr(s.k),
+		syscall.MSG_DONTWAIT, 0, 0)
+	if e == syscall.EAGAIN {
+		return false
+	}
+	s.n, s.err = 0, nil
+	if e != 0 {
+		s.err = e
+	} else {
+		s.n = int(r)
+	}
+	return true
+}
 
 // emptyDatagram backs the iovec of zero-length datagrams, which still
 // need a valid base pointer.
 var emptyDatagram byte
 
 // putSockaddr encodes addr into buf and returns the kernel sockaddr
-// length. Ports travel big-endian in raw sockaddrs.
-func putSockaddr(buf []byte, addr *net.UDPAddr) (uint32, error) {
-	if ip4 := addr.IP.To4(); ip4 != nil {
+// length. Ports travel big-endian in raw sockaddrs; IPv4 and IPv4-mapped
+// addresses take the IPv4 form.
+func putSockaddr(buf []byte, addr netip.AddrPort) (uint32, error) {
+	ip := addr.Addr()
+	port := addr.Port()
+	if ip.Is4() || ip.Is4In6() {
 		sa := (*syscall.RawSockaddrInet4)(unsafe.Pointer(&buf[0]))
-		*sa = syscall.RawSockaddrInet4{Family: syscall.AF_INET}
+		*sa = syscall.RawSockaddrInet4{Family: syscall.AF_INET, Addr: ip.Unmap().As4()}
 		p := (*[2]byte)(unsafe.Pointer(&sa.Port))
-		p[0], p[1] = byte(addr.Port>>8), byte(addr.Port)
-		copy(sa.Addr[:], ip4)
+		p[0], p[1] = byte(port>>8), byte(port)
 		return syscall.SizeofSockaddrInet4, nil
 	}
-	ip6 := addr.IP.To16()
-	if ip6 == nil {
+	if !ip.Is6() {
 		return 0, fmt.Errorf("transport: batch write to invalid address %v", addr)
 	}
 	sa := (*syscall.RawSockaddrInet6)(unsafe.Pointer(&buf[0]))
-	*sa = syscall.RawSockaddrInet6{Family: syscall.AF_INET6}
+	*sa = syscall.RawSockaddrInet6{Family: syscall.AF_INET6, Addr: ip.As16()}
 	p := (*[2]byte)(unsafe.Pointer(&sa.Port))
-	p[0], p[1] = byte(addr.Port>>8), byte(addr.Port)
-	copy(sa.Addr[:], ip6)
+	p[0], p[1] = byte(port>>8), byte(port)
 	return syscall.SizeofSockaddrInet6, nil
 }
 
-// getSockaddr decodes a kernel-filled raw sockaddr back to a UDP address.
-func getSockaddr(buf []byte) *net.UDPAddr {
+// getSockaddr decodes a kernel-filled raw sockaddr into an address value
+// (the zero AddrPort for an unknown family).
+func getSockaddr(buf []byte) netip.AddrPort {
 	switch uint16(buf[0]) | uint16(buf[1])<<8 { // sa_family, native-endian
 	case syscall.AF_INET:
 		sa := (*syscall.RawSockaddrInet4)(unsafe.Pointer(&buf[0]))
 		p := (*[2]byte)(unsafe.Pointer(&sa.Port))
-		ip := make(net.IP, 4)
-		copy(ip, sa.Addr[:])
-		return &net.UDPAddr{IP: ip, Port: int(p[0])<<8 | int(p[1])}
+		return netip.AddrPortFrom(netip.AddrFrom4(sa.Addr), uint16(p[0])<<8|uint16(p[1]))
 	case syscall.AF_INET6:
 		sa := (*syscall.RawSockaddrInet6)(unsafe.Pointer(&buf[0]))
 		p := (*[2]byte)(unsafe.Pointer(&sa.Port))
-		ip := make(net.IP, 16)
-		copy(ip, sa.Addr[:])
-		return &net.UDPAddr{IP: ip, Port: int(p[0])<<8 | int(p[1])}
+		return netip.AddrPortFrom(netip.AddrFrom16(sa.Addr), uint16(p[0])<<8|uint16(p[1]))
 	}
-	return nil
-}
-
-// sameDest reports whether two write datagrams target the same place (both
-// on the connected socket, or the same explicit address).
-func sameDest(a, b *net.UDPAddr) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	return a == b || (a.Port == b.Port && a.IP.Equal(b.IP) && a.Zone == b.Zone)
+	return netip.AddrPort{}
 }
 
 // planEntries lays dgs out as mmsg entries in s, coalescing runs of
@@ -140,7 +163,7 @@ func planEntries(s *batchScratch, dgs []Datagram, gso bool) (entries, covered in
 				(run+1)*size <= gsoMaxBytes &&
 				iv+run < maxMMsgBatch &&
 				len(dgs[i+run].Buf) == size &&
-				sameDest(d.Addr, dgs[i+run].Addr) {
+				dgs[i+run].Addr == d.Addr {
 				run++
 			}
 		}
@@ -156,7 +179,7 @@ func planEntries(s *batchScratch, dgs []Datagram, gso bool) (entries, covered in
 		h := &s.hdrs[e]
 		h.hdr = syscall.Msghdr{Iov: &s.iovs[iv], Iovlen: uint64(run)}
 		h.n = 0
-		if d.Addr != nil {
+		if d.Addr.IsValid() {
 			nl, aerr := putSockaddr(s.names[e][:], d.Addr)
 			if aerr != nil {
 				return e, i, aerr
@@ -205,7 +228,7 @@ func (bc *BatchConn) writeBatchMMsg(dgs []Datagram) (int, error) {
 		if entries == 0 {
 			return sent, perr
 		}
-		n, err := bc.sendmmsg(s.hdrs[:entries])
+		n, err := bc.sendmmsg(s, entries)
 		if n == 0 && err != nil && gso && gsoRejected(err) {
 			bc.gsoDisabled.Store(true)
 			continue // replan without GSO
@@ -227,27 +250,13 @@ func (bc *BatchConn) writeBatchMMsg(dgs []Datagram) (int, error) {
 	return sent, nil
 }
 
-func (bc *BatchConn) sendmmsg(hdrs []mmsghdr) (int, error) {
-	var n int
-	var opErr error
-	err := bc.rc.Write(func(fd uintptr) bool {
-		r, _, e := syscall.Syscall6(sysSENDMMSG, fd,
-			uintptr(unsafe.Pointer(&hdrs[0])), uintptr(len(hdrs)),
-			syscall.MSG_DONTWAIT, 0, 0)
-		if e == syscall.EAGAIN {
-			return false // wait for writability, then retry
-		}
-		if e != 0 {
-			opErr = e
-		} else {
-			n = int(r)
-		}
-		return true
-	})
-	if err != nil {
+// sendmmsg transmits s.hdrs[:entries] with one syscall.
+func (bc *BatchConn) sendmmsg(s *batchScratch, entries int) (int, error) {
+	s.k = entries
+	if err := bc.rc.Write(s.call); err != nil {
 		return 0, err
 	}
-	return n, opErr
+	return s.n, s.err
 }
 
 // readBatchMMsg fills up to len(dgs) datagrams with one recvmmsg call,
@@ -276,28 +285,14 @@ func (bc *BatchConn) readBatchMMsg(dgs []Datagram) (int, error) {
 		}
 		h.n = 0
 	}
-	var n int
-	var opErr error
-	err := bc.rc.Read(func(fd uintptr) bool {
-		r, _, e := syscall.Syscall6(sysRECVMMSG, fd,
-			uintptr(unsafe.Pointer(&s.hdrs[0])), uintptr(k),
-			syscall.MSG_DONTWAIT, 0, 0)
-		if e == syscall.EAGAIN {
-			return false // wait for readability, then retry
-		}
-		if e != 0 {
-			opErr = e
-		} else {
-			n = int(r)
-		}
-		return true
-	})
-	if err != nil {
+	s.k = k
+	if err := bc.rc.Read(s.call); err != nil {
 		return 0, err // includes deadline wake-ups and socket close
 	}
-	if opErr != nil {
-		return 0, opErr
+	if s.err != nil {
+		return 0, s.err
 	}
+	n := s.n
 	for i := 0; i < n; i++ {
 		dgs[i].N = int(s.hdrs[i].n)
 		dgs[i].Addr = getSockaddr(s.names[i][:])

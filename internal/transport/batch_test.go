@@ -73,8 +73,8 @@ func TestBatchConnRoundTrip(t *testing.T) {
 			t.Fatalf("after %d datagrams: %v", len(got), err)
 		}
 		for i := 0; i < k; i++ {
-			if recv[i].Addr == nil {
-				t.Fatal("ReadBatch returned nil source address")
+			if !recv[i].Addr.IsValid() {
+				t.Fatal("ReadBatch returned an invalid source address")
 			}
 			got = append(got, append([]byte(nil), recv[i].Buf[:recv[i].N]...))
 		}

@@ -153,27 +153,46 @@ func (m *Message) appendMarshal(buf []byte) ([]byte, error) {
 
 // Unmarshal parses a datagram produced by Marshal.
 func Unmarshal(buf []byte) (*Message, error) {
+	var m Message
+	if err := parseFrame(&m, buf); err != nil {
+		return nil, err
+	}
+	return m.clone(), nil
+}
+
+// parseFrame decodes buf into m without copying: m.Payload aliases buf,
+// so m is a view valid only while buf is. The receive paths parse into a
+// stack Message and clone only what outlives the receive buffer.
+func parseFrame(m *Message, buf []byte) error {
 	if len(buf) < headerLen {
-		return nil, fmt.Errorf("%w: short datagram (%d bytes)", ErrBadFrame, len(buf))
+		return fmt.Errorf("%w: short datagram (%d bytes)", ErrBadFrame, len(buf))
 	}
 	if buf[0] != magic[0] || buf[1] != magic[1] {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadFrame)
+		return fmt.Errorf("%w: bad magic", ErrBadFrame)
 	}
 	n := binary.LittleEndian.Uint32(buf[24:])
 	if int(n) != len(buf)-headerLen {
-		return nil, fmt.Errorf("%w: length %d vs %d", ErrBadFrame, n, len(buf)-headerLen)
+		return fmt.Errorf("%w: length %d vs %d", ErrBadFrame, n, len(buf)-headerLen)
 	}
-	m := &Message{
-		Kind:   buf[2],
-		Stream: binary.LittleEndian.Uint32(buf[4:]),
-		Frame:  binary.LittleEndian.Uint64(buf[8:]),
-		Seq:    binary.LittleEndian.Uint64(buf[16:]),
+	*m = Message{
+		Kind:    buf[2],
+		Stream:  binary.LittleEndian.Uint32(buf[4:]),
+		Frame:   binary.LittleEndian.Uint64(buf[8:]),
+		Seq:     binary.LittleEndian.Uint64(buf[16:]),
+		Payload: buf[headerLen:],
 	}
-	if n > 0 {
-		m.Payload = make([]byte, n)
-		copy(m.Payload, buf[headerLen:])
+	return nil
+}
+
+// clone returns an owned copy of m: a parsed view's payload still aliases
+// the receive buffer, which the next read overwrites. An empty payload
+// clones to nil.
+func (m *Message) clone() *Message {
+	c := &Message{Kind: m.Kind, Stream: m.Stream, Frame: m.Frame, Seq: m.Seq}
+	if len(m.Payload) > 0 {
+		c.Payload = append([]byte(nil), m.Payload...)
 	}
-	return m, nil
+	return c
 }
 
 // bufferedConn pairs a connection with its buffered reader/writer.

@@ -12,11 +12,15 @@ import (
 // monitor files every transmitted sequence into a timer wheel keyed by its
 // RTO deadline; each tick touches only the slots whose time has come, so
 // steady-state cost tracks the loss rate, not the window size. Entries are
-// lazy: an acked sequence simply isn't in the unacked map when its slot
+// lazy: an acked sequence is simply no longer in flight when its slot
 // fires, and a sequence retransmitted early (fast retransmit on dup-acks)
 // re-files itself at its new deadline. While the wheel is empty and no
 // delayed ack is pending the monitor parks: an idle connection costs no
 // wakeups, and the next schedule (or ack-pending delivery) restarts it.
+// A drained slot's slice goes to a free list that schedule draws from
+// when it files into an empty slot, and retransmit copies live in pooled
+// wire buffers, so once a connection has run for one RTO it files and
+// fires without allocating.
 
 const (
 	// retxTick is the wheel granularity — well under the 20 ms RTO floor,
@@ -42,12 +46,18 @@ type retxMonitor struct {
 
 	mu     sync.Mutex
 	slots  [retxSlots][]retxEntry
-	queued int  // entries filed across all slots
-	parked bool // run is waiting on wake
+	free   [][]retxEntry // drained slot slices, emptied, for reuse
+	queued int           // entries filed across all slots
+	parked bool          // run is waiting on wake
 	wake   chan struct{}
 	cursor int64 // last wheel tick index processed
 
 	wakes atomic.Int64 // loop iterations: ticks plus unparks
+
+	// Retransmit scratch, touched only by the run goroutine: the pooled
+	// copies and the batch that carries them.
+	resendWBs []*WireBuf
+	resendDgs []Datagram
 }
 
 func newRetxMonitor(c *RUDPConn) *retxMonitor {
@@ -65,7 +75,12 @@ func (mon *retxMonitor) schedule(seq uint64, due int64) {
 		slot = 0
 	}
 	mon.mu.Lock()
-	mon.slots[slot] = append(mon.slots[slot], retxEntry{seq: seq, due: due})
+	entries := mon.slots[slot]
+	if entries == nil && len(mon.free) > 0 {
+		entries = mon.free[len(mon.free)-1]
+		mon.free = mon.free[:len(mon.free)-1]
+	}
+	mon.slots[slot] = append(entries, retxEntry{seq: seq, due: due})
 	mon.queued++
 	mon.unparkLocked()
 	mon.mu.Unlock()
@@ -135,15 +150,17 @@ func (mon *retxMonitor) run() {
 		if flushAck {
 			c.sendAck()
 		}
-		now := time.Now().UnixNano()
-		nowTick := now / int64(retxTick)
-		span := nowTick - mon.cursor
-		if span > retxSlots {
+		// Fire only slots whose tick has fully elapsed: every entry in
+		// slot k is due before tick k+1 starts. Firing the current tick's
+		// slot would find some entries not yet due and re-file them a
+		// whole revolution later.
+		last := time.Now().UnixNano()/int64(retxTick) - 1
+		if last-mon.cursor > retxSlots {
 			// Fell behind a full wheel revolution (suspend, debugger):
 			// every slot is potentially due; one pass covers them all.
-			mon.cursor = nowTick - retxSlots
+			mon.cursor = last - retxSlots
 		}
-		for mon.cursor < nowTick {
+		for mon.cursor < last {
 			mon.cursor++
 			if !mon.fire(mon.cursor % retxSlots) {
 				return // fatal retry ceiling: connection closed
@@ -169,7 +186,7 @@ func (mon *retxMonitor) fire(slot int64) bool {
 	rto := c.rtt.RTO()
 	now := time.Now()
 	nowNs := now.UnixNano()
-	var resend [][]byte
+	wbs, dgs := mon.resendWBs[:0], mon.resendDgs[:0]
 	fatal := false
 	c.mu.Lock()
 	for _, e := range entries {
@@ -177,8 +194,8 @@ func (mon *retxMonitor) fire(slot int64) bool {
 			mon.schedule(e.seq, e.due) // wrapped: not due for another lap
 			continue
 		}
-		p, ok := c.unacked[e.seq]
-		if !ok {
+		p := c.inFlight(e.seq)
+		if p == nil {
 			continue // acked (or the connection reset); entry dies
 		}
 		due := p.sentAt.Add(rto)
@@ -195,21 +212,31 @@ func (mon *retxMonitor) fire(slot int64) bool {
 		}
 		p.sentAt = now
 		c.retransmits++
-		// Copy the wire image: the pooled buffer may be released by an ack
+		// Copy the wire image: the slot's buffer may be released by an ack
 		// racing the write below, and a freed buffer must never reach the
 		// socket.
-		resend = append(resend, append([]byte(nil), p.data...))
+		wb := AcquireWire()
+		wb.B = append(wb.B[:0], p.data...)
+		wbs = append(wbs, wb)
+		dgs = append(dgs, Datagram{Buf: wb.B, Addr: c.raddr})
 		mon.schedule(e.seq, now.Add(rto).UnixNano())
 	}
 	c.mu.Unlock()
+	mon.mu.Lock()
+	mon.free = append(mon.free, entries[:0])
+	mon.mu.Unlock()
+	if len(dgs) > 0 && !fatal {
+		c.rtt.Backoff()
+		c.tm.retx.Add(uint64(len(dgs)))
+		c.writeAll(dgs)
+	}
+	for _, wb := range wbs {
+		ReleaseWire(wb)
+	}
+	mon.resendWBs, mon.resendDgs = wbs[:0], dgs[:0]
 	if fatal {
 		_ = c.Close()
 		return false
-	}
-	if len(resend) > 0 {
-		c.rtt.Backoff()
-		c.tm.retx.Add(uint64(len(resend)))
-		c.writeAll(resend)
 	}
 	return true
 }

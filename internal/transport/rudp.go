@@ -3,13 +3,16 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"net/netip"
 	"sync"
 	"time"
 )
 
 // RUDP constants.
 const (
-	// rudpWindow is the sender's in-flight window in packets.
+	// rudpWindow is the sender's in-flight window in packets. It also
+	// bounds the receiver: a data sequence at or beyond recvNext+rudpWindow
+	// cannot come from a conforming sender and is dropped.
 	rudpWindow = 256
 	// rudpWindowBytes additionally bounds the in-flight payload bytes, so
 	// large-block senders cannot burst past receiver socket buffers (UDP
@@ -35,6 +38,8 @@ var (
 	ctlFin    = []byte("FIN")
 )
 
+// pendingPkt is one slot of the sender's in-flight ring. A slot is free
+// when wb is nil.
 type pendingPkt struct {
 	wb      *WireBuf // pooled backing store of data; released on ack/close
 	data    []byte
@@ -47,25 +52,34 @@ type pendingPkt struct {
 	acked   bool
 }
 
-// retire releases p's pooled buffer unless a writer still holds it (the
-// writer then releases on completion). Callers hold c.mu.
+// retire releases p's pooled buffer and frees its slot, unless a writer
+// still holds the buffer: the slot then stays occupied until the writer
+// finishes and releases it. Callers hold c.mu.
 func (p *pendingPkt) retire() {
 	if p.writing {
 		p.acked = true
 		return
 	}
 	ReleaseWire(p.wb)
+	*p = pendingPkt{}
 }
 
 // RUDPConn is a reliable, ordered message connection over UDP: sliding
 // window, cumulative acks, Jacobson RTO with exponential backoff, and
 // in-order delivery — the RUDP module of the IQ-Paths middleware stack
 // (Fig. 2), whose acks double as the bandwidth/RTT measurement hooks.
+//
+// The sender keeps its in-flight packets in a fixed ring indexed by
+// seq % rudpWindow. Acks are cumulative and admission stops at
+// rudpWindow packets, so the in-flight set is always the contiguous range
+// [lowest, nextSeq), and no two of its sequences share a slot.
 type RUDPConn struct {
 	write func([]byte) error // socket write bound to the peer
 	// writev (optional) transmits several datagrams as one mmsg batch;
-	// nil falls back to per-datagram write calls.
-	writev func([][]byte) error
+	// nil falls back to per-datagram write calls. raddr is the destination
+	// stamped on those datagrams (the zero AddrPort on a connected socket).
+	writev func([]Datagram) (int, error)
+	raddr  netip.AddrPort
 	peer   string
 	rtt    *RTTEstimator
 	tm     *connMetrics
@@ -74,10 +88,20 @@ type RUDPConn struct {
 	mu            sync.Mutex
 	sendCond      *sync.Cond
 	nextSeq       uint64
-	unacked       map[uint64]*pendingPkt
-	inFlightBytes int
 	lowest        uint64 // lowest unacked seq
+	window        [rudpWindow]pendingPkt
+	inFlightBytes int
 	closed        bool
+
+	// sendMu serializes SendBatch callers over its reused scratch.
+	sendMu   sync.Mutex
+	sendPkts []*pendingPkt
+	sendDgs  []Datagram
+
+	// ctlMu guards ctlBuf, the connection-owned wire image of acks, probes
+	// and raw frames, from marshal through write.
+	ctlMu  sync.Mutex
+	ctlBuf []byte
 
 	recvNext uint64
 	ooo      map[uint64]*Message
@@ -115,7 +139,6 @@ func newRUDPConn(peer string, write func([]byte) error, closeFn func()) *RUDPCon
 		rtt:       NewRTTEstimator(0, 0),
 		tm:        acquireConnMetrics(),
 		nextSeq:   1,
-		unacked:   map[uint64]*pendingPkt{},
 		lowest:    1,
 		recvNext:  1,
 		ooo:       map[uint64]*Message{},
@@ -132,14 +155,26 @@ func newRUDPConn(peer string, write func([]byte) error, closeFn func()) *RUDPCon
 
 // writeAll transmits the datagrams, as one batch where the socket supports
 // it. Errors are advisory (retransmission covers losses).
-func (c *RUDPConn) writeAll(datas [][]byte) {
+func (c *RUDPConn) writeAll(dgs []Datagram) {
 	if c.writev != nil {
-		_ = c.writev(datas)
+		_, _ = c.writev(dgs)
 		return
 	}
-	for _, d := range datas {
-		_ = c.write(d)
+	for i := range dgs {
+		_ = c.write(dgs[i].Buf)
 	}
+}
+
+// writeCtl marshals m into the connection's control buffer and writes it.
+func (c *RUDPConn) writeCtl(m *Message) error {
+	c.ctlMu.Lock()
+	defer c.ctlMu.Unlock()
+	b, err := m.appendMarshal(c.ctlBuf[:0])
+	if err != nil {
+		return err
+	}
+	c.ctlBuf = b
+	return c.write(b)
 }
 
 // RemoteAddr implements Conn.
@@ -199,30 +234,53 @@ func (c *RUDPConn) WriteRaw(m *Message) error {
 		return ErrClosed
 	default:
 	}
-	data, err := m.Marshal()
-	if err != nil {
-		return err
-	}
-	return c.write(data)
+	return c.writeCtl(m)
 }
 
 // InFlight returns the number of unacknowledged packets.
 func (c *RUDPConn) InFlight() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.unacked)
+	return int(c.nextSeq - c.lowest)
 }
 
-// windowFull reports whether the send window blocks admission. Callers
-// hold c.mu.
+// inFlight returns seq's ring slot, or nil once seq is acked (or was
+// never sent). Callers hold c.mu.
+func (c *RUDPConn) inFlight(seq uint64) *pendingPkt {
+	if seq < c.lowest || seq >= c.nextSeq {
+		return nil
+	}
+	return &c.window[seq%rudpWindow]
+}
+
+// windowFull reports whether the send window blocks admission: the ring
+// is full, the byte budget is spent, or the next slot still belongs to an
+// acked packet whose first write has not returned. Callers hold c.mu.
 func (c *RUDPConn) windowFull() bool {
-	return len(c.unacked) >= rudpWindow || c.inFlightBytes >= rudpWindowBytes
+	return c.nextSeq-c.lowest >= rudpWindow || c.inFlightBytes >= rudpWindowBytes ||
+		c.window[c.nextSeq%rudpWindow].wb != nil
+}
+
+// waitWindow blocks until the window admits a packet, or reports
+// ErrClosed. Callers hold c.mu.
+func (c *RUDPConn) waitWindow() error {
+	if !c.closed && c.windowFull() {
+		c.tm.sendBlocks.Inc()
+	}
+	for !c.closed && c.windowFull() {
+		c.sendCond.Wait()
+	}
+	if c.closed {
+		return ErrClosed
+	}
+	return nil
 }
 
 // admit marshals m into a pooled buffer, consumes the next sequence
-// number, and registers the packet in the unacked map with its retransmit
-// deadline filed in the timer wheel. Callers hold c.mu and must clear the
-// packet's writing flag (via finishWrite) once the bytes are on the wire.
+// number, and files the packet in its ring slot with its retransmit
+// deadline in the timer wheel. Callers hold c.mu, must have seen a
+// window with room, and must clear the packet's writing flag (via
+// finishWrite) once the bytes are on the wire.
 func (c *RUDPConn) admit(m *Message) (*pendingPkt, error) {
 	// Marshal before consuming the sequence number: a consumed-but-never-
 	// transmitted seq would leave a permanent hole the receiver's recvNext
@@ -240,22 +298,29 @@ func (c *RUDPConn) admit(m *Message) (*pendingPkt, error) {
 	wb.B = data
 	c.nextSeq++
 	now := time.Now()
-	p := &pendingPkt{wb: wb, data: data, sentAt: now, writing: true}
-	c.unacked[seq] = p
+	p := &c.window[seq%rudpWindow]
+	*p = pendingPkt{wb: wb, data: data, sentAt: now, writing: true}
 	c.inFlightBytes += len(data)
 	c.mon.schedule(seq, now.Add(c.rtt.RTO()).UnixNano())
 	return p, nil
 }
 
-// finishWrite clears the writing marks set by admit, releasing buffers
-// whose acks raced the transmission.
-func (c *RUDPConn) finishWrite(pkts []*pendingPkt) {
+// finishWrite clears the writing marks set by admit, releasing the
+// buffers (and freeing the slots) of packets whose acks raced the
+// transmission.
+func (c *RUDPConn) finishWrite(pkts ...*pendingPkt) {
 	c.mu.Lock()
+	freed := false
 	for _, p := range pkts {
 		p.writing = false
 		if p.acked {
 			ReleaseWire(p.wb)
+			*p = pendingPkt{}
+			freed = true
 		}
+	}
+	if freed {
+		c.sendCond.Broadcast()
 	}
 	c.mu.Unlock()
 }
@@ -264,26 +329,19 @@ func (c *RUDPConn) finishWrite(pkts []*pendingPkt) {
 // returns once the message is transmitted (not yet acknowledged).
 func (c *RUDPConn) Send(m *Message) error {
 	c.mu.Lock()
-	if !c.closed && c.windowFull() {
-		c.tm.sendBlocks.Inc()
-	}
-	for !c.closed && c.windowFull() {
-		c.sendCond.Wait()
-	}
-	if c.closed {
-		c.mu.Unlock()
-		return ErrClosed
-	}
-	p, err := c.admit(m)
-	if err != nil {
+	if err := c.waitWindow(); err != nil {
 		c.mu.Unlock()
 		return err
 	}
+	p, err := c.admit(m)
 	c.mu.Unlock()
+	if err != nil {
+		return err
+	}
 	c.tm.sent.Inc()
 	c.tm.inFlight.Add(1)
 	werr := c.write(p.data)
-	c.finishWrite([]*pendingPkt{p})
+	c.finishWrite(p)
 	return werr
 }
 
@@ -294,21 +352,15 @@ func (c *RUDPConn) Send(m *Message) error {
 // while the window is full, so a batch larger than the free window flushes
 // in windowed chunks.
 func (c *RUDPConn) SendBatch(msgs []*Message) error {
-	var datas [][]byte
-	var admitted []*pendingPkt
+	c.sendMu.Lock()
+	defer c.sendMu.Unlock()
 	i := 0
 	for i < len(msgs) {
-		datas, admitted = datas[:0], admitted[:0]
+		pkts, dgs := c.sendPkts[:0], c.sendDgs[:0]
 		c.mu.Lock()
-		if !c.closed && c.windowFull() {
-			c.tm.sendBlocks.Inc()
-		}
-		for !c.closed && c.windowFull() {
-			c.sendCond.Wait()
-		}
-		if c.closed {
+		if err := c.waitWindow(); err != nil {
 			c.mu.Unlock()
-			return ErrClosed
+			return err
 		}
 		var aerr error
 		for i < len(msgs) && !c.windowFull() {
@@ -317,15 +369,16 @@ func (c *RUDPConn) SendBatch(msgs []*Message) error {
 				aerr = err
 				break
 			}
-			datas = append(datas, p.data)
-			admitted = append(admitted, p)
+			dgs = append(dgs, Datagram{Buf: p.data, Addr: c.raddr})
+			pkts = append(pkts, p)
 			i++
 		}
 		c.mu.Unlock()
-		c.tm.sent.Add(uint64(len(admitted)))
-		c.tm.inFlight.Add(float64(len(admitted)))
-		c.writeAll(datas)
-		c.finishWrite(admitted)
+		c.sendPkts, c.sendDgs = pkts, dgs
+		c.tm.sent.Add(uint64(len(pkts)))
+		c.tm.inFlight.Add(float64(len(pkts)))
+		c.writeAll(dgs)
+		c.finishWrite(pkts...)
 		if aerr != nil {
 			return aerr
 		}
@@ -345,18 +398,17 @@ func (c *RUDPConn) Recv() (*Message, error) {
 // Close implements Conn.
 func (c *RUDPConn) Close() error {
 	c.closeOnce.Do(func() {
-		fin, _ := (&Message{Kind: KindControl, Payload: ctlFin}).Marshal()
-		_ = c.write(fin)
+		_ = c.writeCtl(&Message{Kind: KindControl, Payload: ctlFin})
 		c.mu.Lock()
 		c.closed = true
 		// Retire the in-flight gauge contribution of packets that will
-		// never be acked; the map is cleared so a late ack cannot
+		// never be acked; lowest jumps to nextSeq so a late ack cannot
 		// double-decrement, and the pooled wire buffers go home.
-		c.tm.inFlight.Add(-float64(len(c.unacked)))
-		for _, p := range c.unacked {
-			p.retire()
+		c.tm.inFlight.Add(-float64(c.nextSeq - c.lowest))
+		for seq := c.lowest; seq < c.nextSeq; seq++ {
+			c.window[seq%rudpWindow].retire()
 		}
-		c.unacked = map[uint64]*pendingPkt{}
+		c.lowest = c.nextSeq
 		c.inFlightBytes = 0
 		c.sendCond.Broadcast()
 		c.mu.Unlock()
@@ -369,7 +421,10 @@ func (c *RUDPConn) Close() error {
 	return nil
 }
 
-// handle processes one datagram addressed to this connection.
+// handle processes one datagram addressed to this connection. m is a
+// parsed view whose payload aliases the receive buffer: it is valid only
+// for this call, so whatever outlives it (delivered data, raw frames) is
+// cloned, and an ack costs no allocation at all.
 func (c *RUDPConn) handle(m *Message) {
 	switch m.Kind {
 	case KindAck:
@@ -379,10 +434,7 @@ func (c *RUDPConn) handle(m *Message) {
 	case KindProbe:
 		if m.Stream == 0 {
 			// Request: echo it back marked as a reply.
-			reply := &Message{Kind: KindProbe, Seq: m.Seq, Stream: 1}
-			if data, err := reply.Marshal(); err == nil {
-				_ = c.write(data)
-			}
+			_ = c.writeCtl(&Message{Kind: KindProbe, Seq: m.Seq, Stream: 1})
 			return
 		}
 		// Reply: hand the token to a waiting Probe call.
@@ -395,7 +447,7 @@ func (c *RUDPConn) handle(m *Message) {
 		fn := c.rawHandler
 		c.rawMu.RUnlock()
 		if fn != nil {
-			fn(m)
+			fn(m.clone())
 		}
 	case KindControl:
 		if string(m.Payload) == string(ctlFin) {
@@ -412,13 +464,22 @@ func (c *RUDPConn) handle(m *Message) {
 	}
 }
 
+// onAck applies a cumulative ack. An ack at or beyond nextSeq covers a
+// sequence this side never sent — forged or corrupt — and is ignored:
+// trusting it would walk an unbounded range under c.mu and push lowest
+// past nextSeq, so no later packet could ever be acked.
 func (c *RUDPConn) onAck(cum uint64) {
-	var fastResend []byte
+	var fastResend *WireBuf
 	var acked int
 	c.mu.Lock()
+	if cum >= c.nextSeq {
+		c.mu.Unlock()
+		return
+	}
 	now := time.Now()
-	for seq := c.lowest; seq <= cum; seq++ {
-		if p, ok := c.unacked[seq]; ok {
+	if cum >= c.lowest {
+		for seq := c.lowest; seq <= cum; seq++ {
+			p := &c.window[seq%rudpWindow]
 			if p.retries == 0 { // Karn's rule: no RTT from retransmits
 				sample := now.Sub(p.sentAt)
 				c.rtt.Observe(sample)
@@ -426,12 +487,9 @@ func (c *RUDPConn) onAck(cum uint64) {
 			}
 			c.ackedBits += float64(len(p.data)-headerLen) * 8
 			c.inFlightBytes -= len(p.data)
-			delete(c.unacked, seq)
 			p.retire()
 			acked++
 		}
-	}
-	if cum >= c.lowest {
 		c.lowest = cum + 1
 		c.dupAcks = 0
 	} else if cum+1 == c.lowest {
@@ -440,15 +498,16 @@ func (c *RUDPConn) onAck(cum uint64) {
 		// retransmit) instead of waiting out the RTO.
 		c.dupAcks++
 		if c.dupAcks == 3 {
-			if p, ok := c.unacked[c.lowest]; ok {
+			if p := c.inFlight(c.lowest); p != nil {
 				p.retries++
 				p.sentAt = now
 				c.retransmits++
 				c.fastRetransmits++
-				// Copy off the pooled buffer: a later ack may release it
+				// Copy off the slot's buffer: a later ack may release it
 				// before the write below leaves the lock's shadow. The
 				// wheel entry re-files itself against the new sentAt.
-				fastResend = append([]byte(nil), p.data...)
+				fastResend = AcquireWire()
+				fastResend.B = append(fastResend.B[:0], p.data...)
 			}
 			c.dupAcks = 0
 		}
@@ -464,10 +523,16 @@ func (c *RUDPConn) onAck(cum uint64) {
 	if fastResend != nil {
 		c.tm.retx.Inc()
 		c.tm.fastRetx.Inc()
-		_ = c.write(fastResend)
+		_ = c.write(fastResend.B)
+		ReleaseWire(fastResend)
 	}
 }
 
+// onData sequences one data (or application control) frame. In-order
+// arrivals are delivered straight to Recv; only a frame ahead of a gap
+// waits in ooo. A sequence at or beyond recvNext+rudpWindow lies outside
+// any window a conforming sender can have in flight, so it is dropped
+// rather than parked in ooo forever.
 func (c *RUDPConn) onData(m *Message) {
 	c.mu.Lock()
 	if m.Seq < c.recvNext {
@@ -476,26 +541,27 @@ func (c *RUDPConn) onData(m *Message) {
 		c.sendAck()
 		return
 	}
-	c.ooo[m.Seq] = m
+	if m.Seq-c.recvNext >= rudpWindow {
+		c.mu.Unlock()
+		return
+	}
 	start := c.recvNext
-	delivered := 0
-	for {
-		next, ok := c.ooo[c.recvNext]
-		if !ok {
-			break
+	if m.Seq != c.recvNext {
+		if _, dup := c.ooo[m.Seq]; !dup {
+			c.ooo[m.Seq] = m.clone()
 		}
-		delete(c.ooo, c.recvNext)
-		c.recvNext++
-		delivered++
-		if !c.closed {
-			select {
-			case c.recvQ <- next:
-			default:
-				// Receiver not draining: drop to protect the loop; the
-				// ack already covered it, mirroring a full app buffer.
+	} else {
+		c.deliver(m.clone())
+		for len(c.ooo) > 0 {
+			next, ok := c.ooo[c.recvNext]
+			if !ok {
+				break
 			}
+			delete(c.ooo, c.recvNext)
+			c.deliver(next)
 		}
 	}
+	delivered := int(c.recvNext - start)
 	outOfOrder := delivered == 0
 	// Ack when the delivered batch [start, recvNext) crossed an ack
 	// boundary anywhere — not only when it *ended* on one. A burst of
@@ -525,29 +591,36 @@ func (c *RUDPConn) onData(m *Message) {
 	}
 }
 
+// deliver advances recvNext past m and queues it for Recv. Callers hold
+// c.mu.
+func (c *RUDPConn) deliver(m *Message) {
+	c.recvNext++
+	if !c.closed {
+		select {
+		case c.recvQ <- m:
+		default:
+			// Receiver not draining: drop to protect the loop; the ack
+			// already covered it, mirroring a full app buffer.
+		}
+	}
+}
+
 func (c *RUDPConn) sendAck() {
 	c.mu.Lock()
 	cum := c.recvNext - 1
 	c.acksSent++
 	c.ackPending = false
 	c.mu.Unlock()
-	data, err := (&Message{Kind: KindAck, Seq: cum}).Marshal()
-	if err == nil {
-		c.tm.acksSent.Inc()
-		_ = c.write(data)
-	}
+	c.tm.acksSent.Inc()
+	_ = c.writeCtl(&Message{Kind: KindAck, Seq: cum})
 }
 
 // Probe measures one RTT sample by sending a probe (Stream 0) and waiting
 // for the peer's echo (Stream 1) carrying the same token.
 func (c *RUDPConn) Probe(timeout time.Duration) (time.Duration, error) {
 	token := uint64(time.Now().UnixNano())
-	data, err := (&Message{Kind: KindProbe, Seq: token}).Marshal()
-	if err != nil {
-		return 0, err
-	}
 	start := time.Now()
-	if err := c.write(data); err != nil {
+	if err := c.writeCtl(&Message{Kind: KindProbe, Seq: token}); err != nil {
 		return 0, err
 	}
 	deadline := time.NewTimer(timeout)

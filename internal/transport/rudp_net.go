@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 )
@@ -14,14 +15,16 @@ const demuxBatch = 32
 // RUDPListener accepts RUDP sessions on one UDP socket, demultiplexing
 // datagrams by peer address. Reads go through the batched wire layer, so
 // a burst of datagrams from many peers costs one recvmmsg, not one
-// syscall each.
+// syscall each. Sessions are keyed by the unmapped source AddrPort, a
+// value: demultiplexing a datagram formats no string and allocates
+// nothing.
 type RUDPListener struct {
 	sock *net.UDPConn
 	bc   *BatchConn
 
 	mu       sync.Mutex
 	accepted *sync.Cond // signaled when pending grows or the listener closes
-	sessions map[string]*RUDPConn
+	sessions map[netip.AddrPort]*RUDPConn
 	// pending holds sessions awaiting Accept. It is unbounded: a session
 	// registered in sessions MUST be delivered (or torn down) — a bounded
 	// queue that silently dropped the notification left the peer with a
@@ -57,7 +60,7 @@ func ListenRUDP(addr string) (*RUDPListener, error) {
 	l := &RUDPListener{
 		sock:      sock,
 		bc:        bc,
-		sessions:  map[string]*RUDPConn{},
+		sessions:  map[netip.AddrPort]*RUDPConn{},
 		demuxDone: make(chan struct{}),
 	}
 	l.accepted = sync.NewCond(&l.mu)
@@ -125,17 +128,17 @@ func (l *RUDPListener) demux() {
 			ReleaseWire(wb)
 		}
 	}()
+	var m Message
 	for {
 		n, err := l.bc.ReadBatch(dgs)
 		if err != nil {
 			return // socket closed or Close woke us with a deadline
 		}
 		for i := 0; i < n; i++ {
-			m, err := Unmarshal(dgs[i].Buf[:dgs[i].N])
-			if err != nil {
+			if parseFrame(&m, dgs[i].Buf[:dgs[i].N]) != nil {
 				continue // garbage datagram
 			}
-			l.dispatch(m, dgs[i].Addr)
+			l.dispatch(&m, dgs[i].Addr)
 		}
 	}
 }
@@ -143,10 +146,11 @@ func (l *RUDPListener) demux() {
 // dispatch routes one datagram. Sessions are created on SYN only: any
 // other frame from an unknown peer — a stray ack from a half-closed
 // session, a data frame from a port scan — is dropped instead of
-// registering a ghost session that would sit in pending forever.
-func (l *RUDPListener) dispatch(m *Message, from *net.UDPAddr) {
+// registering a ghost session that would sit in pending forever. m is a
+// parsed view of the receive buffer (see RUDPConn.handle).
+func (l *RUDPListener) dispatch(m *Message, from netip.AddrPort) {
 	isSyn := m.Kind == KindControl && m.Seq == 0 && string(m.Payload) == string(ctlSyn)
-	key := from.String()
+	key := netip.AddrPortFrom(from.Addr().Unmap(), from.Port())
 	l.mu.Lock()
 	conn, ok := l.sessions[key]
 	if !ok {
@@ -154,23 +158,15 @@ func (l *RUDPListener) dispatch(m *Message, from *net.UDPAddr) {
 			l.mu.Unlock()
 			return
 		}
-		peer := *from
-		conn = newRUDPConn(key, func(d []byte) error {
-			_, werr := l.sock.WriteToUDP(d, &peer)
+		conn = newRUDPConn(key.String(), func(d []byte) error {
+			_, werr := l.sock.WriteToUDPAddrPort(d, from)
 			return werr
 		}, func() {
 			l.mu.Lock()
 			delete(l.sessions, key)
 			l.mu.Unlock()
 		})
-		conn.writev = func(datas [][]byte) error {
-			dgs := make([]Datagram, len(datas))
-			for i := range datas {
-				dgs[i] = Datagram{Buf: datas[i], Addr: &peer}
-			}
-			_, werr := l.bc.WriteBatch(dgs)
-			return werr
-		}
+		conn.writev, conn.raddr = l.bc.WriteBatch, from
 		l.sessions[key] = conn
 		l.pending = append(l.pending, conn)
 		l.accepted.Signal()
@@ -179,7 +175,7 @@ func (l *RUDPListener) dispatch(m *Message, from *net.UDPAddr) {
 	if isSyn {
 		// First or duplicate SYN: (re-)confirm the handshake.
 		ack, _ := (&Message{Kind: KindControl, Payload: ctlSynAck}).Marshal()
-		_, _ = l.sock.WriteToUDP(ack, from)
+		_, _ = l.sock.WriteToUDPAddrPort(ack, from)
 		return
 	}
 	conn.handle(m)
@@ -210,14 +206,7 @@ func DialRUDP(addr string, timeout time.Duration) (*RUDPConn, error) {
 		_, werr := sock.Write(d)
 		return werr
 	}, func() { _ = sock.Close() })
-	conn.writev = func(datas [][]byte) error {
-		dgs := make([]Datagram, len(datas))
-		for i := range datas {
-			dgs[i] = Datagram{Buf: datas[i]}
-		}
-		_, werr := bc.WriteBatch(dgs)
-		return werr
-	}
+	conn.writev = bc.WriteBatch
 
 	// Reader loop: everything from the socket goes to the session, read in
 	// recvmmsg batches.
@@ -235,6 +224,7 @@ func DialRUDP(addr string, timeout time.Duration) (*RUDPConn, error) {
 				ReleaseWire(wb)
 			}
 		}()
+		var m Message
 		for {
 			n, rerr := bc.ReadBatch(dgs)
 			if rerr != nil {
@@ -242,15 +232,14 @@ func DialRUDP(addr string, timeout time.Duration) (*RUDPConn, error) {
 				return
 			}
 			for i := 0; i < n; i++ {
-				m, merr := Unmarshal(dgs[i].Buf[:dgs[i].N])
-				if merr != nil {
+				if parseFrame(&m, dgs[i].Buf[:dgs[i].N]) != nil {
 					continue
 				}
 				if m.Kind == KindControl && string(m.Payload) == string(ctlSynAck) {
 					once.Do(func() { close(ready) })
 					continue
 				}
-				conn.handle(m)
+				conn.handle(&m)
 			}
 		}
 	}()

@@ -7,8 +7,9 @@ import (
 )
 
 // TestRUDPConcurrentStress hammers one loopback session from many
-// goroutines at once — senders on both ends, receivers draining, probes in
-// flight — and then closes both sides mid-traffic, covering the
+// goroutines at once — single and batch senders sharing each end's window
+// ring, receivers draining, probes and raw frames sharing the control
+// buffer — and then closes both sides mid-traffic, covering the
 // close-vs-deliver window. It asserts nothing beyond termination: the value
 // is running under -race (the CI race job) and not deadlocking.
 func TestRUDPConcurrentStress(t *testing.T) {
@@ -18,16 +19,26 @@ func TestRUDPConcurrentStress(t *testing.T) {
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 
-	sender := func(c *RUDPConn) {
+	sender := func(c *RUDPConn, batch int) {
 		defer wg.Done()
 		payload := make([]byte, 512)
+		msgs := make([]*Message, batch)
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			if err := c.Send(&Message{Kind: KindData, Frame: uint64(i), Payload: payload}); err != nil {
+			for k := range msgs {
+				msgs[k] = &Message{Kind: KindData, Frame: uint64(i), Payload: payload}
+			}
+			var err error
+			if batch == 1 {
+				err = c.Send(msgs[0])
+			} else {
+				err = c.SendBatch(msgs)
+			}
+			if err != nil {
 				return // ErrClosed once the teardown races in
 			}
 		}
@@ -49,12 +60,14 @@ func TestRUDPConcurrentStress(t *testing.T) {
 			default:
 			}
 			_, _ = c.Probe(20 * time.Millisecond)
+			_ = c.WriteRaw(&Message{Kind: KindTrain, Payload: make([]byte, 64)})
 		}
 	}
 
 	for _, c := range []*RUDPConn{client, server} {
-		wg.Add(3)
-		go sender(c)
+		wg.Add(4)
+		go sender(c, 1)
+		go sender(c, 8)
 		go receiver(c)
 		go prober(c)
 	}
