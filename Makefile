@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race cover bench bench-compare e2e figures ablations html fuzz clean
+.PHONY: all build vet test race cover bench perfgate e2e figures ablations html fuzz clean
 
 all: build vet test
 
@@ -21,29 +21,20 @@ race:
 cover:
 	$(GO) test -cover ./internal/...
 
-# Runs every benchmark and records the ns/op + allocs baseline as JSON
-# (BENCH_PR10.json) for regression comparison across PRs — including the
-# BenchmarkPlaneScale streams × shards sweep (folded into "scaling"),
-# the BenchmarkWireDatagrams dg/s/core series (folded into "wire"),
-# the BenchmarkConverge conv-ticks series (folded into "gossip"),
-# the BenchmarkProbing probe-B/round series (folded into "probing"), and
-# the BenchmarkMatrix cell-Mbps series (folded into "matrix").
-# Override BENCHTIME (e.g. BENCHTIME=1x) for a quick smoke pass.
+# Runs every benchmark in the module and prints plain `go test -bench`
+# output, for local per-layer attribution. Override BENCHTIME (e.g.
+# BENCHTIME=100x) for a shorter pass. The cross-PR regression gate is
+# `make perfgate`.
 BENCHTIME ?= 1s
 bench:
-	$(GO) test -bench=. -benchmem -benchtime=$(BENCHTIME) ./... | $(GO) run ./cmd/benchjson -out BENCH_PR10.json
+	$(GO) test -run xxx -bench=. -benchmem -benchtime=$(BENCHTIME) ./...
 
-# Diffs the benchmark suite against the previous PR's baseline and
-# fails on >20 % ns/op regression or any new steady-state allocation.
-# CI runs this non-blocking (continue-on-error) at BENCHTIME=100x — don't
-# smoke it at 1x, a single cold iteration reads as a phantom regression.
-bench-compare:
-	$(GO) test -bench=. -benchmem -benchtime=$(BENCHTIME) \
-		./internal/pgos/ ./internal/live/ ./internal/sched/ ./internal/predict/ \
-		./internal/shard/ ./internal/telemetry/ ./internal/transport/ \
-		./internal/gossip/ ./internal/bwest/ ./internal/control/ \
-		./internal/simnet/ ./internal/quantile/ | \
-		$(GO) run ./cmd/benchjson -out /tmp/bench-compare.json -compare BENCH_PR9.json -max-regress 20
+# Blocking performance gate: runs perfbench on the workloads and seeds in
+# ci/perfbench_pins.json and fails on a failed operation, a pinned
+# seed-deterministic outcome that moved, or allocs_per_op above its
+# ceiling. `bash ci/perfgate.sh --update` re-pins the outcomes. ~3 min.
+perfgate:
+	bash ci/perfgate.sh
 
 # Live end-to-end smoke: the Fig. 8 overlay as shaped relay subprocesses
 # on 127.0.0.1 with real UDP sockets and wall-clock pacing. Takes ~40 s;
@@ -63,17 +54,17 @@ html:
 	$(GO) run ./cmd/iqbench -html figures/report.html
 
 fuzz:
-	$(GO) test -fuzz FuzzUnmarshal -fuzztime 30s -run xxx ./internal/transport/
-	$(GO) test -fuzz FuzzBatchDatagrams -fuzztime 30s -run xxx ./internal/transport/
-	$(GO) test -fuzz FuzzReadMessage -fuzztime 30s -run xxx ./internal/transport/
-	$(GO) test -fuzz FuzzRead -fuzztime 30s -run xxx ./internal/trace/
-	$(GO) test -fuzz FuzzParseFrame -fuzztime 30s -run xxx ./internal/live/
-	$(GO) test -fuzz FuzzReadFrame -fuzztime 30s -run xxx ./internal/live/
-	$(GO) test -fuzz FuzzParseDelta -fuzztime 30s -run xxx ./internal/gossip/
-	$(GO) test -fuzz FuzzParseDigest -fuzztime 30s -run xxx ./internal/gossip/
-	$(GO) test -fuzz FuzzRecordRoundTrip -fuzztime 30s -run xxx ./internal/gossip/
-	$(GO) test -fuzz FuzzParsePlan -fuzztime 30s -run xxx ./internal/bwest/
-	$(GO) test -fuzz FuzzParseSummaries -fuzztime 30s -run xxx ./internal/bwest/
+	$(GO) test -fuzz FuzzUnmarshal -fuzztime 10s -run xxx ./internal/transport/
+	$(GO) test -fuzz FuzzBatchDatagrams -fuzztime 10s -run xxx ./internal/transport/
+	$(GO) test -fuzz FuzzReadMessage -fuzztime 10s -run xxx ./internal/transport/
+	$(GO) test -fuzz FuzzRead -fuzztime 10s -run xxx ./internal/trace/
+	$(GO) test -fuzz FuzzParseFrame -fuzztime 10s -run xxx ./internal/live/
+	$(GO) test -fuzz FuzzReadFrame -fuzztime 10s -run xxx ./internal/live/
+	$(GO) test -fuzz FuzzParseDelta -fuzztime 10s -run xxx ./internal/gossip/
+	$(GO) test -fuzz FuzzParseDigest -fuzztime 10s -run xxx ./internal/gossip/
+	$(GO) test -fuzz FuzzRecordRoundTrip -fuzztime 10s -run xxx ./internal/gossip/
+	$(GO) test -fuzz FuzzParsePlan -fuzztime 10s -run xxx ./internal/bwest/
+	$(GO) test -fuzz FuzzParseSummaries -fuzztime 10s -run xxx ./internal/bwest/
 
 clean:
 	rm -rf figures

@@ -395,10 +395,10 @@ func BenchmarkVideoPlayback(b *testing.B) {
 
 // BenchmarkMatrix runs one scenario-matrix cell per sub-benchmark over a
 // reduced grid (two arms × two workloads × two bands, one seed per
-// iteration). The arm=/workload=/band= name components plus the reported
-// cell-Mbps / violated-frac / jitter-ms metrics are what benchjson folds
-// into its "matrix" series, so the baseline records how each arm's
-// guarantee quality moves across bands.
+// iteration). Besides ns/op it reports each cell's aggregate goodput
+// (cell-Mbps), violated-window fraction (violated-frac) and delay jitter
+// (jitter-ms), so one run shows how each arm's guarantee quality moves
+// across bands.
 func BenchmarkMatrix(b *testing.B) {
 	bandByName := map[string]experiment.Band{}
 	for _, band := range experiment.DefaultBands() {

@@ -9,12 +9,14 @@
 //	iqbench -fig 11           # SmartPointer summary bars (Fig. 11)
 //	iqbench -fig 12           # GridFTP vs IQPG time series (Fig. 12)
 //	iqbench -fig 13           # GridFTP vs IQPG CDFs (Fig. 13)
+//	iqbench -fig video        # MPEG-4 FGS layered video playback quality
 //	iqbench -fig faults       # WFQ/MSFQ/PGOS under a scripted fault scenario
 //	iqbench -fig churn        # static routing vs control-plane rerouting under churn
 //	iqbench -fig scale        # sharded data plane scaling sweep (-shards, -streams)
 //	iqbench -fig cluster      # cluster-scale gossip dissemination sweep (-nodes)
 //	iqbench -fig probing      # Bayesian active probing vs round-robin (-paths) + Backpressure arm
 //	iqbench -fig matrix       # scheduler arm × workload × scenario band grid (-arms, -workloads, -bands, -mseeds)
+//	iqbench -fig multiseed    # Fig. 11 aggregated over -seeds seeds (mean ± standard error)
 //	iqbench -fig all          # everything
 //	iqbench -fig ablations    # DESIGN.md §5 ablation sweeps
 //
@@ -38,7 +40,7 @@ import (
 
 func main() {
 	var (
-		fig      = flag.String("fig", "all", "figure to regenerate: 4, 9, 10, 11, 12, 13, video, faults, churn, scale, all, ablations")
+		fig      = flag.String("fig", "all", "figure to regenerate: "+strings.Join(figures, ", "))
 		seed     = flag.Int64("seed", 42, "experiment seed")
 		duration = flag.Float64("duration", 150, "measured seconds per run")
 		warmup   = flag.Float64("warmup", 60, "warm-up seconds before measurement")
@@ -163,6 +165,11 @@ func writeHTML(path string, seed int64, duration, warmup float64) error {
 	return nil
 }
 
+// figures lists every -fig value run accepts, for the flag's usage and
+// the unknown-figure error.
+var figures = []string{"4", "9", "10", "11", "12", "13", "video", "faults", "churn",
+	"scale", "cluster", "probing", "matrix", "multiseed", "all", "ablations"}
+
 func run(fig string, seed int64, duration, warmup float64, csv bool) error {
 	cfg := experiment.RunConfig{Seed: seed, DurationSec: duration, WarmupSec: warmup}
 	switch fig {
@@ -219,7 +226,7 @@ func run(fig string, seed int64, duration, warmup float64, csv bool) error {
 		}
 		return tee(func(w io.Writer, csv bool) error { return experiment.RenderAgg(w, rows, csv) }, csv)
 	default:
-		return fmt.Errorf("unknown figure %q", fig)
+		return fmt.Errorf("unknown figure %q (want one of %s)", fig, strings.Join(figures, ", "))
 	}
 }
 

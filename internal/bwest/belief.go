@@ -10,10 +10,11 @@
 // probe budget on the paths whose measurement would carry the most
 // information, instead of sweeping all paths on a fixed cadence.
 //
-// The subsystem deliberately feeds the *existing* pipeline: posterior
-// quantiles are pushed into monitor.PathMonitor windows, so PGOS mapping,
-// admission, and every downstream guarantee query run unchanged — only
-// the probing cost model changes.
+// The subsystem sits beside the existing pipeline rather than in it: the
+// measured probe samples themselves fill the monitor.PathMonitor windows
+// that PGOS mapping and admission read, while the posterior decides which
+// paths are probed and supplies admission's credible-floor veto
+// (PosteriorHeadroom).
 package bwest
 
 import "math"

@@ -58,9 +58,8 @@ func runRounds(e *Estimator, truth *benchTruth, rounds int) {
 // BenchmarkProbing measures the planning+update round cost and reports
 // the probing cost model as custom metrics: probe bytes per round
 // (16-packet trains of 1228 B), mean posterior entropy after the run,
-// and rounds-to-target-entropy from a separate untimed pre-pass. The
-// benchjson tool folds these into its "probing" series keyed by
-// planner=/paths=.
+// and rounds-to-target-entropy from a separate untimed pre-pass, per
+// planner and overlay size.
 func BenchmarkProbing(b *testing.B) {
 	const trainBytes = 16 * 1228
 	for _, paths := range []int{100, 1000} {

@@ -4,7 +4,6 @@ import (
 	"math"
 	"sync"
 
-	"iqpaths/internal/monitor"
 	"iqpaths/internal/telemetry"
 )
 
@@ -70,20 +69,12 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// MonitorQuantiles are the posterior quantiles FeedMonitor pushes into a
-// PathMonitor window per refresh — a 10-point sketch of the posterior
-// that reproduces its shape in the window's empirical CDF, so PGOS
-// mapping and admission read the belief through the interface they
-// already speak.
-var MonitorQuantiles = []float64{0.05, 0.15, 0.25, 0.35, 0.45, 0.55, 0.65, 0.75, 0.85, 0.95}
-
 // Estimator owns the per-path beliefs, the shared-bottleneck correlation
 // model, the information-gain cache, and the probe planner. It is the
 // subsystem's single entry point: the prober asks PlanTrains which
 // trains to emit, feeds measurements back through ObserveProbe /
 // ObserveLoss / ObserveRTT, and downstream consumers read posterior
-// quantiles (Quantile, FeedMonitor) or admission headroom
-// (PosteriorHeadroom).
+// quantiles (Quantile) or admission headroom (PosteriorHeadroom).
 //
 // Scalability rests on three invariants: decay is lazy (closed-form
 // batch at touch time, so idle paths cost nothing per round), the
@@ -446,29 +437,6 @@ func (e *Estimator) PosteriorHeadroom(i int) (mbps float64, ok bool) {
 	}
 	e.touch(i)
 	return e.beliefs[i].Quantile(0.05), true
-}
-
-// FeedMonitor pushes path i's posterior quantile sketch into mon's
-// bandwidth window, refreshing the empirical CDF downstream PGOS and
-// admission code reads. Call once per refresh interval per path.
-func (e *Estimator) FeedMonitor(i int, mon *monitor.PathMonitor) {
-	e.mu.Lock()
-	if i < 0 || i >= len(e.beliefs) {
-		e.mu.Unlock()
-		return
-	}
-	e.touch(i)
-	b := e.beliefs[i]
-	var vals [16]float64
-	n := 0
-	for _, q := range MonitorQuantiles {
-		vals[n] = b.Quantile(q)
-		n++
-	}
-	e.mu.Unlock()
-	for j := 0; j < n; j++ {
-		mon.ObserveBandwidth(vals[j])
-	}
 }
 
 // Summary is a compact per-path posterior digest for export/telemetry.

@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"iqpaths/internal/monitor"
 )
 
 func TestEstimatorDefaults(t *testing.T) {
@@ -184,27 +182,6 @@ func TestStalenessBonusRecyclesPaths(t *testing.T) {
 	}
 	if len(seen) != 4 {
 		t.Fatalf("staleness bonus failed to rotate coverage, saw %v", seen)
-	}
-}
-
-func TestFeedMonitorWarmsWindow(t *testing.T) {
-	e := NewEstimator(Config{Paths: 1, MaxMbps: 100, Bins: 24})
-	for k := 0; k < 10; k++ {
-		e.ObserveProbe(0, 60)
-	}
-	mon := monitor.New("p0", 100, 20)
-	if mon.Warm() {
-		t.Fatal("fresh monitor must not be warm")
-	}
-	for k := 0; k < 2; k++ {
-		e.FeedMonitor(0, mon)
-	}
-	if !mon.Warm() {
-		t.Fatalf("monitor not warm after 2 feeds of %d quantiles", len(MonitorQuantiles))
-	}
-	med := mon.Percentile(0.5)
-	if math.Abs(med-e.Quantile(0, 0.5)) > 10 {
-		t.Fatalf("window median %v far from posterior median %v", med, e.Quantile(0, 0.5))
 	}
 }
 

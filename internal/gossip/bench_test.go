@@ -5,11 +5,11 @@ import (
 	"testing"
 )
 
-// BenchmarkConverge reports, per node count and engine, the custom
-// metrics cmd/benchjson's gossip series extracts: mean convergence
-// rounds (conv-ticks), total wire bytes (gossip-B), and bytes per
-// node-round (B/node-round). One iteration runs the standard seeded
-// churn script; the b.N loop re-runs it so ns/op stays meaningful.
+// BenchmarkConverge reports, per node count and engine, how well
+// dissemination did beside its cost: mean convergence rounds
+// (conv-ticks), total wire bytes (gossip-B), and bytes per node-round
+// (B/node-round). One iteration runs the standard seeded churn script;
+// the b.N loop re-runs it so ns/op stays meaningful.
 func BenchmarkConverge(b *testing.B) {
 	for _, mode := range []string{"delta", "flood"} {
 		for _, nodes := range []int{100, 500, 1000} {

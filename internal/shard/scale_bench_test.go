@@ -23,8 +23,7 @@ import (
 // shards the shards' work overlaps and the curve measures scaling; with
 // GOMAXPROCS=1 (CI smoke boxes) the same sweep degenerates to the serial
 // sum plus barrier overhead — the benchmark name carries the
-// -GOMAXPROCS suffix so recorded curves are never compared across core
-// counts. benchjson's scaling check only engages when GOMAXPROCS > 1.
+// -GOMAXPROCS suffix so curves are never compared across core counts.
 //
 // Workload constants mirror the unsharded BenchmarkScale in
 // internal/pgos so the shards=1 column is directly comparable: 0.25 Mbps

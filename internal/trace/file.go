@@ -85,13 +85,16 @@ func Read(r io.Reader) (*File, error) {
 	if count > 1<<30 {
 		return nil, fmt.Errorf("%w: implausible sample count %d", ErrBadTrace, count)
 	}
-	f.Samples = make([]float64, count)
+	// Grow with the samples actually read: a header may claim more than
+	// the input holds, and preallocating count would let a short file
+	// ask for gigabytes.
+	f.Samples = make([]float64, 0, min(count, 1<<16))
 	buf := make([]byte, 8)
-	for i := range f.Samples {
+	for i := uint64(0); i < count; i++ {
 		if _, err := io.ReadFull(br, buf); err != nil {
 			return nil, fmt.Errorf("%w: truncated at sample %d: %v", ErrBadTrace, i, err)
 		}
-		f.Samples[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf))
+		f.Samples = append(f.Samples, math.Float64frombits(binary.LittleEndian.Uint64(buf)))
 	}
 	return f, nil
 }

@@ -2,9 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -66,6 +68,27 @@ func TestReadRejectsTruncated(t *testing.T) {
 	_, err := Read(bytes.NewReader(trunc))
 	if !errors.Is(err, ErrBadTrace) {
 		t.Fatalf("err = %v, want ErrBadTrace", err)
+	}
+}
+
+// A header may claim far more samples than the input holds; Read must
+// reject it without allocating for the claimed count.
+func TestReadClaimedCountDoesNotAllocate(t *testing.T) {
+	var buf bytes.Buffer
+	if err := (&File{TickSeconds: 0.1}).Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	hdr := buf.Bytes()
+	binary.LittleEndian.PutUint64(hdr[len(hdr)-8:], 1<<24) // 128 MiB of samples
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Read(bytes.NewReader(hdr))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadTrace) {
+		t.Fatalf("err = %v, want ErrBadTrace", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 {
+		t.Fatalf("Read of an empty body allocated %d bytes", got)
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 // Wire-throughput benchmarks. The dg/s/core metric is the headline
 // datagrams-per-second-per-core series (the send loop is a single
 // goroutine, so wall rate == per-core rate); sysc/dg records how many
-// write syscalls each datagram cost. benchjson collects both under
-// "wire" in the JSON baseline.
+// write syscalls each datagram cost, so the batching gain per width is
+// visible beside ns/op and allocs/op.
 
 // benchUDPSink binds a loopback socket and drains it as fast as possible.
 // It reads with ReadFromUDPAddrPort, which allocates nothing, so the
