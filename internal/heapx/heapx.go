@@ -1,9 +1,10 @@
 // Package heapx provides slice-based binary-heap primitives over a
 // caller-supplied ordering, shared by the scheduling hot paths (PGOS
-// deadline heaps, fair-queuing virtual-time heap). Unlike container/heap
-// it needs no interface boxing and never allocates: the heap is the
-// caller's slice, passed by pointer, and the comparator is a plain
-// function — in steady state every operation is pure index arithmetic.
+// rule-3 deadline heaps, fair-queuing virtual-time heap). Unlike
+// container/heap it needs no interface boxing and never allocates: the
+// heap is the caller's slice, passed by pointer, and the comparator is a
+// plain function — in steady state every operation is pure index
+// arithmetic.
 package heapx
 
 // Push adds x to the heap *h ordered by less (a min-heap when less is
@@ -29,22 +30,6 @@ func Pop[T any](h *[]T, less func(a, b T) bool) T {
 	return top
 }
 
-// Init establishes the heap invariant over an arbitrarily ordered slice
-// in O(n) — cheaper than n Pushes when rebuilding from scratch (the
-// per-window rule-2 rebuild).
-func Init[T any](h []T, less func(a, b T) bool) {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		down(h, i, less)
-	}
-}
-
-// Fix restores the invariant after h[i] changed in place.
-func Fix[T any](h []T, i int, less func(a, b T) bool) {
-	if !down(h, i, less) {
-		up(h, i, less)
-	}
-}
-
 func up[T any](h []T, j int, less func(a, b T) bool) {
 	for j > 0 {
 		parent := (j - 1) / 2
@@ -56,9 +41,8 @@ func up[T any](h []T, j int, less func(a, b T) bool) {
 	}
 }
 
-func down[T any](h []T, i int, less func(a, b T) bool) bool {
+func down[T any](h []T, i int, less func(a, b T) bool) {
 	n := len(h)
-	i0 := i
 	for {
 		l := 2*i + 1
 		if l >= n {
@@ -74,5 +58,4 @@ func down[T any](h []T, i int, less func(a, b T) bool) bool {
 		h[i], h[m] = h[m], h[i]
 		i = m
 	}
-	return i > i0
 }

@@ -28,52 +28,6 @@ func TestPushPopSorted(t *testing.T) {
 	}
 }
 
-func TestInitEquivalentToPushes(t *testing.T) {
-	r := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 50; trial++ {
-		n := r.Intn(64)
-		vals := make([]int, n)
-		for i := range vals {
-			vals[i] = r.Intn(100)
-		}
-		a := append([]int(nil), vals...)
-		Init(a, intLess)
-		var b []int
-		for _, v := range vals {
-			Push(&b, v, intLess)
-		}
-		for len(a) > 0 {
-			if x, y := Pop(&a, intLess), Pop(&b, intLess); x != y {
-				t.Fatalf("trial %d: Init-heap pops %d, Push-heap pops %d", trial, x, y)
-			}
-		}
-		if len(b) != 0 {
-			t.Fatal("length mismatch")
-		}
-	}
-}
-
-func TestFix(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	var h []int
-	for i := 0; i < 100; i++ {
-		Push(&h, r.Intn(1000), intLess)
-	}
-	for trial := 0; trial < 200; trial++ {
-		i := r.Intn(len(h))
-		h[i] = r.Intn(1000)
-		Fix(h, i, intLess)
-	}
-	prev := -1
-	for len(h) > 0 {
-		x := Pop(&h, intLess)
-		if x < prev {
-			t.Fatalf("heap order violated: %d after %d", x, prev)
-		}
-		prev = x
-	}
-}
-
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	h := make([]int, 0, 64)
 	for i := 0; i < 64; i++ {

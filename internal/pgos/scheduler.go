@@ -93,15 +93,14 @@ type StreamStats struct {
 //
 // Dispatch decisions that historically scanned every stream × path pair
 // per tick run on incremental structures sized to the *active* work:
-// rule 2 consults a global virtual-deadline min-heap over scheduled
-// slots (stale keys are lower bounds, corrected lazily, so a not-due top
-// answers the common no-op consult in O(1)); rule 3 consults a
-// persistent packet-deadline heap maintained event-wise from stream
-// queue activity; and the V^P walk binary-searches per-path occurrence
-// lists instead of scanning the (possibly 10⁵-entry) vector. Every
-// decision remains bit-identical to the reference linear scans, which
-// are retained in scheduler_scan.go and cross-checked by differential
-// tests.
+// rule 2 consults one virtual-deadline min-heap per quota path (stale
+// keys are lower bounds, corrected in place, so a not-due top answers the
+// common no-op consult in O(1)); rule 3 consults a persistent
+// packet-deadline heap maintained event-wise from stream queue activity;
+// and the V^P walk checks the visit under its cursor, then binary-searches
+// per-path occurrence lists instead of scanning the (possibly 10⁵-entry)
+// vector. Every decision remains bit-identical to the reference linear
+// scans, which the differential tests run beside them.
 type Scheduler struct {
 	cfg     Config
 	streams []*stream.Stream
@@ -115,7 +114,7 @@ type Scheduler struct {
 	vpPos       [][]int32 // per path: ascending positions of j in vp
 	vs          [][]int
 	vsCur       []int
-	remaining   [][]int // [stream][path] scheduled packets left this window
+	cells       []cell // [i*len(paths)+j]: per-(stream, path) window quota state
 	windowStart int64
 	windowEnd   int64
 	windowTick  int64 // ticks per scheduling window
@@ -143,11 +142,26 @@ type Scheduler struct {
 	metricsBuf []PathMetrics
 	satScratch satisfyScratch
 
-	// debugCheck makes every dispatch decision run both the incremental
-	// structure and the reference scan and panic on divergence (tests).
-	debugCheck bool
+	// oracle, when non-nil, audits every dispatch decision against a
+	// reference; the differential tests install one, production never does.
+	oracle oracle
 
 	tel schedTelemetry
+}
+
+// cell is one (stream, path) pair's quota state for the current window,
+// packed so a dispatch decision touches one cache line per cell.
+type cell struct {
+	left   int32  // scheduled slots left this window
+	mapped int32  // the window's mapped packet count (Mapping.Packets)
+	ver    uint32 // version of the cell's rule-2 heap entry
+}
+
+// oracle cross-checks one dispatch decision per precedence rule.
+type oracle interface {
+	freePath(j, nextCur int)
+	otherPath(j int, now int64, i, j2 int)
+	unscheduled(j, i int)
 }
 
 // schedTelemetry holds the scheduler's metric handles; always non-nil
@@ -249,8 +263,8 @@ func (s *Scheduler) onStreamEvent(id int) {
 		// Rule-2 cells evicted while the queue was empty: re-key them now
 		// that the queue changed (only a push can fire while empty).
 		s.r2.dropped[id] = false
-		for j := 0; j < s.r2.nPaths && id < len(s.remaining); j++ {
-			if s.remaining[id][j] > 0 {
+		for j, c := range s.row(id) {
+			if c.left > 0 {
 				s.r2Requeue(id, j)
 			}
 		}
@@ -316,7 +330,7 @@ func (s *Scheduler) SetPaths(paths []sched.PathService, mons []*monitor.PathMoni
 	s.vpPos = nil
 	s.vs = nil
 	s.vsCur = nil
-	s.remaining = nil
+	s.cells = nil
 	s.fallbackCur = 0
 	s.blockedUntil = make([]int64, len(paths))
 	s.backoffTicks = make([]int64, len(paths))
@@ -415,21 +429,20 @@ func (s *Scheduler) beginWindow(now int64) {
 	}
 	// Reset per-window quotas and cursors from the active mapping.
 	if s.haveMap {
-		if s.remaining == nil || len(s.remaining) != len(s.streams) {
-			s.remaining = make([][]int, len(s.streams))
-			for i := range s.remaining {
-				s.remaining[i] = make([]int, len(s.paths))
-			}
+		np := len(s.paths)
+		if s.cells == nil || len(s.cells) != len(s.streams)*np {
+			s.cells = make([]cell, len(s.streams)*np)
 		}
 		var slots uint64
-		for i := range s.remaining {
-			for j := range s.remaining[i] {
+		for i := range s.streams {
+			row := s.row(i)
+			for j := range row {
+				var x int32
 				if i < len(s.mapping.Packets) {
-					s.remaining[i][j] = s.mapping.Packets[i][j]
-					slots += uint64(s.remaining[i][j])
-				} else {
-					s.remaining[i][j] = 0
+					x = int32(s.mapping.Packets[i][j])
 				}
+				row[j].left, row[j].mapped = x, x
+				slots += uint64(x)
 			}
 		}
 		s.tel.slotAllocs.Add(slots)
@@ -520,7 +533,7 @@ func (s *Scheduler) dispatch(now int64) {
 			s.tel.sendFailures.Inc()
 			s.streams[srcStream].PushFront(pkt)
 			if quotaPath >= 0 {
-				s.remaining[srcStream][quotaPath]++
+				s.cells[srcStream*len(s.paths)+quotaPath].left++
 				// The restored slot's deadline moved *earlier*; the rule-2
 				// heap needs a freshly keyed entry (stale entries are only
 				// trusted as lower bounds).
@@ -566,11 +579,8 @@ func (s *Scheduler) dispatch(now int64) {
 // next immediately (§5.2.2).
 func (s *Scheduler) nextFreePath() int {
 	j, nextCur := s.selectFreePathVP()
-	if s.debugCheck {
-		js, ncs := s.selectFreePathScan()
-		if js != j || ncs != nextCur {
-			panic(fmt.Sprintf("pgos: V^P divergence: index got (%d,%d), scan (%d,%d)", j, nextCur, js, ncs))
-		}
+	if s.oracle != nil {
+		s.oracle.freePath(j, nextCur)
 	}
 	if j >= 0 {
 		s.vpCur = nextCur
@@ -595,9 +605,9 @@ func (s *Scheduler) nextFreePath() int {
 // slotDeadline returns the tick (relative to window start) at which stream
 // i's next scheduled slot on path j falls due: k·tw/x for its k-th packet.
 func (s *Scheduler) slotDeadline(i, j int) int64 {
-	total := s.mapping.Packets[i][j]
-	k := total - s.remaining[i][j] + 1
-	return int64(float64(k) / float64(total) * float64(s.windowTick))
+	c := &s.cells[i*len(s.paths)+j]
+	k := c.mapped - c.left + 1
+	return int64(float64(k) / float64(c.mapped) * float64(s.windowTick))
 }
 
 // nextScheduled serves precedence rule 1: the next due V^S slot on path j.
@@ -613,7 +623,8 @@ func (s *Scheduler) nextScheduled(j int, now int64) (*simnet.Packet, int, int) {
 	vs := s.vs[j]
 	for s.vsCur[j] < len(vs) {
 		i := vs[s.vsCur[j]]
-		if s.remaining[i][j] <= 0 {
+		c := &s.cells[i*len(s.paths)+j]
+		if c.left <= 0 {
 			s.vsCur[j]++
 			continue
 		}
@@ -624,12 +635,12 @@ func (s *Scheduler) nextScheduled(j int, now int64) (*simnet.Packet, int, int) {
 		}
 		if p := s.streams[i].Pop(); p != nil {
 			s.vsCur[j]++
-			s.remaining[i][j]--
+			c.left--
 			return p, i, j
 		}
 		if elapsed > dl+s.grace {
 			s.vsCur[j]++
-			s.remaining[i][j]--
+			c.left--
 			s.stats.SlotMisses++
 			s.tel.slotMisses.Inc()
 			// Forfeiting quota raises the stream's unscheduled surplus
@@ -646,22 +657,17 @@ func (s *Scheduler) nextScheduled(j int, now int64) (*simnet.Packet, int, int) {
 // other paths (their own path has fallen behind), earliest virtual
 // deadline first; equal deadlines go to the higher window constraint.
 func (s *Scheduler) nextOtherPath(j int, now int64) (*simnet.Packet, int, int) {
-	if s.remaining == nil {
+	if s.cells == nil {
 		return nil, -1, -1
 	}
 	i, j2 := s.selectOtherPathHeap(j, now)
-	if s.debugCheck {
-		si, sj := s.selectOtherPathScan(j, now)
-		if si != i || sj != j2 {
-			panic(fmt.Sprintf("pgos: rule-2 divergence at t=%d path %d: heap (%d,%d), scan (%d,%d)",
-				now, j, i, j2, si, sj))
-		}
+	if s.oracle != nil {
+		s.oracle.otherPath(j, now, i, j2)
 	}
 	if i < 0 {
 		return nil, -1, -1
 	}
-	s.remaining[i][j2]--
-	s.r2Requeue(i, j2)
+	s.r2Consume(i, j2)
 	return s.streams[i].Pop(), i, j2
 }
 
@@ -671,11 +677,8 @@ func (s *Scheduler) nextOtherPath(j int, now int64) (*simnet.Packet, int, int) {
 // window constraint breaking ties.
 func (s *Scheduler) nextUnscheduled(j int) (*simnet.Packet, int, int) {
 	i := s.selectUnscheduledHeap(j)
-	if s.debugCheck {
-		si := s.selectUnscheduledScan(j)
-		if si != i {
-			panic(fmt.Sprintf("pgos: rule-3 divergence at t=%d path %d: heap %d, scan %d", s.now, j, i, si))
-		}
+	if s.oracle != nil {
+		s.oracle.unscheduled(j, i)
 	}
 	if i < 0 {
 		return nil, -1, -1
@@ -683,25 +686,29 @@ func (s *Scheduler) nextUnscheduled(j int) (*simnet.Packet, int, int) {
 	return s.streams[i].Pop(), i, -1
 }
 
-func (s *Scheduler) totalRemaining(i int) int {
-	if i >= len(s.remaining) {
-		return 0
+// row returns stream i's quota cells (empty for streams that joined after
+// the current window began).
+func (s *Scheduler) row(i int) []cell {
+	np := len(s.paths)
+	if (i+1)*np > len(s.cells) {
+		return nil
 	}
+	return s.cells[i*np : (i+1)*np]
+}
+
+func (s *Scheduler) totalRemaining(i int) int {
 	n := 0
-	for _, v := range s.remaining[i] {
-		n += v
+	for _, c := range s.row(i) {
+		n += int(c.left)
 	}
 	return n
 }
 
 // totalQuota returns stream i's full per-window scheduled packet count.
 func (s *Scheduler) totalQuota(i int) int {
-	if i >= len(s.mapping.Packets) {
-		return 0
-	}
 	n := 0
-	for _, v := range s.mapping.Packets[i] {
-		n += v
+	for _, c := range s.row(i) {
+		n += int(c.mapped)
 	}
 	return n
 }

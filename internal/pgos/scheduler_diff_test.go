@@ -1,6 +1,8 @@
 package pgos
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -10,10 +12,10 @@ import (
 	"iqpaths/internal/stream"
 )
 
-// The differential tests run the scheduler with debugCheck set, which
-// makes every dispatch consult execute both the incremental structure
-// (scheduler_heaps.go) and the reference scan (scheduler_scan.go) and
-// panic on any divergence. They exercise the transitions that stress the
+// The differential tests run the scheduler with the scan oracle armed,
+// which makes every dispatch consult execute both the incremental
+// structure (scheduler_heaps.go) and the reference scan
+// (scheduler_scan_test.go) and panic on any divergence. They exercise the transitions that stress the
 // heaps' invalidation logic: window boundaries, quota exhaustion,
 // send-failure restores, slot forfeits, packet deadlines and expiry,
 // mid-run stream joins, spec invalidation, and path-set changes.
@@ -46,7 +48,7 @@ func newDiffWorld(t *testing.T, seed int64, nStreams, nPaths int) *diffWorld {
 		ps[j] = p
 	}
 	w.s = New(Config{TickSeconds: 0.01, TwSec: 0.5, PaceLimit: 8}, w.streams, ps, w.mons)
-	w.s.debugCheck = true
+	armOracle(w.s)
 	return w
 }
 
@@ -143,6 +145,37 @@ func TestSchedulerHeapMatchesScanWithJoinsAndInvalidation(t *testing.T) {
 	}
 }
 
+// TestRule2TieGoesToLowerPath pins rule 2's last tie-break, which random
+// mappings rarely reach: one stream's slots on two other paths fall due
+// at the same deadline, and the lower path's slot wins, as in the scan.
+func TestRule2TieGoesToLowerPath(t *testing.T) {
+	st := stream.New(0, stream.Spec{Name: "s", Kind: stream.Probabilistic, RequiredMbps: 5, Probability: 0.9})
+	var ps []sched.PathService
+	var mons []*monitor.PathMonitor
+	for j := 0; j < 3; j++ {
+		ps = append(ps, &fakePath{id: j, name: "p"})
+		mons = append(mons, warmMonitor("p", 40))
+	}
+	s := New(Config{TickSeconds: 0.01, TwSec: 0.5}, []*stream.Stream{st}, ps, mons)
+	s.Tick(0)
+	if s.cells == nil {
+		t.Fatal("no mapping after the first warm window")
+	}
+	s.mapping.Packets = [][]int{{4, 4, 0}}
+	for j, x := range s.mapping.Packets[0] {
+		s.cells[j] = cell{left: int32(x), mapped: int32(x)}
+	}
+	s.rebuildR2()
+	st.Push(pktFactory()(0, 12000))
+	now := s.windowStart + s.windowTick/2
+	if i, j := s.selectOtherPathScan(2, now); i != 0 || j != 0 {
+		t.Fatalf("scan picked (%d,%d), want (0,0)", i, j)
+	}
+	if i, j := s.selectOtherPathHeap(2, now); i != 0 || j != 0 {
+		t.Fatalf("heap picked (%d,%d), want (0,0)", i, j)
+	}
+}
+
 // TestSchedulerHeapMatchesScanOverload drives a persistent backlog so
 // rule-3 surplus gating, quota exhaustion, and forfeits all fire, with
 // paths that frequently refuse sends (quota restores).
@@ -170,6 +203,115 @@ func TestSchedulerHeapMatchesScanOverload(t *testing.T) {
 		}
 		w.s.Tick(w.tick)
 		w.tick++
+	}
+}
+
+// TestSchedulerHeapMatchesScanNearCapacity arms the oracle in the regime
+// the sim_plane benchmark runs in, where rule 2 carries most packets:
+// hundreds of streams over four paths whose guaranteed demand sits near
+// the summed 95th-percentile capacity, per-window capacity dips that make
+// one path fall behind, and ~0.2 packets per stream per tick, so queues
+// keep running empty (rule-2 evictions and in-place re-keys). Random send
+// refusals restore quota mid-window.
+func TestSchedulerHeapMatchesScanNearCapacity(t *testing.T) {
+	const (
+		nStreams = 400
+		tickSec  = 0.01
+		bits     = 12000.0
+		gRate    = 0.24 // Mbps: 0.2 packets per tick
+		beRate   = 0.1
+		ticks    = 2000
+	)
+	rel := []float64{0.8, 0.95, 1.05, 1.2}
+	jit := []float64{0.06, 0.03, 0.08, 0.05}
+	for seed := int64(1); seed <= 3; seed++ {
+		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) {
+			t.Parallel()
+			r := rand.New(rand.NewSource(seed))
+			streams := make([]*stream.Stream, nStreams)
+			rates := make([]float64, nStreams)
+			debt := make([]float64, nStreams)
+			gMbps := 0.0
+			for i := range streams {
+				spec := stream.Spec{Name: "g", Kind: stream.Probabilistic, RequiredMbps: gRate, Probability: 0.95}
+				rates[i] = gRate
+				if i%5 == 4 {
+					spec = stream.Spec{Name: "be", Kind: stream.BestEffort}
+					rates[i] = beRate
+				} else {
+					gMbps += gRate
+				}
+				streams[i] = stream.New(i, spec)
+				debt[i] = r.Float64()
+			}
+			// Guaranteed demand at 0.9 of the summed 5th-percentile capacity.
+			qsum := 0.0
+			for j := range rel {
+				qsum += rel[j] * (1 - 1.645*jit[j])
+			}
+			scale := gMbps / 0.9 / qsum
+			paths := make([]*fakePath, len(rel))
+			ps := make([]sched.PathService, len(rel))
+			mons := make([]*monitor.PathMonitor, len(rel))
+			base := make([]float64, len(rel))
+			credit := make([]float64, len(rel))
+			pace := 0
+			for j := range rel {
+				base[j] = rel[j] * scale
+				paths[j] = &fakePath{id: j, name: string(rune('A' + j))}
+				ps[j] = paths[j]
+				mons[j] = monitor.New(paths[j].name, 200, 100)
+				for k := 0; k < 200; k++ {
+					mons[j].ObserveBandwidth(base[j] * (1 + jit[j]*r.NormFloat64()))
+				}
+				if n := int(2 * base[j] * tickSec * 1e6 / bits); n > pace {
+					pace = n
+				}
+			}
+			s := New(Config{TickSeconds: tickSec, TwSec: 1.0, PaceLimit: pace}, streams, ps, mons)
+			armOracle(s)
+			mk := pktFactory()
+			capNow := append([]float64(nil), base...)
+			evicted := 0 // stream-ticks with rule-2 cells evicted on an empty queue
+			for tick := int64(0); tick < ticks; tick++ {
+				if tick%100 == 0 {
+					for j := range capNow {
+						capNow[j] = base[j] * math.Max(0.05, 1+2*jit[j]*r.NormFloat64())
+					}
+				}
+				if tick%10 == 0 {
+					for j, m := range mons {
+						m.ObserveBandwidth(base[j] * (1 + jit[j]*r.NormFloat64()))
+					}
+				}
+				for i, st := range streams {
+					for debt[i] += rates[i] * 1e6 * tickSec / bits; debt[i] >= 1; debt[i]-- {
+						p := mk(i, bits)
+						p.Deadline = tick + 100
+						st.Push(p)
+					}
+				}
+				for j, p := range paths {
+					credit[j] += capNow[j] * tickSec * 1e6 / bits
+					n := int(credit[j])
+					credit[j] -= float64(n)
+					p.queued = max(0, p.queued-n)
+					p.sent = p.sent[:0]
+					p.refuse = r.Intn(25) == 0
+				}
+				s.Tick(tick)
+				for _, d := range s.r2.dropped {
+					if d {
+						evicted++
+					}
+				}
+			}
+			st := s.Stats()
+			if st.OtherPathSent == 0 || st.ScheduledSent == 0 || st.SendFailures == 0 || evicted == 0 {
+				t.Fatalf("seed %d: regime not reached: rules %d/%d/%d, %d refusals, %d evicted",
+					seed, st.ScheduledSent, st.OtherPathSent, st.UnscheduledSent, st.SendFailures, evicted)
+			}
+		})
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // goal is to make the common per-tick consult — "is anything due under
 // rule 2 / eligible under rule 3?" — cost O(log n) (usually O(1)) instead
 // of a full stream × path scan, while reproducing the reference scans'
-// decisions exactly (scheduler_scan.go; differential tests enforce this).
+// decisions exactly (the differential tests' oracle enforces this).
 //
 // Both heaps use versioned lazy deletion: every (stream, path) cell —
 // rule 2 — or stream — rule 3 — has a version counter, entries carry the
@@ -27,16 +27,23 @@ import (
 // even with stale keys — the O(1) early exit that serves the overwhelming
 // majority of consults. The one mutation that moves a deadline earlier
 // (a send-failure quota restore) must bump the version and re-key.
+//
+// Because keys only grow between re-keys, the rule-2 heaps re-key in
+// place: a stale top is corrected and sifted down, and a consumed winner
+// — still its heap's top — takes its next slot's key and sifts down,
+// leaving the heap only when its quota is spent. r2Less is a total order
+// over a heap's valid entries, so the choice does not depend on the
+// heap's layout.
 
-// r2Entry is one scheduled slot (stream i on path j) in the rule-2 heap,
-// keyed by virtual deadline, window constraint breaking ties, then
-// (i, j) so that equal keys resolve in the reference scan's
-// first-encountered order.
+// r2Entry is stream i's next scheduled slot in the rule-2 heap of its
+// quota path, keyed by virtual deadline, window constraint breaking
+// ties, then i so that equal keys resolve in the reference scan's
+// first-encountered order (across heaps, the lower path comes first).
 type r2Entry struct {
-	dl   int64
-	c    float64
-	i, j int32
-	ver  uint32
+	dl  int64
+	c   float64
+	i   int32
+	ver uint32
 }
 
 func r2Less(a, b r2Entry) bool {
@@ -46,10 +53,61 @@ func r2Less(a, b r2Entry) bool {
 	if a.c != b.c {
 		return a.c > b.c
 	}
-	if a.i != b.i {
-		return a.i < b.i
+	return a.i < b.i
+}
+
+// The rule-2 heaps carry nearly every packet near the feasibility edge —
+// one sift per send — so they are 4-ary (half the levels of a binary
+// heap) and sifted here with r2Less inlined, rather than through heapx's
+// comparator callback.
+const r2Arity = 4
+
+func r2Push(h *[]r2Entry, e r2Entry) {
+	*h = append(*h, e)
+	s := *h
+	k := len(s) - 1
+	for k > 0 {
+		p := (k - 1) / r2Arity
+		if !r2Less(e, s[p]) {
+			break
+		}
+		s[k] = s[p]
+		k = p
 	}
-	return a.j < b.j
+	s[k] = e
+}
+
+func r2Pop(h *[]r2Entry) {
+	s := *h
+	n := len(s) - 1
+	s[0] = s[n]
+	*h = s[:n]
+	if n > 0 {
+		r2Down(s[:n], 0)
+	}
+}
+
+// r2Down restores the heap order below h[k] after its key grew.
+func r2Down(h []r2Entry, k int) {
+	e := h[k]
+	for {
+		c := k*r2Arity + 1
+		if c >= len(h) {
+			break
+		}
+		m := c
+		for x := c + 1; x < c+r2Arity && x < len(h); x++ {
+			if r2Less(h[x], h[m]) {
+				m = x
+			}
+		}
+		if !r2Less(h[m], e) {
+			break
+		}
+		h[k] = h[m]
+		k = m
+	}
+	h[k] = e
 }
 
 // r2State keeps one min-heap per quota path. A consult for a visit to
@@ -60,7 +118,6 @@ func r2Less(a, b r2Entry) bool {
 // the windows where many slots fall due together.
 type r2State struct {
 	heaps [][]r2Entry // [j]: slots whose quota path is j
-	ver   []uint32    // [i*nPaths+j]
 	// dropped[i] marks that stream i's due cells were evicted from the
 	// heaps while its queue was empty; the stream's next queue event
 	// re-keys them. Without this, every consult would pop and restore the
@@ -79,12 +136,6 @@ func (r *r2State) reset(nStreams, nPaths int) {
 	for j := range r.heaps {
 		r.heaps[j] = r.heaps[j][:0]
 	}
-	need := nStreams * nPaths
-	if cap(r.ver) < need {
-		r.ver = make([]uint32, need)
-	} else {
-		r.ver = r.ver[:need]
-	}
 	if cap(r.dropped) < nStreams {
 		r.dropped = make([]bool, nStreams)
 	} else {
@@ -95,41 +146,42 @@ func (r *r2State) reset(nStreams, nPaths int) {
 	}
 }
 
-// rebuildR2 reconstructs the rule-2 heap from the current quota matrix
+// rebuildR2 reconstructs the rule-2 heap from the current quota cells
 // (window boundary, path-set change, or spec invalidation). O(S·P) like
 // the quota reset it accompanies, amortized over the whole window.
 func (s *Scheduler) rebuildR2() {
 	s.r2.reset(len(s.streams), len(s.paths))
-	if !s.haveMap || s.remaining == nil {
+	if !s.haveMap || s.cells == nil {
 		return
 	}
-	for i := range s.remaining {
+	for i := 0; i < len(s.cells)/s.r2.nPaths; i++ {
 		c := s.streams[i].WindowConstraintRatio()
-		for j := range s.remaining[i] {
-			if s.remaining[i][j] > 0 {
+		for j, cl := range s.row(i) {
+			if cl.left > 0 {
 				s.r2.heaps[j] = append(s.r2.heaps[j], r2Entry{
 					dl: s.slotDeadline(i, j), c: c,
-					i: int32(i), j: int32(j),
-					ver: s.r2.ver[i*s.r2.nPaths+j],
+					i: int32(i), ver: cl.ver,
 				})
 			}
 		}
 	}
-	for j := range s.r2.heaps {
-		heapx.Init(s.r2.heaps[j], r2Less)
+	for _, h := range s.r2.heaps {
+		for k := (len(h) - 2) / r2Arity; k >= 0 && len(h) > 1; k-- {
+			r2Down(h, k)
+		}
 	}
 }
 
-// r2Requeue re-keys cell (i, j2) after a rule-2 consumption: invalidate
-// any outstanding entry and push a fresh one if quota remains.
+// r2Requeue re-keys cell (i, j2): invalidate any outstanding entry and
+// push a fresh one if quota remains.
 func (s *Scheduler) r2Requeue(i, j2 int) {
-	vi := i*s.r2.nPaths + j2
-	s.r2.ver[vi]++
-	if s.remaining[i][j2] > 0 {
-		heapx.Push(&s.r2.heaps[j2], r2Entry{
+	c := &s.cells[i*s.r2.nPaths+j2]
+	c.ver++
+	if c.left > 0 {
+		r2Push(&s.r2.heaps[j2], r2Entry{
 			dl: s.slotDeadline(i, j2), c: s.streams[i].WindowConstraintRatio(),
-			i: int32(i), j: int32(j2), ver: s.r2.ver[vi],
-		}, r2Less)
+			i: int32(i), ver: c.ver,
+		})
 	}
 }
 
@@ -138,21 +190,36 @@ func (s *Scheduler) r2Requeue(i, j2 int) {
 // lower-bound property any outstanding entry relies on — the stale entry
 // must be invalidated, not lazily corrected.
 func (s *Scheduler) r2Touch(i, j2 int) {
-	if s.r2.nPaths == 0 || s.remaining == nil {
+	if s.r2.nPaths == 0 || s.cells == nil {
 		return
 	}
 	s.r2Requeue(i, j2)
 }
 
+// r2Consume spends one slot of rule 2's winner (i, j2), which
+// selectOtherPathHeap left on top of heap j2: re-key it in place to its
+// next slot's deadline, or drop it once its quota is spent.
+func (s *Scheduler) r2Consume(i, j2 int) {
+	c := &s.cells[i*s.r2.nPaths+j2]
+	c.left--
+	h := &s.r2.heaps[j2]
+	if c.left > 0 {
+		(*h)[0].dl = s.slotDeadline(i, j2)
+		r2Down(*h, 0)
+	} else {
+		r2Pop(h)
+	}
+}
+
 // selectOtherPathHeap resolves precedence rule 2 for a visit to path j:
 // the due scheduled slot with the earliest virtual deadline on any
 // *other* path whose stream has data. Returns (stream, quota path) or
-// (-1, -1). The winner's entry is consumed; the caller must follow up
-// with r2Requeue after decrementing the quota.
+// (-1, -1). The winner stays on top of its heap; the caller consumes it
+// with r2Consume.
 func (s *Scheduler) selectOtherPathHeap(j int, now int64) (int, int) {
 	elapsed := now - s.windowStart
 	var best r2Entry
-	haveBest := false
+	bestJ := -1
 	for j2 := range s.r2.heaps {
 		if j2 == j {
 			// Own-path slots belong to rule 1; this heap sits untouched.
@@ -160,20 +227,19 @@ func (s *Scheduler) selectOtherPathHeap(j int, now int64) (int, int) {
 		}
 		h := &s.r2.heaps[j2]
 		for len(*h) > 0 {
-			top := (*h)[0]
-			vi := int(top.i)*s.r2.nPaths + int(top.j)
-			if top.ver != s.r2.ver[vi] || s.remaining[top.i][top.j] <= 0 {
-				heapx.Pop(h, r2Less)
+			top := &(*h)[0]
+			c := &s.cells[int(top.i)*s.r2.nPaths+j2]
+			if top.ver != c.ver || c.left <= 0 {
+				r2Pop(h)
 				continue
 			}
-			if dl := s.slotDeadline(int(top.i), int(top.j)); dl != top.dl {
+			if dl := s.slotDeadline(int(top.i), j2); dl != top.dl {
 				// Stale key: rule-1 consumption on this cell pushed the
 				// true deadline later. Correct in place and re-evaluate —
 				// at most one correction per entry per consult, since
 				// corrected keys are exact for the rest of the consult.
-				heapx.Pop(h, r2Less)
 				top.dl = dl
-				heapx.Push(h, top, r2Less)
+				r2Down(*h, 0)
 				continue
 			}
 			if top.dl > elapsed+s.lookahead {
@@ -186,26 +252,25 @@ func (s *Scheduler) selectOtherPathHeap(j int, now int64) (int, int) {
 				// re-key on its next queue event (the observer checks
 				// dropped[i]) — an empty stream can only become eligible
 				// again via a push.
-				heapx.Pop(h, r2Less)
-				s.r2.ver[vi]++
 				s.r2.dropped[top.i] = true
+				c.ver++
+				r2Pop(h)
 				continue
 			}
-			// Due and eligible: this path's candidate. r2Less is a total
-			// order over (dl, c, i, j), so the min over path tops equals
-			// the global scan's first-encountered winner.
-			if !haveBest || r2Less(top, best) {
-				best = top
-				haveBest = true
+			// Due and eligible: this path's candidate. Paths are visited
+			// in order and only a strictly lower key displaces the best,
+			// so the min over path tops under (dl, c, i, j) equals the
+			// global scan's first-encountered winner.
+			if bestJ < 0 || r2Less(*top, best) {
+				best, bestJ = *top, j2
 			}
 			break
 		}
 	}
-	if !haveBest {
+	if bestJ < 0 {
 		return -1, -1
 	}
-	heapx.Pop(&s.r2.heaps[best.j], r2Less)
-	return int(best.i), int(best.j)
+	return int(best.i), bestJ
 }
 
 // r3Entry is one stream in the rule-3 (unscheduled traffic) heap, keyed
@@ -316,7 +381,7 @@ func (s *Scheduler) r3Drain() {
 		if st.Len() == 0 {
 			continue
 		}
-		if s.remaining != nil && st.Len()-s.totalRemaining(int(i)) <= 0 {
+		if s.cells != nil && st.Len()-s.totalRemaining(int(i)) <= 0 {
 			continue
 		}
 		pkt := st.Peek()
@@ -353,7 +418,7 @@ func (s *Scheduler) selectUnscheduledHeap(j int) int {
 			heapx.Pop(&s.r3.heap, r3Less)
 			continue
 		}
-		if s.remaining != nil {
+		if s.cells != nil {
 			rem := s.totalRemaining(int(top.i))
 			surplus := stm.Len() - rem
 			if surplus <= 0 {
@@ -376,7 +441,7 @@ func (s *Scheduler) selectUnscheduledHeap(j int) int {
 						}
 						continue
 					}
-					if int(top.i) < len(s.mapping.Packets) && s.mapping.Packets[top.i][j] == 0 {
+					if s.cells[int(top.i)*len(s.paths)+j].mapped == 0 {
 						// Non-expired surplus of a mapped stream stays on
 						// its own paths; ineligible for this path only.
 						heapx.Pop(&s.r3.heap, r3Less)
@@ -427,14 +492,19 @@ func searchGE(a []int32, x int32) int {
 	return lo
 }
 
-// selectFreePathVP picks the next V^P visit with pace room: for each
-// usable path, binary-search its first visit at or after the cursor
-// (cyclically) and take the nearest — exactly the visit the linear walk
-// would have stopped at. Returns (path, next cursor) or (-1, -1).
+// selectFreePathVP picks the next V^P visit with pace room. The visit
+// under the cursor is at distance 0, so when its path is usable it is the
+// answer; otherwise, for each usable path, binary-search its first visit
+// at or after the cursor (cyclically) and take the nearest — exactly the
+// visit the linear walk would have stopped at. Returns (path, next
+// cursor) or (-1, -1).
 func (s *Scheduler) selectFreePathVP() (int, int) {
 	n := len(s.vp)
 	if n == 0 {
 		return -1, -1
+	}
+	if j := s.vp[s.vpCur]; s.blockedUntil[j] <= s.now && s.paths[j].QueuedPackets() < s.cfg.PaceLimit {
+		return j, (s.vpCur + 1) % n
 	}
 	best, bestPos := -1, 0
 	bestDist := n + 1

@@ -1,6 +1,9 @@
 package pgos
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // BuildPathVector constructs V^P, the path lookup vector: for each path j
 // with Tp_j scheduled packets, the scheduler owes it Tp_j visits at the
@@ -34,14 +37,14 @@ func BuildPathVector(m Mapping) []int {
 			visits = append(visits, visit{deadline: float64(k) * spacing, spacing: spacing, path: j})
 		}
 	}
-	sort.SliceStable(visits, func(a, b int) bool {
-		if visits[a].deadline != visits[b].deadline {
-			return visits[a].deadline < visits[b].deadline
+	slices.SortStableFunc(visits, func(a, b visit) int {
+		if a.deadline != b.deadline {
+			return cmp.Compare(a.deadline, b.deadline)
 		}
-		if visits[a].spacing != visits[b].spacing {
-			return visits[a].spacing > visits[b].spacing
+		if a.spacing != b.spacing {
+			return cmp.Compare(b.spacing, a.spacing)
 		}
-		return visits[a].path < visits[b].path
+		return cmp.Compare(a.path, b.path)
 	})
 	vp := make([]int, len(visits))
 	for i, v := range visits {
@@ -78,14 +81,14 @@ func BuildStreamVectors(m Mapping, constraint []float64) [][]int {
 				slots = append(slots, slot{deadline: float64(k) / float64(x), constraint: c, stream: i})
 			}
 		}
-		sort.SliceStable(slots, func(a, b int) bool {
-			if slots[a].deadline != slots[b].deadline {
-				return slots[a].deadline < slots[b].deadline
+		slices.SortStableFunc(slots, func(a, b slot) int {
+			if a.deadline != b.deadline {
+				return cmp.Compare(a.deadline, b.deadline)
 			}
-			if slots[a].constraint != slots[b].constraint {
-				return slots[a].constraint > slots[b].constraint
+			if a.constraint != b.constraint {
+				return cmp.Compare(b.constraint, a.constraint)
 			}
-			return slots[a].stream < slots[b].stream
+			return cmp.Compare(a.stream, b.stream)
 		})
 		vs := make([]int, len(slots))
 		for k, s := range slots {

@@ -1,6 +1,9 @@
 package pgos
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"iqpaths/internal/stream"
@@ -123,5 +126,101 @@ func TestVectorsUseWindowConstraintRatios(t *testing.T) {
 	s2 := stream.New(1, stream.Spec{Name: "bulk", Kind: stream.BestEffort})
 	if s1.WindowConstraintRatio() <= s2.WindowConstraintRatio() {
 		t.Fatal("control stream should out-rank bulk at ties")
+	}
+}
+
+// refPathVector and refStreamVectors are BuildPathVector and
+// BuildStreamVectors with the reflection-based sort.SliceStable they
+// used to call: a stable sort's output is fixed by its comparator, so
+// the production sort must reproduce them exactly.
+func refPathVector(m Mapping) []int {
+	type visit struct {
+		deadline, spacing float64
+		path              int
+	}
+	var visits []visit
+	for j := range m.Committed {
+		tp := 0
+		for _, row := range m.Packets {
+			tp += row[j]
+		}
+		for k := 1; k <= tp; k++ {
+			visits = append(visits, visit{float64(k) * (1 / float64(tp)), 1 / float64(tp), j})
+		}
+	}
+	sort.SliceStable(visits, func(a, b int) bool {
+		if visits[a].deadline != visits[b].deadline {
+			return visits[a].deadline < visits[b].deadline
+		}
+		if visits[a].spacing != visits[b].spacing {
+			return visits[a].spacing > visits[b].spacing
+		}
+		return visits[a].path < visits[b].path
+	})
+	vp := make([]int, len(visits))
+	for i, v := range visits {
+		vp[i] = v.path
+	}
+	return vp
+}
+
+func refStreamVectors(m Mapping, constraint []float64) [][]int {
+	type slot struct {
+		deadline, constraint float64
+		stream               int
+	}
+	out := make([][]int, len(m.Committed))
+	for j := range out {
+		var slots []slot
+		for i, row := range m.Packets {
+			for k := 1; k <= row[j]; k++ {
+				slots = append(slots, slot{float64(k) / float64(row[j]), constraint[i], i})
+			}
+		}
+		sort.SliceStable(slots, func(a, b int) bool {
+			if slots[a].deadline != slots[b].deadline {
+				return slots[a].deadline < slots[b].deadline
+			}
+			if slots[a].constraint != slots[b].constraint {
+				return slots[a].constraint > slots[b].constraint
+			}
+			return slots[a].stream < slots[b].stream
+		})
+		out[j] = make([]int, len(slots))
+		for k, s := range slots {
+			out[j][k] = s.stream
+		}
+	}
+	return out
+}
+
+// TestVectorsMatchSliceStableRandomized compares both vectors against
+// the sort.SliceStable reference on random mappings. Small packet counts
+// and a handful of constraint values make deadline and constraint ties
+// common.
+func TestVectorsMatchSliceStableRandomized(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 300; trial++ {
+		nStreams, nPaths := 1+r.Intn(12), 1+r.Intn(5)
+		m := Mapping{Committed: make([]float64, nPaths), Packets: make([][]int, nStreams)}
+		constraint := make([]float64, nStreams)
+		for i := range m.Packets {
+			m.Packets[i] = make([]int, nPaths)
+			for j := range m.Packets[i] {
+				if r.Intn(3) > 0 {
+					m.Packets[i][j] = r.Intn(13)
+				}
+			}
+			constraint[i] = float64(r.Intn(4)) / 4
+		}
+		if got, want := BuildPathVector(m), refPathVector(m); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: V^P %v, reference %v", trial, got, want)
+		}
+		got, want := BuildStreamVectors(m, constraint), refStreamVectors(m, constraint)
+		for j := range want {
+			if !slices.Equal(got[j], want[j]) {
+				t.Fatalf("trial %d: V^S[%d] %v, reference %v", trial, j, got[j], want[j])
+			}
+		}
 	}
 }

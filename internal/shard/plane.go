@@ -42,10 +42,9 @@ type Plane struct {
 	// mu guards the directory below. Control path only: the shard tick
 	// loop never touches it.
 	mu        sync.Mutex
-	owner     map[int]int // global stream ID -> shard index
-	counts    []int       // placed streams per shard
-	migrating map[int]bool
-	nextID    int
+	owner     []int32 // global stream ID -> shard index; IDs are dense
+	counts    []int   // placed streams per shard
+	migrating []bool  // by global stream ID
 
 	stopOnce sync.Once
 
@@ -71,10 +70,8 @@ func NewPlane(cfg Config, domains []Domain) *Plane {
 		reg = telemetry.NewRegistry()
 	}
 	p := &Plane{
-		cfg:       cfg,
-		owner:     make(map[int]int),
-		counts:    make([]int, len(domains)),
-		migrating: make(map[int]bool),
+		cfg:    cfg,
+		counts: make([]int, len(domains)),
 
 		mPlaced:     reg.Counter("iqpaths_plane_streams_placed_total", "Streams placed onto shards."),
 		mMigrations: reg.Counter("iqpaths_plane_migrations_total", "Completed cross-shard stream migrations."),
@@ -131,19 +128,19 @@ func (p *Plane) Stop() {
 // stream materializes on the shard at its next tick boundary.
 func (p *Plane) AddStream(spec stream.Spec) (globalID, shardIdx int) {
 	p.mu.Lock()
-	globalID = p.nextID
-	p.nextID++
+	globalID = len(p.owner)
 	shardIdx = p.cfg.Placement.Place(globalID, spec, p.counts)
 	if shardIdx < 0 || shardIdx >= len(p.shards) {
 		p.mu.Unlock()
 		panic(fmt.Sprintf("shard: placement %q returned shard %d of %d",
 			p.cfg.Placement.Name(), shardIdx, len(p.shards)))
 	}
-	p.owner[globalID] = shardIdx
+	p.owner = append(p.owner, int32(shardIdx))
+	p.migrating = append(p.migrating, false)
 	p.counts[shardIdx]++
 	p.mu.Unlock()
 	p.mPlaced.Inc()
-	p.shards[shardIdx].ring.push(command{op: opAddStream, a: globalID, spec: spec})
+	p.shards[shardIdx].ring.push(command{op: opAddStream, a: globalID, spec: &spec})
 	return globalID, shardIdx
 }
 
@@ -157,7 +154,7 @@ func (p *Plane) Rebind(id, target int) error {
 		return fmt.Errorf("shard: rebind stream %d: no shard %d", id, target)
 	}
 	p.mu.Lock()
-	from, ok := p.owner[id]
+	from, ok := p.ownerLocked(id)
 	if !ok {
 		p.mu.Unlock()
 		return fmt.Errorf("shard: rebind: unknown stream %d", id)
@@ -180,13 +177,13 @@ func (p *Plane) Rebind(id, target int) error {
 // stream: retarget the directory, then inject spec+backlog into the
 // target's queue. Runs on the source shard's goroutine; push never
 // blocks, so shard-context submission cannot deadlock.
-func (p *Plane) completeMigration(id, target int, spec stream.Spec, pkts []*simnet.Packet) {
+func (p *Plane) completeMigration(id, target int, spec *stream.Spec, pkts []*simnet.Packet) {
 	p.mu.Lock()
 	from := p.owner[id]
-	p.owner[id] = target
+	p.owner[id] = int32(target)
 	p.counts[from]--
 	p.counts[target]++
-	delete(p.migrating, id)
+	p.migrating[id] = false
 	p.mu.Unlock()
 	p.mMigrations.Inc()
 	p.shards[target].ring.push(command{op: opInject, a: id, spec: spec, pkts: pkts})
@@ -197,7 +194,7 @@ func (p *Plane) completeMigration(id, target int, spec stream.Spec, pkts []*simn
 // raced and the first already moved it).
 func (p *Plane) migrationFailed(id int) {
 	p.mu.Lock()
-	delete(p.migrating, id)
+	p.migrating[id] = false
 	p.mu.Unlock()
 }
 
@@ -206,7 +203,7 @@ func (p *Plane) migrationFailed(id int) {
 // unknown streams are released and counted.
 func (p *Plane) Offer(id int, pkt *simnet.Packet) {
 	p.mu.Lock()
-	shardIdx, ok := p.owner[id]
+	shardIdx, ok := p.ownerLocked(id)
 	p.mu.Unlock()
 	if !ok {
 		simnet.ReleasePacket(pkt)
@@ -248,8 +245,15 @@ func (p *Plane) SetShardPaths(k int, paths []sched.PathService, mons []*monitor.
 func (p *Plane) Owner(id int) (int, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	k, ok := p.owner[id]
-	return k, ok
+	return p.ownerLocked(id)
+}
+
+// ownerLocked is Owner with p.mu held.
+func (p *Plane) ownerLocked(id int) (int, bool) {
+	if uint(id) >= uint(len(p.owner)) {
+		return 0, false
+	}
+	return int(p.owner[id]), true
 }
 
 // NumStreams returns the number of placed streams.
@@ -288,7 +292,7 @@ func (p *Plane) ShardStats() []pgos.Stats {
 // Coordinator-context only.
 func (p *Plane) Stats() pgos.Stats {
 	p.mu.Lock()
-	n := p.nextID
+	n := len(p.owner)
 	p.mu.Unlock()
 	var agg pgos.Stats
 	agg.PerStream = make([]pgos.StreamStats, n)

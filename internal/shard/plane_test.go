@@ -13,6 +13,7 @@ import (
 	"iqpaths/internal/shard"
 	"iqpaths/internal/simnet"
 	"iqpaths/internal/stream"
+	"iqpaths/internal/telemetry"
 )
 
 const (
@@ -231,6 +232,7 @@ type migWorld struct {
 	arenas    []*simnet.Arena
 	delivered []map[uint64]int // per shard: packet ID -> times seen
 	perStream [][]int          // per shard: deliveries per global stream
+	reg       *telemetry.Registry
 }
 
 // deliveredFor sums stream g's deliveries across shards. Coordinator
@@ -245,7 +247,7 @@ func (mw *migWorld) deliveredFor(g int) int {
 
 func newMigWorld(t *testing.T, capMbps float64) *migWorld {
 	t.Helper()
-	mw := &migWorld{}
+	mw := &migWorld{reg: telemetry.NewRegistry()}
 	var domains []shard.Domain
 	for k := 0; k < 2; k++ {
 		net := simnet.New(dTickSec, rand.New(rand.NewSource(int64(k+1))))
@@ -288,6 +290,7 @@ func newMigWorld(t *testing.T, capMbps float64) *migWorld {
 			PaceLimit:   170,
 		},
 		Placement: pinned(0),
+		Telemetry: mw.reg,
 	}, domains)
 	t.Cleanup(mw.plane.Stop)
 	return mw
@@ -395,6 +398,79 @@ func TestRebindErrors(t *testing.T) {
 	if err := mw.plane.Rebind(g, 0); err != nil {
 		t.Fatalf("rebind back after completion: %v", err)
 	}
+}
+
+// TestDirectoryOwnership checks the dense stream directories: negative,
+// never-issued and migrated-away IDs are not owned through Owns,
+// LocalIndex and Plane.Owner, and rebinds keep the plane's NumStreams and
+// each shard's iqpaths_shard_streams gauge counting owned streams, not
+// the ghost slots migrations leave behind.
+func TestDirectoryOwnership(t *testing.T) {
+	mw := newMigWorld(t, 10)
+	for i := 0; i < 3; i++ {
+		mw.plane.AddStream(stream.Spec{Name: "s", Kind: stream.BestEffort})
+	}
+	mw.plane.Tick(0)
+	gauge := func(k int) float64 {
+		return mw.reg.WithLabels("shard", fmt.Sprint(k)).Gauge("iqpaths_shard_streams", "").Value()
+	}
+	// check asserts where every stream lives: owners[g] is g's shard, and
+	// slots[k] is shard k's local slot count (ghosts included).
+	check := func(owners []int, slots [2]int) {
+		t.Helper()
+		if n := mw.plane.NumStreams(); n != len(owners) {
+			t.Fatalf("plane NumStreams = %d, want %d", n, len(owners))
+		}
+		owned := [2]int{}
+		for g, want := range owners {
+			if k, ok := mw.plane.Owner(g); !ok || k != want {
+				t.Fatalf("Owner(%d) = %d,%v, want %d,true", g, k, ok, want)
+			}
+			owned[want]++
+			for k := 0; k < 2; k++ {
+				sh := mw.plane.Shard(k)
+				li, ok := sh.LocalIndex(g)
+				if ok != (k == want) || sh.Owns(g) != ok {
+					t.Fatalf("shard %d: LocalIndex(%d) ok=%v Owns=%v, want %v", k, g, ok, sh.Owns(g), k == want)
+				}
+				if ok && sh.GlobalID(li) != g {
+					t.Fatalf("shard %d: local %d maps back to global %d, want %d", k, li, sh.GlobalID(li), g)
+				}
+			}
+		}
+		for k := 0; k < 2; k++ {
+			if n := mw.plane.Shard(k).NumStreams(); n != slots[k] {
+				t.Fatalf("shard %d slots = %d, want %d", k, n, slots[k])
+			}
+			if got := gauge(k); got != float64(owned[k]) {
+				t.Fatalf("shard %d iqpaths_shard_streams = %v, want %d", k, got, owned[k])
+			}
+		}
+		for _, g := range []int{-1, -1 << 40, len(owners), 1 << 20} {
+			if k, ok := mw.plane.Owner(g); ok {
+				t.Fatalf("Owner(%d) = %d, want not owned", g, k)
+			}
+			for k := 0; k < 2; k++ {
+				if _, ok := mw.plane.Shard(k).LocalIndex(g); ok || mw.plane.Shard(k).Owns(g) {
+					t.Fatalf("shard %d owns never-issued stream %d", k, g)
+				}
+			}
+		}
+	}
+	check([]int{0, 0, 0}, [2]int{3, 0})
+	if err := mw.plane.Rebind(1, 1); err != nil {
+		t.Fatalf("Rebind: %v", err)
+	}
+	mw.plane.Tick(1)
+	mw.plane.Tick(2)
+	check([]int{0, 1, 0}, [2]int{3, 1})
+	if err := mw.plane.Rebind(1, 0); err != nil {
+		t.Fatalf("Rebind back: %v", err)
+	}
+	mw.plane.Tick(3)
+	mw.plane.Tick(4)
+	// The return takes a fresh slot; the old one stays a ghost.
+	check([]int{0, 0, 0}, [2]int{4, 1})
 }
 
 // TestStatsAggregatesByGlobalID checks that Plane.Stats re-indexes

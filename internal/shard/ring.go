@@ -46,7 +46,7 @@ type command struct {
 	op    op
 	a, b  int
 	v     float64
-	spec  stream.Spec
+	spec  *stream.Spec
 	pkt   *simnet.Packet
 	pkts  []*simnet.Packet
 	paths []sched.PathService

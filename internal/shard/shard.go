@@ -59,7 +59,8 @@ type Shard struct {
 
 	streams []*stream.Stream // dense local index = stream.ID
 	global  []int            // local index -> global stream ID
-	local   map[int]int      // global stream ID -> local index (owned only)
+	local   []int32          // global stream ID -> local index, -1 if not owned
+	owned   int              // streams currently owned (ghost slots excluded)
 
 	paths []sched.PathService
 	mons  []*monitor.PathMonitor
@@ -95,7 +96,6 @@ func newShard(id int, p *Plane, dom Domain, reg *telemetry.Registry) *Shard {
 	sh := &Shard{
 		id:     id,
 		plane:  p,
-		local:  make(map[int]int),
 		paths:  dom.Paths,
 		mons:   dom.Mons,
 		arena:  dom.Arena,
@@ -133,15 +133,17 @@ func (sh *Shard) GlobalID(i int) int { return sh.global[i] }
 // Owns reports whether the shard currently owns global stream g (ghost
 // slots left by out-migration do not count). Shard-context only.
 func (sh *Shard) Owns(g int) bool {
-	_, ok := sh.local[g]
+	_, ok := sh.LocalIndex(g)
 	return ok
 }
 
 // LocalIndex returns the dense local index of global stream g, if owned.
 // Shard-context only.
 func (sh *Shard) LocalIndex(g int) (int, bool) {
-	li, ok := sh.local[g]
-	return li, ok
+	if uint(g) >= uint(len(sh.local)) || sh.local[g] < 0 {
+		return 0, false
+	}
+	return int(sh.local[g]), true
 }
 
 // Paths returns the shard's current path set.
@@ -218,7 +220,7 @@ func (sh *Shard) apply(c *command, now int64) {
 	case opExtract:
 		sh.extract(c.a, c.b)
 	case opOffer:
-		li, ok := sh.local[c.a]
+		li, ok := sh.LocalIndex(c.a)
 		if !ok {
 			// The stream migrated away between submission and this tick
 			// boundary; hand the packet back to the plane, which routes it
@@ -250,14 +252,18 @@ func (sh *Shard) apply(c *command, now int64) {
 }
 
 // addLocal appends a new local stream slot for global ID g.
-func (sh *Shard) addLocal(g int, spec stream.Spec) *stream.Stream {
+func (sh *Shard) addLocal(g int, spec *stream.Spec) *stream.Stream {
 	li := len(sh.streams)
-	st := stream.New(li, spec)
+	st := stream.New(li, *spec)
 	sh.streams = append(sh.streams, st)
 	sh.global = append(sh.global, g)
-	sh.local[g] = li
+	for len(sh.local) <= g {
+		sh.local = append(sh.local, -1)
+	}
+	sh.local[g] = int32(li)
+	sh.owned++
 	sh.sched.AddStream(st)
-	sh.mStreams.Set(float64(len(sh.local)))
+	sh.mStreams.Set(float64(sh.owned))
 	return st
 }
 
@@ -266,7 +272,7 @@ func (sh *Shard) addLocal(g int, spec stream.Spec) *stream.Stream {
 // removed, so the slot stays as a zero-demand best-effort ghost), and
 // report the spec + backlog to the plane for injection.
 func (sh *Shard) extract(g, target int) {
-	li, ok := sh.local[g]
+	li, ok := sh.LocalIndex(g)
 	if !ok {
 		// Already migrated away (stale extract); nothing to move.
 		sh.plane.migrationFailed(g)
@@ -292,9 +298,10 @@ func (sh *Shard) extract(g, target int) {
 		PacketBits: spec.PacketBits,
 		QueueLimit: 1,
 	}
-	delete(sh.local, g)
+	sh.local[g] = -1
+	sh.owned--
 	sh.sched.Invalidate()
 	sh.mMigratedOut.Inc()
-	sh.mStreams.Set(float64(len(sh.local)))
-	sh.plane.completeMigration(g, target, spec, pkts)
+	sh.mStreams.Set(float64(sh.owned))
+	sh.plane.completeMigration(g, target, &spec, pkts)
 }
