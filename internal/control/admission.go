@@ -2,6 +2,7 @@ package control
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"iqpaths/internal/monitor"
@@ -95,6 +96,12 @@ type Admission struct {
 	// guaranteed is committed's scratch for the admitted guaranteed
 	// streams it maps.
 	guaranteed []*stream.Stream
+	// One mapper per use, so no mapping is overwritten while read:
+	// Admit's load, tryPreempt's trial loads (taken while Admit still
+	// holds its load), and feasible's in-place candidate.
+	committedMap, preemptMap, candMap pgos.Mapper
+	cand                              stream.Stream
+	candOne                           [1]*stream.Stream
 }
 
 // admittedStream is one admitted spec. A guaranteed spec's stream is
@@ -166,11 +173,12 @@ func (a *Admission) Observe(j int, mbps float64) {
 
 // CommittedLoad returns the per-path rates currently promised to
 // locally admitted streams (remote shards' load excluded) — the vector a
-// sharded deployment publishes over the gossip channel.
+// sharded deployment publishes over the gossip channel. It is a copy:
+// Publish reads it after a.mu is released.
 func (a *Admission) CommittedLoad() []float64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.committed(a.cdfs(), a.admitted)
+	return slices.Clone(a.committed(&a.committedMap, a.cdfs(), a.admitted))
 }
 
 // SetRemoteCommitted replaces the per-path load attributed to other
@@ -246,7 +254,7 @@ func (a *Admission) Admit(spec stream.Spec) Decision {
 	// probe of a rejection: none of them changes the admitted set. The
 	// veto reads the local commitments before withRemote folds the remote
 	// shards' load into the same vector.
-	committed := a.committed(cdfs, a.admitted)
+	committed := a.committed(&a.committedMap, cdfs, a.admitted)
 	reason, vetoed := a.posteriorVeto(spec, cdfs, committed)
 	load := a.withRemote(committed)
 	if vetoed {
@@ -327,7 +335,7 @@ func (a *Admission) tryPreempt(spec stream.Spec, cdfs []stats.Distribution) (Dec
 		}
 		evicted = append(evicted, working[i].spec)
 		working = append(working[:i], working[i+1:]...)
-		if a.feasible(spec, cdfs, a.withRemote(a.committed(cdfs, working))) {
+		if a.feasible(spec, cdfs, a.withRemote(a.committed(&a.preemptMap, cdfs, working))) {
 			break
 		}
 	}
@@ -403,8 +411,9 @@ func (a *Admission) cdfs() []stats.Distribution {
 
 // committed computes the per-path rates already promised: the PGOS
 // mapping of the admitted guaranteed streams (in admission order), plus
-// each admitted best-effort stream's assumed load spread evenly.
-func (a *Admission) committed(cdfs []stats.Distribution, admitted []admittedStream) []float64 {
+// each admitted best-effort stream's assumed load spread evenly. The
+// vector is mp's: valid until mp maps again.
+func (a *Admission) committed(mp *pgos.Mapper, cdfs []stats.Distribution, admitted []admittedStream) []float64 {
 	guaranteed := a.guaranteed[:0]
 	beLoad := 0.0
 	for _, e := range admitted {
@@ -419,8 +428,7 @@ func (a *Admission) committed(cdfs []stats.Distribution, admitted []admittedStre
 		guaranteed = append(guaranteed, e.stream)
 	}
 	a.guaranteed = guaranteed
-	m := pgos.ComputeMappingOpts(guaranteed, cdfs, a.opt.TwSec, pgos.MapOptions{})
-	out := m.Committed
+	out := mp.Map(guaranteed, cdfs, a.opt.TwSec, pgos.MapOptions{}).Committed
 	if beLoad > 0 && len(cdfs) > 0 {
 		per := beLoad / float64(len(cdfs))
 		for j := range out {
@@ -447,8 +455,9 @@ func (a *Admission) withRemote(committed []float64) []float64 {
 // so its priority cannot displace already-admitted streams. The mapping
 // only reads load.
 func (a *Admission) feasible(spec stream.Spec, cdfs []stats.Distribution, load []float64) bool {
-	cand := []*stream.Stream{stream.New(0, spec)}
-	m := pgos.ComputeMappingOpts(cand, cdfs, a.opt.TwSec, pgos.MapOptions{InitialCommitted: load})
+	a.cand.Spec = spec.WithDefaults()
+	a.candOne[0] = &a.cand
+	m := a.candMap.Map(a.candOne[:], cdfs, a.opt.TwSec, pgos.MapOptions{InitialCommitted: load})
 	return !m.Rejected[0]
 }
 

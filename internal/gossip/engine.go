@@ -81,11 +81,17 @@ type inflightChange struct {
 // engineCore is the state shared by both engines: tables, topology,
 // the truth table (the LWW join of everything originated — what every
 // up node must converge to), and convergence accounting.
+//
+// Coverage is monotone (Apply installs only superseding records and no
+// engine replaces a table), so covered remembers it: one node bitset of
+// words uint64s per in-flight change, in inflight's order.
 type engineCore struct {
 	topo     *Topology
 	tabs     []*Table
 	truth    *Table
 	inflight []inflightChange
+	covered  []uint64
+	words    int
 	stats    Stats
 }
 
@@ -97,6 +103,7 @@ func newEngineCore(nodes, clusterSize int) *engineCore {
 		topo:  NewTopology(nodes, clusterSize),
 		tabs:  make([]*Table, nodes),
 		truth: NewTable(),
+		words: (nodes + 63) / 64,
 	}
 	for i := range c.tabs {
 		c.tabs[i] = NewTable()
@@ -122,8 +129,22 @@ func (c *engineCore) Originate(origin overlay.NodeID, key LinkKey, up bool, mbps
 	rec := c.tabs[origin].Originate(origin, key, up, mbps, ver)
 	c.truth.Apply(rec)
 	c.inflight = append(c.inflight, inflightChange{rec: rec, start: int64(c.stats.Rounds)})
+	c.covered = append(c.covered, make([]uint64, c.words)...)
 	return rec
 }
+
+// covers reports whether node i covers rec, remembering a yes in bits,
+// rec's coverage bitset.
+func (c *engineCore) covers(bits []uint64, i int, rec Record) bool {
+	w, b := &bits[i/64], uint64(1)<<(i%64)
+	if *w&b == 0 && c.tabs[i].Covers(rec) {
+		*w |= b
+	}
+	return *w&b != 0
+}
+
+// bits returns in-flight change k's coverage bitset.
+func (c *engineCore) bits(k int) []uint64 { return c.covered[k*c.words : (k+1)*c.words] }
 
 // afterRound completes convergence accounting for one round: in-flight
 // changes covered by every up node complete, and each up node missing
@@ -135,11 +156,12 @@ func (c *engineCore) afterRound() {
 		return
 	}
 	kept := c.inflight[:0]
-	for _, f := range c.inflight {
+	for k, f := range c.inflight {
+		bits := c.bits(k)
 		done := true
 		for i := 0; i < c.topo.Len(); i++ {
 			id := overlay.NodeID(i)
-			if c.topo.Up(id) && !c.tabs[i].Covers(f.rec) {
+			if c.topo.Up(id) && !c.covers(bits, i, f.rec) {
 				done = false
 				break
 			}
@@ -152,10 +174,12 @@ func (c *engineCore) afterRound() {
 				c.stats.MaxConvRounds = d
 			}
 		} else {
+			copy(c.bits(len(kept)), bits)
 			kept = append(kept, f)
 		}
 	}
 	c.inflight = kept
+	c.covered = c.covered[:len(kept)*c.words]
 	// Stale accounting runs against the changes still in flight after
 	// completion, so a change that reached everyone this round charges
 	// nobody.
@@ -165,8 +189,8 @@ func (c *engineCore) afterRound() {
 			continue
 		}
 		c.stats.UpNodeRounds++
-		for _, f := range c.inflight {
-			if !c.tabs[i].Covers(f.rec) {
+		for k, f := range c.inflight {
+			if !c.covers(c.bits(k), i, f.rec) {
 				c.stats.StaleNodeRounds++
 				break
 			}

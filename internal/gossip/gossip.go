@@ -261,10 +261,16 @@ func (t *Table) origins() []int {
 // Non-finite Mbps is rejected outright (NaN would poison every
 // downstream admission sum, like the monitor windows before PR 2's fix).
 func (t *Table) Apply(r Record) bool {
+	i, ok := t.idx[r.Key]
+	return t.applyAt(r, i, ok)
+}
+
+// applyAt is Apply with r.Key's position already found: recs[i] when
+// ok, absent otherwise.
+func (t *Table) applyAt(r Record, i int, ok bool) bool {
 	if math.IsNaN(r.Mbps) || math.IsInf(r.Mbps, 0) {
 		return false
 	}
-	i, ok := t.idx[r.Key]
 	var s int
 	if ok && t.recs[i].Origin == r.Origin {
 		s = t.slots[i]
@@ -295,6 +301,42 @@ func (t *Table) Apply(r Record) bool {
 		t.maxVer = r.Ver
 	}
 	return true
+}
+
+// applyCursor applies records exactly as Apply does, but finds each key
+// by walking forward through the table's sorted records, not by hashing:
+// a batch in key order (every delta appendMissing builds) costs one pass.
+// A key below the cursor, or possibly among keys awaiting a merge, falls
+// back to the index, so any order comes out right.
+type applyCursor struct {
+	t *Table
+	// pos is the first sorted record not below the last key sought.
+	pos int
+}
+
+func (c *applyCursor) apply(r Record) bool {
+	t := c.t
+	sorted := t.recs[:t.nSorted] // a new key appended in order extends it
+	if c.pos == 0 || sorted[c.pos-1].Key.less(r.Key) {
+		for c.pos < len(sorted) && sorted[c.pos].Key.less(r.Key) {
+			c.pos++
+		}
+		found := c.pos < len(sorted) && sorted[c.pos].Key == r.Key
+		if found || t.nSorted == len(t.recs) {
+			return t.applyAt(r, c.pos, found)
+		}
+	}
+	// Below the cursor, or maybe among the keys awaiting a merge.
+	i, ok := t.idx[r.Key]
+	return t.applyAt(r, i, ok)
+}
+
+// applyAll applies a batch of records through one cursor.
+func (t *Table) applyAll(recs []Record) {
+	c := applyCursor{t: t}
+	for _, r := range recs {
+		c.apply(r)
+	}
 }
 
 // Originate issues a new fact from origin's own table: the sequence is

@@ -221,10 +221,7 @@ func (m *Mesh) push(from, to overlay.NodeID) {
 	if m.p.LossProb > 0 && m.rng.Float64() < m.p.LossProb {
 		return
 	}
-	dst := m.tabs[to]
-	for _, r := range recs {
-		dst.Apply(r)
-	}
+	m.tabs[to].applyAll(recs)
 	st.lastGen = tab.Gen()
 	st.inited = true
 	st.floor = raiseFloor(st.floor, tab)
@@ -261,17 +258,13 @@ func (m *Mesh) exchange(a, b overlay.NodeID) {
 		m.scratch = appendDelta(m.scratch[:0], recsToA)
 		m.stats.Messages++
 		m.stats.Bytes += uint64(len(m.scratch))
-		for _, r := range recsToA {
-			ta.Apply(r)
-		}
+		ta.applyAll(recsToA)
 	}
 	if len(recsToB) > 0 {
 		m.scratch = appendDelta(m.scratch[:0], recsToB)
 		m.stats.Messages++
 		m.stats.Bytes += uint64(len(m.scratch))
-		for _, r := range recsToB {
-			tb.Apply(r)
-		}
+		tb.applyAll(recsToB)
 	}
 	// Both sides now cover the joined version vector: sync push floors in
 	// both directions so the next delta push starts from here.

@@ -1,8 +1,8 @@
 package pgos
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 
 	"iqpaths/internal/stats"
 	"iqpaths/internal/stream"
@@ -33,18 +33,12 @@ type Mapping struct {
 	Metrics []PathMetrics
 }
 
-// mapOrder returns stream indices in mapping priority order: probabilistic
-// guarantees first (highest probability, then highest rate), then
-// violation-bound (tightest bound first). Best-effort streams are not
-// mapped — they ride the unscheduled precedence rule.
-func mapOrder(streams []*stream.Stream) []int {
-	return appendMapOrder(nil, streams)
-}
-
-// appendMapOrder is mapOrder into a caller-provided buffer, so the
-// per-window mapping-validity check can order streams without
-// allocating. The returned slice aliases dst's storage when it has
-// capacity.
+// appendMapOrder writes stream indices in mapping priority order into
+// dst's storage and returns them: probabilistic guarantees first
+// (highest probability, then highest rate), then violation-bound
+// (tightest bound first). Best-effort streams are not mapped — they
+// ride the unscheduled precedence rule. The returned slice aliases dst's
+// storage when it has capacity.
 func appendMapOrder(dst []int, streams []*stream.Stream) []int {
 	dst = dst[:0]
 	for i, s := range streams {
@@ -121,34 +115,65 @@ func ComputeMapping(streams []*stream.Stream, cdfs []stats.Distribution, twSec f
 	return ComputeMappingOpts(streams, cdfs, twSec, MapOptions{})
 }
 
-// ComputeMappingOpts is ComputeMapping with explicit options.
+// ComputeMappingOpts is ComputeMapping with explicit options: a one-shot
+// Mapper whose buffers the returned Mapping keeps.
 func ComputeMappingOpts(streams []*stream.Stream, cdfs []stats.Distribution, twSec float64, opt MapOptions) Mapping {
-	n, l := len(streams), len(cdfs)
-	m := Mapping{
-		Packets:        make([][]int, n),
-		SinglePath:     make([]int, n),
-		Rejected:       make([]bool, n),
-		Committed:      make([]float64, l),
-		TwSec:          twSec,
-		MeanPrediction: opt.MeanPrediction,
-		Metrics:        opt.Metrics,
+	var mp Mapper
+	return *mp.Map(streams, cdfs, twSec, opt)
+}
+
+// Mapper computes mappings into buffers it owns (one flat n×l cell slice
+// behind the Packets rows, the other vectors, the kernel's scratch), so
+// repeated mapping allocates only while they grow. The Mapping Map
+// returns, and every slice in it, is valid until the mapper's next Map.
+// The zero Mapper is ready to use; it is not safe for concurrent use.
+type Mapper struct {
+	m     Mapping
+	cells []int
+	order []int
+	// cv memoizes each path's coefficient of variation for one Map: the
+	// distributions do not change during the call, and a window
+	// distribution walks its whole window for Mean and StdDev.
+	cv      []float64
+	cvKnown []bool
+	hs      []headroom
+	alloc   []int
+}
+
+// reuse returns s resized to n zeroed elements, reallocating only when
+// its capacity is short.
+func reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// Map runs the resource-mapping kernel (see ComputeMapping) into the
+// mapper's buffers.
+func (mp *Mapper) Map(streams []*stream.Stream, cdfs []stats.Distribution, twSec float64, opt MapOptions) *Mapping {
+	n, l := len(streams), len(cdfs)
+	m := &mp.m
+	mp.cells = reuse(mp.cells, n*l)
+	m.Packets = reuse(m.Packets, n)
+	m.SinglePath = reuse(m.SinglePath, n)
 	for i := range m.Packets {
-		m.Packets[i] = make([]int, l)
+		m.Packets[i] = mp.cells[i*l : (i+1)*l : (i+1)*l]
 		m.SinglePath[i] = -1
 	}
+	m.Rejected = reuse(m.Rejected, n)
+	m.Committed = reuse(m.Committed, l)
+	m.TwSec, m.MeanPrediction, m.Metrics = twSec, opt.MeanPrediction, opt.Metrics
 	for j, c := range opt.InitialCommitted {
 		if j < l && c > 0 {
 			m.Committed[j] = c
 		}
 	}
-	var cvBuf [16]float64
-	var knownBuf [16]bool
-	cv := pathCV{vals: cvBuf[:], known: knownBuf[:]}
-	if l > len(cvBuf) {
-		cv = pathCV{vals: make([]float64, l), known: make([]bool, l)}
-	}
-	for _, i := range mapOrder(streams) {
+	mp.cv, mp.cvKnown = reuse(mp.cv, l), reuse(mp.cvKnown, l)
+	mp.order = appendMapOrder(mp.order, streams)
+	for _, i := range mp.order {
 		s := streams[i]
 		x := s.RequiredPacketsPerWindow(twSec)
 		if x <= 0 {
@@ -156,37 +181,35 @@ func ComputeMappingOpts(streams []*stream.Stream, cdfs []stats.Distribution, twS
 		}
 		switch s.Kind {
 		case stream.Probabilistic:
-			mapProbabilistic(&m, s, i, x, cdfs, twSec, &cv)
+			mp.mapProbabilistic(s, i, x, cdfs, twSec)
 		case stream.ViolationBound:
-			mapViolationBound(&m, s, i, x, cdfs, twSec)
+			mp.mapViolationBound(s, i, x, cdfs, twSec)
 		}
 	}
 	return m
 }
 
-// pathCV memoizes each path's coefficient of variation for one mapping
-// computation. The distributions do not change during the call, so the
-// first evaluation is exactly what every later stream would recompute —
-// and a window distribution walks its whole window for Mean and StdDev.
-type pathCV struct {
-	vals  []float64
-	known []bool
-}
-
-// at returns path j's coefficient of variation (1 for a non-positive
+// cvAt returns path j's coefficient of variation (1 for a non-positive
 // mean).
-func (c *pathCV) at(j int, cdf stats.Distribution) float64 {
-	if !c.known[j] {
+func (mp *Mapper) cvAt(j int, cdf stats.Distribution) float64 {
+	if !mp.cvKnown[j] {
 		v := 1.0
 		if mean := cdf.Mean(); mean > 0 {
 			v = cdf.StdDev() / mean
 		}
-		c.vals[j], c.known[j] = v, true
+		mp.cv[j], mp.cvKnown[j] = v, true
 	}
-	return c.vals[j]
+	return mp.cv[j]
 }
 
-func mapProbabilistic(m *Mapping, s *stream.Stream, i, x int, cdfs []stats.Distribution, twSec float64, cvs *pathCV) {
+// headroom is one path's feasible rate for a split mapping.
+type headroom struct {
+	j    int
+	rate float64
+}
+
+func (mp *Mapper) mapProbabilistic(s *stream.Stream, i, x int, cdfs []stats.Distribution, twSec float64) {
+	m := &mp.m
 	b0 := s.RequiredMbps
 	// Single path: among paths meeting the guarantee, take the one with
 	// the highest guarantee probability; probabilities within 2 % are
@@ -202,7 +225,7 @@ func mapProbabilistic(m *Mapping, s *stream.Stream, i, x int, cdfs []stats.Distr
 		if p < s.Probability {
 			continue
 		}
-		cv := cvs.at(j, cdf)
+		cv := mp.cvAt(j, cdf)
 		better := p > bestProb+0.02 ||
 			(p > bestProb-0.02 && best >= 0 && cv < bestCV) ||
 			best < 0
@@ -216,12 +239,9 @@ func mapProbabilistic(m *Mapping, s *stream.Stream, i, x int, cdfs []stats.Distr
 		m.Committed[best] += b0
 		return
 	}
-	// Split: take each path's feasible headroom, largest first.
-	type headroom struct {
-		j    int
-		rate float64
-	}
-	hs := make([]headroom, 0, len(cdfs))
+	// Split: take each path's feasible headroom, largest first. A stream
+	// with no rate (its need set by WindowX alone) has nothing to split.
+	hs := slices.Grow(mp.hs[:0], len(cdfs))
 	total := 0.0
 	for j, cdf := range cdfs {
 		if !m.pathAcceptable(s, j) {
@@ -233,11 +253,12 @@ func mapProbabilistic(m *Mapping, s *stream.Stream, i, x int, cdfs []stats.Distr
 			total += h
 		}
 	}
-	if total < b0 {
+	mp.hs = hs
+	if b0 <= 0 || total < b0 {
 		m.Rejected[i] = true
 		return
 	}
-	sort.Slice(hs, func(a, b int) bool { return hs[a].rate > hs[b].rate })
+	slices.SortFunc(hs, func(a, b headroom) int { return cmp.Compare(b.rate, a.rate) }) // rates are finite
 	remainingRate := b0
 	remainingPkts := x
 	for k, h := range hs {
@@ -266,7 +287,8 @@ func mapProbabilistic(m *Mapping, s *stream.Stream, i, x int, cdfs []stats.Distr
 	}
 }
 
-func mapViolationBound(m *Mapping, s *stream.Stream, i, x int, cdfs []stats.Distribution, twSec float64) {
+func (mp *Mapper) mapViolationBound(s *stream.Stream, i, x int, cdfs []stats.Distribution, twSec float64) {
+	m := &mp.m
 	// Single path: the one with the smallest E[Z], if within bound.
 	best, bestEZ := -1, 0.0
 	for j, cdf := range cdfs {
@@ -291,7 +313,8 @@ func mapViolationBound(m *Mapping, s *stream.Stream, i, x int, cdfs []stats.Dist
 	if chunk < 1 {
 		chunk = 1
 	}
-	alloc := make([]int, len(cdfs))
+	alloc := reuse(mp.alloc, len(cdfs))
+	mp.alloc = alloc
 	if !m.anyAcceptable(s, len(cdfs)) {
 		m.Rejected[i] = true
 		return

@@ -34,7 +34,7 @@ func TestMapOrderPriorities(t *testing.T) {
 		stream.New(4, stream.Spec{Name: "vb1", Kind: stream.ViolationBound, RequiredMbps: 5, MaxViolations: 1}),
 		stream.New(5, stream.Spec{Name: "p95hi", Kind: stream.Probabilistic, RequiredMbps: 22, Probability: 0.95}),
 	}
-	order := mapOrder(streams)
+	order := appendMapOrder(nil, streams)
 	want := []int{2, 5, 1, 4, 3} // p99, p95 (higher rate first), p95, vb tightest, vb
 	if len(order) != len(want) {
 		t.Fatalf("order = %v", order)

@@ -15,9 +15,11 @@ import (
 //
 // A CDF is immutable once built; Build sorts a private copy of the samples.
 // Its mean and standard deviation are computed once, at build time, since
-// the mapping reads them for every (stream, path) pair it tries.
+// the mapping reads them for every (stream, path) pair it tries, and so
+// are its ascending prefix sums, which make TailMean a binary search.
 type CDF struct {
 	sorted    []float64
+	prefix    []float64 // prefix[i] is the ascending fold of sorted[:i]
 	mean, std float64
 }
 
@@ -25,30 +27,30 @@ type CDF struct {
 // retained or modified. BuildCDF on an empty slice yields a CDF whose
 // queries return zero values; IsEmpty reports that state.
 func BuildCDF(samples []float64) *CDF {
-	s := make([]float64, len(samples))
-	copy(s, samples)
-	sort.Float64s(s)
-	return newCDF(s)
+	n := len(samples)
+	buf := make([]float64, 2*n+1)
+	copy(buf, samples)
+	sort.Float64s(buf[:n])
+	return newCDF(buf, n)
 }
 
-// newCDF wraps an ascending sample slice it takes ownership of, folding
-// the moments in ascending order.
-func newCDF(sorted []float64) *CDF {
-	c := &CDF{sorted: sorted}
-	n := len(sorted)
+// newCDF wraps buf, which it takes ownership of: buf[:n] holds the
+// samples in ascending order, and the prefix sums go into buf[n:2n+1],
+// which must be zero. Sums and moments fold in ascending order.
+func newCDF(buf []float64, n int) *CDF {
+	c := &CDF{sorted: buf[:n:n], prefix: buf[n : 2*n+1]}
 	if n == 0 {
 		return c
 	}
-	sum := 0.0
-	for _, v := range sorted {
-		sum += v
+	for i, v := range c.sorted {
+		c.prefix[i+1] = c.prefix[i] + v
 	}
-	c.mean = sum / float64(n)
+	c.mean = c.prefix[n] / float64(n)
 	if n < 2 {
 		return c
 	}
 	s := 0.0
-	for _, v := range sorted {
+	for _, v := range c.sorted {
 		d := v - c.mean
 		s += d * d
 	}
@@ -130,11 +132,7 @@ func (c *CDF) TailMean(b0 float64) float64 {
 	if i == 0 {
 		return 0
 	}
-	sum := 0.0
-	for _, v := range c.sorted[:i] {
-		sum += v
-	}
-	return sum / float64(i)
+	return c.prefix[i] / float64(i)
 }
 
 // Distance returns the Kolmogorov–Smirnov distance between two empirical

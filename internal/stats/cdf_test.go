@@ -229,3 +229,51 @@ func foldMoments(sorted []float64) (mean, std float64) {
 	}
 	return mean, math.Sqrt(s / float64(n-1))
 }
+
+// TestCDFTailMeanExact checks TailMean's prefix sums bit for bit against
+// folding the qualifying samples in ascending order, and against the live
+// window view, on random windows with ties and zeros; a snapshot still
+// takes its two allocations (the CDF and one slice for samples and sums).
+func TestCDFTailMeanExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for trial := 0; trial < 200; trial++ {
+		w := NewWindow(1 + rng.Intn(80))
+		for i := rng.Intn(120); i > 0; i-- {
+			x := float64(rng.Intn(8)) * rng.ExpFloat64() // ties and zeros
+			if rng.Intn(3) == 0 {
+				x = float64(rng.Intn(4))
+			}
+			w.Add(x)
+		}
+		xs := w.Values()
+		sorted := append([]float64(nil), xs...)
+		sort.Float64s(sorted)
+		cuts := append([]float64{-1, 0, 0.5, 1e9}, sorted...)
+		for name, c := range map[string]*CDF{"BuildCDF": BuildCDF(xs), "Snapshot": w.Snapshot()} {
+			for _, b0 := range cuts {
+				sum, n := 0.0, 0
+				for _, v := range sorted {
+					if v <= b0 {
+						sum += v
+						n++
+					}
+				}
+				want := 0.0
+				if n > 0 {
+					want = sum / float64(n)
+				}
+				got, live := c.TailMean(b0), w.Dist().TailMean(b0)
+				if math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(live) != math.Float64bits(want) {
+					t.Fatalf("trial %d %s TailMean(%v) = %v, window %v, folded %v", trial, name, b0, got, live, want)
+				}
+			}
+		}
+	}
+	w := NewWindow(128)
+	for i := 0; i < 128; i++ {
+		w.Add(float64(i % 17))
+	}
+	if a := testing.AllocsPerRun(20, func() { w.Snapshot() }); a > 2 {
+		t.Errorf("Snapshot allocates %v, want ≤ 2", a)
+	}
+}

@@ -183,8 +183,9 @@ func (w *Window) Max() float64 {
 
 // Snapshot returns an immutable CDF of the current window contents.
 func (w *Window) Snapshot() *CDF {
-	s := make([]float64, 0, w.n)
-	return newCDF(w.ms.AppendSorted(s))
+	buf := make([]float64, 2*w.n+1)
+	w.ms.AppendSorted(buf[:0:w.n])
+	return newCDF(buf, w.n)
 }
 
 // Values returns the window contents in insertion order (oldest first).

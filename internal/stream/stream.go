@@ -109,23 +109,29 @@ type Stream struct {
 
 // New creates a stream with the given ID and spec, applying defaults.
 func New(id int, spec Spec) *Stream {
-	if spec.PacketBits <= 0 {
-		spec.PacketBits = 12000
+	return &Stream{ID: id, Spec: spec.WithDefaults()}
+}
+
+// WithDefaults returns the spec with New's defaults applied (packet size,
+// queue limit, weight, and a probabilistic spec's probability).
+func (s Spec) WithDefaults() Spec {
+	if s.PacketBits <= 0 {
+		s.PacketBits = 12000
 	}
-	if spec.QueueLimit <= 0 {
-		spec.QueueLimit = 20000
+	if s.QueueLimit <= 0 {
+		s.QueueLimit = 20000
 	}
-	if spec.Weight <= 0 {
-		if spec.RequiredMbps > 0 {
-			spec.Weight = spec.RequiredMbps
+	if s.Weight <= 0 {
+		if s.RequiredMbps > 0 {
+			s.Weight = s.RequiredMbps
 		} else {
-			spec.Weight = 1
+			s.Weight = 1
 		}
 	}
-	if spec.Probability <= 0 && spec.Kind == Probabilistic {
-		spec.Probability = 0.95
+	if s.Probability <= 0 && s.Kind == Probabilistic {
+		s.Probability = 0.95
 	}
-	return &Stream{ID: id, Spec: spec}
+	return s
 }
 
 // SetObserver installs fn as the stream's queue observer (nil removes
