@@ -272,8 +272,8 @@ func BenchmarkPGOSTick(b *testing.B) {
 	}
 	monA := NewPathMonitor("A", 500, 100)
 	monB := NewPathMonitor("B", 500, 100)
-	sampA := NewSampler(tb.PathA, monA, 0, nil)
-	sampB := NewSampler(tb.PathB, monB, 0, nil)
+	sampA := NewSampler(tb.PathA, monA)
+	sampB := NewSampler(tb.PathB, monB)
 	sched := pgos.New(pgos.Config{TwSec: 1, TickSeconds: net.TickSeconds()},
 		streams, []PathService{tb.PathA, tb.PathB},
 		[]*PathMonitor{monA, monB})

@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"iqpaths/internal/experiment"
 )
 
 // switchFigures returns the string cases of run's switch, read from
@@ -62,5 +64,31 @@ func TestUnknownFigureNamesEveryFigure(t *testing.T) {
 	slices.Sort(named)
 	if !slices.Equal(named, want) {
 		t.Errorf("unknown-figure error names %v, run's switch accepts %v", named, want)
+	}
+}
+
+func TestSizeList(t *testing.T) {
+	got, err := sizeList("nodes", " 100, 1000,,5 ")
+	if err != nil || !slices.Equal(got, []int{100, 1000, 5}) {
+		t.Fatalf("sizeList = %v, %v", got, err)
+	}
+	for _, bad := range []string{"0", "-3", "x"} {
+		if _, err := sizeList("paths", bad); err == nil || !strings.HasPrefix(err.Error(), "-paths: ") {
+			t.Errorf("sizeList(%q) error = %v, want a -paths error", bad, err)
+		}
+	}
+}
+
+func TestUnknownBandNamesDefaultBands(t *testing.T) {
+	matrixBands = "nope"
+	defer func() { matrixBands = "" }()
+	err := matrixFig(false)
+	if err == nil {
+		t.Fatal("matrixFig accepted an unknown band")
+	}
+	for _, b := range experiment.DefaultBands() {
+		if !strings.Contains(err.Error(), b.Name) {
+			t.Errorf("unknown-band error %q does not name band %q", err, b.Name)
+		}
 	}
 }

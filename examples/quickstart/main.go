@@ -35,8 +35,8 @@ func main() {
 	// 3. Monitors: per-path bandwidth distributions (500 samples @ 0.1 s).
 	monA := iqpaths.NewPathMonitor("PathA", 500, 100)
 	monB := iqpaths.NewPathMonitor("PathB", 500, 100)
-	sampA := iqpaths.NewSampler(tb.PathA, monA, 0, nil)
-	sampB := iqpaths.NewSampler(tb.PathB, monB, 0, nil)
+	sampA := iqpaths.NewSampler(tb.PathA, monA)
+	sampB := iqpaths.NewSampler(tb.PathB, monB)
 
 	// 4. The PGOS scheduler, built by registry name — swap the arm string
 	// (iqpaths.RegisteredSchedulers() lists them) to compare baselines.

@@ -39,8 +39,8 @@ func main() {
 
 	monA := iqpaths.NewPathMonitor("PathA", 500, 100)
 	monB := iqpaths.NewPathMonitor("PathB", 500, 100)
-	sampA := iqpaths.NewSampler(tb.PathA, monA, 0, nil)
-	sampB := iqpaths.NewSampler(tb.PathB, monB, 0, nil)
+	sampA := iqpaths.NewSampler(tb.PathA, monA)
+	sampB := iqpaths.NewSampler(tb.PathB, monB)
 
 	scheduler := iqpaths.NewPGOS(iqpaths.PGOSConfig{
 		TwSec:       0.5, // two scheduling windows per second: snappier video

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"iqpaths/internal/faults"
+	"iqpaths/internal/telemetry"
 )
 
 // faultTickSec is the emulab testbed tick the fault timeline is scripted
@@ -80,6 +81,26 @@ type FaultStreamRow struct {
 	ViolatedFrac    float64
 	MeanShortfall   float64 // packets per window (empirical E[Z])
 	DeliveredMbps   float64
+}
+
+// faultStreamRows condenses the accountant's per-stream records.
+func faultStreamRows(accounts []telemetry.StreamAccount) []FaultStreamRow {
+	var rows []FaultStreamRow
+	for _, a := range accounts {
+		row := FaultStreamRow{
+			Name:            a.Name,
+			RequiredMbps:    a.RequiredMbps,
+			Windows:         a.Windows,
+			ViolatedWindows: a.ViolatedWindows,
+			MeanShortfall:   a.MeanShortfall,
+			DeliveredMbps:   a.DeliveredMbps,
+		}
+		if a.Windows > 0 {
+			row.ViolatedFrac = float64(a.ViolatedWindows) / float64(a.Windows)
+		}
+		rows = append(rows, row)
+	}
+	return rows
 }
 
 // FaultRun is one algorithm's behaviour under the shared fault script.
@@ -158,20 +179,7 @@ func RunFaults(cfg RunConfig) (*FaultsResult, error) {
 			fr.SendFailures = res.PGOSStats.SendFailures
 		}
 		fr.RecoveryWindows = recoveryWindows(res.RemapTimes, tl.OutageStartSec, c.TwSec)
-		for _, a := range res.Accounts {
-			row := FaultStreamRow{
-				Name:            a.Name,
-				RequiredMbps:    a.RequiredMbps,
-				Windows:         a.Windows,
-				ViolatedWindows: a.ViolatedWindows,
-				MeanShortfall:   a.MeanShortfall,
-				DeliveredMbps:   a.DeliveredMbps,
-			}
-			if a.Windows > 0 {
-				row.ViolatedFrac = float64(a.ViolatedWindows) / float64(a.Windows)
-			}
-			fr.Streams = append(fr.Streams, row)
-		}
+		fr.Streams = faultStreamRows(res.Accounts)
 		out.Runs = append(out.Runs, fr)
 	}
 	return out, nil

@@ -61,10 +61,6 @@ type RunConfig struct {
 	MeanPrediction bool
 	// PaceLimit overrides the per-path queued-packet bound (0 = default).
 	PaceLimit int
-	// PathCount limits the testbed paths offered to the scheduler
-	// (0 or 2 = both; 1 = path A only). Used by ablations that must
-	// disable multi-path rescue.
-	PathCount int
 	// FaultSchedule, when non-empty, is played against the testbed by a
 	// faults.Scenario: event ticks count from the start of the run
 	// (warmup included), so a schedule is one fixed script across
@@ -135,15 +131,51 @@ type Result struct {
 	FaultEvents uint64
 }
 
-// workload abstracts the two applications for the runner.
+// workload is the application a testbed run schedules: its streams and
+// the sources that feed them, ticked once per emulator tick.
 type workload interface {
 	Streams() []*stream.Stream
 	Tick()
 }
 
-// ppfFunc maps a stream ID to its packets-per-frame count (0 = frames not
-// tracked for that stream).
-type ppfFunc func(streamID int) int
+// sources is a workload of streams fed by sources ticked in order.
+type sources struct {
+	streams []*stream.Stream
+	feeds   []interface{ Tick() }
+}
+
+func (w *sources) add(st *stream.Stream, feed interface{ Tick() }) {
+	w.streams = append(w.streams, st)
+	w.feeds = append(w.feeds, feed)
+}
+
+func (w sources) Streams() []*stream.Stream { return w.streams }
+
+func (w sources) Tick() {
+	for _, f := range w.feeds {
+		f.Tick()
+	}
+}
+
+// hooks are one figure's additions to the shared testbed run. All are
+// optional.
+type hooks struct {
+	// framePackets maps a stream ID to its packets per application frame;
+	// streams with a positive count get frame completion times (jitter).
+	framePackets func(streamID int) int
+	// build replaces sched.Build(cfg.Algorithm, ·), for a figure that
+	// needs a handle on its scheduler or wires one by hand.
+	build func(sched.BuildConfig) (sched.Scheduler, error)
+	// onDeliver sees each delivered packet after the standard accounting.
+	onDeliver func(path int, pkt *simnet.Packet, t int64)
+	// postTick runs at the end of every tick.
+	postTick func(t int64)
+}
+
+// fig8Paths returns the Fig. 8 testbed's two overlay paths.
+func fig8Paths(tb *emulab.Testbed) []*simnet.Path {
+	return []*simnet.Path{tb.PathA, tb.PathB}
+}
 
 // RunSmartPointer executes one §6.1 run: the three SmartPointer streams
 // over the Fig. 8 testbed under the chosen algorithm.
@@ -158,13 +190,12 @@ func RunSmartPointer(cfg RunConfig) (Result, error) {
 	}
 	tb := emulab.Build(emulab.Config{Seed: cfg.Seed})
 	w := smartpointer.New(tb.Net)
-	ppf := func(id int) int {
+	return run(cfg, tb.Net, fig8Paths(tb), w, hooks{framePackets: func(id int) int {
 		if id == 0 { // Atom frames drive the §6.1 jitter number
 			return w.PacketsPerFrame(0)
 		}
 		return 0
-	}
-	return run(cfg, tb, w, ppf)
+	}})
 }
 
 // RunGridFTP executes one §6.2 run: DT1/DT2/DT3 record transfer. Algorithm
@@ -179,16 +210,17 @@ func RunGridFTP(cfg RunConfig) (Result, error) {
 	}
 	tb := emulab.Build(emulab.Config{Seed: cfg.Seed})
 	w := gridftp.NewWorkload(tb.Net, cfg.Algorithm == AlgPGOS)
-	return run(cfg, tb, w, func(int) int { return 0 })
+	return run(cfg, tb.Net, fig8Paths(tb), w, hooks{})
 }
 
-func run(cfg RunConfig, tb *emulab.Testbed, w workload, ppf ppfFunc) (Result, error) {
-	net := tb.Net
+// run is the one testbed runner every simulated figure shares. Over net it
+// builds the §4 monitors on paths, the per-run telemetry rig and the
+// cfg.Algorithm scheduler, plays cfg.FaultSchedule, ticks w, and accounts
+// every delivery (RTT samples, guarantee windows, per-stream throughput
+// series); fig adds what one figure measures beyond that. cfg must have
+// its defaults filled.
+func run(cfg RunConfig, net *simnet.Network, paths []*simnet.Path, w workload, fig hooks) (Result, error) {
 	streams := w.Streams()
-	paths := []*simnet.Path{tb.PathA, tb.PathB}
-	if cfg.PathCount == 1 {
-		paths = paths[:1]
-	}
 	pathServices := make([]sched.PathService, len(paths))
 	for j, p := range paths {
 		pathServices[j] = p
@@ -212,7 +244,11 @@ func run(cfg RunConfig, tb *emulab.Testbed, w workload, ppf ppfFunc) (Result, er
 	}
 
 	var remapTimes []float64
-	scheduler, err := sched.Build(cfg.Algorithm, sched.BuildConfig{
+	build := fig.build
+	if build == nil {
+		build = func(bc sched.BuildConfig) (sched.Scheduler, error) { return sched.Build(cfg.Algorithm, bc) }
+	}
+	scheduler, err := build(sched.BuildConfig{
 		Streams:        streams,
 		Paths:          pathServices,
 		PaceLimit:      cfg.PaceLimit,
@@ -236,10 +272,6 @@ func run(cfg RunConfig, tb *emulab.Testbed, w workload, ppf ppfFunc) (Result, er
 	warmupTicks := int64(cfg.WarmupSec / tickSec)
 
 	nStreams := len(streams)
-	pathNames := make([]string, len(paths))
-	for j, p := range paths {
-		pathNames[j] = p.Name()
-	}
 	// Accumulators for the current sample interval: bits[stream][path].
 	acc := make([][]float64, nStreams)
 	series := make([][]float64, nStreams)      // total Mbps
@@ -263,47 +295,44 @@ func run(cfg RunConfig, tb *emulab.Testbed, w workload, ppf ppfFunc) (Result, er
 		DurationSec: cfg.DurationSec,
 		TwSec:       cfg.TwSec,
 		PreTick:     func(int64) { w.Tick() },
-		OnDeliver: func(j int, pkt *simnet.Packet, t int64) {
-			if pkt.Stream < 0 || pkt.Stream >= nStreams {
-				return
-			}
-			// Sparse one-way-delay sampling feeds the RTT window (×2 as
-			// the round-trip proxy), enabling per-stream RTT objectives.
-			if pkt.ID%64 == 0 {
-				mons[j].ObserveRTT(2 * float64(pkt.Delivered-pkt.Created) * tickSec)
-			}
+		OnDeliver: accountDeliveries(mons, acct, nStreams, tickSec, func(j int, pkt *simnet.Packet, t int64) {
 			acc[pkt.Stream][j] += pkt.Bits
-			missed := pkt.Deadline != 0 && pkt.Delivered > pkt.Deadline
-			acct.ObserveDelivery(pkt.Stream, pkt.Bits, missed)
-			if n := ppf(pkt.Stream); n > 0 && pkt.Frame != 0 {
-				fp := frameProgress[pkt.Stream]
-				fp[pkt.Frame]++
-				if fp[pkt.Frame] == n {
-					delete(fp, pkt.Frame)
-					if t >= warmupTicks {
-						frameTimes[pkt.Stream] = append(frameTimes[pkt.Stream],
-							float64(t-warmupTicks)*tickSec)
+			if fig.framePackets != nil && pkt.Frame != 0 {
+				if n := fig.framePackets(pkt.Stream); n > 0 {
+					fp := frameProgress[pkt.Stream]
+					fp[pkt.Frame]++
+					if fp[pkt.Frame] == n {
+						delete(fp, pkt.Frame)
+						if t >= warmupTicks {
+							frameTimes[pkt.Stream] = append(frameTimes[pkt.Stream],
+								float64(t-warmupTicks)*tickSec)
+						}
 					}
 				}
 			}
-		},
+			if fig.onDeliver != nil {
+				fig.onDeliver(j, pkt, t)
+			}
+		}),
 		PostTick: func(t int64) {
-			if (t+1)%sampleTicks != 0 {
-				return
-			}
-			for i := range acc {
-				if t >= warmupTicks {
-					total := 0.0
-					for j := range acc[i] {
-						mbps := acc[i][j] / 1e6 / cfg.SampleSec
-						perPath[i][j] = append(perPath[i][j], mbps)
-						total += mbps
+			if (t+1)%sampleTicks == 0 {
+				for i := range acc {
+					if t >= warmupTicks {
+						total := 0.0
+						for j := range acc[i] {
+							mbps := acc[i][j] / 1e6 / cfg.SampleSec
+							perPath[i][j] = append(perPath[i][j], mbps)
+							total += mbps
+						}
+						series[i] = append(series[i], total)
 					}
-					series[i] = append(series[i], total)
+					for j := range acc[i] {
+						acc[i][j] = 0
+					}
 				}
-				for j := range acc[i] {
-					acc[i][j] = 0
-				}
+			}
+			if fig.postTick != nil {
+				fig.postTick(t)
 			}
 		},
 	}
@@ -321,8 +350,8 @@ func run(cfg RunConfig, tb *emulab.Testbed, w workload, ppf ppfFunc) (Result, er
 			FrameTimes:   frameTimes[i],
 			Summary:      stats.Summarize(series[i]),
 		}
-		for j, name := range pathNames {
-			ss.PerPath[name] = perPath[i][j]
+		for j, p := range paths {
+			ss.PerPath[p.Name()] = perPath[i][j]
 		}
 		res.Streams = append(res.Streams, ss)
 	}
@@ -352,6 +381,5 @@ func runLossy(cfg RunConfig, lossProb float64) (Result, error) {
 	}
 	cfg.Algorithm = AlgPGOS
 	tb := emulab.Build(emulab.Config{Seed: cfg.Seed, LossProb: lossProb})
-	w := smartpointer.New(tb.Net)
-	return run(cfg, tb, w, func(int) int { return 0 })
+	return run(cfg, tb.Net, fig8Paths(tb), smartpointer.New(tb.Net), hooks{})
 }

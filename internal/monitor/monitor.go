@@ -8,7 +8,6 @@ package monitor
 
 import (
 	"math"
-	"math/rand"
 
 	"iqpaths/internal/simnet"
 	"iqpaths/internal/stats"
@@ -218,38 +217,23 @@ func (m *PathMonitor) DramaticChange(ksThreshold float64) bool {
 }
 
 // Sampler couples a simnet path to a monitor: each Sample call reads the
-// path's bottleneck available bandwidth, optionally perturbed by
-// multiplicative measurement noise (pathload-class estimators carry
-// 5–15 % error), plus the path's loss and queueing state.
+// path's bottleneck available bandwidth into the monitor.
 type Sampler struct {
 	Path    *simnet.Path
 	Monitor *PathMonitor
-	// NoiseFrac is the std-dev of multiplicative Gaussian measurement
-	// noise (0 disables).
-	NoiseFrac float64
-	rng       *rand.Rand
 }
 
-// NewSampler wires path to monitor. rng is required when noiseFrac > 0.
-func NewSampler(path *simnet.Path, m *PathMonitor, noiseFrac float64, rng *rand.Rand) *Sampler {
-	if noiseFrac > 0 && rng == nil {
-		panic("monitor: Sampler with noise requires rng")
-	}
-	return &Sampler{Path: path, Monitor: m, NoiseFrac: noiseFrac, rng: rng}
+// NewSampler wires path to monitor.
+func NewSampler(path *simnet.Path, m *PathMonitor) *Sampler {
+	return &Sampler{Path: path, Monitor: m}
 }
 
 // Sample takes one measurement from the live path. Non-finite readings
-// (a corrupted estimator, or noise applied to an already-broken value)
-// are discarded rather than fed to the window — stats.Window rejects them
-// too, but dropping them here keeps the monitor's sample count honest.
+// (a corrupted estimator) are discarded rather than fed to the window —
+// stats.Window rejects them too, but dropping them here keeps the
+// monitor's sample count honest.
 func (s *Sampler) Sample() {
 	bw := s.Path.AvailMbps()
-	if s.NoiseFrac > 0 {
-		bw *= 1 + s.rng.NormFloat64()*s.NoiseFrac
-		if bw < 0 {
-			bw = 0
-		}
-	}
 	if math.IsNaN(bw) || math.IsInf(bw, 0) {
 		return
 	}

@@ -149,7 +149,7 @@ func TestSamplerReadsPath(t *testing.T) {
 	l := net.AddLink(simnet.LinkConfig{Name: "l", CapacityMbps: 100, Cross: trace.NewCBR(40)})
 	p := net.AddPath("p", l)
 	m := New("p", 50, 2)
-	s := NewSampler(p, m, 0, nil)
+	s := NewSampler(p, m)
 	for i := 0; i < 10; i++ {
 		net.Step()
 		s.Sample()
@@ -157,33 +157,6 @@ func TestSamplerReadsPath(t *testing.T) {
 	if got := m.MeanBandwidth(); got != 60 {
 		t.Fatalf("sampled mean = %v, want 60", got)
 	}
-}
-
-func TestSamplerNoise(t *testing.T) {
-	net := simnet.New(0.01, rand.New(rand.NewSource(1)))
-	l := net.AddLink(simnet.LinkConfig{Name: "l", CapacityMbps: 100, Cross: trace.NewCBR(40)})
-	p := net.AddPath("p", l)
-	m := New("p", 500, 2)
-	s := NewSampler(p, m, 0.1, rand.New(rand.NewSource(2)))
-	for i := 0; i < 500; i++ {
-		net.Step()
-		s.Sample()
-	}
-	if m.BandwidthStdDev() < 3 || m.BandwidthStdDev() > 9 {
-		t.Fatalf("noisy sampler stddev = %v, want ~6", m.BandwidthStdDev())
-	}
-	if math.Abs(m.MeanBandwidth()-60) > 2 {
-		t.Fatalf("noisy sampler mean = %v, want ~60", m.MeanBandwidth())
-	}
-}
-
-func TestSamplerNoisePanicsWithoutRNG(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewSampler(nil, nil, 0.1, nil)
 }
 
 func TestPercentileQueriesRTTLoss(t *testing.T) {
@@ -243,15 +216,14 @@ func TestMonitorSurvivesNonFiniteSamples(t *testing.T) {
 	}
 }
 
-// TestSamplerGuardsNonFinite drives a Sampler whose noise multiplies a
-// normal reading; with an artificially NaN'd path reading the sample must
-// be discarded before it reaches the window.
+// TestSamplerGuardsNonFinite drives a Sampler over an artificially NaN'd
+// path reading: the sample must be discarded before it reaches the window.
 func TestSamplerGuardsNonFinite(t *testing.T) {
 	net := simnet.New(0.01, rand.New(rand.NewSource(3)))
 	l := net.AddLink(simnet.LinkConfig{Name: "l", CapacityMbps: 100, Cross: trace.NewCBR(math.NaN())})
 	p := net.AddPath("p", l)
 	m := New("p", 16, 4)
-	s := NewSampler(p, m, 0, nil)
+	s := NewSampler(p, m)
 	net.Step() // availMbps = 100 - NaN = NaN (clamped only for negatives)
 	s.Sample()
 	if m.Samples() != 0 {

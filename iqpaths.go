@@ -131,10 +131,9 @@ func NewPathMonitor(name string, windowN, minWarm int) *PathMonitor {
 	return monitor.New(name, windowN, minWarm)
 }
 
-// NewSampler wires an emulated path to a monitor with optional
-// multiplicative measurement noise.
-func NewSampler(p *Path, m *PathMonitor, noiseFrac float64, rng *rand.Rand) *Sampler {
-	return monitor.NewSampler(p, m, noiseFrac, rng)
+// NewSampler wires an emulated path to a monitor.
+func NewSampler(p *Path, m *PathMonitor) *Sampler {
+	return monitor.NewSampler(p, m)
 }
 
 // BandwidthEstimator measures a path end to end with packet-train

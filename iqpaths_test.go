@@ -25,8 +25,8 @@ func TestPublicAPIGuaranteedStreamOverTestbed(t *testing.T) {
 
 	monA := iqpaths.NewPathMonitor("A", 500, 100)
 	monB := iqpaths.NewPathMonitor("B", 500, 100)
-	sampA := iqpaths.NewSampler(tb.PathA, monA, 0, nil)
-	sampB := iqpaths.NewSampler(tb.PathB, monB, 0, nil)
+	sampA := iqpaths.NewSampler(tb.PathA, monA)
+	sampB := iqpaths.NewSampler(tb.PathB, monB)
 
 	sched := iqpaths.NewPGOS(iqpaths.PGOSConfig{
 		TwSec: 1, TickSeconds: net.TickSeconds(),
