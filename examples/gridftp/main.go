@@ -37,7 +37,7 @@ func main() {
 		}
 	}
 	fmt.Println("\nThroughput CDFs (Fig. 13):")
-	if err := experiment.RenderCDFs(os.Stdout, suite.CDFs(), false); err != nil {
+	if err := experiment.RenderCDFs(suite.CDFs()).Write(os.Stdout, false); err != nil {
 		log.Fatal(err)
 	}
 }

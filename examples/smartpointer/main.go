@@ -26,7 +26,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println()
-	if err := experiment.RenderFig11(os.Stdout, suite.Fig11("Atom", "Bond1"), false); err != nil {
+	if err := experiment.RenderFig11(suite.Fig11("Atom", "Bond1")).Write(os.Stdout, false); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\nBond2 (non-critical) mean throughput — PGOS must not sacrifice it:")

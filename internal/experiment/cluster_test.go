@@ -70,7 +70,7 @@ func TestGoldenCluster(t *testing.T) {
 				t.Fatal(err)
 			}
 			var b strings.Builder
-			if err := RenderCluster(&b, rows, true); err != nil {
+			if err := RenderCluster(rows).Write(&b, true); err != nil {
 				t.Fatal(err)
 			}
 			checkGolden(t, fmt.Sprintf("cluster_seed%d.golden", seed), b.String())
@@ -85,10 +85,10 @@ func TestRenderCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	var csv, tab strings.Builder
-	if err := RenderCluster(&csv, rows, true); err != nil {
+	if err := RenderCluster(rows).Write(&csv, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := RenderCluster(&tab, rows, false); err != nil {
+	if err := RenderCluster(rows).Write(&tab, false); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(csv.String(), "mean_conv_ticks") || !strings.Contains(csv.String(), "delta") {

@@ -35,10 +35,10 @@ func TestFig4ShapeAndSeries(t *testing.T) {
 func TestRenderFig4(t *testing.T) {
 	points := Fig4(Fig4Config{Seed: 1, Samples: 8000})
 	var txt, csv bytes.Buffer
-	if err := RenderFig4(&txt, points, false); err != nil {
+	if err := RenderFig4(points).Write(&txt, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := RenderFig4(&csv, points, true); err != nil {
+	if err := RenderFig4(points).Write(&csv, true); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(txt.String(), "pctl_fail_rate") {
@@ -94,7 +94,7 @@ func TestSuiteRenderers(t *testing.T) {
 		t.Fatalf("fig11 rows = %d, want 8", len(rows))
 	}
 	var buf bytes.Buffer
-	if err := RenderFig11(&buf, rows, false); err != nil {
+	if err := RenderFig11(rows).Write(&buf, false); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "PGOS") {
@@ -105,14 +105,14 @@ func TestSuiteRenderers(t *testing.T) {
 		t.Fatalf("cdf rows = %d", len(cdfs))
 	}
 	buf.Reset()
-	if err := RenderCDFs(&buf, cdfs, true); err != nil {
+	if err := RenderCDFs(cdfs).Write(&buf, true); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "p50") {
 		t.Fatal("cdf header missing")
 	}
 	buf.Reset()
-	if err := RenderSeries(&buf, suite.Results[AlgPGOS], false); err != nil {
+	if err := RenderSeries(suite.Results[AlgPGOS]).Write(&buf, false); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -123,7 +123,7 @@ func TestSuiteRenderers(t *testing.T) {
 
 func TestWriteTableAlignment(t *testing.T) {
 	var buf bytes.Buffer
-	err := WriteTable(&buf, []string{"a", "bb"}, [][]string{{"xxx", "y"}})
+	err := Table{Header: []string{"a", "bb"}, Rows: [][]string{{"xxx", "y"}}}.Write(&buf, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,10 +83,10 @@ func TestRenderMatrixGoldenDeterminism(t *testing.T) {
 			Bystanders: 0, ViolatedFrac: 1, AggMbps: 0.5, DelayJitterMs: 12.25},
 	}}
 	var tbl, csv strings.Builder
-	if err := RenderMatrix(&tbl, res, false); err != nil {
+	if err := RenderMatrix(res).Write(&tbl, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := RenderMatrix(&csv, res, true); err != nil {
+	if err := RenderMatrix(res).Write(&csv, true); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "matrix_render.golden", tbl.String()+"== csv\n"+csv.String())
@@ -110,7 +110,7 @@ func TestGoldenMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			var b strings.Builder
-			if err := RenderMatrix(&b, res, true); err != nil {
+			if err := RenderMatrix(res).Write(&b, true); err != nil {
 				t.Fatal(err)
 			}
 			checkGolden(t, fmt.Sprintf("matrix_seed%d.golden", seed), b.String())

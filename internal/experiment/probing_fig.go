@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 
@@ -390,17 +389,16 @@ func RunProbing(cfg ProbingConfig) (*ProbingResult, error) {
 	return res, nil
 }
 
-// RenderProbingFigure writes the probing sweep and the arms table.
-func RenderProbingFigure(w io.Writer, res *ProbingResult, csv bool) error {
-	header := []string{"paths", "planner", "budget_trains", "rounds_to_target",
-		"probe_KB_to_target", "final_mean_ks", "mean_entropy_bits", "savings_pct"}
-	var rows [][]string
+// RenderProbingFigure renders the probing sweep and the arms table.
+func RenderProbingFigure(res *ProbingResult) []Table {
+	sweep := Table{Header: []string{"paths", "planner", "budget_trains", "rounds_to_target",
+		"probe_KB_to_target", "final_mean_ks", "mean_entropy_bits", "savings_pct"}}
 	for _, p := range res.Sweep {
 		savings := "-"
 		if p.Planner != "rr" {
 			savings = fmt.Sprintf("%.1f", p.SavingsPct)
 		}
-		rows = append(rows, []string{
+		sweep.Rows = append(sweep.Rows, []string{
 			fmt.Sprintf("%d", p.Paths), p.Planner,
 			fmt.Sprintf("%d", p.Budget),
 			fmt.Sprintf("%d", p.RoundsToTarget),
@@ -410,28 +408,17 @@ func RenderProbingFigure(w io.Writer, res *ProbingResult, csv bool) error {
 			savings,
 		})
 	}
-	write := WriteTable
-	if csv {
-		write = WriteCSV
-	}
-	if err := write(w, header, rows); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w); err != nil {
-		return err
-	}
 	// Aggregate throughput is rendered at 0.1 Mbps: the SmartPointer
 	// arrival rate (not path capacity) bounds the aggregate, so every
 	// work-conserving scheduler delivers the same total to within
 	// scheduling-noise — the arms differ in the violated-window column.
-	armHeader := []string{"algorithm", "agg_mbps", "guar_violated_frac"}
-	var armRows [][]string
+	arms := Table{Header: []string{"algorithm", "agg_mbps", "guar_violated_frac"}}
 	for _, a := range res.Arms {
-		armRows = append(armRows, []string{
+		arms.Rows = append(arms.Rows, []string{
 			a.Algorithm,
 			fmt.Sprintf("%.1f", a.AggMbps),
 			fmt.Sprintf("%.4f", a.GuarViolatedFrac),
 		})
 	}
-	return write(w, armHeader, armRows)
+	return []Table{sweep, arms}
 }

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"iqpaths/internal/bwest"
@@ -45,12 +44,8 @@ func TestGoldenProbing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var b strings.Builder
-			b.WriteString("== probing\n")
-			if err := RenderProbingFigure(&b, res, true); err != nil {
-				t.Fatal(err)
-			}
-			checkGolden(t, fmt.Sprintf("probing_seed%d.golden", seed), b.String())
+			checkGolden(t, fmt.Sprintf("probing_seed%d.golden", seed),
+				"== probing\n"+renderCSV(t, RenderProbingFigure(res)...))
 
 			cfg.fillDefaults()
 			byKey := map[string]ProbingPoint{}

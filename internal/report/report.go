@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"html/template"
 	"io"
+	"strings"
 
 	"iqpaths/internal/experiment"
 )
@@ -17,6 +18,25 @@ type Data struct {
 	GridSuite   *experiment.Suite
 	Video       []experiment.VideoRow
 	GeneratedBy string
+}
+
+// htmlTable renders a figure table as an HTML table.
+func htmlTable(t experiment.Table) template.HTML {
+	var b strings.Builder
+	cells := func(tag string, row []string) {
+		b.WriteString("<tr>")
+		for _, c := range row {
+			fmt.Fprintf(&b, "<%s>%s</%s>", tag, template.HTMLEscapeString(c), tag)
+		}
+		b.WriteString("</tr>")
+	}
+	b.WriteString("<table>")
+	cells("th", t.Header)
+	for _, r := range t.Rows {
+		cells("td", r)
+	}
+	b.WriteString("</table>")
+	return template.HTML(b.String())
 }
 
 // Generate writes the self-contained HTML report.
@@ -95,15 +115,9 @@ func Generate(w io.Writer, d Data) error {
 	addSuite(d.GridSuite, "Figures 12–13 — GridFTP vs IQPG-GridFTP", "Fig. 12", "Fig. 13 CDF")
 
 	if len(d.Video) > 0 {
-		rows := "<table><tr><th>algorithm</th><th>frames</th><th>base miss rate</th><th>mean quality</th></tr>"
-		for _, r := range d.Video {
-			rows += fmt.Sprintf("<tr><td>%s</td><td>%d</td><td>%.4f</td><td>%.3f</td></tr>",
-				template.HTMLEscapeString(r.Algorithm), r.FramesScored, r.BaseMissRate, r.MeanQuality)
-		}
-		rows += "</table>"
 		sections = append(sections, section{
 			Heading: "Layered MPEG-4 FGS video playback",
-			Table:   template.HTML(rows),
+			Table:   htmlTable(experiment.RenderVideo(d.Video)),
 		})
 	}
 

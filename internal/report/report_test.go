@@ -86,7 +86,7 @@ func TestGenerateFullReport(t *testing.T) {
 	html := buf.String()
 	for _, want := range []string{
 		"<!DOCTYPE html", "Figure 4", "SmartPointer", "GridFTP", "FGS video",
-		"Fig. 9 — PGOS", "Fig. 10 CDF — Atom", "Fig. 13 CDF — DT1",
+		"Fig. 9 — PGOS", "Fig. 10 CDF — Atom", "Fig. 13 CDF — DT1", "<th>base_miss_rate</th>",
 	} {
 		if !strings.Contains(html, want) {
 			t.Fatalf("report missing %q", want)
