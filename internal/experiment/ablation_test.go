@@ -4,6 +4,7 @@ import "testing"
 
 func TestQuantileSweepRows(t *testing.T) {
 	rows := QuantileSweep(7)
+	checkGolden(t, "quantiles_seed7.golden", renderCSV(t, RenderQuantileSweep(rows)))
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}

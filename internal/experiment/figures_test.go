@@ -7,7 +7,8 @@ import (
 )
 
 func TestFig4ShapeAndSeries(t *testing.T) {
-	points := Fig4(Fig4Config{Seed: 42, Samples: 30000})
+	points := Fig4(Fig4Config{Seed: 42})
+	checkGolden(t, "fig4_seed42.golden", renderCSV(t, RenderFig4(points)))
 	if len(points) != 10 {
 		t.Fatalf("points = %d, want 10", len(points))
 	}

@@ -12,6 +12,7 @@ func TestMultiSeedAggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "multiseed_seeds42_7_100.golden", renderCSV(t, RenderAgg(rows)))
 	if len(rows) != 8 { // 4 algorithms × 2 streams
 		t.Fatalf("rows = %d", len(rows))
 	}

@@ -11,6 +11,7 @@ func TestProbingAblationShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "probing_ablation_seed42.golden", renderCSV(t, RenderProbing(rows)))
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
