@@ -16,8 +16,10 @@ type Receiver struct {
 	src *Source
 	// got[frame][layer] counts received packets.
 	got map[uint64][]int
-	// scored marks frames already judged (at their deadline).
-	scored map[uint64]bool
+	// next is the first frame not yet judged. Frames are numbered 1, 2, …
+	// in emission order and their deadlines are monotone, so frames are
+	// judged in frame order and each tick stops at the first one not due.
+	next uint64
 
 	// results
 	framesPlayed uint64
@@ -28,11 +30,7 @@ type Receiver struct {
 
 // NewReceiver builds a receiver for the source's stream layout.
 func NewReceiver(src *Source) *Receiver {
-	return &Receiver{
-		src:    src,
-		got:    map[uint64][]int{},
-		scored: map[uint64]bool{},
-	}
+	return &Receiver{src: src, got: map[uint64][]int{}, next: 1}
 }
 
 // OnPacket records one delivered packet.
@@ -53,14 +51,15 @@ func (r *Receiver) OnPacket(p *simnet.Packet) {
 // Tick scores any frames whose playout deadline falls at the current
 // tick. Call once per network tick after collecting deliveries.
 func (r *Receiver) Tick(now int64) {
-	for frame, emit := range r.src.emitTicks {
-		if r.scored[frame] || now < emit+r.src.DeadlineTicks() {
-			continue
+	for ; r.next <= r.src.Frames(); r.next++ {
+		frame := r.next
+		emit, ok := r.src.emitTicks[frame]
+		if ok && now < emit+r.src.DeadlineTicks() {
+			return
 		}
-		r.scored[frame] = true
 		exp := r.src.ExpectedPackets(frame)
 		got := r.got[frame]
-		if exp == nil {
+		if exp == nil { // forgotten before its deadline: never judged
 			continue
 		}
 		if got == nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"iqpaths/internal/simnet"
+	"iqpaths/internal/stats"
 	"iqpaths/internal/stream"
 )
 
@@ -179,5 +180,58 @@ func TestFGSPartialCredit(t *testing.T) {
 	rep := rcv.Report()
 	if rep.MeanQuality < 2.3 || rep.MeanQuality > 2.7 {
 		t.Fatalf("half-truncated top layer quality = %v, want ~2.5", rep.MeanQuality)
+	}
+}
+
+// TestReceiverScoresInFrameOrder: when many frames of different quality
+// fall due in one tick, the report is computed over played frames in
+// frame order, so it is bit-identical to a frame-order reference. Four
+// seeds, so a scan in any other order cannot match them all by chance.
+func TestReceiverScoresInFrameOrder(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		net := newNet()
+		src := NewSource(net, Config{}, rand.New(rand.NewSource(seed)))
+		rcv := NewReceiver(src)
+		drop := rand.New(rand.NewSource(seed + 100))
+		got := map[uint64][]int{}
+		for tick := int64(0); tick < 1000; tick++ {
+			src.Tick()
+			for layer, st := range src.Streams() {
+				for p := st.Pop(); p != nil; p = st.Pop() {
+					// The base layer always arrives; enhancement packets are
+					// cut at random, so frames differ in quality.
+					if layer > 0 && drop.Float64() < 0.3 {
+						continue
+					}
+					if got[p.Frame] == nil {
+						got[p.Frame] = make([]int, src.Layers())
+					}
+					got[p.Frame][layer]++
+					rcv.OnPacket(p)
+				}
+			}
+			net.Step()
+		}
+		rcv.Tick(net.Tick() + src.DeadlineTicks()) // every frame falls due at once
+
+		var want []float64
+		for frame := uint64(1); frame <= src.Frames(); frame++ {
+			q := 0.0
+			for layer, n := range src.ExpectedPackets(frame) {
+				if n > 0 {
+					q += min(float64(got[frame][layer])/float64(n), 1)
+				}
+			}
+			want = append(want, q)
+		}
+		ref := stats.Summarize(want)
+		rep := rcv.Report()
+		if rep.FramesPlayed != uint64(len(want)) || rep.BaseMissRate != 0 || ref.StdDev == 0 {
+			t.Fatalf("seed %d: played %d of %d frames of σ %v: %v", seed, rep.FramesPlayed, len(want), ref.StdDev, rep)
+		}
+		if rep.MeanQuality != ref.Mean || rep.QualityStdDev != ref.StdDev {
+			t.Errorf("seed %d: report quality %v±%v, frame-order reference %v±%v",
+				seed, rep.MeanQuality, rep.QualityStdDev, ref.Mean, ref.StdDev)
+		}
 	}
 }
