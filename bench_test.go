@@ -9,6 +9,7 @@ package iqpaths
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"iqpaths/internal/experiment"
@@ -27,6 +28,29 @@ func benchCfg(alg string, seed int64) experiment.RunConfig {
 		Seed:        seed,
 		DurationSec: 30,
 		WarmupSec:   55,
+	}
+}
+
+// runFigure runs the registered figure name at p.
+func runFigure(b *testing.B, name string, p experiment.Params) []experiment.Table {
+	b.Helper()
+	figs, err := experiment.Lookup(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tables, err := figs[0].Run(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return tables
+}
+
+// logTable logs a figure table's header and rows.
+func logTable(b *testing.B, t experiment.Table) {
+	b.Helper()
+	b.Log(t.Header)
+	for _, r := range t.Rows {
+		b.Log(r)
 	}
 }
 
@@ -93,10 +117,8 @@ func BenchmarkFig10CDF(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, s := range res.Streams {
-			for _, q := range experiment.CDFQuantiles {
-				_ = s.Summary.SustainedAt(1 - q)
-			}
+		if t := experiment.RenderCDFs([]experiment.Result{res}); len(t.Rows) != 3 {
+			b.Fatal("cdf rows")
 		}
 	}
 }
@@ -105,21 +127,16 @@ func BenchmarkFig10CDF(b *testing.B) {
 // (the full four-algorithm suite at reduced duration).
 func BenchmarkFig11Summary(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		suite, err := experiment.RunSmartPointerSuite(benchCfg("", int64(42+i)))
+		results, err := experiment.RunArms(benchCfg("", int64(42+i)), experiment.RunSmartPointer, experiment.SmartPointerArms...)
 		if err != nil {
 			b.Fatal(err)
 		}
-		rows := suite.Fig11("Atom", "Bond1")
-		if len(rows) != 8 {
+		t := experiment.RenderFig11(results, "Atom", "Bond1")
+		if len(t.Rows) != 8 {
 			b.Fatal("row count")
 		}
 		if i == 0 {
-			for _, r := range rows {
-				if r.Stream == "Bond1" {
-					b.Logf("%-9s Bond1: mean=%.2f sustained95=%.2f σ=%.3f",
-						r.Algorithm, r.Mean, r.P95Time, r.StdDev)
-				}
-			}
+			logTable(b, experiment.RenderFig11(results, "Bond1"))
 		}
 	}
 }
@@ -147,11 +164,11 @@ func BenchmarkFig12GridFTP(b *testing.B) {
 // BenchmarkFig13GridFTPCDF regenerates the Fig. 13 CDFs (both layouts).
 func BenchmarkFig13GridFTPCDF(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		suite, err := experiment.RunGridFTPSuite(benchCfg("", int64(42+i)))
+		results, err := experiment.RunArms(benchCfg("", int64(42+i)), experiment.RunGridFTP, experiment.GridFTPArms...)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if rows := suite.CDFs(); len(rows) != 9 {
+		if t := experiment.RenderCDFs(results); len(t.Rows) != 9 {
 			b.Fatal("cdf rows")
 		}
 	}
@@ -161,16 +178,9 @@ func BenchmarkFig13GridFTPCDF(b *testing.B) {
 // contribution: PGOS with percentile vs mean predictions.
 func BenchmarkAblationMeanPredictor(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiment.MeanPredictorAblation(benchCfg("", int64(42+i)))
-		if err != nil {
-			b.Fatal(err)
-		}
+		tables := runFigure(b, "predictor", experiment.Params{Run: benchCfg("", int64(42+i))})
 		if i == 0 {
-			for _, r := range rows {
-				if r.Stream == "Bond1" {
-					b.Logf("%s: sustained95=%.2f σ=%.3f", r.Algorithm, r.P95Time, r.StdDev)
-				}
-			}
+			logTable(b, tables[0])
 		}
 	}
 }
@@ -178,8 +188,8 @@ func BenchmarkAblationMeanPredictor(b *testing.B) {
 // BenchmarkAblationQuantileSweep sweeps the promised percentile level.
 func BenchmarkAblationQuantileSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := experiment.QuantileSweep(int64(42 + i))
-		if len(rows) != 4 {
+		tables := runFigure(b, "quantiles", experiment.Params{Run: experiment.RunConfig{Seed: int64(42 + i)}})
+		if len(tables[0].Rows) != 4 {
 			b.Fatal("sweep rows")
 		}
 	}
@@ -381,14 +391,9 @@ var packetSink *simnet.Packet
 // comparison (the multimedia application of the companion tech report).
 func BenchmarkVideoPlayback(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiment.RunVideo(benchCfg("", int64(42+i)))
-		if err != nil {
-			b.Fatal(err)
-		}
+		tables := runFigure(b, "video", experiment.Params{Run: benchCfg("", int64(42+i))})
 		if i == 0 {
-			for _, r := range rows {
-				b.Logf("%s: baseMiss=%.4f quality=%.2f±%.3f", r.Algorithm, r.BaseMissRate, r.MeanQuality, r.QualityStdDev)
-			}
+			logTable(b, tables[0])
 		}
 	}
 }
@@ -409,22 +414,24 @@ func BenchmarkMatrix(b *testing.B) {
 			for _, bandName := range []string{"lan", "congested"} {
 				name := "arm=" + arm + "/workload=" + wl + "/band=" + bandName
 				b.Run(name, func(b *testing.B) {
-					var last experiment.CellRow
+					var last []string
 					for i := 0; i < b.N; i++ {
 						m := experiment.DefaultMatrix()
 						m.Arms = []string{arm}
 						m.Workloads = []string{wl}
 						m.Bands = []experiment.Band{bandByName[bandName]}
 						m.Seeds = []int64{int64(42 + i)}
-						res, err := experiment.RunMatrix(m)
-						if err != nil {
-							b.Fatal(err)
-						}
-						last = res.Rows[0]
+						last = runFigure(b, "matrix", experiment.Params{Matrix: m})[0].Rows[0]
 					}
-					b.ReportMetric(last.AggMbps, "cell-Mbps")
-					b.ReportMetric(last.ViolatedFrac, "violated-frac")
-					b.ReportMetric(last.DelayJitterMs, "jitter-ms")
+					// Columns 7–9 of the matrix figure's row: violated_frac,
+					// agg_mbps, delay_jitter_ms.
+					for _, m := range []struct {
+						col  int
+						unit string
+					}{{8, "cell-Mbps"}, {7, "violated-frac"}, {9, "jitter-ms"}} {
+						v, _ := strconv.ParseFloat(last[m.col], 64)
+						b.ReportMetric(v, m.unit)
+					}
 				})
 			}
 		}
@@ -434,13 +441,10 @@ func BenchmarkMatrix(b *testing.B) {
 // BenchmarkAblationPathsSweep sweeps the concurrent-path count.
 func BenchmarkAblationPathsSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiment.PathsSweep(experiment.RunConfig{
+		tables := runFigure(b, "paths", experiment.Params{Run: experiment.RunConfig{
 			Seed: int64(42 + i), DurationSec: 20, WarmupSec: 55,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 4 {
+		}})
+		if len(tables[0].Rows) != 4 {
 			b.Fatal("rows")
 		}
 	}

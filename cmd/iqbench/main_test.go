@@ -1,69 +1,57 @@
 package main
 
 import (
-	"go/ast"
-	"go/parser"
-	"go/token"
+	"os"
+	"path/filepath"
+	"regexp"
 	"slices"
-	"strconv"
 	"strings"
 	"testing"
 
 	"iqpaths/internal/experiment"
 )
 
-// switchFigures returns the string cases of run's switch, read from
-// main.go's source so the test tracks the switch itself.
-func switchFigures(t *testing.T) []string {
-	t.Helper()
-	f, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, d := range f.Decls {
-		fn, ok := d.(*ast.FuncDecl)
-		if !ok || fn.Name.Name != "run" {
-			continue
-		}
-		for _, st := range fn.Body.List {
-			sw, ok := st.(*ast.SwitchStmt)
-			if !ok {
-				continue
-			}
-			for _, c := range sw.Body.List {
-				for _, e := range c.(*ast.CaseClause).List {
-					lit, ok := e.(*ast.BasicLit)
-					if !ok || lit.Kind != token.STRING {
-						t.Fatalf("non-literal case %T in run's switch", e)
-					}
-					s, _ := strconv.Unquote(lit.Value)
-					names = append(names, s)
-				}
-			}
+// TestLookupNamesEveryFigure: every registered name resolves, and the
+// unknown-figure error lists exactly the names the registry accepts.
+func TestLookupNamesEveryFigure(t *testing.T) {
+	want := experiment.FigureNames()
+	for _, name := range want {
+		if _, err := experiment.Lookup(name); err != nil {
+			t.Errorf("registered name %q does not resolve: %v", name, err)
 		}
 	}
-	if len(names) == 0 {
-		t.Fatal("found no cases in run's switch")
-	}
-	return names
-}
-
-func TestUnknownFigureNamesEveryFigure(t *testing.T) {
-	want := switchFigures(t)
-	slices.Sort(want)
-	err := run("no-such-figure", 1, 1, 1, false)
+	_, err := experiment.Lookup("no-such-figure")
 	if err == nil {
-		t.Fatal("run accepted an unknown figure")
+		t.Fatal("Lookup accepted an unknown figure")
 	}
 	_, list, ok := strings.Cut(err.Error(), "want one of ")
 	if !ok {
 		t.Fatalf("unknown-figure error %q lists no figures", err)
 	}
-	named := strings.Split(strings.TrimSuffix(list, ")"), ", ")
-	slices.Sort(named)
-	if !slices.Equal(named, want) {
-		t.Errorf("unknown-figure error names %v, run's switch accepts %v", named, want)
+	if named := strings.Split(strings.TrimSuffix(list, ")"), ", "); !slices.Equal(named, want) {
+		t.Errorf("unknown-figure error names %v, the registry accepts %v", named, want)
+	}
+}
+
+// TestDocsNameRegisteredFigures keeps every `iqbench -fig <name>` in the
+// docs, the Makefile and CI pointing at a registered figure or group.
+func TestDocsNameRegisteredFigures(t *testing.T) {
+	re := regexp.MustCompile(`iqbench -fig ([^\s` + "`" + `]+)`)
+	seen := 0
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "Makefile", ".github/workflows/ci.yml"} {
+		b, err := os.ReadFile(filepath.Join("..", "..", doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range re.FindAllStringSubmatch(string(b), -1) {
+			seen++
+			if _, err := experiment.Lookup(m[1]); err != nil {
+				t.Errorf("%s: iqbench -fig %s: %v", doc, m[1], err)
+			}
+		}
+	}
+	if seen == 0 {
+		t.Fatal("found no iqbench -fig invocations in the docs")
 	}
 }
 
@@ -80,11 +68,9 @@ func TestSizeList(t *testing.T) {
 }
 
 func TestUnknownBandNamesDefaultBands(t *testing.T) {
-	matrixBands = "nope"
-	defer func() { matrixBands = "" }()
-	err := matrixFig(false)
+	_, err := matrixConfig("", "", "nope", "")
 	if err == nil {
-		t.Fatal("matrixFig accepted an unknown band")
+		t.Fatal("matrixConfig accepted an unknown band")
 	}
 	for _, b := range experiment.DefaultBands() {
 		if !strings.Contains(err.Error(), b.Name) {

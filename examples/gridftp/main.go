@@ -19,25 +19,24 @@ func main() {
 	fmt.Printf("GridFTP (§6.2): DT1 %.2f Mbps, DT2 %.2f Mbps targets (25 records/s); DT3 elastic\n",
 		float64(gridftp.DT1Mbps), float64(gridftp.DT2Mbps))
 	fmt.Println("running blocked layout vs IQPG (PGOS) over the Fig. 8 testbed (90 s each)...")
-	suite, err := experiment.RunGridFTPSuite(experiment.RunConfig{
+	results, err := experiment.RunArms(experiment.RunConfig{
 		Seed:        42,
 		DurationSec: 90,
 		WarmupSec:   60,
-	})
+	}, experiment.RunGridFTP, experiment.GridFTPArms...)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println()
-	for _, alg := range suite.Order {
-		res := suite.Results[alg]
-		fmt.Printf("-- %s --\n", alg)
+	for _, res := range results {
+		fmt.Printf("-- %s --\n", res.Algorithm)
 		for _, s := range res.Streams {
 			fmt.Printf("  %-4s mean %6.2f Mbps  σ %6.3f  sustained-95%% %6.2f\n",
 				s.Name, s.Summary.Mean, s.Summary.StdDev, s.Summary.SustainedAt(0.95))
 		}
 	}
 	fmt.Println("\nThroughput CDFs (Fig. 13):")
-	if err := experiment.RenderCDFs(suite.CDFs()).Write(os.Stdout, false); err != nil {
+	if err := experiment.RenderCDFs(results).Write(os.Stdout, false); err != nil {
 		log.Fatal(err)
 	}
 }

@@ -11,131 +11,73 @@ import (
 	"iqpaths/internal/trace"
 )
 
-// QuantileRow is one row of the percentile-level sweep: how reliable the
-// statistical prediction is as the promised probability level varies.
-type QuantileRow struct {
-	// Quantile is the predicted percentile (0.05 → "95 % of the time").
-	Quantile float64
-	// FailRate is the measured prediction failure rate.
-	FailRate float64
-	// MeanErr is the mean predictors' error on the same series (constant
-	// across rows; included for contrast).
-	MeanErr float64
-}
-
-// QuantileSweep extends Fig. 4: it fixes the measurement window at 0.5 s
-// and sweeps the predicted percentile from p5 to p30. Lower percentiles
-// promise less bandwidth but fail less often — the knob an application
-// turns when it asks for 99 % instead of 95 % assurance.
-func QuantileSweep(seed int64) []QuantileRow {
+// quantileSweep extends Fig. 4: it fixes the measurement window at 0.5 s
+// and sweeps the predicted percentile from p5 to p30, reporting the
+// measured prediction failure rate beside the mean predictors' error on
+// the same series (constant across rows; included for contrast). Lower
+// percentiles promise less bandwidth but fail less often — the knob an
+// application turns when it asks for 99 % instead of 95 % assurance.
+func quantileSweep(seed int64) Table {
 	rng := rand.New(rand.NewSource(seed))
 	cross := trace.Take(trace.NewNLANRLike(trace.DefaultNLANR(), rng), 60000)
 	avail := predict.Aggregate(trace.AvailableBandwidth(100, cross), 5)
-	var rows []QuantileRow
+	t := Table{Header: []string{"quantile", "pctl_fail_rate", "mean_pred_err"}}
 	for _, q := range []float64{0.05, 0.10, 0.20, 0.30} {
 		res := predict.Evaluate(avail, predict.EvalConfig{WindowN: 500, Quantile: q, Horizon: 10})
-		rows = append(rows, QuantileRow{Quantile: q, FailRate: res.PercentileFailureRate, MeanErr: res.MeanErrAvg})
-	}
-	return rows
-}
-
-// RenderQuantileSweep renders the sweep rows.
-func RenderQuantileSweep(rows []QuantileRow) Table {
-	header := []string{"quantile", "pctl_fail_rate", "mean_pred_err"}
-	var out [][]string
-	for _, r := range rows {
-		out = append(out, []string{
-			fmt.Sprintf("%.2f", r.Quantile),
-			fmt.Sprintf("%.4f", r.FailRate),
-			fmt.Sprintf("%.4f", r.MeanErr),
+		t.Rows = append(t.Rows, []string{
+			fmt.Sprintf("%.2f", q),
+			fmt.Sprintf("%.4f", res.PercentileFailureRate),
+			fmt.Sprintf("%.4f", res.MeanErrAvg),
 		})
 	}
-	return Table{Header: header, Rows: out}
+	return t
 }
 
-// WindowRow is one row of the scheduling-window sweep.
-type WindowRow struct {
-	TwSec      float64
-	Stream     string
-	Sustained  float64 // level sustained 95 % of the time
-	StdDev     float64
-	BestEffort float64 // Bond2 mean (the cost side)
-}
-
-// WindowSweep reruns the SmartPointer PGOS experiment across scheduling
+// windowSweep reruns the SmartPointer PGOS experiment across scheduling
 // windows tw — the paper operates at 1 s; shorter windows react faster but
-// schedule fewer packets per vector, longer windows smooth more.
-func WindowSweep(cfg RunConfig) ([]WindowRow, error) {
-	var rows []WindowRow
-	for _, tw := range []float64{0.25, 0.5, 1, 2, 4} {
-		c := cfg
-		c.Algorithm = AlgPGOS
-		c.TwSec = tw
-		res, err := RunSmartPointer(c)
-		if err != nil {
-			return nil, err
-		}
-		for _, i := range []int{0, 1} {
-			rows = append(rows, WindowRow{
-				TwSec:      tw,
-				Stream:     res.Streams[i].Name,
-				Sustained:  res.Streams[i].Summary.SustainedAt(0.95),
-				StdDev:     res.Streams[i].Summary.StdDev,
-				BestEffort: res.Streams[2].Summary.Mean,
+// schedule fewer packets per vector, longer windows smooth more. Each row
+// reports a critical stream's sustained-95 % level and σ beside Bond2's
+// mean (the cost side).
+func windowSweep(cfg RunConfig) (Table, error) {
+	tws := []float64{0.25, 0.5, 1, 2, 4}
+	cfg.Algorithm = AlgPGOS
+	results, err := sweep(cfg, tws, func(c *RunConfig, tw float64) { c.TwSec = tw }, RunSmartPointer)
+	if err != nil {
+		return Table{}, err
+	}
+	t := Table{Header: []string{"tw_s", "stream", "sustained_95pct", "stddev", "bond2_mean"}}
+	for k, res := range results {
+		for _, ss := range res.Streams[:2] {
+			t.Rows = append(t.Rows, []string{
+				fmt.Sprintf("%.2f", tws[k]),
+				ss.Name,
+				fmt.Sprintf("%.3f", ss.Summary.SustainedAt(0.95)),
+				fmt.Sprintf("%.4f", ss.Summary.StdDev),
+				fmt.Sprintf("%.2f", res.Streams[2].Summary.Mean),
 			})
 		}
 	}
-	return rows, nil
+	return t, nil
 }
 
-// RenderWindowSweep renders the sweep rows.
-func RenderWindowSweep(rows []WindowRow) Table {
-	header := []string{"tw_s", "stream", "sustained_95pct", "stddev", "bond2_mean"}
-	var out [][]string
-	for _, r := range rows {
-		out = append(out, []string{
-			fmt.Sprintf("%.2f", r.TwSec),
-			r.Stream,
-			fmt.Sprintf("%.3f", r.Sustained),
-			fmt.Sprintf("%.4f", r.StdDev),
-			fmt.Sprintf("%.2f", r.BestEffort),
-		})
-	}
-	return Table{Header: header, Rows: out}
-}
-
-// AdmissionRow is one row of the admission-honesty ablation.
-type AdmissionRow struct {
-	Mode         string  // "percentile" or "mean"
-	RequiredMbps float64 // the bandwidth requested
-	Probability  float64 // the promised assurance level
-	Admitted     bool    // did admission control accept?
-	Mean         float64 // delivered mean (Mbps)
-	AchievedFrac float64 // fraction of seconds at ≥98.5 % of the target
-}
-
-// Honest reports whether the admission decision kept its word: either the
-// stream was refused up front, or it achieved at least its promised
-// probability (within a 1 % measurement slack).
-func (r AdmissionRow) Honest() bool {
-	return !r.Admitted || r.AchievedFrac+0.01 >= r.Probability
-}
-
-// AdmissionAblation contrasts admission *honesty*: one stream asks for R
+// admissionAblation contrasts admission *honesty*: one stream asks for R
 // Mbps at 95 % on a single overlay path as R climbs toward the path's
 // capacity. Percentile-based admission (IQ-Paths) only accepts what the
 // bandwidth distribution's lower tail supports and keeps its promises;
 // mean-based admission accepts anything below the mean and breaks them.
 // Multi-path rescue (precedence rule 2) is disabled by the single path so
-// the predictor alone carries the guarantee.
-func AdmissionAblation(cfg RunConfig) ([]AdmissionRow, error) {
+// the predictor alone carries the guarantee. A decision is honest when the
+// stream was refused up front or achieved at least its promised
+// probability (within a 1 % measurement slack) of seconds at ≥98.5 % of
+// the target.
+func admissionAblation(cfg RunConfig) (Table, error) {
 	cfg.fillDefaults()
 	if cfg.DurationSec < 400 {
 		// Long enough to include congestion episodes (~2 % duty, ~30 s
 		// long); short windows can miss them and flatter the mean mapper.
 		cfg.DurationSec = 400
 	}
-	var rows []AdmissionRow
+	t := Table{Header: []string{"mode", "required_mbps", "promised", "admitted", "mean", "achieved_frac", "honest"}}
 	type ask struct{ req, prob float64 }
 	for _, mode := range []string{"percentile", "mean"} {
 		for _, a := range []ask{{48, 0.95}, {56, 0.95}, {60, 0.99}, {62, 0.99}} {
@@ -154,40 +96,25 @@ func AdmissionAblation(cfg RunConfig) ([]AdmissionRow, error) {
 			}
 			res, err := run(c, tb.Net, []*simnet.Path{tb.PathA}, w, hooks{})
 			if err != nil {
-				return nil, err
+				return Table{}, err
 			}
-			rows = append(rows, AdmissionRow{
-				Mode:         mode,
-				RequiredMbps: a.req,
-				Probability:  a.prob,
-				Admitted:     len(res.Rejected) == 0,
-				Mean:         res.Streams[0].Summary.Mean,
-				AchievedFrac: res.Streams[0].Summary.FractionAtLeast(a.req * 0.985),
+			admitted := len(res.Rejected) == 0
+			achieved := res.Streams[0].Summary.FractionAtLeast(a.req * 0.985)
+			t.Rows = append(t.Rows, []string{
+				mode,
+				fmt.Sprintf("%.0f", a.req),
+				fmt.Sprintf("%.2f", a.prob),
+				fmt.Sprintf("%t", admitted),
+				fmt.Sprintf("%.2f", res.Streams[0].Summary.Mean),
+				fmt.Sprintf("%.3f", achieved),
+				fmt.Sprintf("%t", !admitted || achieved+0.01 >= a.prob),
 			})
 		}
 	}
-	return rows, nil
+	return t, nil
 }
 
-// RenderAdmission renders the admission-honesty rows.
-func RenderAdmission(rows []AdmissionRow) Table {
-	header := []string{"mode", "required_mbps", "promised", "admitted", "mean", "achieved_frac", "honest"}
-	var out [][]string
-	for _, r := range rows {
-		out = append(out, []string{
-			r.Mode,
-			fmt.Sprintf("%.0f", r.RequiredMbps),
-			fmt.Sprintf("%.2f", r.Probability),
-			fmt.Sprintf("%t", r.Admitted),
-			fmt.Sprintf("%.2f", r.Mean),
-			fmt.Sprintf("%.3f", r.AchievedFrac),
-			fmt.Sprintf("%t", r.Honest()),
-		})
-	}
-	return Table{Header: header, Rows: out}
-}
-
-// MeanPredictorAblation runs IQPG-GridFTP twice — once with its
+// meanPredictorAblation runs IQPG-GridFTP twice — once with its
 // statistical (percentile) predictions and once with mean predictions
 // driving the identical scheduler — isolating the predictor's
 // contribution. The GridFTP demand (DT1+DT2 ≈ 60 Mbps against a path
@@ -195,21 +122,12 @@ func RenderAdmission(rows []AdmissionRow) Table {
 // the regime where mean-based admission over-commits: the mean mapper
 // packs both guaranteed streams onto path A and DT2 starves whenever the
 // path dips, while the percentile mapper splits DT2 across paths.
-func MeanPredictorAblation(cfg RunConfig) ([]Fig11Row, error) {
-	var rows []Fig11Row
-	for _, mean := range []bool{false, true} {
-		c := cfg
-		c.Algorithm = AlgPGOS
-		c.MeanPrediction = mean
-		res, err := RunGridFTP(c)
-		if err != nil {
-			return nil, err
-		}
-		label := "PGOS(percentile)"
-		if mean {
-			label = "PGOS(mean-pred)"
-		}
-		rows = append(rows, fig11Row(label, res.Streams[0]), fig11Row(label, res.Streams[1]))
+func meanPredictorAblation(cfg RunConfig) (Table, error) {
+	cfg.Algorithm = AlgPGOS
+	results, err := sweep(cfg, []bool{false, true}, func(c *RunConfig, mean bool) { c.MeanPrediction = mean }, RunGridFTP)
+	if err != nil {
+		return Table{}, err
 	}
-	return rows, nil
+	results[0].Algorithm, results[1].Algorithm = "PGOS(percentile)", "PGOS(mean-pred)"
+	return RenderFig11(results, "DT1", "DT2"), nil
 }

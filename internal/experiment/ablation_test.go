@@ -3,76 +3,54 @@ package experiment
 import "testing"
 
 func TestQuantileSweepRows(t *testing.T) {
-	rows := QuantileSweep(7)
-	checkGolden(t, "quantiles_seed7.golden", renderCSV(t, RenderQuantileSweep(rows)))
+	t.Parallel()
+	rows := tableRows(runCase(t, "quantiles_seed7.golden")[0])
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	for _, r := range rows {
-		if r.FailRate < 0 || r.FailRate > 0.2 {
-			t.Fatalf("implausible failure rate at q=%.2f: %v", r.Quantile, r.FailRate)
+		if fail := num(t, r["pctl_fail_rate"]); fail < 0 || fail > 0.2 {
+			t.Fatalf("implausible failure rate at q=%s: %v", r["quantile"], fail)
 		}
-		if r.MeanErr <= 0 {
+		if num(t, r["mean_pred_err"]) <= 0 {
 			t.Fatal("mean error must be positive")
 		}
 	}
 }
 
 func TestWindowSweepRows(t *testing.T) {
-	skipIfRace(t)
-	if testing.Short() {
-		t.Skip("multi-run sweep")
-	}
-	rows, err := WindowSweep(RunConfig{Seed: 7, DurationSec: 20, WarmupSec: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "window_sweep_seed7.golden",
-		renderCSV(t, RenderWindowSweep(rows)))
+	rows := tableRows(shapeRun(t, "window_sweep_seed7.golden")[0])
 	if len(rows) != 10 { // 5 windows × 2 streams
 		t.Fatalf("rows = %d", len(rows))
 	}
 	for _, r := range rows {
-		if r.Sustained <= 0 {
-			t.Fatalf("tw=%v %s sustained %v", r.TwSec, r.Stream, r.Sustained)
+		if num(t, r["sustained_95pct"]) <= 0 {
+			t.Fatalf("tw=%s %s sustained %s", r["tw_s"], r["stream"], r["sustained_95pct"])
 		}
 	}
 }
 
+// TestAdmissionAblationStructure: mean admission is probability-blind —
+// its decision at 56@0.95 and at 60@0.99 depends only on the rate;
+// percentile admission keys off the distribution tail, must be at least
+// as conservative, and must keep every promise it makes.
 func TestAdmissionAblationStructure(t *testing.T) {
-	skipIfRace(t)
-	if testing.Short() {
-		t.Skip("long runs")
-	}
-	rows, err := AdmissionAblation(RunConfig{Seed: 7, DurationSec: 400, WarmupSec: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "admission_seed7.golden",
-		renderCSV(t, RenderAdmission(rows)))
+	rows := tableRows(shapeRun(t, "admission_seed7.golden")[0])
 	if len(rows) != 8 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	// Mean admission is probability-blind: its decision at 56@0.95 and at
-	// 60@0.99 depends only on the rate; percentile admission keys off the
-	// distribution tail and must be at least as conservative.
-	admitted := func(mode string) int {
-		n := 0
-		for _, r := range rows {
-			if r.Mode == mode && r.Admitted {
-				n++
-			}
-		}
-		return n
-	}
-	if admitted("percentile") > admitted("mean") {
-		t.Fatalf("percentile admission should be the conservative one: %d vs %d",
-			admitted("percentile"), admitted("mean"))
-	}
+	admitted := map[string]int{}
 	for _, r := range rows {
-		if r.Mode == "percentile" && !r.Honest() {
-			t.Fatalf("percentile admission broke its promise: %+v", r)
+		if r["admitted"] == "true" {
+			admitted[r["mode"]]++
 		}
+		if r["mode"] == "percentile" && r["honest"] != "true" {
+			t.Fatalf("percentile admission broke its promise: %v", r)
+		}
+	}
+	if admitted["percentile"] > admitted["mean"] {
+		t.Fatalf("percentile admission should be the conservative one: %d vs %d",
+			admitted["percentile"], admitted["mean"])
 	}
 }
 

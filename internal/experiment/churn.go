@@ -79,13 +79,13 @@ func churnStreams() []stream.Spec {
 // churnBGMbps is the best-effort background offered load.
 const churnBGMbps = 20
 
-// RunChurn plays one scripted churn schedule — the best path's router
+// runChurn plays one scripted churn schedule — the best path's router
 // fails mid-run and later rejoins — against the same workload twice: once
 // with routing frozen at the initial path set (static) and once with the
 // control plane rerouting on link-state convergence. Both modes run PGOS;
 // the comparison isolates the control plane's contribution, not the
 // scheduler's.
-func RunChurn(cfg RunConfig) (*ChurnResult, error) {
+func runChurn(cfg RunConfig) (*ChurnResult, error) {
 	cfg.fillDefaults()
 	tl := ChurnTimeline{
 		FailNode:  "R0",

@@ -1,36 +1,11 @@
 package experiment
 
-import (
-	"fmt"
-	"reflect"
-	"testing"
-)
+import "testing"
 
 // TestRunChurnDeterministic replays the static/control churn comparison
-// twice under the same seed; every number — including the admission
-// decisions and their best-feasible-spec upcalls — must be bit-for-bit
-// identical.
-func TestRunChurnDeterministic(t *testing.T) {
-	skipIfRace(t)
-	cfg := faultCfg(30)
-	a, err := RunChurn(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunChurn(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("RunChurn is not deterministic under a fixed seed:\nfirst:  %+v\nsecond: %+v", a, b)
-	}
-	got := renderCSV(t, RenderChurn(a))
-	for _, d := range a.Admission {
-		got += fmt.Sprintf("admission %s admitted=%t reason=%q best_rate=%v best=%v best_p=%v\n",
-			d.Spec, d.Admitted, d.Reason, d.BestRateMbps, d.BestSpec, d.BestProbability)
-	}
-	checkGolden(t, "churn_seed42.golden", got)
-}
+// under the same seed; every number — including the admission decisions
+// and their best-feasible-spec upcalls — must be bit-for-bit identical.
+func TestRunChurnDeterministic(t *testing.T) { checkReplay(t, "churn_seed42.golden") }
 
 // TestRunChurnAcceptance is the headline control-plane claim: under one
 // scripted churn schedule (the best path's router fails and rejoins), the
@@ -42,8 +17,9 @@ func TestRunChurnDeterministic(t *testing.T) {
 // upcall.
 func TestRunChurnAcceptance(t *testing.T) {
 	skipIfRace(t)
+	t.Parallel()
 	cfg := faultCfg(60)
-	res, err := RunChurn(cfg)
+	res, err := runChurn(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

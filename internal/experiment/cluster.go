@@ -53,30 +53,6 @@ func (c *ClusterConfig) fillDefaults() {
 	}
 }
 
-// ClusterRow is one (overlay size, engine) measurement.
-type ClusterRow struct {
-	Nodes    int
-	Clusters int
-	// Mode is "delta" (mesh) or "flood" (oracle).
-	Mode   string
-	Events int
-	// MeanConvTicks/MaxConvTicks are gossip rounds from origination to
-	// every up node covering the change.
-	MeanConvTicks float64
-	MaxConvTicks  int64
-	// ViolatedFrac is the fraction of (up node, round) samples where the
-	// node's view was missing at least one in-flight change — the bound
-	// on control decisions taken from a stale view.
-	ViolatedFrac float64
-	// KBytes is total wire traffic through the codec; BPerNodeRound
-	// normalizes it per node per round (the flat-cost claim).
-	KBytes        float64
-	BPerNodeRound float64
-	// TablesMatch reports byte-identical final link-state tables against
-	// the other engine on every node (the differential guarantee).
-	TablesMatch bool
-}
-
 // runClusterScript drives one engine through the seeded churn script:
 // bursts of originations from up witnesses, occasional membership
 // flips (downs bounded to a quarter of the overlay, FIFO recovery),
@@ -134,15 +110,25 @@ func runClusterScript(cfg ClusterConfig, nodes int, e gossip.Engine) {
 	}
 }
 
-// RunCluster sweeps the overlay sizes, running the identical script
+// runCluster sweeps the overlay sizes, running the identical script
 // through the delta mesh and the flood oracle at each size, and
-// differentially comparing their final tables byte for byte.
-func RunCluster(cfg ClusterConfig) ([]ClusterRow, error) {
+// differentially comparing their final tables byte for byte. Each row is
+// one (overlay size, engine) measurement: gossip rounds from origination
+// to every up node covering the change (mean and max); the fraction of
+// (up node, round) samples whose view missed an in-flight change — the
+// bound on control decisions taken from a stale view; total wire traffic
+// and its per-node-per-round share (the flat-cost claim); and whether the
+// two engines' final tables matched on every node.
+func runCluster(cfg ClusterConfig) (Table, error) {
 	cfg.fillDefaults()
-	var rows []ClusterRow
+	t := Table{Header: []string{
+		"nodes", "clusters", "mode", "events",
+		"mean_conv_ticks", "max_conv_ticks", "violated_frac",
+		"kbytes", "B_per_node_round", "tables_match",
+	}}
 	for _, n := range cfg.Nodes {
 		if n <= 0 {
-			return nil, fmt.Errorf("cluster: invalid node count %d", n)
+			return Table{}, fmt.Errorf("cluster: invalid node count %d", n)
 		}
 		p := gossip.Params{Nodes: n, ClusterSize: cfg.ClusterSize, LossProb: cfg.LossProb, Seed: cfg.Seed}
 		mesh := gossip.NewMesh(p)
@@ -166,45 +152,19 @@ func RunCluster(cfg ClusterConfig) ([]ClusterRow, error) {
 			{"delta", mesh.Stats(), mesh.Topology()},
 			{"flood", flood.Stats(), flood.Topology()},
 		} {
-			rows = append(rows, ClusterRow{
-				Nodes:         n,
-				Clusters:      eng.topo.Clusters(),
-				Mode:          eng.mode,
-				Events:        cfg.Events,
-				MeanConvTicks: eng.s.MeanConvRounds(),
-				MaxConvTicks:  eng.s.MaxConvRounds,
-				ViolatedFrac:  eng.s.ViolatedFrac(),
-				KBytes:        float64(eng.s.Bytes) / 1024,
-				BPerNodeRound: float64(eng.s.Bytes) / float64(n) / float64(eng.s.Rounds),
-				TablesMatch:   match,
+			t.Rows = append(t.Rows, []string{
+				fmt.Sprintf("%d", n),
+				fmt.Sprintf("%d", eng.topo.Clusters()),
+				eng.mode,
+				fmt.Sprintf("%d", cfg.Events),
+				fmt.Sprintf("%.2f", eng.s.MeanConvRounds()),
+				fmt.Sprintf("%d", eng.s.MaxConvRounds),
+				fmt.Sprintf("%.4f", eng.s.ViolatedFrac()),
+				fmt.Sprintf("%.1f", float64(eng.s.Bytes)/1024),
+				fmt.Sprintf("%.1f", float64(eng.s.Bytes)/float64(n)/float64(eng.s.Rounds)),
+				fmt.Sprintf("%v", match),
 			})
 		}
 	}
-	return rows, nil
-}
-
-// RenderCluster renders the sweep rows — the convergence-ticks and
-// violated-fraction curves vs node count, per engine.
-func RenderCluster(rows []ClusterRow) Table {
-	header := []string{
-		"nodes", "clusters", "mode", "events",
-		"mean_conv_ticks", "max_conv_ticks", "violated_frac",
-		"kbytes", "B_per_node_round", "tables_match",
-	}
-	var out [][]string
-	for _, r := range rows {
-		out = append(out, []string{
-			fmt.Sprintf("%d", r.Nodes),
-			fmt.Sprintf("%d", r.Clusters),
-			r.Mode,
-			fmt.Sprintf("%d", r.Events),
-			fmt.Sprintf("%.2f", r.MeanConvTicks),
-			fmt.Sprintf("%d", r.MaxConvTicks),
-			fmt.Sprintf("%.4f", r.ViolatedFrac),
-			fmt.Sprintf("%.1f", r.KBytes),
-			fmt.Sprintf("%.1f", r.BPerNodeRound),
-			fmt.Sprintf("%v", r.TablesMatch),
-		})
-	}
-	return Table{Header: header, Rows: out}
+	return t, nil
 }

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"fmt"
 	"math"
 
 	"iqpaths/internal/faults"
@@ -109,11 +108,8 @@ type FaultRun struct {
 	// FaultEvents confirms the script actually played (identical across
 	// algorithms by construction).
 	FaultEvents uint64
-	// Remaps / SendFailures are PGOS's counters (zero for WFQ/MSFQ).
-	Remaps       uint64
-	SendFailures uint64
-	// RemapTimes are the virtual times of mapping rebuilds (PGOS only).
-	RemapTimes []float64
+	// Remaps counts PGOS's mapping rebuilds (zero for WFQ/MSFQ).
+	Remaps uint64
 	// RecoveryWindows counts scheduling windows from outage onset to the
 	// first remap at or after it — the paper's "how fast does the scheduler
 	// react to a dramatic CDF change" number. −1 when the scheduler never
@@ -124,7 +120,6 @@ type FaultRun struct {
 
 // FaultsResult is the WFQ/MSFQ/PGOS comparison under one fault script.
 type FaultsResult struct {
-	Timeline FaultTimeline
 	// Critical names the stream whose violated-window fraction is the
 	// headline comparison (the tightest guaranteed stream, Atom).
 	Critical string
@@ -147,39 +142,33 @@ func recoveryWindows(remapTimes []float64, onsetSec, twSec float64) int {
 	return -1
 }
 
-// RunFaults plays the identical fault script against the SmartPointer
+// runFaults plays the identical fault script against the SmartPointer
 // workload under WFQ, MSFQ, and PGOS and reports recovery time and
 // violated-window fractions. With cfg.FaultSchedule empty the default
 // three-phase script is used; a caller-supplied schedule is passed through
 // unchanged (its timeline fields are zero except the targeted link is
 // unknown, so RecoveryWindows is measured from run start).
-func RunFaults(cfg RunConfig) (*FaultsResult, error) {
+func runFaults(cfg RunConfig) (*FaultsResult, error) {
 	cfg.fillDefaults()
-	sched := cfg.FaultSchedule
 	var tl FaultTimeline
-	if len(sched) == 0 {
-		sched, tl = DefaultFaultSchedule(cfg)
+	if len(cfg.FaultSchedule) == 0 {
+		cfg.FaultSchedule, tl = DefaultFaultSchedule(cfg)
 	}
-	out := &FaultsResult{Timeline: tl, Critical: "Atom"}
-	for _, alg := range []string{AlgWFQ, AlgMSFQ, AlgPGOS} {
-		c := cfg
-		c.Algorithm = alg
-		c.FaultSchedule = sched
-		res, err := RunSmartPointer(c)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: fault run %s: %w", alg, err)
-		}
+	results, err := RunArms(cfg, RunSmartPointer, AlgWFQ, AlgMSFQ, AlgPGOS)
+	if err != nil {
+		return nil, err
+	}
+	out := &FaultsResult{Critical: "Atom"}
+	for _, res := range results {
 		fr := FaultRun{
-			Algorithm:   alg,
-			FaultEvents: res.FaultEvents,
-			RemapTimes:  res.RemapTimes,
+			Algorithm:       res.Algorithm,
+			FaultEvents:     res.FaultEvents,
+			RecoveryWindows: recoveryWindows(res.RemapTimes, tl.OutageStartSec, cfg.TwSec),
+			Streams:         faultStreamRows(res.Accounts),
 		}
 		if res.PGOSStats != nil {
 			fr.Remaps = res.PGOSStats.Remaps
-			fr.SendFailures = res.PGOSStats.SendFailures
 		}
-		fr.RecoveryWindows = recoveryWindows(res.RemapTimes, tl.OutageStartSec, c.TwSec)
-		fr.Streams = faultStreamRows(res.Accounts)
 		out.Runs = append(out.Runs, fr)
 	}
 	return out, nil

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"iqpaths/internal/faults"
@@ -42,24 +41,8 @@ func TestDefaultFaultScheduleShape(t *testing.T) {
 }
 
 // TestRunFaultsDeterministic replays the full WFQ/MSFQ/PGOS comparison
-// twice under the same seed; every number must be bit-for-bit identical.
-func TestRunFaultsDeterministic(t *testing.T) {
-	skipIfRace(t)
-	cfg := faultCfg(30)
-	a, err := RunFaults(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunFaults(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("RunFaults is not deterministic under a fixed seed:\nfirst:  %+v\nsecond: %+v", a, b)
-	}
-	checkGolden(t, "faults_seed42.golden",
-		renderCSV(t, RenderFaults(a)))
-}
+// under the same seed; every number must be bit-for-bit identical.
+func TestRunFaultsDeterministic(t *testing.T) { checkReplay(t, "faults_seed42.golden") }
 
 // TestRunFaultsAcceptance is the headline fault-tolerance claim: under an
 // identical fault script, PGOS detects the CDF shift and remaps within a
@@ -68,7 +51,8 @@ func TestRunFaultsDeterministic(t *testing.T) {
 // WFQ and MSFQ.
 func TestRunFaultsAcceptance(t *testing.T) {
 	skipIfRace(t)
-	res, err := RunFaults(faultCfg(60))
+	t.Parallel()
+	res, err := runFaults(faultCfg(60))
 	if err != nil {
 		t.Fatal(err)
 	}

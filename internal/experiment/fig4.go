@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"math/rand"
 
 	"iqpaths/internal/predict"
@@ -82,4 +83,21 @@ func Fig4(cfg Fig4Config) []Fig4Point {
 		})
 	}
 	return out
+}
+
+// fig4Table renders the Figure 4 series.
+func fig4Table(points []Fig4Point) Table {
+	t := Table{Header: []string{"window_s", "mean_pred_err", "pctl_fail_rate", "MA", "SMA", "EWMA", "AR1"}}
+	for _, p := range points {
+		t.Rows = append(t.Rows, []string{
+			fmt.Sprintf("%.1f", p.WindowSec),
+			fmt.Sprintf("%.4f", p.MeanErr),
+			fmt.Sprintf("%.4f", p.PctlFail),
+			fmt.Sprintf("%.4f", p.MeanErrBy["MA"]),
+			fmt.Sprintf("%.4f", p.MeanErrBy["SMA"]),
+			fmt.Sprintf("%.4f", p.MeanErrBy["EWMA"]),
+			fmt.Sprintf("%.4f", p.MeanErrBy["AR1"]),
+		})
+	}
+	return t
 }

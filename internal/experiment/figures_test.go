@@ -6,40 +6,39 @@ import (
 	"testing"
 )
 
+// TestFig4ShapeAndSeries: percentile prediction fails less often than
+// the mean predictors err, within the paper's band, at every window from
+// 0.1 s to 1.0 s.
 func TestFig4ShapeAndSeries(t *testing.T) {
-	points := Fig4(Fig4Config{Seed: 42})
-	checkGolden(t, "fig4_seed42.golden", renderCSV(t, RenderFig4(points)))
-	if len(points) != 10 {
-		t.Fatalf("points = %d, want 10", len(points))
+	t.Parallel()
+	rows := tableRows(runCase(t, "fig4_seed42.golden")[0])
+	if len(rows) != 10 {
+		t.Fatalf("points = %d, want 10", len(rows))
 	}
-	for _, p := range points {
-		if p.MeanErr <= 0 {
-			t.Fatalf("window %.1f: zero mean error", p.WindowSec)
+	for _, r := range rows {
+		meanErr, pctlFail := num(t, r["mean_pred_err"]), num(t, r["pctl_fail_rate"])
+		if meanErr <= 0 {
+			t.Fatalf("window %s: zero mean error", r["window_s"])
 		}
-		if p.PctlFail >= p.MeanErr {
-			t.Errorf("window %.1f: percentile (%.4f) should beat mean (%.4f)",
-				p.WindowSec, p.PctlFail, p.MeanErr)
+		if pctlFail >= meanErr {
+			t.Errorf("window %s: percentile (%.4f) should beat mean (%.4f)", r["window_s"], pctlFail, meanErr)
 		}
-		if p.PctlFail > 0.06 {
-			t.Errorf("window %.1f: percentile failure %.4f above the paper's band",
-				p.WindowSec, p.PctlFail)
-		}
-		if len(p.MeanErrBy) != 4 {
-			t.Fatalf("per-predictor breakdown missing: %v", p.MeanErrBy)
+		if pctlFail > 0.06 {
+			t.Errorf("window %s: percentile failure %.4f above the paper's band", r["window_s"], pctlFail)
 		}
 	}
-	if points[0].WindowSec != 0.1 || points[9].WindowSec != 1.0 {
-		t.Fatalf("x-axis wrong: %v .. %v", points[0].WindowSec, points[9].WindowSec)
+	if rows[0]["window_s"] != "0.1" || rows[9]["window_s"] != "1.0" {
+		t.Fatalf("x-axis wrong: %v .. %v", rows[0]["window_s"], rows[9]["window_s"])
 	}
 }
 
 func TestRenderFig4(t *testing.T) {
 	points := Fig4(Fig4Config{Seed: 1, Samples: 8000})
 	var txt, csv bytes.Buffer
-	if err := RenderFig4(points).Write(&txt, false); err != nil {
+	if err := fig4Table(points).Write(&txt, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := RenderFig4(points).Write(&csv, true); err != nil {
+	if err := fig4Table(points).Write(&csv, true); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(txt.String(), "pctl_fail_rate") {
@@ -50,17 +49,44 @@ func TestRenderFig4(t *testing.T) {
 	}
 }
 
+// TestSuiteRenderers checks the SmartPointer figure's tables: a titled
+// series per arm, then the Fig. 11 summary and the CDFs.
+func TestSuiteRenderers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment run")
+	}
+	t.Parallel()
+	tables := runCase(t, "fig9_seed7.golden")
+	if len(tables) != 6 { // 4 series + summary + cdfs
+		t.Fatalf("tables = %d, want 6", len(tables))
+	}
+	series, summary, cdfs := tables[2], tables[4], tables[5]
+	if len(summary.Rows) != 8 { // 4 algorithms × 2 streams
+		t.Fatalf("fig11 rows = %d, want 8", len(summary.Rows))
+	}
+	if len(cdfs.Rows) != 12 || cdfs.Header[6] != "p50" { // 4 algorithms × 3 streams
+		t.Fatalf("cdf rows = %d, header %v", len(cdfs.Rows), cdfs.Header)
+	}
+	var buf bytes.Buffer
+	if err := series.Write(&buf, false); err != nil {
+		t.Fatal(err)
+	}
+	if out := buf.String(); !strings.HasPrefix(out, "== series smartpointer PGOS\nt_s") || !strings.Contains(out, "Atom") {
+		t.Fatalf("series render missing title or columns:\n%.200s", out)
+	}
+}
+
 func TestGridFTPShape(t *testing.T) {
 	skipIfRace(t)
 	if testing.Short() {
 		t.Skip("multi-run experiment")
 	}
-	suite, err := RunGridFTPSuite(RunConfig{Seed: 42, DurationSec: 150, WarmupSec: 60})
+	t.Parallel()
+	results, err := RunArms(RunConfig{Seed: 42, DurationSec: 150, WarmupSec: 60}, RunGridFTP, AlgBlocked, AlgPGOS)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocked := suite.Results[AlgBlocked]
-	iqpg := suite.Results[AlgPGOS]
+	blocked, iqpg := results[0], results[1]
 	// §6.2: DT1 ~33.94 Mbps (σ 1.43) under GridFTP vs ~34.55 (σ 0.40)
 	// under IQPG-GridFTP. The shape: IQPG holds DT1/DT2 at target with a
 	// much smaller deviation, without starving DT3.
@@ -82,46 +108,6 @@ func TestGridFTPShape(t *testing.T) {
 	t.Logf("DT3: blocked=%.2f iqpg=%.2f", blocked.Streams[2].Summary.Mean, iqpg.Streams[2].Summary.Mean)
 }
 
-func TestSuiteRenderers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment run")
-	}
-	suite, err := RunSmartPointerSuite(RunConfig{Seed: 7, DurationSec: 20, WarmupSec: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := suite.Fig11("Atom", "Bond1")
-	if len(rows) != 8 { // 4 algorithms × 2 streams
-		t.Fatalf("fig11 rows = %d, want 8", len(rows))
-	}
-	var buf bytes.Buffer
-	if err := RenderFig11(rows).Write(&buf, false); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "PGOS") {
-		t.Fatal("fig11 table missing PGOS")
-	}
-	cdfs := suite.CDFs()
-	if len(cdfs) != 12 { // 4 algorithms × 3 streams
-		t.Fatalf("cdf rows = %d", len(cdfs))
-	}
-	buf.Reset()
-	if err := RenderCDFs(cdfs).Write(&buf, true); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "p50") {
-		t.Fatal("cdf header missing")
-	}
-	buf.Reset()
-	if err := RenderSeries(suite.Results[AlgPGOS]).Write(&buf, false); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "Atom") || !strings.Contains(out, "t_s") {
-		t.Fatal("series render missing columns")
-	}
-}
-
 func TestWriteTableAlignment(t *testing.T) {
 	var buf bytes.Buffer
 	err := Table{Header: []string{"a", "bb"}, Rows: [][]string{{"xxx", "y"}}}.Write(&buf, false)
@@ -131,5 +117,12 @@ func TestWriteTableAlignment(t *testing.T) {
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
 	if len(lines) != 3 {
 		t.Fatalf("lines = %d", len(lines))
+	}
+	buf.Reset()
+	if err := (Table{Title: "t", Gap: true, Rows: [][]string{{"free line"}}}).Write(&buf, false); err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.String(); got != "\n== t\nfree line\n" {
+		t.Fatalf("headerless titled table = %q", got)
 	}
 }

@@ -5,23 +5,23 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
 // updateGolden regenerates the committed figure goldens:
 //
-//	go test ./internal/experiment -run TestGolden -update
+//	go test ./internal/experiment -run TestGoldenFigures -update
 //
-// The goldens pin the byte-exact Fig. 9 / Fig. 12 outputs (per-algorithm
-// throughput series plus the Fig. 11/13 summary and CDF rows) under seeds
-// {1, 7, 42}, so any refactor of the stats → monitor → pgos → simnet
+// Every registered figure is pinned byte for byte, as the CSV iqbench
+// prints for it, at one reduced configuration: the Fig. 9 / Fig. 12
+// suites (per-algorithm throughput series plus the Fig. 11/13 summary and
+// CDF rows), cluster, probing and matrix under seeds {1, 7, 42}, the rest
+// under one seed. So any refactor of the stats → monitor → pgos → simnet
 // substrate that perturbs a single float anywhere in the pipeline fails
-// tier-1 loudly instead of silently shifting figures. Every other
-// simulated figure (video, path sweep, violation bound, window sweep,
-// admission and predictor ablations, faults, churn, matrix, cluster,
-// probing) is pinned as CSV at one reduced configuration, mostly by the
-// shape test that already runs it.
+// tier-1 loudly instead of silently shifting figures.
 var updateGolden = flag.Bool("update", false, "rewrite golden figure files")
 
 // goldenSeeds are the seeds the determinism goldens pin.
@@ -34,44 +34,207 @@ func goldenRunConfig(seed int64) RunConfig {
 	return RunConfig{Seed: seed, DurationSec: 20, WarmupSec: 30}
 }
 
-// renderSuiteGolden renders a suite to the canonical golden text: the
-// CSV time series per algorithm (the Fig. 9/12 rows), then the summary
-// rows (Fig. 11 style) and throughput CDF rows.
-func renderSuiteGolden(t *testing.T, s *Suite, fig11Streams []string) string {
-	t.Helper()
-	var b strings.Builder
-	for _, alg := range s.Order {
-		fmt.Fprintf(&b, "== series %s %s\n", s.Workload, alg)
-		res := s.Results[alg]
-		if err := RenderSeries(res).Write(&b, true); err != nil {
-			t.Fatalf("render series %s: %v", alg, err)
-		}
-	}
-	b.WriteString("== summary\n")
-	if err := RenderFig11(s.Fig11(fig11Streams...)).Write(&b, true); err != nil {
-		t.Fatalf("render summary: %v", err)
-	}
-	b.WriteString("== cdfs\n")
-	if err := RenderCDFs(s.CDFs()).Write(&b, true); err != nil {
-		t.Fatalf("render cdfs: %v", err)
-	}
-	return b.String()
+// goldenCase pins one registered figure: run at params, it must render
+// exactly the golden file.
+type goldenCase struct {
+	figure, golden string
+	params         Params
 }
 
-// renderCSV renders figure tables as CSV, the form every golden pins, a
-// blank line between tables.
+func goldenCases() []goldenCase {
+	cases := []goldenCase{
+		{"fig4", "fig4_seed42.golden", Params{Run: RunConfig{Seed: 42}}},
+		{"video", "video_seed42.golden", Params{Run: RunConfig{Seed: 42, DurationSec: 120, WarmupSec: 60}}},
+		{"quantiles", "quantiles_seed7.golden", Params{Run: RunConfig{Seed: 7}}},
+		{"window", "window_sweep_seed7.golden", Params{Run: RunConfig{Seed: 7, DurationSec: 20, WarmupSec: 30}}},
+		{"predictor", "mean_predictor_seed1.golden", Params{Run: goldenRunConfig(1)}},
+		{"admission", "admission_seed7.golden", Params{Run: RunConfig{Seed: 7, DurationSec: 400, WarmupSec: 30}}},
+		{"paths", "paths_seed42.golden", Params{Run: RunConfig{Seed: 42, DurationSec: 60, WarmupSec: 60}}},
+		{"dispersion", "probing_ablation_seed42.golden", Params{Run: RunConfig{Seed: 42, DurationSec: 120, WarmupSec: 60}}},
+		{"violation-bound", "violation_bound_seed42.golden", Params{Run: RunConfig{Seed: 42, DurationSec: 120, WarmupSec: 60}}},
+		{"faults", "faults_seed42.golden", Params{Run: faultCfg(30)}},
+		{"churn", "churn_seed42.golden", Params{Run: faultCfg(30)}},
+		{"multiseed", "multiseed_seeds42_7_100.golden", Params{Run: RunConfig{DurationSec: 40, WarmupSec: 55}, Seeds: []int64{42, 7, 100}}},
+	}
+	for _, seed := range goldenSeeds {
+		m := DefaultMatrix()
+		m.Seeds = []int64{seed}
+		cluster := ClusterConfig{Nodes: []int{100, 400}, Events: 25, Rounds: 120, Drain: 20}
+		cases = append(cases,
+			goldenCase{"smartpointer", fmt.Sprintf("fig9_seed%d.golden", seed), Params{Run: goldenRunConfig(seed)}},
+			goldenCase{"gridftp", fmt.Sprintf("fig12_seed%d.golden", seed), Params{Run: goldenRunConfig(seed)}},
+			goldenCase{"cluster", fmt.Sprintf("cluster_seed%d.golden", seed), Params{Run: RunConfig{Seed: seed}, Cluster: cluster}},
+			goldenCase{"probing", fmt.Sprintf("probing_seed%d.golden", seed),
+				Params{Run: goldenRunConfig(seed), Probing: ProbingConfig{Paths: []int{100, 1000}}}},
+			goldenCase{"matrix", fmt.Sprintf("matrix_seed%d.golden", seed), Params{Matrix: m}})
+	}
+	return cases
+}
+
+// caseRuns memoizes each golden case's run (keyed by its golden file), so
+// TestGoldenFigures and the figure's shape test assert on one run of the
+// configuration.
+var caseRuns sync.Map
+
+type caseRun struct {
+	once   sync.Once
+	tables []Table
+	err    error
+}
+
+// runCase returns the tables of the case that pins the named golden file,
+// running its figure through the registry on first use.
+func runCase(t *testing.T, golden string) []Table {
+	t.Helper()
+	v, _ := caseRuns.LoadOrStore(golden, &caseRun{})
+	r := v.(*caseRun)
+	r.once.Do(func() { r.tables, r.err = runGoldenCase(golden) })
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	return r.tables
+}
+
+// runGoldenCase runs the figure of the case that pins the named golden
+// file through the registry.
+func runGoldenCase(golden string) ([]Table, error) {
+	for _, c := range goldenCases() {
+		if c.golden == golden {
+			figs, err := Lookup(c.figure)
+			if err != nil {
+				return nil, err
+			}
+			return figs[0].Run(c.params)
+		}
+	}
+	return nil, fmt.Errorf("no golden case pins %s", golden)
+}
+
+// checkReplay reruns the case that pins golden and requires the replay
+// to render byte-identically to the shared run: the figure is a pure
+// function of its seed.
+func checkReplay(t *testing.T, golden string) {
+	t.Helper()
+	skipIfRace(t)
+	t.Parallel()
+	replay, err := runGoldenCase(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := renderCSV(t, runCase(t, golden)...), renderCSV(t, replay...); a != b {
+		t.Fatalf("%s is not deterministic under a fixed seed:\nfirst:\n%s\nreplay:\n%s", golden, a, b)
+	}
+}
+
+// shapeRun is runCase for a shape test of a simulated figure: skipped
+// under -race and -short, like the golden runs, and run in parallel with
+// them.
+func shapeRun(t *testing.T, golden string) []Table {
+	t.Helper()
+	skipIfRace(t)
+	if testing.Short() {
+		t.Skip("experiment run")
+	}
+	t.Parallel()
+	return runCase(t, golden)
+}
+
+// TestGoldenFigures runs every registered figure through the registry —
+// the path iqbench prints from — and compares its CSV with the figure's
+// golden. Every figure must have a case, and every golden file a case,
+// except the two named below that pin no figure run.
+func TestGoldenFigures(t *testing.T) {
+	cases := goldenCases()
+	claimed := map[string]bool{
+		"matrix_render.golden":                 true, // TestRenderMatrixGoldenDeterminism: the renderer alone
+		"violation_bound_reject_seed42.golden": true, // TestViolationBoundRejectsImpossible: a property test
+	}
+	covered := map[string]bool{}
+	for _, c := range cases {
+		claimed[c.golden] = true
+		figs, err := Lookup(c.figure)
+		if err != nil || len(figs) != 1 {
+			t.Fatalf("case %s: figure %q resolves to %d figures (%v)", c.golden, c.figure, len(figs), err)
+		}
+		covered[figs[0].Names[0]] = true
+	}
+	for _, f := range Figures {
+		if !covered[f.Names[0]] {
+			t.Errorf("figure %q has no golden case", f.Names[0])
+		}
+	}
+	files, err := filepath.Glob(filepath.Join("testdata", "golden", "*.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if !claimed[filepath.Base(f)] {
+			t.Errorf("golden %s is claimed by no case", f)
+		}
+	}
+
+	skipIfRace(t)
+	if testing.Short() {
+		t.Skip("figure runs")
+	}
+	for _, c := range cases {
+		c := c
+		t.Run(strings.TrimSuffix(c.golden, ".golden"), func(t *testing.T) {
+			t.Parallel()
+			checkGolden(t, c.golden, renderCSV(t, runCase(t, c.golden)...))
+		})
+	}
+}
+
+// renderCSV renders figure tables as CSV, the form every golden pins.
 func renderCSV(t *testing.T, tables ...Table) string {
 	t.Helper()
 	var b strings.Builder
-	for i, tbl := range tables {
-		if i > 0 {
-			b.WriteString("\n")
-		}
+	for _, tbl := range tables {
 		if err := tbl.Write(&b, true); err != nil {
 			t.Fatalf("render: %v", err)
 		}
 	}
 	return b.String()
+}
+
+// tableRows returns a table's rows as column → cell maps.
+func tableRows(tbl Table) []map[string]string {
+	rows := make([]map[string]string, len(tbl.Rows))
+	for i, r := range tbl.Rows {
+		rows[i] = map[string]string{}
+		for j, h := range tbl.Header {
+			rows[i][h] = r[j]
+		}
+	}
+	return rows
+}
+
+// rowOf returns the first row whose key columns hold the given values, in
+// pairs: rowOf(t, rows, "mode", "oracle", "stream", "Atom").
+func rowOf(t *testing.T, rows []map[string]string, kv ...string) map[string]string {
+	t.Helper()
+	for _, r := range rows {
+		match := true
+		for i := 0; i < len(kv); i += 2 {
+			match = match && r[kv[i]] == kv[i+1]
+		}
+		if match {
+			return r
+		}
+	}
+	t.Fatalf("no row with %v", kv)
+	return nil
+}
+
+// num parses a numeric cell.
+func num(t *testing.T, s string) float64 {
+	t.Helper()
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		t.Fatalf("cell %q is not a number", s)
+	}
+	return v
 }
 
 func checkGolden(t *testing.T, name, got string) {
@@ -110,60 +273,4 @@ func checkGolden(t *testing.T, name, got string) {
 		}
 	}
 	t.Fatalf("%s: output drifted (length %d vs %d)", name, len(want), len(got))
-}
-
-// TestGoldenFig9 pins the SmartPointer suite (Fig. 9/10/11 data) byte-
-// identically across refactors under seeds {1, 7, 42}.
-func TestGoldenFig9(t *testing.T) {
-	skipIfRace(t)
-	if testing.Short() {
-		t.Skip("multi-run experiment")
-	}
-	for _, seed := range goldenSeeds {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			t.Parallel()
-			suite, err := RunSmartPointerSuite(goldenRunConfig(seed))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := renderSuiteGolden(t, suite, []string{"Atom", "Bond1"})
-			checkGolden(t, fmt.Sprintf("fig9_seed%d.golden", seed), got)
-		})
-	}
-}
-
-// TestGoldenFig12 pins the GridFTP suite (Fig. 12/13 data) the same way.
-func TestGoldenFig12(t *testing.T) {
-	skipIfRace(t)
-	if testing.Short() {
-		t.Skip("multi-run experiment")
-	}
-	for _, seed := range goldenSeeds {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			t.Parallel()
-			suite, err := RunGridFTPSuite(goldenRunConfig(seed))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := renderSuiteGolden(t, suite, []string{"DT1", "DT2", "DT3"})
-			checkGolden(t, fmt.Sprintf("fig12_seed%d.golden", seed), got)
-		})
-	}
-}
-
-// TestGoldenMeanPredictor pins the predictor ablation (IQPG-GridFTP with
-// percentile vs mean predictions) at the reduced golden configuration.
-func TestGoldenMeanPredictor(t *testing.T) {
-	skipIfRace(t)
-	if testing.Short() {
-		t.Skip("multi-run experiment")
-	}
-	rows, err := MeanPredictorAblation(goldenRunConfig(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "mean_predictor_seed1.golden",
-		renderCSV(t, RenderFig11(rows)))
 }

@@ -18,7 +18,7 @@ const monitorIntervalSec = 0.1
 // Harness is the testbed measurement loop: play the fault script, tick the
 // workload, tick the scheduler, step the network, sample the monitors,
 // drain deliveries, and close guarantee windows — in exactly that order,
-// every tick. run drives every simulated figure through it; RunChurn,
+// every tick. run drives every simulated figure through it; runChurn,
 // whose paths come from the control plane, drives it directly. Results
 // are byte-identical to the bespoke loops it replaced (the figure goldens
 // pin this).

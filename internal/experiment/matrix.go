@@ -234,9 +234,10 @@ var matrixWorkloads = map[string]func(net *simnet.Network, scn MatrixScenario) s
 	},
 }
 
-// MatrixWorkloadNames returns the sorted workload names RunMatrix accepts.
+// MatrixWorkloadNames returns the sorted workload names the matrix accepts.
 func MatrixWorkloadNames() []string {
 	names := make([]string, 0, len(matrixWorkloads))
+	// maporder: the names are collected, then sorted.
 	for n := range matrixWorkloads {
 		names = append(names, n)
 	}
@@ -308,8 +309,8 @@ func DefaultMatrix() Matrix {
 	}
 }
 
-// CellRow is one (arm, workload, band, seed) cell's measured outcome.
-type CellRow struct {
+// cellRow is one (arm, workload, band, seed) cell's measured outcome.
+type cellRow struct {
 	Arm, Workload, Band string
 	Seed                int64
 	// Clients/Providers/Bystanders echo the drawn group sizes.
@@ -323,12 +324,6 @@ type CellRow struct {
 	// DelayJitterMs is the standard deviation of sampled client one-way
 	// delays in milliseconds.
 	DelayJitterMs float64
-}
-
-// MatrixResult is the full grid outcome, rows in deterministic
-// arm-major/workload/band/seed order.
-type MatrixResult struct {
-	Rows []CellRow
 }
 
 // fillDefaults applies the cell-run defaults.
@@ -350,41 +345,42 @@ func (m *Matrix) fillDefaults() {
 	}
 }
 
-// RunMatrix executes every cell of the grid. Unknown arms error through
-// the scheduler registry with the registered list; unknown workloads error
+// runMatrix executes every cell of the grid and renders a row per cell in
+// arm-major/workload/band/seed order. Unknown arms error through the
+// scheduler registry with the registered list; unknown workloads error
 // with the known workload names.
-func RunMatrix(m Matrix) (*MatrixResult, error) {
+func runMatrix(m Matrix) (Table, error) {
 	m.fillDefaults()
 	if len(m.Arms) == 0 || len(m.Workloads) == 0 || len(m.Bands) == 0 || len(m.Seeds) == 0 {
-		return nil, fmt.Errorf("experiment: matrix needs at least one arm, workload, band, and seed")
+		return Table{}, fmt.Errorf("experiment: matrix needs at least one arm, workload, band, and seed")
 	}
 	for _, w := range m.Workloads {
 		if matrixWorkloads[w] == nil {
-			return nil, fmt.Errorf("experiment: unknown matrix workload %q (known: %s)",
+			return Table{}, fmt.Errorf("experiment: unknown matrix workload %q (known: %s)",
 				w, strings.Join(MatrixWorkloadNames(), ", "))
 		}
 	}
-	out := &MatrixResult{}
+	var rows []cellRow
 	for _, arm := range m.Arms {
 		for _, wl := range m.Workloads {
 			for _, band := range m.Bands {
 				for _, seed := range m.Seeds {
 					row, err := runMatrixCell(m, arm, wl, band, seed)
 					if err != nil {
-						return nil, fmt.Errorf("experiment: matrix cell %s/%s/%s/seed%d: %w",
+						return Table{}, fmt.Errorf("experiment: matrix cell %s/%s/%s/seed%d: %w",
 							arm, wl, band.Name, seed, err)
 					}
-					out.Rows = append(out.Rows, row)
+					rows = append(rows, row)
 				}
 			}
 		}
 	}
-	return out, nil
+	return matrixTable(rows), nil
 }
 
 // runMatrixCell draws the scenario, realizes it as a testbed, and measures
 // one arm × workload run on the shared runner.
-func runMatrixCell(m Matrix, arm, wl string, band Band, seed int64) (CellRow, error) {
+func runMatrixCell(m Matrix, arm, wl string, band Band, seed int64) (cellRow, error) {
 	scn := DrawScenario(band, seed)
 	net, paths := buildScenarioNet(scn)
 	w := matrixWorkloads[wl](net, scn)
@@ -410,10 +406,10 @@ func runMatrixCell(m Matrix, arm, wl string, band Band, seed int64) (CellRow, er
 		},
 	})
 	if err != nil {
-		return CellRow{}, err
+		return cellRow{}, err
 	}
 
-	row := CellRow{
+	row := cellRow{
 		Arm: arm, Workload: wl, Band: band.Name, Seed: seed,
 		Clients: scn.Clients, Providers: scn.Providers, Bystanders: scn.Bystanders,
 		AggMbps: aggBits / 1e6 / m.DurationSec,
@@ -432,14 +428,14 @@ func runMatrixCell(m Matrix, arm, wl string, band Band, seed int64) (CellRow, er
 	return row, nil
 }
 
-// RenderMatrix renders the per-cell rows.
-func RenderMatrix(res *MatrixResult) Table {
+// matrixTable renders the per-cell rows.
+func matrixTable(rows []cellRow) Table {
 	header := []string{
 		"arm", "workload", "band", "seed", "clients", "providers", "bystanders",
 		"violated_frac", "agg_mbps", "delay_jitter_ms",
 	}
 	var out [][]string
-	for _, r := range res.Rows {
+	for _, r := range rows {
 		out = append(out, []string{
 			r.Arm, r.Workload, r.Band,
 			fmt.Sprintf("%d", r.Seed),

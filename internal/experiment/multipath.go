@@ -13,28 +13,20 @@ import (
 	"iqpaths/internal/telemetry"
 )
 
-// PathsRow is one row of the path-count sweep.
-type PathsRow struct {
-	NumPaths int
-	// AdmittedFrac is the fraction of scheduling windows in which the
-	// ask was admitted (admission re-evaluates as distributions drift).
-	AdmittedFrac float64
-	Mean         float64
-	Sustained    float64 // level sustained 95 % of the time
-	StdDev       float64
-}
-
-// PathsSweep extends the two-path evaluation to 1–4 concurrent overlay
-// paths: one stream asks for 60 Mbps at 95 % (more than any single path's
+// pathsSweep extends the two-path evaluation to 1–4 concurrent overlay
+// paths: one stream asks for 70 Mbps at 95 % (more than any single path's
 // lower tail supports) plus a backlogged bulk stream. With one path the
 // ask is refused; with two it is admitted split; additional paths add
 // headroom and stability — the §5.2.2 multi-path guarantee combination.
-func PathsSweep(cfg RunConfig) ([]PathsRow, error) {
+// Each row reports the fraction of scheduling windows in which the ask
+// was admitted (admission re-evaluates as distributions drift) beside
+// the stream's mean, sustained-95 % level and σ.
+func pathsSweep(cfg RunConfig) (Table, error) {
 	cfg.fillDefaults()
 	if cfg.PaceLimit <= 0 {
 		cfg.PaceLimit = 170
 	}
-	var rows []PathsRow
+	t := Table{Header: []string{"paths", "admitted_frac", "mean", "sustained_95pct", "stddev"}}
 	for n := 1; n <= 4; n++ {
 		mp := emulab.BuildN(emulab.Config{Seed: cfg.Seed}, n)
 		net := mp.Net
@@ -83,42 +75,27 @@ func PathsSweep(cfg RunConfig) ([]PathsRow, error) {
 			},
 		})
 		if err != nil {
-			return nil, err
+			return Table{}, err
 		}
 		sum := stats.Summarize(series)
-		row := PathsRow{
-			NumPaths:  n,
-			Mean:      sum.Mean,
-			Sustained: sum.SustainedAt(0.95),
-			StdDev:    sum.StdDev,
-		}
+		admittedFrac := 0.0
 		if totalWindows > 0 {
-			row.AdmittedFrac = float64(admittedWindows) / float64(totalWindows)
+			admittedFrac = float64(admittedWindows) / float64(totalWindows)
 		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// RenderPathsSweep renders the sweep rows.
-func RenderPathsSweep(rows []PathsRow) Table {
-	header := []string{"paths", "admitted_frac", "mean", "sustained_95pct", "stddev"}
-	var out [][]string
-	for _, r := range rows {
-		out = append(out, []string{
-			fmt.Sprintf("%d", r.NumPaths),
-			fmt.Sprintf("%.3f", r.AdmittedFrac),
-			fmt.Sprintf("%.2f", r.Mean),
-			fmt.Sprintf("%.2f", r.Sustained),
-			fmt.Sprintf("%.4f", r.StdDev),
+		t.Rows = append(t.Rows, []string{
+			fmt.Sprintf("%d", n),
+			fmt.Sprintf("%.3f", admittedFrac),
+			fmt.Sprintf("%.2f", sum.Mean),
+			fmt.Sprintf("%.2f", sum.SustainedAt(0.95)),
+			fmt.Sprintf("%.4f", sum.StdDev),
 		})
 	}
-	return Table{Header: header, Rows: out}
+	return t, nil
 }
 
-// ViolationBoundResult reports an end-to-end run of the paper's second
+// violationBoundResult reports an end-to-end run of the paper's second
 // guarantee type (Lemma 2).
-type ViolationBoundResult struct {
+type violationBoundResult struct {
 	RequiredMbps    float64
 	MaxViolations   float64 // the promised E[Z] bound per window
 	MeanViolations  float64 // measured mean shortfall packets per window
@@ -130,10 +107,10 @@ type ViolationBoundResult struct {
 	Telemetry *telemetry.Snapshot
 }
 
-// RunViolationBound drives a violation-bound stream (E[Z] ≤ bound missed
+// runViolationBound drives a violation-bound stream (E[Z] ≤ bound missed
 // packets per 1 s window) through the two-path testbed alongside a bulk
 // stream, measuring the realized per-window shortfall against the bound.
-func RunViolationBound(cfg RunConfig, requiredMbps, maxViolations float64) (ViolationBoundResult, error) {
+func runViolationBound(cfg RunConfig, requiredMbps, maxViolations float64) (violationBoundResult, error) {
 	cfg.fillDefaults()
 	if cfg.PaceLimit <= 0 {
 		cfg.PaceLimit = 170
@@ -192,9 +169,9 @@ func RunViolationBound(cfg RunConfig, requiredMbps, maxViolations float64) (Viol
 		},
 	})
 	if err != nil {
-		return ViolationBoundResult{}, err
+		return violationBoundResult{}, err
 	}
-	out := ViolationBoundResult{
+	out := violationBoundResult{
 		RequiredMbps:  requiredMbps,
 		MaxViolations: maxViolations,
 		Admitted:      !rejected,
@@ -208,4 +185,27 @@ func RunViolationBound(cfg RunConfig, requiredMbps, maxViolations float64) (Viol
 		out.MeanViolations /= float64(len(perWindow))
 	}
 	return out, nil
+}
+
+// violationBoundTables renders a violation-bound run: the ask and the
+// run's own per-window checker, the accountant's per-stream record, and
+// the traced remaps with the stream-0 committed bit each carried.
+func violationBoundTables(res violationBoundResult) []Table {
+	ask := Table{
+		Header: []string{"required_mbps", "max_violations", "admitted", "mean_violations", "worst_violations"},
+		Rows: [][]string{{fmt.Sprint(res.RequiredMbps), fmt.Sprint(res.MaxViolations), fmt.Sprint(res.Admitted),
+			fmt.Sprint(res.MeanViolations), fmt.Sprint(res.WorstViolations)}},
+	}
+	accounts := Table{Header: []string{"stream", "windows", "violated", "mean_shortfall", "delivered_mbps"}}
+	for _, a := range res.Telemetry.Streams {
+		accounts.Rows = append(accounts.Rows, []string{a.Name, fmt.Sprint(a.Windows), fmt.Sprint(a.ViolatedWindows),
+			fmt.Sprint(a.MeanShortfall), fmt.Sprint(a.DeliveredMbps)})
+	}
+	remaps := Table{Header: []string{"remap_t_s", "committed"}}
+	for _, e := range res.Telemetry.Events {
+		if e.Name == "remap" {
+			remaps.Rows = append(remaps.Rows, []string{fmt.Sprint(e.T), fmt.Sprint(e.Value)})
+		}
+	}
+	return []Table{ask, accounts, remaps}
 }

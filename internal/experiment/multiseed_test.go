@@ -2,34 +2,21 @@ package experiment
 
 import "testing"
 
+// TestMultiSeedAggregation: across seeds, PGOS's Bond1 stability must
+// beat MSFQ's beyond a standard error.
 func TestMultiSeedAggregation(t *testing.T) {
-	skipIfRace(t)
-	if testing.Short() {
-		t.Skip("multi-seed sweep")
-	}
-	rows, err := MultiSeedSmartPointer(
-		RunConfig{DurationSec: 40, WarmupSec: 55}, []int64{42, 7, 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "multiseed_seeds42_7_100.golden", renderCSV(t, RenderAgg(rows)))
+	rows := tableRows(shapeRun(t, "multiseed_seeds42_7_100.golden")[0])
 	if len(rows) != 8 { // 4 algorithms × 2 streams
 		t.Fatalf("rows = %d", len(rows))
 	}
-	byKey := map[string]AggRow{}
 	for _, r := range rows {
-		if r.Seeds != 3 {
-			t.Fatalf("seeds = %d", r.Seeds)
+		if r["seeds"] != "3" {
+			t.Fatalf("seeds = %s", r["seeds"])
 		}
-		byKey[r.Algorithm+"/"+r.Stream] = r
-		t.Logf("%-9s %-6s mean=%.3f±%.3f sustained=%.3f±%.3f σ=%.4f±%.4f",
-			r.Algorithm, r.Stream, r.Mean, r.MeanSE, r.Sustained, r.SustainedSE, r.StdDev, r.StdDevSE)
 	}
-	// Across seeds, PGOS's Bond1 stability must beat MSFQ's beyond a
-	// standard error.
-	pg, ms := byKey["PGOS/Bond1"], byKey["MSFQ/Bond1"]
-	if pg.StdDev+pg.StdDevSE >= ms.StdDev-ms.StdDevSE {
-		t.Errorf("PGOS σ %.4f±%.4f should undercut MSFQ σ %.4f±%.4f across seeds",
-			pg.StdDev, pg.StdDevSE, ms.StdDev, ms.StdDevSE)
+	pg, ms := rowOf(t, rows, "algorithm", AlgPGOS, "stream", "Bond1"), rowOf(t, rows, "algorithm", AlgMSFQ, "stream", "Bond1")
+	if num(t, pg["stddev"])+num(t, pg["stddev_se"]) >= num(t, ms["stddev"])-num(t, ms["stddev_se"]) {
+		t.Errorf("PGOS σ %s±%s should undercut MSFQ σ %s±%s across seeds",
+			pg["stddev"], pg["stddev_se"], ms["stddev"], ms["stddev_se"])
 	}
 }

@@ -12,29 +12,21 @@ import (
 	"iqpaths/internal/stats"
 )
 
-// ProbingRow compares PGOS driven by oracle bandwidth samples against
-// PGOS driven by live packet-train dispersion measurements.
-type ProbingRow struct {
-	Mode      string // "oracle" or "probing"
-	Stream    string
-	Mean      float64
-	Sustained float64 // 95 %-of-time level
-	StdDev    float64
-}
-
-// ProbingAblation answers "do the guarantees survive real measurement?":
+// probingAblation answers "do the guarantees survive real measurement?":
 // the oracle mode samples each path's true available bandwidth every
 // 0.1 s (as the main experiments do); the probing mode instead measures
 // each path every 5 s with a pathload-style dispersion train — paying the
 // probe traffic and the measurement error — and feeds those estimates to
 // the same monitors. Probes consume path capacity, so some throughput
-// cost is expected; the guarantee shape must hold regardless.
-func ProbingAblation(cfg RunConfig) ([]ProbingRow, error) {
+// cost is expected; the guarantee shape must hold regardless. Each row
+// reports a critical stream's mean, 95 %-of-time level and σ under one
+// mode.
+func probingAblation(cfg RunConfig) (Table, error) {
 	cfg.fillDefaults()
 	if cfg.PaceLimit <= 0 {
 		cfg.PaceLimit = 140
 	}
-	var rows []ProbingRow
+	t := Table{Header: []string{"mode", "stream", "mean", "sustained_95pct", "stddev"}}
 	for _, probing := range []bool{false, true} {
 		tb := emulab.Build(emulab.Config{Seed: cfg.Seed})
 		net := tb.Net
@@ -50,7 +42,7 @@ func ProbingAblation(cfg RunConfig) ([]ProbingRow, error) {
 			TwSec: cfg.TwSec, Monitors: mons,
 		})
 		if err != nil {
-			return nil, err
+			return Table{}, err
 		}
 
 		acc := map[int]float64{}
@@ -131,29 +123,13 @@ func ProbingAblation(cfg RunConfig) ([]ProbingRow, error) {
 		}
 		for _, i := range []int{0, 1} {
 			sum := stats.Summarize(series[i])
-			rows = append(rows, ProbingRow{
-				Mode:      mode,
-				Stream:    streams[i].Name,
-				Mean:      sum.Mean,
-				Sustained: sum.SustainedAt(0.95),
-				StdDev:    sum.StdDev,
+			t.Rows = append(t.Rows, []string{
+				mode, streams[i].Name,
+				fmt.Sprintf("%.3f", sum.Mean),
+				fmt.Sprintf("%.3f", sum.SustainedAt(0.95)),
+				fmt.Sprintf("%.4f", sum.StdDev),
 			})
 		}
 	}
-	return rows, nil
-}
-
-// RenderProbing renders the probing-ablation rows.
-func RenderProbing(rows []ProbingRow) Table {
-	header := []string{"mode", "stream", "mean", "sustained_95pct", "stddev"}
-	var out [][]string
-	for _, r := range rows {
-		out = append(out, []string{
-			r.Mode, r.Stream,
-			fmt.Sprintf("%.3f", r.Mean),
-			fmt.Sprintf("%.3f", r.Sustained),
-			fmt.Sprintf("%.4f", r.StdDev),
-		})
-	}
-	return Table{Header: header, Rows: out}
+	return t, nil
 }

@@ -105,25 +105,6 @@ type ProbingPoint struct {
 	ProbeKBToTarget float64
 	FinalMeanKS     float64
 	MeanEntropyBits float64
-	// SavingsPct is the probe-traffic saving vs. the rr row at the same
-	// overlay size (0 on rr rows).
-	SavingsPct float64
-}
-
-// ProbingArm is one scheduler of the arms companion table.
-type ProbingArm struct {
-	Algorithm string
-	// AggMbps is the aggregate mean delivered throughput over all streams.
-	AggMbps float64
-	// GuarViolatedFrac is the violated-window fraction over the guaranteed
-	// (non-best-effort) streams.
-	GuarViolatedFrac float64
-}
-
-// ProbingResult bundles the probing figure.
-type ProbingResult struct {
-	Sweep []ProbingPoint
-	Arms  []ProbingArm
 }
 
 // truthState is one mode of a path's true available-bandwidth mixture.
@@ -274,7 +255,7 @@ func (ev *ksEval) meanKS(est *bwest.Estimator) float64 {
 }
 
 // runProbingPlanner runs one planner over one overlay size and reports
-// its sweep cell (SavingsPct left 0; filled by the caller).
+// its sweep cell.
 func runProbingPlanner(cfg *ProbingConfig, paths int, planner bwest.Planner) ProbingPoint {
 	truth := buildTruth(cfg, paths)
 	ev := newKSEval(cfg, truth)
@@ -333,23 +314,27 @@ func runProbingPlanner(cfg *ProbingConfig, paths int, planner bwest.Planner) Pro
 }
 
 // probingArms runs the WFQ / MSFQ / PGOS / Backpressure comparison on the
-// SmartPointer workload: aggregate throughput vs. guaranteed-stream
-// violated-window fraction. Backpressure (max-weight) is the
+// SmartPointer workload: aggregate mean throughput over all streams vs.
+// the violated-window fraction over the guaranteed (non-best-effort)
+// streams. Backpressure (max-weight) is the
 // throughput-optimal-but-guarantee-blind foil for PGOS.
-func probingArms(cfg RunConfig) ([]ProbingArm, error) {
-	var arms []ProbingArm
-	for _, alg := range []string{AlgWFQ, AlgMSFQ, AlgPGOS, AlgBackpressure} {
-		c := cfg
-		c.Algorithm = alg
-		res, err := RunSmartPointer(c)
-		if err != nil {
-			return nil, fmt.Errorf("probing arm %s: %w", alg, err)
-		}
-		arm := ProbingArm{Algorithm: alg}
+//
+// Aggregate throughput is rendered at 0.1 Mbps: the SmartPointer arrival
+// rate (not path capacity) bounds the aggregate, so every work-conserving
+// scheduler delivers the same total to within scheduling-noise — the arms
+// differ in the violated-window column.
+func probingArms(cfg RunConfig) (Table, error) {
+	results, err := RunArms(cfg, RunSmartPointer, AlgWFQ, AlgMSFQ, AlgPGOS, AlgBackpressure)
+	if err != nil {
+		return Table{}, err
+	}
+	t := Table{Gap: true, Header: []string{"algorithm", "agg_mbps", "guar_violated_frac"}}
+	for _, res := range results {
+		agg := 0.0
 		for _, ss := range res.Streams {
-			arm.AggMbps += ss.Summary.Mean
+			agg += ss.Summary.Mean
 		}
-		windows, violated := 0, 0
+		windows, violated, frac := 0, 0, 0.0
 		for _, acc := range res.Accounts {
 			if acc.Kind == "best-effort" {
 				continue
@@ -358,67 +343,48 @@ func probingArms(cfg RunConfig) ([]ProbingArm, error) {
 			violated += acc.ViolatedWindows
 		}
 		if windows > 0 {
-			arm.GuarViolatedFrac = float64(violated) / float64(windows)
+			frac = float64(violated) / float64(windows)
 		}
-		arms = append(arms, arm)
+		t.Rows = append(t.Rows, []string{res.Algorithm, fmt.Sprintf("%.1f", agg), fmt.Sprintf("%.4f", frac)})
 	}
-	return arms, nil
+	return t, nil
 }
 
-// RunProbing executes the probing figure: the active-vs-round-robin probe
+// runProbing executes the probing figure: the active-vs-round-robin probe
 // budget sweep over cfg.Paths, then the scheduler-arms companion table.
-func RunProbing(cfg ProbingConfig) (*ProbingResult, error) {
+func runProbing(cfg ProbingConfig) ([]Table, error) {
 	cfg.fillDefaults()
-	res := &ProbingResult{}
+	sweep := Table{Title: "probing", Header: []string{"paths", "planner", "budget_trains", "rounds_to_target",
+		"probe_KB_to_target", "final_mean_ks", "mean_entropy_bits", "savings_pct"}}
 	for _, paths := range cfg.Paths {
 		if paths <= 0 {
 			return nil, fmt.Errorf("probing: invalid overlay size %d", paths)
 		}
 		rr := runProbingPlanner(&cfg, paths, bwest.NewRoundRobinPlanner())
 		active := runProbingPlanner(&cfg, paths, bwest.NewInfoGainPlanner())
+		savings := 0.0
 		if rr.ProbeKBToTarget > 0 {
-			active.SavingsPct = 100 * (rr.ProbeKBToTarget - active.ProbeKBToTarget) / rr.ProbeKBToTarget
+			savings = 100 * (rr.ProbeKBToTarget - active.ProbeKBToTarget) / rr.ProbeKBToTarget
 		}
-		res.Sweep = append(res.Sweep, active, rr)
+		for _, p := range []ProbingPoint{active, rr} {
+			cell := "-"
+			if p.Planner != "rr" {
+				cell = fmt.Sprintf("%.1f", savings)
+			}
+			sweep.Rows = append(sweep.Rows, []string{
+				fmt.Sprintf("%d", p.Paths), p.Planner,
+				fmt.Sprintf("%d", p.Budget),
+				fmt.Sprintf("%d", p.RoundsToTarget),
+				fmt.Sprintf("%.1f", p.ProbeKBToTarget),
+				fmt.Sprintf("%.4f", p.FinalMeanKS),
+				fmt.Sprintf("%.3f", p.MeanEntropyBits),
+				cell,
+			})
+		}
 	}
 	arms, err := probingArms(cfg.SchedCfg)
 	if err != nil {
 		return nil, err
 	}
-	res.Arms = arms
-	return res, nil
-}
-
-// RenderProbingFigure renders the probing sweep and the arms table.
-func RenderProbingFigure(res *ProbingResult) []Table {
-	sweep := Table{Header: []string{"paths", "planner", "budget_trains", "rounds_to_target",
-		"probe_KB_to_target", "final_mean_ks", "mean_entropy_bits", "savings_pct"}}
-	for _, p := range res.Sweep {
-		savings := "-"
-		if p.Planner != "rr" {
-			savings = fmt.Sprintf("%.1f", p.SavingsPct)
-		}
-		sweep.Rows = append(sweep.Rows, []string{
-			fmt.Sprintf("%d", p.Paths), p.Planner,
-			fmt.Sprintf("%d", p.Budget),
-			fmt.Sprintf("%d", p.RoundsToTarget),
-			fmt.Sprintf("%.1f", p.ProbeKBToTarget),
-			fmt.Sprintf("%.4f", p.FinalMeanKS),
-			fmt.Sprintf("%.3f", p.MeanEntropyBits),
-			savings,
-		})
-	}
-	// Aggregate throughput is rendered at 0.1 Mbps: the SmartPointer
-	// arrival rate (not path capacity) bounds the aggregate, so every
-	// work-conserving scheduler delivers the same total to within
-	// scheduling-noise — the arms differ in the violated-window column.
-	arms := Table{Header: []string{"algorithm", "agg_mbps", "guar_violated_frac"}}
-	for _, a := range res.Arms {
-		arms.Rows = append(arms.Rows, []string{
-			a.Algorithm,
-			fmt.Sprintf("%.1f", a.AggMbps),
-			fmt.Sprintf("%.4f", a.GuarViolatedFrac),
-		})
-	}
-	return []Table{sweep, arms}
+	return []Table{sweep, arms}, nil
 }

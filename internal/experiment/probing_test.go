@@ -2,36 +2,20 @@ package experiment
 
 import "testing"
 
+// TestProbingAblationShape: probing pays measurement overhead and error,
+// but the guarantee must not collapse — ≥95 % of the oracle-mode
+// sustained level for both critical streams.
 func TestProbingAblationShape(t *testing.T) {
-	skipIfRace(t)
-	if testing.Short() {
-		t.Skip("two full runs")
-	}
-	rows, err := ProbingAblation(RunConfig{Seed: 42, DurationSec: 120, WarmupSec: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "probing_ablation_seed42.golden", renderCSV(t, RenderProbing(rows)))
+	rows := tableRows(shapeRun(t, "probing_ablation_seed42.golden")[0])
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	get := func(mode, stream string) ProbingRow {
-		for _, r := range rows {
-			if r.Mode == mode && r.Stream == stream {
-				return r
-			}
-		}
-		t.Fatalf("missing row %s/%s", mode, stream)
-		return ProbingRow{}
-	}
 	for _, name := range []string{"Atom", "Bond1"} {
-		o, p := get("oracle", name), get("probing", name)
-		t.Logf("%s: oracle mean=%.3f s95=%.3f | probing mean=%.3f s95=%.3f",
-			name, o.Mean, o.Sustained, p.Mean, p.Sustained)
-		// Probing pays measurement overhead and error, but the guarantee
-		// must not collapse: ≥95 % of the oracle-mode sustained level.
-		if p.Sustained < o.Sustained*0.95 {
-			t.Errorf("%s: probing sustained %.3f vs oracle %.3f — guarantees collapsed", name, p.Sustained, o.Sustained)
+		o := rowOf(t, rows, "mode", "oracle", "stream", name)
+		p := rowOf(t, rows, "mode", "probing", "stream", name)
+		t.Logf("%s: oracle %v | probing %v", name, o, p)
+		if pv, ov := num(t, p["sustained_95pct"]), num(t, o["sustained_95pct"]); pv < ov*0.95 {
+			t.Errorf("%s: probing sustained %.3f vs oracle %.3f — guarantees collapsed", name, pv, ov)
 		}
 	}
 }

@@ -105,6 +105,7 @@ func deliveryTrace(t *testing.T, seed int64, build diffSchedBuilder) uint64 {
 // never behavior.
 func TestRegistryMatchesDirectConstruction(t *testing.T) {
 	skipIfRace(t)
+	t.Parallel()
 	for _, name := range sched.Registered() {
 		direct, ok := directBuilders[name]
 		if !ok {

@@ -3,13 +3,20 @@ package experiment
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 )
 
-// Table is one rendered figure table: a header row and its data rows.
-// Every Render* function returns one; Write decides the output format.
+// Table is one rendered figure table: a header row and its data rows,
+// optionally after a blank line and a title line. Every figure renders to
+// a list of them; Write decides the output format.
 type Table struct {
+	// Title, when set, is written as a "== Title" line above the table.
+	Title string
+	// Gap writes a blank line above the table (and its title).
+	Gap bool
+	// Header is nil for a table of free-form lines, one cell per row.
 	Header []string
 	Rows   [][]string
 }
@@ -18,8 +25,16 @@ type Table struct {
 // is numeric or a simple identifier) or as an aligned text table.
 func (t Table) Write(w io.Writer, csv bool) error {
 	var b strings.Builder
+	if t.Gap {
+		b.WriteByte('\n')
+	}
+	if t.Title != "" {
+		b.WriteString("== " + t.Title + "\n")
+	}
 	if csv {
-		b.WriteString(strings.Join(t.Header, ",") + "\n")
+		if t.Header != nil {
+			b.WriteString(strings.Join(t.Header, ",") + "\n")
+		}
 		for _, r := range t.Rows {
 			b.WriteString(strings.Join(r, ",") + "\n")
 		}
@@ -41,18 +56,20 @@ func (t Table) Write(w io.Writer, csv bool) error {
 					b.WriteString("  ")
 				}
 				b.WriteString(c)
-				if pad := widths[i] - len(c); i < len(cells)-1 && pad > 0 {
-					b.WriteString(strings.Repeat(" ", pad))
+				if i < len(cells)-1 && i < len(widths) && widths[i] > len(c) {
+					b.WriteString(strings.Repeat(" ", widths[i]-len(c)))
 				}
 			}
 			b.WriteByte('\n')
 		}
-		line(t.Header)
-		total := 0
-		for _, x := range widths {
-			total += x + 2
+		if t.Header != nil {
+			line(t.Header)
+			total := 0
+			for _, x := range widths {
+				total += x + 2
+			}
+			b.WriteString(strings.Repeat("-", total) + "\n")
 		}
-		b.WriteString(strings.Repeat("-", total) + "\n")
 		for _, r := range t.Rows {
 			line(r)
 		}
@@ -61,28 +78,10 @@ func (t Table) Write(w io.Writer, csv bool) error {
 	return err
 }
 
-// RenderFig4 renders the Figure 4 series.
-func RenderFig4(points []Fig4Point) Table {
-	header := []string{"window_s", "mean_pred_err", "pctl_fail_rate", "MA", "SMA", "EWMA", "AR1"}
-	var rows [][]string
-	for _, p := range points {
-		rows = append(rows, []string{
-			fmt.Sprintf("%.1f", p.WindowSec),
-			fmt.Sprintf("%.4f", p.MeanErr),
-			fmt.Sprintf("%.4f", p.PctlFail),
-			fmt.Sprintf("%.4f", p.MeanErrBy["MA"]),
-			fmt.Sprintf("%.4f", p.MeanErrBy["SMA"]),
-			fmt.Sprintf("%.4f", p.MeanErrBy["EWMA"]),
-			fmt.Sprintf("%.4f", p.MeanErrBy["AR1"]),
-		})
-	}
-	return Table{Header: header, Rows: rows}
-}
-
-// RenderSeries renders one run's throughput time series (Figs. 9 and 12):
+// seriesTable renders one run's throughput time series (Figs. 9 and 12):
 // a row per sample with one column per stream, plus per-path columns for
 // streams that used several paths.
-func RenderSeries(res Result) Table {
+func seriesTable(res Result) Table {
 	header := []string{"t_s"}
 	type col struct {
 		stream int
@@ -133,6 +132,7 @@ func usedPaths(ss StreamSeries) []string {
 		total += v
 	}
 	var out []string
+	// maporder: the names are collected, then sorted.
 	for name, series := range ss.PerPath {
 		sum := 0.0
 		for _, v := range series {
@@ -146,102 +146,115 @@ func usedPaths(ss StreamSeries) []string {
 	return out
 }
 
-// RenderCDFs renders the Fig. 10/13 CDF rows.
-func RenderCDFs(rows []CDFRow) Table {
-	header := []string{"algorithm", "stream"}
-	for _, q := range CDFQuantiles {
-		header = append(header, fmt.Sprintf("p%02.0f", q*100))
-	}
-	var out [][]string
-	for _, r := range rows {
-		cells := []string{r.Algorithm, r.Stream}
-		for _, v := range r.Mbps {
-			cells = append(cells, fmt.Sprintf("%.2f", v))
+// RenderFig11 renders the Figure 11 summary: how each run served each of
+// the named streams (e.g. Atom and Bond1, the two §6.1 bar charts) — its
+// target, mean, the levels sustained 95 % and 99 % of the time, σ, and
+// frame jitter where frames are tracked.
+func RenderFig11(results []Result, streams ...string) Table {
+	t := Table{Header: []string{"algorithm", "stream", "target_mbps", "mean", "sustained_95pct", "sustained_99pct", "stddev", "jitter_ms"}}
+	for _, res := range results {
+		for _, ss := range res.Streams {
+			if !slices.Contains(streams, ss.Name) {
+				continue
+			}
+			jitter := "-" // frames not tracked for this stream
+			if ms := ss.JitterSec() * 1000; ms > 0 {
+				jitter = fmt.Sprintf("%.3f", ms)
+			}
+			t.Rows = append(t.Rows, []string{
+				res.Algorithm, ss.Name,
+				fmt.Sprintf("%.3f", ss.RequiredMbps),
+				fmt.Sprintf("%.3f", ss.Summary.Mean),
+				fmt.Sprintf("%.3f", ss.Summary.SustainedAt(0.95)),
+				fmt.Sprintf("%.3f", ss.Summary.SustainedAt(0.99)),
+				fmt.Sprintf("%.4f", ss.Summary.StdDev),
+				jitter,
+			})
 		}
-		out = append(out, cells)
 	}
-	return Table{Header: header, Rows: out}
+	return t
 }
 
-// RenderFaults renders the fault-scenario comparison: one row per
+// cdfQuantiles are the cumulative-probability points rendered for CDF
+// figures.
+var cdfQuantiles = []float64{0.01, 0.05, 0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99}
+
+// RenderCDFs renders the per-stream throughput CDFs of every run (Figs. 10
+// and 13): a row per run and stream, a column per cumulative probability.
+func RenderCDFs(results []Result) Table {
+	t := Table{Header: []string{"algorithm", "stream"}}
+	for _, q := range cdfQuantiles {
+		t.Header = append(t.Header, fmt.Sprintf("p%02.0f", q*100))
+	}
+	for _, res := range results {
+		for _, ss := range res.Streams {
+			cells := []string{res.Algorithm, ss.Name}
+			for _, q := range cdfQuantiles {
+				// Summary.SustainedAt(1-q) is the q-quantile of the series.
+				cells = append(cells, fmt.Sprintf("%.2f", ss.Summary.SustainedAt(1-q)))
+			}
+			t.Rows = append(t.Rows, cells)
+		}
+	}
+	return t
+}
+
+// guaranteeRows renders one run's realised guarantees, a row per stream:
+// lead cells first, the stream's account, then the run's trailing cells.
+func guaranteeRows(lead string, streams []FaultStreamRow, trail ...string) [][]string {
+	var rows [][]string
+	for _, s := range streams {
+		rows = append(rows, append([]string{
+			lead, s.Name,
+			fmt.Sprintf("%.3f", s.RequiredMbps),
+			fmt.Sprintf("%.3f", s.DeliveredMbps),
+			fmt.Sprintf("%d", s.Windows),
+			fmt.Sprintf("%d", s.ViolatedWindows),
+			fmt.Sprintf("%.4f", s.ViolatedFrac),
+			fmt.Sprintf("%.3f", s.MeanShortfall),
+		}, trail...))
+	}
+	return rows
+}
+
+// guaranteeHeader heads guaranteeRows' columns.
+var guaranteeHeader = []string{"stream", "target_mbps", "delivered_mbps",
+	"windows", "violated", "violated_frac", "mean_shortfall_pkts"}
+
+// faultsTable renders the fault-scenario comparison: one row per
 // algorithm × stream, with the per-algorithm recovery columns repeated on
 // each of the algorithm's rows for grep-ability.
-func RenderFaults(res *FaultsResult) Table {
-	header := []string{"algorithm", "stream", "target_mbps", "delivered_mbps",
-		"windows", "violated", "violated_frac", "mean_shortfall_pkts",
-		"remaps", "recovery_windows", "fault_events"}
-	var rows [][]string
+func faultsTable(res *FaultsResult) Table {
+	t := Table{Header: append(append([]string{"algorithm"}, guaranteeHeader...),
+		"remaps", "recovery_windows", "fault_events")}
 	for _, run := range res.Runs {
 		recovery := "-"
 		if run.RecoveryWindows >= 0 {
 			recovery = fmt.Sprintf("%d", run.RecoveryWindows)
 		}
-		for _, s := range run.Streams {
-			rows = append(rows, []string{
-				run.Algorithm, s.Name,
-				fmt.Sprintf("%.3f", s.RequiredMbps),
-				fmt.Sprintf("%.3f", s.DeliveredMbps),
-				fmt.Sprintf("%d", s.Windows),
-				fmt.Sprintf("%d", s.ViolatedWindows),
-				fmt.Sprintf("%.4f", s.ViolatedFrac),
-				fmt.Sprintf("%.3f", s.MeanShortfall),
-				fmt.Sprintf("%d", run.Remaps),
-				recovery,
-				fmt.Sprintf("%d", run.FaultEvents),
-			})
-		}
+		t.Rows = append(t.Rows, guaranteeRows(run.Algorithm, run.Streams,
+			fmt.Sprintf("%d", run.Remaps), recovery, fmt.Sprintf("%d", run.FaultEvents))...)
 	}
-	return Table{Header: header, Rows: rows}
+	return t
 }
 
-// RenderFig11 renders the Fig. 11 summary rows.
-func RenderFig11(rows []Fig11Row) Table {
-	header := []string{"algorithm", "stream", "target_mbps", "mean", "sustained_95pct", "sustained_99pct", "stddev", "jitter_ms"}
-	var out [][]string
-	for _, r := range rows {
-		jitter := "-" // frames not tracked for this stream
-		if r.JitterMs > 0 {
-			jitter = fmt.Sprintf("%.3f", r.JitterMs)
-		}
-		out = append(out, []string{
-			r.Algorithm, r.Stream,
-			fmt.Sprintf("%.3f", r.Target),
-			fmt.Sprintf("%.3f", r.Mean),
-			fmt.Sprintf("%.3f", r.P95Time),
-			fmt.Sprintf("%.3f", r.P99Time),
-			fmt.Sprintf("%.4f", r.StdDev),
-			jitter,
-		})
-	}
-	return Table{Header: header, Rows: out}
-}
-
-// RenderChurn renders the static-vs-control churn comparison rows.
-func RenderChurn(res *ChurnResult) Table {
-	header := []string{"mode", "stream", "target_mbps", "delivered_mbps",
-		"windows", "violated", "violated_frac", "mean_shortfall_pkts",
-		"reroutes", "converge_s", "remaps", "control_events"}
-	var rows [][]string
+// churnTables renders the static-vs-control churn comparison rows, then
+// one line per scripted admission decision.
+func churnTables(res *ChurnResult) []Table {
+	t := Table{Header: append(append([]string{"mode"}, guaranteeHeader...),
+		"reroutes", "converge_s", "remaps", "control_events")}
 	for _, run := range []ChurnRun{res.Static, res.Control} {
 		converge := "-"
 		if run.ConvergeTicks >= 0 {
 			converge = fmt.Sprintf("%.2f", run.ConvergeSec)
 		}
-		for _, s := range run.Streams {
-			rows = append(rows, []string{
-				run.Mode, s.Name,
-				fmt.Sprintf("%.3f", s.RequiredMbps),
-				fmt.Sprintf("%.3f", s.DeliveredMbps),
-				fmt.Sprintf("%d", s.Windows),
-				fmt.Sprintf("%d", s.ViolatedWindows),
-				fmt.Sprintf("%.4f", s.ViolatedFrac),
-				fmt.Sprintf("%.3f", s.MeanShortfall),
-				fmt.Sprintf("%d", run.Reroutes),
-				converge,
-				fmt.Sprintf("%d", run.Remaps),
-				fmt.Sprintf("%d", run.ControlEvents),
-			})
-		}
+		t.Rows = append(t.Rows, guaranteeRows(run.Mode, run.Streams, fmt.Sprintf("%d", run.Reroutes),
+			converge, fmt.Sprintf("%d", run.Remaps), fmt.Sprintf("%d", run.ControlEvents))...)
 	}
-	return Table{Header: header, Rows: rows}
+	var adm Table
+	for _, d := range res.Admission {
+		adm.Rows = append(adm.Rows, []string{fmt.Sprintf("admission %s admitted=%t reason=%q best_rate=%v best=%v best_p=%v",
+			d.Spec, d.Admitted, d.Reason, d.BestRateMbps, d.BestSpec, d.BestProbability)})
+	}
+	return []Table{t, adm}
 }

@@ -2,8 +2,9 @@
 // evaluation (§6) on the emulated Fig. 8 testbed: Fig. 4 (bandwidth
 // prediction), Figs. 9–11 (SmartPointer under WFQ/MSFQ/PGOS/OptSched), and
 // Figs. 12–13 (GridFTP vs IQPG-GridFTP), plus the ablations listed in
-// DESIGN.md. Each driver returns plain data that render.go turns into the
-// rows/series the paper reports.
+// DESIGN.md. Every figure is a row of the registry Figures (figures.go),
+// whose run renders the tables that iqbench prints and that the figure's
+// golden pins.
 package experiment
 
 import (
@@ -371,6 +372,29 @@ func run(cfg RunConfig, net *simnet.Network, paths []*simnet.Path, w workload, f
 		res.FaultEvents = scn.Applied()
 	}
 	return res, nil
+}
+
+// sweep runs fn once per value, each time on a copy of cfg that set
+// adjusted for the value, and returns the outcomes in order: the one loop
+// behind every figure that runs a configuration once per arm or variant.
+func sweep[V, R any](cfg RunConfig, values []V, set func(*RunConfig, V), fn func(RunConfig) (R, error)) ([]R, error) {
+	out := make([]R, 0, len(values))
+	for _, v := range values {
+		c := cfg
+		set(&c, v)
+		r, err := fn(c)
+		if err != nil {
+			return nil, fmt.Errorf("experiment: %v: %w", v, err)
+		}
+		out = append(out, r)
+	}
+	return out, nil
+}
+
+// RunArms runs the same configuration once per scheduler arm (Alg*
+// names), e.g. RunSmartPointer over SmartPointerArms for Figs. 9–11.
+func RunArms(cfg RunConfig, run func(RunConfig) (Result, error), arms ...string) ([]Result, error) {
+	return sweep(cfg, arms, func(c *RunConfig, arm string) { c.Algorithm = arm }, run)
 }
 
 // runLossy is a test hook: the SmartPointer run with per-link loss.

@@ -56,6 +56,7 @@ func TestRunSmartPointerNoWarmup(t *testing.T) {
 
 func TestRunSmartPointerAllAlgorithms(t *testing.T) {
 	skipIfRace(t)
+	t.Parallel()
 	for _, alg := range []string{AlgWFQ, AlgMSFQ, AlgPGOS, AlgOptSched} {
 		res, err := RunSmartPointer(shortCfg(alg))
 		if err != nil {
@@ -86,6 +87,7 @@ func TestSmartPointerShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiment")
 	}
+	t.Parallel()
 	cfg := RunConfig{Seed: 42, DurationSec: 150, WarmupSec: 60}
 	cfg.Algorithm = AlgPGOS
 	pg, err := RunSmartPointer(cfg)

@@ -10,11 +10,11 @@ import (
 
 // TestViolationBoundTelemetryAgreement is the acceptance check for the
 // guarantee accountant: the telemetry snapshot's per-stream violation
-// accounting must match the values RunViolationBound's own, fully
+// accounting must match the values runViolationBound's own, fully
 // independent per-window counting loop computes.
 func TestViolationBoundTelemetryAgreement(t *testing.T) {
 	cfg := RunConfig{Seed: 42, DurationSec: 60, WarmupSec: 60}
-	res, err := RunViolationBound(cfg, 50, 10)
+	res, err := runViolationBound(cfg, 50, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

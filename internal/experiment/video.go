@@ -10,81 +10,56 @@ import (
 	"iqpaths/internal/video"
 )
 
-// VideoRow reports one algorithm's playback quality for the layered-video
-// workload (the paper's multimedia application; the technical report
-// shows "substantially improved service level QoS" for MPEG-4 FGS
-// streaming under IQ-Paths).
-type VideoRow struct {
-	Algorithm     string
-	BaseMissRate  float64
-	MeanQuality   float64
-	QualityStdDev float64
-	FramesScored  uint64
-}
-
-// RunVideo streams a 3-layer FGS video (2 Mbps base @99 %, 4 Mbps enh1
+// runVideo streams a 3-layer FGS video (2 Mbps base @99 %, 4 Mbps enh1
 // @95 %, 8 Mbps enh2 best-effort) over the Fig. 8 testbed under each of
-// the named algorithms, scoring playback at an 8-frame playout deadline.
-func RunVideo(cfg RunConfig, algorithms ...string) ([]VideoRow, error) {
+// the named algorithms, scoring playback at an 8-frame playout deadline —
+// the paper's multimedia application, for which the technical report
+// shows "substantially improved service level QoS" under IQ-Paths. A row
+// per algorithm reports frames scored, the base-layer miss rate, and the
+// mean and σ of played-frame quality.
+func runVideo(cfg RunConfig, algorithms ...string) (Table, error) {
 	cfg.fillDefaults()
 	if cfg.PaceLimit <= 0 {
 		cfg.PaceLimit = 140 // interactive: shallow buffers
 	}
-	if len(algorithms) == 0 {
-		algorithms = []string{AlgMSFQ, AlgPGOS}
+	reports, err := sweep(cfg, algorithms, func(c *RunConfig, alg string) { c.Algorithm = alg }, videoArm)
+	if err != nil {
+		return Table{}, err
 	}
-	var rows []VideoRow
-	for _, alg := range algorithms {
-		tb := emulab.Build(emulab.Config{Seed: cfg.Seed})
-		net := tb.Net
-		src := video.NewSource(net, video.Config{}, rand.New(rand.NewSource(cfg.Seed+100)))
-		rcv := video.NewReceiver(src)
-		w := sources{streams: src.Streams(), feeds: []interface{ Tick() }{src}}
-		// A competing bulk transfer shares the overlay (the realistic
-		// deployment: video and file movement on the same paths). Under
-		// proportional sharing it squeezes the video layers whenever the
-		// network dips; under PGOS it only gets the leftover.
-		bulk := stream.New(len(w.streams), stream.Spec{Name: "bulk", Weight: 60})
-		w.add(bulk, stream.NewBacklogSource(net, bulk, 4000))
-
-		c := cfg
-		c.Algorithm = alg
-		_, err := run(c, net, fig8Paths(tb), w, hooks{
-			onDeliver: func(_ int, pkt *simnet.Packet, _ int64) { rcv.OnPacket(pkt) },
-			postTick: func(t int64) {
-				rcv.Tick(net.Tick())
-				if t%1000 == 0 && src.Frames() > 600 {
-					src.Forget(src.Frames() - 600)
-				}
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-		rep := rcv.Report()
-		rows = append(rows, VideoRow{
-			Algorithm:     alg,
-			BaseMissRate:  rep.BaseMissRate,
-			MeanQuality:   rep.MeanQuality,
-			QualityStdDev: rep.QualityStdDev,
-			FramesScored:  rep.FramesScored,
+	t := Table{Header: []string{"algorithm", "frames", "base_miss_rate", "mean_quality", "quality_stddev"}}
+	for i, rep := range reports {
+		t.Rows = append(t.Rows, []string{
+			algorithms[i],
+			fmt.Sprintf("%d", rep.FramesScored),
+			fmt.Sprintf("%.4f", rep.BaseMissRate),
+			fmt.Sprintf("%.3f", rep.MeanQuality),
+			fmt.Sprintf("%.4f", rep.QualityStdDev),
 		})
 	}
-	return rows, nil
+	return t, nil
 }
 
-// RenderVideo renders the playback-quality rows.
-func RenderVideo(rows []VideoRow) Table {
-	header := []string{"algorithm", "frames", "base_miss_rate", "mean_quality", "quality_stddev"}
-	var out [][]string
-	for _, r := range rows {
-		out = append(out, []string{
-			r.Algorithm,
-			fmt.Sprintf("%d", r.FramesScored),
-			fmt.Sprintf("%.4f", r.BaseMissRate),
-			fmt.Sprintf("%.3f", r.MeanQuality),
-			fmt.Sprintf("%.4f", r.QualityStdDev),
-		})
-	}
-	return Table{Header: header, Rows: out}
+// videoArm runs the video workload under cfg.Algorithm.
+func videoArm(cfg RunConfig) (video.Report, error) {
+	tb := emulab.Build(emulab.Config{Seed: cfg.Seed})
+	net := tb.Net
+	src := video.NewSource(net, video.Config{}, rand.New(rand.NewSource(cfg.Seed+100)))
+	rcv := video.NewReceiver(src)
+	w := sources{streams: src.Streams(), feeds: []interface{ Tick() }{src}}
+	// A competing bulk transfer shares the overlay (the realistic
+	// deployment: video and file movement on the same paths). Under
+	// proportional sharing it squeezes the video layers whenever the
+	// network dips; under PGOS it only gets the leftover.
+	bulk := stream.New(len(w.streams), stream.Spec{Name: "bulk", Weight: 60})
+	w.add(bulk, stream.NewBacklogSource(net, bulk, 4000))
+	_, err := run(cfg, net, fig8Paths(tb), w, hooks{
+		onDeliver: func(_ int, pkt *simnet.Packet, _ int64) { rcv.OnPacket(pkt) },
+		postTick: func(t int64) {
+			rcv.Tick(net.Tick())
+			if t%1000 == 0 && src.Frames() > 600 {
+				src.Forget(src.Frames() - 600)
+			}
+		},
+	})
+	return rcv.Report(), err
 }

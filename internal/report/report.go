@@ -12,11 +12,13 @@ import (
 // Data bundles everything the HTML report renders. Nil/empty sections are
 // skipped.
 type Data struct {
-	Title       string
-	Fig4        []experiment.Fig4Point
-	SmartSuite  *experiment.Suite
-	GridSuite   *experiment.Suite
-	Video       []experiment.VideoRow
+	Title string
+	Fig4  []experiment.Fig4Point
+	// Smart and Grid are the §6 suites' runs (experiment.RunArms over
+	// SmartPointerArms and GridFTPArms), charted as Figs. 9–10 and 12–13.
+	Smart, Grid []experiment.Result
+	// Video is the video figure's tables (experiment.Lookup("video")).
+	Video       []experiment.Table
 	GeneratedBy string
 }
 
@@ -70,14 +72,13 @@ func Generate(w io.Writer, d Data) error {
 		})
 	}
 
-	addSuite := func(s *experiment.Suite, heading, figSeries, figCDF string) {
-		if s == nil {
+	addSuite := func(results []experiment.Result, heading, figSeries, figCDF string) {
+		if len(results) == 0 {
 			return
 		}
 		var charts []template.HTML
-		for _, alg := range s.Order {
-			res := s.Results[alg]
-			c := &LineChart{Title: fmt.Sprintf("%s — %s", figSeries, alg), XLabel: "time (s)", YLabel: "throughput (Mbps)"}
+		for _, res := range results {
+			c := &LineChart{Title: fmt.Sprintf("%s — %s", figSeries, res.Algorithm), XLabel: "time (s)", YLabel: "throughput (Mbps)"}
 			for _, ss := range res.Streams {
 				xs := make([]float64, len(ss.Total))
 				for i := range xs {
@@ -88,36 +89,32 @@ func Generate(w io.Writer, d Data) error {
 			charts = append(charts, template.HTML(c.Render()))
 		}
 		// CDFs: one chart per stream, one curve per algorithm.
-		if len(s.Order) > 0 {
-			streams := s.Results[s.Order[0]].Streams
-			for si := range streams {
-				c := &LineChart{
-					Title:  fmt.Sprintf("%s — %s", figCDF, streams[si].Name),
-					XLabel: "throughput (Mbps)", YLabel: "CDF", YMin: 0, YMax: 1,
-				}
-				for _, alg := range s.Order {
-					ss := s.Results[alg].Streams[si]
-					sorted := ss.Summary.Samples
-					xs := make([]float64, len(sorted))
-					ys := make([]float64, len(sorted))
-					for i, v := range sorted {
-						xs[i] = v
-						ys[i] = float64(i+1) / float64(len(sorted))
-					}
-					c.Series = append(c.Series, Series{Name: alg, X: xs, Y: ys})
-				}
-				charts = append(charts, template.HTML(c.Render()))
+		for si, st := range results[0].Streams {
+			c := &LineChart{
+				Title:  fmt.Sprintf("%s — %s", figCDF, st.Name),
+				XLabel: "throughput (Mbps)", YLabel: "CDF", YMin: 0, YMax: 1,
 			}
+			for _, res := range results {
+				sorted := res.Streams[si].Summary.Samples
+				xs := make([]float64, len(sorted))
+				ys := make([]float64, len(sorted))
+				for i, v := range sorted {
+					xs[i] = v
+					ys[i] = float64(i+1) / float64(len(sorted))
+				}
+				c.Series = append(c.Series, Series{Name: res.Algorithm, X: xs, Y: ys})
+			}
+			charts = append(charts, template.HTML(c.Render()))
 		}
 		sections = append(sections, section{Heading: heading, Charts: charts})
 	}
-	addSuite(d.SmartSuite, "Figures 9–10 — SmartPointer", "Fig. 9", "Fig. 10 CDF")
-	addSuite(d.GridSuite, "Figures 12–13 — GridFTP vs IQPG-GridFTP", "Fig. 12", "Fig. 13 CDF")
+	addSuite(d.Smart, "Figures 9–10 — SmartPointer", "Fig. 9", "Fig. 10 CDF")
+	addSuite(d.Grid, "Figures 12–13 — GridFTP vs IQPG-GridFTP", "Fig. 12", "Fig. 13 CDF")
 
-	if len(d.Video) > 0 {
+	for _, t := range d.Video {
 		sections = append(sections, section{
 			Heading: "Layered MPEG-4 FGS video playback",
-			Table:   htmlTable(experiment.RenderVideo(d.Video)),
+			Table:   htmlTable(t),
 		})
 	}
 

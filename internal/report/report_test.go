@@ -60,23 +60,27 @@ func TestGenerateFullReport(t *testing.T) {
 		t.Skip("runs experiments")
 	}
 	cfg := experiment.RunConfig{Seed: 7, DurationSec: 15, WarmupSec: 30}
-	smart, err := experiment.RunSmartPointerSuite(cfg)
+	smart, err := experiment.RunArms(cfg, experiment.RunSmartPointer, experiment.SmartPointerArms...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid, err := experiment.RunGridFTPSuite(cfg)
+	grid, err := experiment.RunArms(cfg, experiment.RunGridFTP, experiment.GridFTPArms...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	video, err := experiment.RunVideo(cfg)
+	videoFig, err := experiment.Lookup("video")
+	if err != nil {
+		t.Fatal(err)
+	}
+	video, err := videoFig[0].Run(experiment.Params{Run: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
 	err = Generate(&buf, Data{
 		Fig4:        experiment.Fig4(experiment.Fig4Config{Seed: 7, Samples: 8000}),
-		SmartSuite:  smart,
-		GridSuite:   grid,
+		Smart:       smart,
+		Grid:        grid,
 		Video:       video,
 		GeneratedBy: "test",
 	})
