@@ -38,6 +38,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -273,9 +274,14 @@ func runSink(ctx context.Context, rudpAddr, tcpAddr string, quiet bool, adm *dae
 			if quiet || len(snap) == 0 {
 				continue
 			}
+			ids := make([]uint32, 0, len(snap))
+			for id := range snap {
+				ids = append(ids, id)
+			}
+			slices.Sort(ids)
 			line := "rates:"
-			for id, b := range snap {
-				line += fmt.Sprintf(" stream%d=%.2fMbps", id, float64(b)*8/1e6)
+			for _, id := range ids {
+				line += fmt.Sprintf(" stream%d=%.2fMbps", id, float64(snap[id])*8/1e6)
 			}
 			log.Print(line)
 		}

@@ -166,6 +166,7 @@ func EncodeDigest(d Digest) []byte { return appendDigest(nil, d) }
 
 func appendDigest(dst []byte, d Digest) []byte {
 	origins := make([]overlay.NodeID, 0, len(d))
+	// maporder: the origins are collected, then sorted.
 	for o := range d {
 		origins = append(origins, o)
 	}

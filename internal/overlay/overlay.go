@@ -182,6 +182,8 @@ func (g *Graph) RemoveNode(id NodeID) {
 		delete(g.adj, id)
 		g.version++
 	}
+	// maporder: each list drops id on its own; the version counts removed
+	// edges, the same total in any order.
 	for from, adj := range g.adj {
 		for i := 0; i < len(adj); {
 			if adj[i] == id {
@@ -363,6 +365,7 @@ func (g *Graph) KShortestPaths(src, dst NodeID, k int) [][]NodeID {
 				for _, nb := range g.adj[n] {
 					banned[[2]NodeID{n, nb}] = true
 				}
+				// maporder: a set insert; the order cannot matter.
 				for nb := range g.adj {
 					banned[[2]NodeID{nb, n}] = true
 				}

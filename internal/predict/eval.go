@@ -76,6 +76,7 @@ type EvalResult struct {
 // String renders the result compactly for logs and the bench harness.
 func (r EvalResult) String() string {
 	names := make([]string, 0, len(r.MeanErr))
+	// maporder: the names are collected, then sorted.
 	for n := range r.MeanErr {
 		names = append(names, n)
 	}

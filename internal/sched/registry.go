@@ -94,6 +94,7 @@ func Register(name string, b Builder) {
 func Registered() []string {
 	registryMu.RLock()
 	names := make([]string, 0, len(registry))
+	// maporder: the names are collected, then sorted.
 	for n := range registry {
 		names = append(names, n)
 	}

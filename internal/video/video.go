@@ -193,6 +193,7 @@ func (s *Source) emitFrame() {
 // Forget drops bookkeeping for frames at or before the given frame number
 // (call periodically from long runs to bound memory).
 func (s *Source) Forget(before uint64) {
+	// maporder: deletes each old frame; the order cannot matter.
 	for f := range s.expected {
 		if f <= before {
 			delete(s.expected, f)
