@@ -41,6 +41,14 @@ type goldenCase struct {
 	params         Params
 }
 
+// ownTest marks the figures whose goldens a test of their own checks
+// (TestGoldenFig9 and the five below it); TestGoldenFigures checks the
+// goldens of the rest.
+var ownTest = map[string]bool{
+	"smartpointer": true, "gridftp": true, "predictor": true,
+	"cluster": true, "probing": true, "matrix": true,
+}
+
 func goldenCases() []goldenCase {
 	cases := []goldenCase{
 		{"fig4", "fig4_seed42.golden", Params{Run: RunConfig{Seed: 42}}},
@@ -139,10 +147,11 @@ func shapeRun(t *testing.T, golden string) []Table {
 	return runCase(t, golden)
 }
 
-// TestGoldenFigures runs every registered figure through the registry —
-// the path iqbench prints from — and compares its CSV with the figure's
+// TestGoldenFigures runs registered figures through the registry — the
+// path iqbench prints from — and compares their CSV with the figure's
 // golden. Every figure must have a case, and every golden file a case,
-// except the two named below that pin no figure run.
+// except the two named below that pin no figure run. The figures in
+// ownTest are checked the same way by the tests after this one.
 func TestGoldenFigures(t *testing.T) {
 	cases := goldenCases()
 	claimed := map[string]bool{
@@ -178,8 +187,52 @@ func TestGoldenFigures(t *testing.T) {
 		t.Skip("figure runs")
 	}
 	for _, c := range cases {
+		if ownTest[c.figure] {
+			continue
+		}
 		c := c
 		t.Run(strings.TrimSuffix(c.golden, ".golden"), func(t *testing.T) {
+			t.Parallel()
+			checkGolden(t, c.golden, renderCSV(t, runCase(t, c.golden)...))
+		})
+	}
+}
+
+// The Fig. 9–11 and Fig. 12/13 suites (per-algorithm throughput series
+// plus the summary and CDF rows), cluster, probing and matrix are pinned
+// under every golden seed, one subtest each; the predictor ablation under
+// seed 1.
+func TestGoldenFig9(t *testing.T)          { checkFigureGoldens(t, "smartpointer") }
+func TestGoldenFig12(t *testing.T)         { checkFigureGoldens(t, "gridftp") }
+func TestGoldenMeanPredictor(t *testing.T) { checkFigureGoldens(t, "predictor") }
+func TestGoldenCluster(t *testing.T)       { checkFigureGoldens(t, "cluster") }
+func TestGoldenProbing(t *testing.T)       { checkFigureGoldens(t, "probing") }
+func TestGoldenMatrix(t *testing.T)        { checkFigureGoldens(t, "matrix") }
+
+// checkFigureGoldens compares the registry run of each golden case of the
+// named figure with its golden: a figure pinned once in t itself, one
+// pinned per seed in subtest seed<N> (the golden name's last part).
+func checkFigureGoldens(t *testing.T, figure string) {
+	t.Helper()
+	skipIfRace(t)
+	if testing.Short() {
+		t.Skip("figure runs")
+	}
+	t.Parallel()
+	var cases []goldenCase
+	for _, c := range goldenCases() {
+		if c.figure == figure {
+			cases = append(cases, c)
+		}
+	}
+	if len(cases) == 1 {
+		checkGolden(t, cases[0].golden, renderCSV(t, runCase(t, cases[0].golden)...))
+		return
+	}
+	for _, c := range cases {
+		c := c
+		name := strings.TrimSuffix(c.golden, ".golden")
+		t.Run(name[strings.LastIndex(name, "_")+1:], func(t *testing.T) {
 			t.Parallel()
 			checkGolden(t, c.golden, renderCSV(t, runCase(t, c.golden)...))
 		})
