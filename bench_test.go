@@ -9,6 +9,7 @@ package iqpaths
 
 import (
 	"math/rand"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -414,28 +415,39 @@ func BenchmarkMatrix(b *testing.B) {
 			for _, bandName := range []string{"lan", "congested"} {
 				name := "arm=" + arm + "/workload=" + wl + "/band=" + bandName
 				b.Run(name, func(b *testing.B) {
-					var last []string
+					var last experiment.Table
 					for i := 0; i < b.N; i++ {
 						m := experiment.DefaultMatrix()
 						m.Arms = []string{arm}
 						m.Workloads = []string{wl}
 						m.Bands = []experiment.Band{bandByName[bandName]}
 						m.Seeds = []int64{int64(42 + i)}
-						last = runFigure(b, "matrix", experiment.Params{Matrix: m})[0].Rows[0]
+						last = runFigure(b, "matrix", experiment.Params{Matrix: m})[0]
 					}
-					// Columns 7–9 of the matrix figure's row: violated_frac,
-					// agg_mbps, delay_jitter_ms.
-					for _, m := range []struct {
-						col  int
-						unit string
-					}{{8, "cell-Mbps"}, {7, "violated-frac"}, {9, "jitter-ms"}} {
-						v, _ := strconv.ParseFloat(last[m.col], 64)
-						b.ReportMetric(v, m.unit)
+					for _, m := range []struct{ col, unit string }{
+						{"agg_mbps", "cell-Mbps"}, {"violated_frac", "violated-frac"}, {"delay_jitter_ms", "jitter-ms"},
+					} {
+						b.ReportMetric(cell(b, last, 0, m.col), m.unit)
 					}
 				})
 			}
 		}
 	}
+}
+
+// cell parses the numeric cell of the named column in row i of a figure
+// table, as the figure rendered it.
+func cell(b *testing.B, t experiment.Table, i int, col string) float64 {
+	b.Helper()
+	j := slices.Index(t.Header, col)
+	if j < 0 {
+		b.Fatalf("%s has no column %q", t.Title, col)
+	}
+	v, err := strconv.ParseFloat(t.Rows[i][j], 64)
+	if err != nil {
+		b.Fatalf("%s row %d: %s = %q is not a number", t.Title, i, col, t.Rows[i][j])
+	}
+	return v
 }
 
 // BenchmarkAblationPathsSweep sweeps the concurrent-path count.

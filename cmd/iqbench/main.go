@@ -70,11 +70,21 @@ func main() {
 		if p.Matrix, err = matrixConfig(*arms, *works, *bands, *mseeds); err != nil {
 			return err
 		}
+		// The telemetry snapshot reuses the SmartPointer suite's PGOS
+		// run when the figures ran it.
+		var pgos *experiment.Result
+		p.OnSuite = func(workload string, results []experiment.Result) {
+			for i := range results {
+				if workload == "smartpointer" && results[i].Algorithm == experiment.AlgPGOS {
+					pgos = &results[i]
+				}
+			}
+		}
 		if err := run(figs, p, *csv, *outDir); err != nil {
 			return err
 		}
 		if *telePath != "" {
-			return dumpTelemetry(*telePath, cfg)
+			return dumpTelemetry(*telePath, cfg, pgos)
 		}
 		return nil
 	}()
@@ -129,13 +139,16 @@ func seedList(first int64, n int) []int64 {
 	return list
 }
 
-// dumpTelemetry runs the PGOS SmartPointer configuration once and writes
-// its end-of-run telemetry snapshot as JSON.
-func dumpTelemetry(path string, cfg experiment.RunConfig) error {
-	cfg.Algorithm = experiment.AlgPGOS
-	res, err := experiment.RunSmartPointer(cfg)
-	if err != nil {
-		return err
+// dumpTelemetry writes the PGOS SmartPointer run's end-of-run telemetry
+// snapshot as JSON, running that configuration only when res is nil.
+func dumpTelemetry(path string, cfg experiment.RunConfig, res *experiment.Result) error {
+	if res == nil {
+		cfg.Algorithm = experiment.AlgPGOS
+		r, err := experiment.RunSmartPointer(cfg)
+		if err != nil {
+			return err
+		}
+		res = &r
 	}
 	if res.Telemetry == nil {
 		return fmt.Errorf("PGOS run produced no telemetry snapshot")

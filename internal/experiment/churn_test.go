@@ -3,9 +3,12 @@ package experiment
 import "testing"
 
 // TestRunChurnDeterministic replays the static/control churn comparison
-// under the same seed; every number — including the admission decisions
-// and their best-feasible-spec upcalls — must be bit-for-bit identical.
-func TestRunChurnDeterministic(t *testing.T) { checkReplay(t, "churn_seed42.golden") }
+// twice under the same seed; every number — including the admission
+// decisions and their best-feasible-spec upcalls — must be bit-for-bit
+// identical.
+func TestRunChurnDeterministic(t *testing.T) {
+	checkTypedReplay(t, "churn_seed42.golden", runChurn, churnTables)
+}
 
 // TestRunChurnAcceptance is the headline control-plane claim: under one
 // scripted churn schedule (the best path's router fails and rejoins), the

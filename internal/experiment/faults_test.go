@@ -41,8 +41,10 @@ func TestDefaultFaultScheduleShape(t *testing.T) {
 }
 
 // TestRunFaultsDeterministic replays the full WFQ/MSFQ/PGOS comparison
-// under the same seed; every number must be bit-for-bit identical.
-func TestRunFaultsDeterministic(t *testing.T) { checkReplay(t, "faults_seed42.golden") }
+// twice under the same seed; every number must be bit-for-bit identical.
+func TestRunFaultsDeterministic(t *testing.T) {
+	checkTypedReplay(t, "faults_seed42.golden", runFaults, func(r *FaultsResult) []Table { return []Table{faultsTable(r)} })
+}
 
 // TestRunFaultsAcceptance is the headline fault-tolerance claim: under an
 // identical fault script, PGOS detects the CDF shift and remaps within a

@@ -21,6 +21,10 @@ type Params struct {
 	Matrix Matrix
 	// Seeds are the seeds the multi-seed figure aggregates over.
 	Seeds []int64
+	// OnSuite, when set, receives the arm results of each §6 suite run
+	// ("smartpointer" or "gridftp"), so a caller can use a run beyond
+	// its tables without running it again.
+	OnSuite func(workload string, results []Result)
 }
 
 // Figure is one entry of the evaluation. Its Run renders the tables that
@@ -133,6 +137,9 @@ func suiteFigure(workload string, run func(RunConfig) (Result, error), arms []st
 		results, err := RunArms(p.Run, run, arms...)
 		if err != nil {
 			return nil, err
+		}
+		if p.OnSuite != nil {
+			p.OnSuite(workload, results)
 		}
 		var tables []Table
 		for _, res := range results {

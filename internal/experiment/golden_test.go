@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -41,13 +42,11 @@ type goldenCase struct {
 	params         Params
 }
 
-// ownTest marks the figures whose goldens a test of their own checks
-// (TestGoldenFig9 and the five below it); TestGoldenFigures checks the
-// goldens of the rest.
-var ownTest = map[string]bool{
-	"smartpointer": true, "gridftp": true, "predictor": true,
-	"cluster": true, "probing": true, "matrix": true,
-}
+// typedReplays are the goldens whose determinism tests check them from
+// the first of two typed runs: TestRunFaultsDeterministic and
+// TestRunChurnDeterministic. TestGoldenFigures leaves these to them, so
+// each configuration runs twice, not three times.
+var typedReplays = map[string]bool{"faults_seed42.golden": true, "churn_seed42.golden": true}
 
 func goldenCases() []goldenCase {
 	cases := []goldenCase{
@@ -118,20 +117,35 @@ func runGoldenCase(golden string) ([]Table, error) {
 	return nil, fmt.Errorf("no golden case pins %s", golden)
 }
 
-// checkReplay reruns the case that pins golden and requires the replay
-// to render byte-identically to the shared run: the figure is a pure
-// function of its seed.
-func checkReplay(t *testing.T, golden string) {
+// checkTypedReplay runs the configuration of the case that pins golden
+// twice, requires the two typed results to be deeply equal — every float
+// bit, every decision — and checks the first run's tables against the
+// golden.
+func checkTypedReplay[R any](t *testing.T, golden string, run func(RunConfig) (R, error), render func(R) []Table) {
 	t.Helper()
 	skipIfRace(t)
 	t.Parallel()
-	replay, err := runGoldenCase(golden)
+	if !typedReplays[golden] {
+		t.Fatalf("%s is not in typedReplays, so TestGoldenFigures checks it too", golden)
+	}
+	var cfg RunConfig
+	for _, c := range goldenCases() {
+		if c.golden == golden {
+			cfg = c.params.Run
+		}
+	}
+	a, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a, b := renderCSV(t, runCase(t, golden)...), renderCSV(t, replay...); a != b {
-		t.Fatalf("%s is not deterministic under a fixed seed:\nfirst:\n%s\nreplay:\n%s", golden, a, b)
+	b, err := run(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("%s: the run is not deterministic under a fixed seed:\nfirst:  %+v\nsecond: %+v", golden, a, b)
+	}
+	checkGolden(t, golden, renderCSV(t, render(a)...))
 }
 
 // shapeRun is runCase for a shape test of a simulated figure: skipped
@@ -150,8 +164,8 @@ func shapeRun(t *testing.T, golden string) []Table {
 // TestGoldenFigures runs registered figures through the registry — the
 // path iqbench prints from — and compares their CSV with the figure's
 // golden. Every figure must have a case, and every golden file a case,
-// except the two named below that pin no figure run. The figures in
-// ownTest are checked the same way by the tests after this one.
+// except the two named below that pin no figure run. The tests after
+// this one check some of the same goldens from the same memoized run.
 func TestGoldenFigures(t *testing.T) {
 	cases := goldenCases()
 	claimed := map[string]bool{
@@ -187,7 +201,7 @@ func TestGoldenFigures(t *testing.T) {
 		t.Skip("figure runs")
 	}
 	for _, c := range cases {
-		if ownTest[c.figure] {
+		if typedReplays[c.golden] {
 			continue
 		}
 		c := c
