@@ -63,8 +63,6 @@ fuzz:
 	$(GO) test -fuzz FuzzParseDelta -fuzztime 10s -run xxx ./internal/gossip/
 	$(GO) test -fuzz FuzzParseDigest -fuzztime 10s -run xxx ./internal/gossip/
 	$(GO) test -fuzz FuzzRecordRoundTrip -fuzztime 10s -run xxx ./internal/gossip/
-	$(GO) test -fuzz FuzzParsePlan -fuzztime 10s -run xxx ./internal/bwest/
-	$(GO) test -fuzz FuzzParseSummaries -fuzztime 10s -run xxx ./internal/bwest/
 
 clean:
 	rm -rf figures

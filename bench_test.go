@@ -480,7 +480,7 @@ func BenchmarkBufferBound(b *testing.B) {
 // testbed's path A (the per-5 s monitoring cost in probing mode).
 func BenchmarkPathloadEstimate(b *testing.B) {
 	tb := BuildTestbed(TestbedConfig{Seed: 1})
-	est := NewBandwidthEstimator(tb.Net, tb.PathA, EstimatorConfig{})
+	est := NewBandwidthEstimator(tb.Net, tb.PathA)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if v := est.Estimate(nil); v <= 0 {

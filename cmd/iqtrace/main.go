@@ -5,9 +5,6 @@
 //	iqtrace -gen cross.iqtr -heavy                         # path-B calibration
 //	iqtrace -info cross.iqtr                               # summary stats
 //	iqtrace -info cross.iqtr -capacity 100                 # as available bw
-//
-// Trace files replay across runs and tools via trace.NewReplay, decoupling
-// workload generation from experiments.
 package main
 
 import (

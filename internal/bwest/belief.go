@@ -56,14 +56,8 @@ func NewBelief(maxMbps float64, bins int) *Belief {
 // Bins returns the bin count.
 func (b *Belief) Bins() int { return len(b.p) }
 
-// MaxMbps returns the upper edge of the belief's support.
-func (b *Belief) MaxMbps() float64 { return b.max }
-
 // Center returns bin i's center rate in Mbps.
 func (b *Belief) Center(i int) float64 { return (float64(i) + 0.5) * b.width }
-
-// P returns bin i's posterior mass.
-func (b *Belief) P(i int) float64 { return b.p[i] }
 
 // rateSigma is the measurement-noise std-dev the likelihood model assumes
 // for a dispersion estimate when the true bandwidth sits at rate b:
@@ -217,36 +211,4 @@ func (b *Belief) Quantile(q float64) float64 {
 		cum += v
 	}
 	return b.max
-}
-
-// CDF returns the posterior P{bandwidth ≤ x}.
-func (b *Belief) CDF(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	if x >= b.max {
-		return 1
-	}
-	full := int(x / b.width)
-	cum := 0.0
-	for i := 0; i < full && i < len(b.p); i++ {
-		cum += b.p[i]
-	}
-	if full < len(b.p) {
-		cum += b.p[full] * (x - float64(full)*b.width) / b.width
-	}
-	if cum > 1 {
-		cum = 1
-	}
-	return cum
-}
-
-// CredibleInterval returns the central credible interval covering mass
-// (e.g. 0.9 → [Q(0.05), Q(0.95)]).
-func (b *Belief) CredibleInterval(mass float64) (lo, hi float64) {
-	if mass <= 0 || mass >= 1 {
-		return 0, b.max
-	}
-	tail := (1 - mass) / 2
-	return b.Quantile(tail), b.Quantile(1 - tail)
 }

@@ -33,7 +33,7 @@ func TestObserveRateConcentrates(t *testing.T) {
 	if m := b.Mean(); math.Abs(m-42) > 6 {
 		t.Fatalf("posterior mean %v too far from measurement 42", m)
 	}
-	lo, hi := b.CredibleInterval(0.9)
+	lo, hi := b.Quantile(0.05), b.Quantile(0.95)
 	if lo > 42 || hi < 42 {
 		t.Fatalf("90%% interval [%v, %v] excludes the truth", lo, hi)
 	}

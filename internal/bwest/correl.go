@@ -52,13 +52,6 @@ func NewCorrelation(paths int) *Correlation {
 	}
 }
 
-// DeclareShared registers (a, b) as a shared-bottleneck candidate pair.
-// Declaration order is part of the deterministic state; duplicate and
-// self pairs are ignored.
-func (c *Correlation) DeclareShared(a, b int) {
-	c.DeclareSharedPrior(a, b, 0)
-}
-
 // DeclareSharedPrior is DeclareShared with a prior correlation
 // coefficient seeding the pair — for pairs declared from topology
 // knowledge (two paths through the same relay genuinely share a
@@ -79,9 +72,6 @@ func (c *Correlation) DeclareSharedPrior(a, b int, rho float64) {
 	c.adj[a] = append(c.adj[a], pi)
 	c.adj[b] = append(c.adj[b], pi)
 }
-
-// Pairs returns the number of declared candidate pairs.
-func (c *Correlation) Pairs() int { return len(c.pairs) }
 
 // Observe folds path's measurement innovation (measured − posterior
 // mean, in Mbps) at the given round: updates the path's innovation
@@ -119,21 +109,6 @@ func (c *Correlation) Observe(path int, innov float64, round int64) {
 	c.lastZ[path] = z
 	c.lastRound[path] = round
 	c.seen[path] = true
-}
-
-// Coef returns the tracked correlation coefficient for (a, b), clamped
-// to [-1, 1]; 0 when the pair was never declared.
-func (c *Correlation) Coef(a, b int) float64 {
-	if a < 0 || a >= c.paths {
-		return 0
-	}
-	for _, pi := range c.adj[a] {
-		p := &c.pairs[pi]
-		if (int(p.a) == a && int(p.b) == b) || (int(p.a) == b && int(p.b) == a) {
-			return clampCoef(p.cov)
-		}
-	}
-	return 0
 }
 
 // ForNeighbors calls fn for every declared partner of path with the

@@ -18,24 +18,26 @@ type Config struct {
 	// RelNoise is the relative std-dev of a dispersion measurement
 	// (σ = RelNoise · rate, floored at one bin). Default 0.12.
 	RelNoise float64
-	// DecayPerRound mixes each belief toward uniform by this weight per
-	// planning round (applied lazily in closed form). Default 0.01.
-	DecayPerRound float64
 	// Budget is the number of probe trains per planning round. Default
 	// max(1, Paths/50).
 	Budget int
-	// StalenessBonusBits is the planner's per-round score bonus for an
-	// unprobed path, in bits. Default 0.02.
-	StalenessBonusBits float64
-	// MinShareRho is the |correlation| threshold above which a probe on
-	// one path also (fractionally) updates its declared partners.
-	// Default 0.4.
-	MinShareRho float64
 	// Planner selects paths each round. Default NewInfoGainPlanner().
 	Planner Planner
 	// Telemetry receives bwest gauges/counters; nil disables.
 	Telemetry *telemetry.Registry
 }
+
+const (
+	// decayPerRound mixes each belief toward uniform by this weight per
+	// planning round (applied lazily in closed form).
+	decayPerRound = 0.01
+	// stalenessBonusBits is the planner's per-round score bonus for an
+	// unprobed path, in bits.
+	stalenessBonusBits = 0.02
+	// minShareRho is the |correlation| threshold above which a probe on
+	// one path also (fractionally) updates its declared partners.
+	minShareRho = 0.4
+)
 
 func (c *Config) fillDefaults() {
 	if c.MaxMbps <= 0 {
@@ -47,22 +49,11 @@ func (c *Config) fillDefaults() {
 	if c.RelNoise <= 0 {
 		c.RelNoise = 0.12
 	}
-	if c.DecayPerRound < 0 {
-		c.DecayPerRound = 0
-	} else if c.DecayPerRound == 0 {
-		c.DecayPerRound = 0.01
-	}
 	if c.Budget <= 0 {
 		c.Budget = c.Paths / 50
 		if c.Budget < 1 {
 			c.Budget = 1
 		}
-	}
-	if c.StalenessBonusBits <= 0 {
-		c.StalenessBonusBits = 0.02
-	}
-	if c.MinShareRho <= 0 {
-		c.MinShareRho = 0.4
 	}
 	if c.Planner == nil {
 		c.Planner = NewInfoGainPlanner()
@@ -153,20 +144,6 @@ func NewEstimator(cfg Config) *Estimator {
 // Paths returns the tracked path count.
 func (e *Estimator) Paths() int { return len(e.beliefs) }
 
-// Budget returns the per-round probe budget.
-func (e *Estimator) Budget() int { return e.cfg.Budget }
-
-// PlannerName returns the active planner's name ("active", "rr", ...).
-func (e *Estimator) PlannerName() string { return e.cfg.Planner.Name() }
-
-// DeclareShared registers a shared-bottleneck candidate pair for the
-// correlation model (typically: paths traversing the same relay).
-func (e *Estimator) DeclareShared(a, b int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.correl.DeclareShared(a, b)
-}
-
 // DeclareSharedPrior registers a candidate pair with a topology-derived
 // prior correlation coefficient (see Correlation.DeclareSharedPrior).
 func (e *Estimator) DeclareSharedPrior(a, b int, rho float64) {
@@ -239,7 +216,7 @@ func (e *Estimator) eig(b *Belief) float64 {
 func (e *Estimator) touch(i int) {
 	back := e.round - e.lastTouch[i]
 	if back > 0 {
-		e.beliefs[i].Decay(int(back), e.cfg.DecayPerRound)
+		e.beliefs[i].Decay(int(back), decayPerRound)
 		e.lastTouch[i] = e.round
 		e.gain[i] = e.eig(e.beliefs[i])
 	}
@@ -264,7 +241,7 @@ func (e *Estimator) ObserveProbe(i int, mbps float64) {
 		if rho < 0 {
 			rho = -rho
 		}
-		if rho < e.cfg.MinShareRho {
+		if rho < minShareRho {
 			return
 		}
 		e.touch(j)
@@ -344,57 +321,6 @@ func (e *Estimator) PlanTrains(k int) []int {
 	return out
 }
 
-// Round returns the number of completed planning rounds.
-func (e *Estimator) Round() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.round
-}
-
-// Quantile returns path i's posterior q-quantile in Mbps (decay-current).
-func (e *Estimator) Quantile(i int, q float64) float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if i < 0 || i >= len(e.beliefs) {
-		return 0
-	}
-	e.touch(i)
-	return e.beliefs[i].Quantile(q)
-}
-
-// Mean returns path i's posterior mean in Mbps.
-func (e *Estimator) Mean(i int) float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if i < 0 || i >= len(e.beliefs) {
-		return 0
-	}
-	e.touch(i)
-	return e.beliefs[i].Mean()
-}
-
-// CDFAt returns path i's posterior P{bandwidth ≤ x}.
-func (e *Estimator) CDFAt(i int, x float64) float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if i < 0 || i >= len(e.beliefs) {
-		return 0
-	}
-	e.touch(i)
-	return e.beliefs[i].CDF(x)
-}
-
-// EntropyBits returns path i's posterior entropy in bits.
-func (e *Estimator) EntropyBits(i int) float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if i < 0 || i >= len(e.beliefs) {
-		return 0
-	}
-	e.touch(i)
-	return e.beliefs[i].EntropyBits()
-}
-
 // MeanEntropyBits returns the mean posterior entropy across all paths.
 func (e *Estimator) MeanEntropyBits() float64 {
 	e.mu.Lock()
@@ -437,31 +363,4 @@ func (e *Estimator) PosteriorHeadroom(i int) (mbps float64, ok bool) {
 	}
 	e.touch(i)
 	return e.beliefs[i].Quantile(0.05), true
-}
-
-// Summary is a compact per-path posterior digest for export/telemetry.
-type Summary struct {
-	Path        int
-	MeanMbps    float64
-	Q05Mbps     float64
-	Q95Mbps     float64
-	EntropyBits float64
-}
-
-// Summarize returns posterior digests for all paths.
-func (e *Estimator) Summarize() []Summary {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]Summary, len(e.beliefs))
-	for i, b := range e.beliefs {
-		e.touch(i)
-		out[i] = Summary{
-			Path:        i,
-			MeanMbps:    b.Mean(),
-			Q05Mbps:     b.Quantile(0.05),
-			Q95Mbps:     b.Quantile(0.95),
-			EntropyBits: b.EntropyBits(),
-		}
-	}
-	return out
 }

@@ -72,7 +72,7 @@ func (g *InfoGainPlanner) Plan(e *Estimator, k int, dst []int) []int {
 	scores := g.scores[:n]
 	for i := 0; i < n; i++ {
 		stale := float64(e.round - e.lastTouch[i])
-		scores[i] = e.gain[i] + e.cfg.StalenessBonusBits*stale
+		scores[i] = e.gain[i] + stalenessBonusBits*stale
 	}
 	for picked := 0; picked < k; picked++ {
 		best, bestScore := -1, 0.0

@@ -27,8 +27,6 @@ type AdmissionOptions struct {
 	// OnReject, when non-nil, receives every rejection decision — the
 	// paper's upcall carrying the best currently feasible specification.
 	OnReject func(Decision)
-	// OnPreempt, when non-nil, receives each evicted best-effort spec.
-	OnPreempt func(stream.Spec)
 }
 
 // Decision is the outcome of one admission test.
@@ -148,14 +146,6 @@ func (a *Admission) SetTelemetry(reg *telemetry.Registry, tracer *telemetry.Trac
 func (a *Admission) SetPaths(mons []*monitor.PathMonitor) {
 	a.mu.Lock()
 	a.mons = mons
-	a.mu.Unlock()
-}
-
-// SetHeadroomSource attaches (or, with nil, detaches) a posterior
-// headroom source consulted on every guaranteed admission.
-func (a *Admission) SetHeadroomSource(src HeadroomSource) {
-	a.mu.Lock()
-	a.headroom = src
 	a.mu.Unlock()
 }
 
@@ -344,9 +334,6 @@ func (a *Admission) tryPreempt(spec stream.Spec, cdfs []stats.Distribution) (Dec
 	for _, e := range evicted {
 		d.Preempted = append(d.Preempted, e.Name)
 		a.tel.preempt(e)
-		if a.opt.OnPreempt != nil {
-			a.opt.OnPreempt(e)
-		}
 	}
 	a.tel.admit(d, len(a.admitted))
 	return d, true

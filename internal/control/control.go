@@ -53,9 +53,6 @@ type Config struct {
 	Src, Dst overlay.NodeID
 	// MaxPaths bounds the concurrent path set (default 2).
 	MaxPaths int
-	// Disjoint selects edge-disjoint paths (DisjointPaths) instead of the
-	// k-shortest candidate set.
-	Disjoint bool
 	// GossipIntervalTicks is the period of link-state dissemination rounds
 	// (default 10). Each round, every up node adopts the newest topology
 	// version among its up neighbors; convergence time in ticks is roughly
@@ -67,6 +64,9 @@ type Config struct {
 	// and each gossip interval runs one mesh round (member→rep deltas,
 	// rep ring + fanout, anti-entropy). Nodes is overridden with the
 	// graph size. The flat path remains the differential-test oracle.
+	// knob: only tests set it today (TestClusterViewsMatchFlatOracle,
+	// TestClusterLossyStillConverges); ROADMAP item 7 decides which
+	// dissemination path the Controller keeps.
 	Cluster *gossip.Params
 	// FailureDetectTicks delays the moment a failed node's neighbors
 	// witness its NodeFail (graceful NodeLeave is always announced
@@ -195,9 +195,6 @@ func New(cfg Config, schedule Schedule) (*Controller, error) {
 	return c, nil
 }
 
-// Routes returns the active node routes.
-func (c *Controller) Routes() [][]overlay.NodeID { return c.routes }
-
 // Paths returns the active transport paths.
 func (c *Controller) Paths() []sched.PathService { return c.paths }
 
@@ -206,26 +203,6 @@ func (c *Controller) Monitors() []*monitor.PathMonitor { return c.mons }
 
 // Reroutes returns how many times the path set was rebuilt.
 func (c *Controller) Reroutes() int { return c.reroutes }
-
-// Views returns a copy of the per-node believed topology versions.
-func (c *Controller) Views() []int64 { return append([]int64(nil), c.views...) }
-
-// Converged reports whether every up node's view has reached the current
-// topology version.
-func (c *Controller) Converged() bool {
-	g := c.cfg.Graph
-	for i := range c.views {
-		if g.NodeUp(overlay.NodeID(i)) && c.views[i] < g.Version() {
-			return false
-		}
-	}
-	return true
-}
-
-// LastConvergenceTicks returns the duration in ticks of the most recently
-// completed convergence (change applied → all up views caught up), or −1
-// when none has completed yet.
-func (c *Controller) LastConvergenceTicks() int64 { return c.lastConvergence }
 
 // MaxConvergenceTicks returns the slowest completed convergence in ticks
 // (the number a "bounded convergence" claim is checked against), or −1
@@ -429,16 +406,7 @@ func (c *Controller) accountConvergence(now int64) {
 // still disseminating.
 func (c *Controller) computeRoutes() [][]overlay.NodeID {
 	g := c.cfg.Graph
-	var routes [][]overlay.NodeID
-	if c.cfg.Disjoint {
-		routes = g.DisjointPaths(c.cfg.Src, c.cfg.Dst)
-		if len(routes) > c.cfg.MaxPaths {
-			routes = routes[:c.cfg.MaxPaths]
-		}
-	} else {
-		routes = g.KShortestPaths(c.cfg.Src, c.cfg.Dst, c.cfg.MaxPaths)
-	}
-	return routes
+	return g.KShortestPaths(c.cfg.Src, c.cfg.Dst, c.cfg.MaxPaths)
 }
 
 func (c *Controller) materialize(routes [][]overlay.NodeID) ([]sched.PathService, []*monitor.PathMonitor, error) {

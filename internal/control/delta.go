@@ -48,23 +48,3 @@ func (m *meshView) view(n overlay.NodeID) int64 {
 }
 
 func (m *meshView) setUp(n overlay.NodeID, up bool) { m.mesh.SetNodeUp(n, up) }
-
-// ClusterStats returns the mesh dissemination counters when the
-// controller runs clustered (Config.Cluster non-nil); ok is false on
-// the flat neighbor-max path.
-func (c *Controller) ClusterStats() (gossip.Stats, bool) {
-	if c.mesh == nil {
-		return gossip.Stats{}, false
-	}
-	return c.mesh.mesh.Stats(), true
-}
-
-// ClusterTable returns node n's link-state table when running clustered
-// (nil otherwise) — the handle daemons serve /gossip/digest from and
-// differential tests compare.
-func (c *Controller) ClusterTable(n overlay.NodeID) *gossip.Table {
-	if c.mesh == nil {
-		return nil
-	}
-	return c.mesh.mesh.Table(n)
-}

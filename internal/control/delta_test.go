@@ -75,7 +75,7 @@ func TestClusterViewsMatchFlatOracle(t *testing.T) {
 		if _, ok := flat.ClusterStats(); ok {
 			t.Fatal("flat controller must report no cluster stats")
 		}
-		if tab := clustered.ClusterTable(0); tab == nil || tab.Len() == 0 {
+		if tab := clustered.ClusterTable(0); tab == nil || len(tab.Records()) == 0 {
 			t.Fatalf("seed %d: source table empty", seed)
 		}
 	}

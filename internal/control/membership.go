@@ -67,21 +67,6 @@ type Event struct {
 // bit-for-bit reproducible.
 type Schedule []Event
 
-// Join scripts node joining at atTick with duplex links to attach.
-func Join(node overlay.NodeID, atTick int64, attach ...overlay.NodeID) Schedule {
-	return Schedule{{AtTick: atTick, Kind: NodeJoin, Node: node, Attach: attach}}
-}
-
-// Leave scripts a graceful departure of node at atTick.
-func Leave(node overlay.NodeID, atTick int64) Schedule {
-	return Schedule{{AtTick: atTick, Kind: NodeLeave, Node: node}}
-}
-
-// Fail scripts an abrupt failure of node at atTick.
-func Fail(node overlay.NodeID, atTick int64) Schedule {
-	return Schedule{{AtTick: atTick, Kind: NodeFail, Node: node}}
-}
-
 // FailRecover scripts node failing at fromTick and rejoining at toTick with
 // duplex links to attach (typically its former neighbors).
 func FailRecover(node overlay.NodeID, fromTick, toTick int64, attach ...overlay.NodeID) Schedule {
@@ -89,25 +74,6 @@ func FailRecover(node overlay.NodeID, fromTick, toTick int64, attach ...overlay.
 		{AtTick: fromTick, Kind: NodeFail, Node: node},
 		{AtTick: toTick, Kind: NodeJoin, Node: node, Attach: attach},
 	}
-}
-
-// AddLink scripts a duplex link a ↔ b appearing at atTick.
-func AddLink(a, b overlay.NodeID, atTick int64) Schedule {
-	return Schedule{{AtTick: atTick, Kind: LinkAdd, From: a, To: b}}
-}
-
-// RemoveLink scripts the duplex link a ↔ b disappearing at atTick.
-func RemoveLink(a, b overlay.NodeID, atTick int64) Schedule {
-	return Schedule{{AtTick: atTick, Kind: LinkRemove, From: a, To: b}}
-}
-
-// Compose concatenates schedules into one script.
-func Compose(parts ...Schedule) Schedule {
-	var s Schedule
-	for _, p := range parts {
-		s = append(s, p...)
-	}
-	return s
 }
 
 // sorted returns a stable tick-ordered copy of the schedule.

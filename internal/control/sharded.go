@@ -160,6 +160,8 @@ func (s *ShardedAdmission) setRemote(remote [][]float64) {
 
 // ReplicaRecords returns the full replication table in canonical order —
 // what a daemon answers an anti-entropy digest with.
+// testonly: cmd/iqpathsd's handler tests compare the digest and delta they
+// serve against the full table.
 func (s *ShardedAdmission) ReplicaRecords() []gossip.Record {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -16,27 +16,25 @@ import (
 
 // Config parameterizes the testbed build.
 type Config struct {
-	// TickSeconds is the emulator tick (default 0.01 s).
-	TickSeconds float64
-	// CapacityMbps is the per-link capacity (default 100, fast ethernet).
-	CapacityMbps float64
-	// DelayTicks is the per-link propagation delay (default 1 tick).
-	DelayTicks int
-	// QueueLimit is the per-link queue bound in packets (default 1000).
-	QueueLimit int
 	// LossProb is an independent per-packet loss probability applied on
 	// every link (failure injection; 0 disables).
 	LossProb float64
-	// CrossA, CrossB generate cross traffic for the bottlenecks of path A
-	// (N-3→N-5) and path B (N-2→N-4). Either may be nil for an idle
-	// bottleneck. When both are nil, NLANR-like traces are synthesized
-	// from Seed — path A with the default calibration, path B with a
-	// heavier, more variable one, reproducing the paper's setup where
-	// path A has higher available bandwidth and path B a larger variance.
-	CrossA, CrossB trace.Generator
-	// Seed drives all synthesized randomness.
+	// Seed drives all synthesized randomness. The cross traffic of path
+	// A's bottleneck (N-3→N-5) is an NLANR-like trace with the default
+	// calibration, and path B's (N-2→N-4) a heavier, more variable one,
+	// reproducing the paper's setup where path A has higher available
+	// bandwidth and path B a larger variance.
 	Seed int64
 }
+
+// The testbed's links: a 0.01 s emulator tick, 100 Mbps fast ethernet,
+// one tick of propagation delay and a 1000-packet queue.
+const (
+	tickSeconds  = 0.01
+	capacityMbps = 100
+	delayTicks   = 1
+	queueLimit   = 1000
+)
 
 // Testbed is the assembled Fig. 8 network.
 type Testbed struct {
@@ -75,19 +73,7 @@ func BuildN(cfg Config, n int) *MultiPath {
 	if n < 1 || n > 6 {
 		panic("emulab: BuildN supports 1..6 paths")
 	}
-	if cfg.TickSeconds <= 0 {
-		cfg.TickSeconds = 0.01
-	}
-	if cfg.CapacityMbps <= 0 {
-		cfg.CapacityMbps = 100
-	}
-	if cfg.DelayTicks <= 0 {
-		cfg.DelayTicks = 1
-	}
-	if cfg.QueueLimit <= 0 {
-		cfg.QueueLimit = 1000
-	}
-	net := simnet.New(cfg.TickSeconds, rand.New(rand.NewSource(cfg.Seed)))
+	net := simnet.New(tickSeconds, rand.New(rand.NewSource(cfg.Seed)))
 	mp := &MultiPath{Net: net}
 	for i := 0; i < n; i++ {
 		var tc trace.NLANRConfig
@@ -107,9 +93,9 @@ func BuildN(cfg Config, n int) *MultiPath {
 		mkLink := func(name string, cr trace.Generator) *simnet.Link {
 			return net.AddLink(simnet.LinkConfig{
 				Name:         name,
-				CapacityMbps: cfg.CapacityMbps,
-				DelayTicks:   cfg.DelayTicks,
-				QueueLimit:   cfg.QueueLimit,
+				CapacityMbps: capacityMbps,
+				DelayTicks:   delayTicks,
+				QueueLimit:   queueLimit,
 				Cross:        cr,
 			})
 		}
@@ -123,42 +109,28 @@ func BuildN(cfg Config, n int) *MultiPath {
 
 // Build assembles the testbed.
 func Build(cfg Config) *Testbed {
-	if cfg.TickSeconds <= 0 {
-		cfg.TickSeconds = 0.01
-	}
-	if cfg.CapacityMbps <= 0 {
-		cfg.CapacityMbps = 100
-	}
-	if cfg.DelayTicks <= 0 {
-		cfg.DelayTicks = 1
-	}
-	if cfg.QueueLimit <= 0 {
-		cfg.QueueLimit = 1000
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	if cfg.CrossA == nil && cfg.CrossB == nil {
-		cfg.CrossA = trace.NewNLANRLike(trace.DefaultNLANR(), rand.New(rand.NewSource(cfg.Seed+1)))
-		cfg.CrossB = trace.NewNLANRLike(HeavyNLANR(), rand.New(rand.NewSource(cfg.Seed+2)))
-	}
+	crossA := trace.NewNLANRLike(trace.DefaultNLANR(), rand.New(rand.NewSource(cfg.Seed+1)))
+	crossB := trace.NewNLANRLike(HeavyNLANR(), rand.New(rand.NewSource(cfg.Seed+2)))
 
-	net := simnet.New(cfg.TickSeconds, rng)
+	net := simnet.New(tickSeconds, rng)
 	mk := func(name string, cross trace.Generator) *simnet.Link {
 		return net.AddLink(simnet.LinkConfig{
 			Name:         name,
-			CapacityMbps: cfg.CapacityMbps,
-			DelayTicks:   cfg.DelayTicks,
-			QueueLimit:   cfg.QueueLimit,
+			CapacityMbps: capacityMbps,
+			DelayTicks:   delayTicks,
+			QueueLimit:   queueLimit,
 			LossProb:     cfg.LossProb,
 			Cross:        cross,
 		})
 	}
 	// Path A: N-1 → N-3 → N-5 → N-6, bottleneck N-3:N-5.
 	a1 := mk("N-1:N-3", nil)
-	a2 := mk("N-3:N-5", cfg.CrossA)
+	a2 := mk("N-3:N-5", crossA)
 	a3 := mk("N-5:N-6", nil)
 	// Path B: N-1 → N-2 → N-4 → N-6, bottleneck N-2:N-4.
 	b1 := mk("N-1:N-2", nil)
-	b2 := mk("N-2:N-4", cfg.CrossB)
+	b2 := mk("N-2:N-4", crossB)
 	b3 := mk("N-4:N-6", nil)
 
 	return &Testbed{

@@ -17,20 +17,23 @@ import (
 type ClusterConfig struct {
 	// Nodes lists the overlay sizes to sweep (default 100, 1000, 5000).
 	Nodes []int
-	// ClusterSize is nodes per cluster (default 0 = ceil(sqrt(N))).
-	ClusterSize int
 	// Events is the number of churn script steps (default 40).
+	// knob: the cluster_seed<N>.golden cases run 25 events, 120 rounds
+	// and 20 drain rounds, and TestRenderCluster a smaller script.
 	Events int
 	// Rounds bounds the gossip rounds spent inside the event phase
 	// (default 200); Drain rounds follow with churn quiesced (default 24).
+	// knob: set with Events by the cluster goldens and TestRenderCluster.
 	Rounds int
-	Drain  int
-	// LossProb is the simulated delta-push loss (default 0.2);
-	// anti-entropy is always lossless.
-	LossProb float64
+	// knob: set with Events by the cluster goldens and TestRenderCluster.
+	Drain int
 	// Seed drives the script and both engines' fanout/loss draws.
 	Seed int64
 }
+
+// clusterLossProb is the simulated delta-push loss; anti-entropy is
+// always lossless.
+const clusterLossProb = 0.2
 
 func (c *ClusterConfig) fillDefaults() {
 	if len(c.Nodes) == 0 {
@@ -44,9 +47,6 @@ func (c *ClusterConfig) fillDefaults() {
 	}
 	if c.Drain <= 0 {
 		c.Drain = 24
-	}
-	if c.LossProb == 0 {
-		c.LossProb = 0.2
 	}
 	if c.Seed == 0 {
 		c.Seed = 42
@@ -130,7 +130,7 @@ func runCluster(cfg ClusterConfig) (Table, error) {
 		if n <= 0 {
 			return Table{}, fmt.Errorf("cluster: invalid node count %d", n)
 		}
-		p := gossip.Params{Nodes: n, ClusterSize: cfg.ClusterSize, LossProb: cfg.LossProb, Seed: cfg.Seed}
+		p := gossip.Params{Nodes: n, LossProb: clusterLossProb, Seed: cfg.Seed}
 		mesh := gossip.NewMesh(p)
 		flood := gossip.NewFullFlood(p)
 		runClusterScript(cfg, n, mesh)

@@ -144,16 +144,11 @@ func recoveryWindows(remapTimes []float64, onsetSec, twSec float64) int {
 
 // runFaults plays the identical fault script against the SmartPointer
 // workload under WFQ, MSFQ, and PGOS and reports recovery time and
-// violated-window fractions. With cfg.FaultSchedule empty the default
-// three-phase script is used; a caller-supplied schedule is passed through
-// unchanged (its timeline fields are zero except the targeted link is
-// unknown, so RecoveryWindows is measured from run start).
+// violated-window fractions under the default three-phase script.
 func runFaults(cfg RunConfig) (*FaultsResult, error) {
 	cfg.fillDefaults()
 	var tl FaultTimeline
-	if len(cfg.FaultSchedule) == 0 {
-		cfg.FaultSchedule, tl = DefaultFaultSchedule(cfg)
-	}
+	cfg.faultSchedule, tl = DefaultFaultSchedule(cfg)
 	results, err := RunArms(cfg, RunSmartPointer, AlgWFQ, AlgMSFQ, AlgPGOS)
 	if err != nil {
 		return nil, err

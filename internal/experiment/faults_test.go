@@ -13,7 +13,7 @@ import (
 )
 
 func faultCfg(durationSec float64) RunConfig {
-	return RunConfig{Seed: 42, DurationSec: durationSec, WarmupSec: 60, SampleSec: 1}
+	return RunConfig{Seed: 42, DurationSec: durationSec, WarmupSec: 60}
 }
 
 // TestDefaultFaultScheduleShape checks the script scales with the run

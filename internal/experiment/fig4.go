@@ -27,32 +27,24 @@ type Fig4Config struct {
 	Seed int64
 	// Samples is the base series length at 0.1 s resolution
 	// (default 60000 ≈ 100 minutes of trace).
+	// knob: TestRenderFig4 and report's TestGenerateFullReport run 8,000
+	// samples, and BenchmarkFig4Prediction 30,000, to stay fast.
 	Samples int
-	// WindowN is the CDF sample count (paper: 500 or 1000; default 500).
-	WindowN int
-	// Quantile is the predicted percentile (default 0.10).
-	Quantile float64
-	// Horizon is the n future samples tested (default 10).
-	Horizon int
-	// CapacityMbps is the emulated bottleneck capacity (default 100).
-	CapacityMbps float64
 }
+
+// The Figure 4 evaluation: 500-sample CDFs (the paper uses 500 or 1000)
+// predicting the 10th percentile over the next 10 samples of a 100 Mbps
+// bottleneck.
+const (
+	fig4WindowN      = 500
+	fig4Quantile     = 0.10
+	fig4Horizon      = 10
+	fig4CapacityMbps = 100
+)
 
 func (c *Fig4Config) fillDefaults() {
 	if c.Samples <= 0 {
 		c.Samples = 60000
-	}
-	if c.WindowN <= 0 {
-		c.WindowN = 500
-	}
-	if c.Quantile <= 0 {
-		c.Quantile = 0.10
-	}
-	if c.Horizon <= 0 {
-		c.Horizon = 10
-	}
-	if c.CapacityMbps <= 0 {
-		c.CapacityMbps = 100
 	}
 }
 
@@ -65,15 +57,15 @@ func Fig4(cfg Fig4Config) []Fig4Point {
 	cfg.fillDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	cross := trace.Take(trace.NewNLANRLike(trace.DefaultNLANR(), rng), cfg.Samples)
-	avail := trace.AvailableBandwidth(cfg.CapacityMbps, cross)
+	avail := trace.AvailableBandwidth(fig4CapacityMbps, cross)
 
 	var out []Fig4Point
 	for k := 1; k <= 10; k++ {
 		agg := predict.Aggregate(avail, k)
 		res := predict.Evaluate(agg, predict.EvalConfig{
-			WindowN:  cfg.WindowN,
-			Quantile: cfg.Quantile,
-			Horizon:  cfg.Horizon,
+			WindowN:  fig4WindowN,
+			Quantile: fig4Quantile,
+			Horizon:  fig4Horizon,
 		})
 		out = append(out, Fig4Point{
 			WindowSec: 0.1 * float64(k),

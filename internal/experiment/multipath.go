@@ -41,7 +41,7 @@ func pathsSweep(cfg RunConfig) (Table, error) {
 
 		tickSec := net.TickSeconds()
 		warmupTicks := int64(cfg.WarmupSec / tickSec)
-		sampleTicks := int64(cfg.SampleSec / tickSec)
+		sampleTicks := int64(sampleSec / tickSec)
 		var scheduler *pgos.Scheduler
 		var series []float64
 		acc := 0.0
@@ -64,7 +64,7 @@ func pathsSweep(cfg RunConfig) (Table, error) {
 					return
 				}
 				if t >= warmupTicks {
-					series = append(series, acc/1e6/cfg.SampleSec)
+					series = append(series, acc/1e6/sampleSec)
 					m := scheduler.Mapping()
 					totalWindows++
 					if len(m.Rejected) > 0 && !m.Rejected[0] {

@@ -62,14 +62,14 @@ func probingAblation(cfg RunConfig) (Table, error) {
 
 		ests := make([]*pathload.Estimator, len(paths))
 		for j, pw := range paths {
-			ests[j] = pathload.New(net, pw, pathload.Config{})
+			ests[j] = pathload.New(net, pw)
 			ests[j].Deliver = func(pkt *simnet.Packet) { account(pkt.Stream, pkt.Bits) }
 		}
 
 		tickSec := net.TickSeconds()
 		warmupTicks := int64(cfg.WarmupSec / tickSec)
 		totalTicks := warmupTicks + int64(cfg.DurationSec/tickSec)
-		sampleTicks := int64(cfg.SampleSec / tickSec)
+		sampleTicks := int64(sampleSec / tickSec)
 		probeEvery := int64(5 / tickSec) // 5 s cadence per path
 		lastSample := int64(0)
 
@@ -82,7 +82,7 @@ func probingAblation(cfg RunConfig) (Table, error) {
 				lastSample += sampleTicks
 				for i := range streams {
 					if lastSample > warmupTicks {
-						series[i] = append(series[i], acc[i]/1e6/cfg.SampleSec)
+						series[i] = append(series[i], acc[i]/1e6/sampleSec)
 					}
 					acc[i] = 0
 				}

@@ -20,34 +20,6 @@ import (
 type ProbingConfig struct {
 	// Paths lists the overlay sizes swept (default 100, 1000, 5000).
 	Paths []int
-	// Bins / MaxMbps / RelNoise configure the per-path posterior
-	// (defaults match bwest: 24 bins over [0, 100] Mbps, 12 % noise).
-	Bins     int
-	MaxMbps  float64
-	RelNoise float64
-	// Rounds caps the probing rounds per planner (default 400).
-	Rounds int
-	// TargetKS is the mean per-path Kolmogorov–Smirnov distance (posterior
-	// predictive CDF vs. true simnet distribution, sup over bin edges) at
-	// which a planner is declared converged (default 0.30 — above the
-	// structural floor set by posterior decay and the volatile groups'
-	// bimodality, below the ~0.5 of an untouched overlay, so the metric
-	// measures coverage speed).
-	TargetKS float64
-	// GroupSize paths share each bottleneck group (default 4); in-group
-	// pairs are declared to the correlation model with SharedPrior.
-	GroupSize int
-	// VolatileFrac of the groups follow a two-state capacity mixture that
-	// needs sustained probing; the rest are stable (default 0.25).
-	VolatileFrac float64
-	// SharedPrior is the topology-derived prior correlation coefficient
-	// for in-group pairs (default 0.5).
-	SharedPrior float64
-	// EvalEvery rounds the mean KS is measured (default 5).
-	EvalEvery int
-	// TrainBytes is the wire cost of one probe train (default 16 packets
-	// of 1228 B, the live.ProberConfig default train).
-	TrainBytes int
 	// Seed drives the truth draw and the per-path sample streams. Sample
 	// streams advance only when their path is probed, so the k-th probe of
 	// path i returns the same value under every planner — the planners
@@ -57,39 +29,41 @@ type ProbingConfig struct {
 	SchedCfg RunConfig
 }
 
+// The probing sweep's fixed parameters.
+const (
+	// probingBins, probingMaxMbps and probingRelNoise configure the
+	// per-path posterior (bwest's defaults: 24 bins over [0, 100] Mbps,
+	// 12 % noise).
+	probingBins     = 24
+	probingMaxMbps  = 100
+	probingRelNoise = 0.12
+	// probingRounds caps the probing rounds per planner.
+	probingRounds = 400
+	// probingTargetKS is the mean per-path Kolmogorov–Smirnov distance
+	// (posterior predictive CDF vs. true simnet distribution, sup over bin
+	// edges) at which a planner is declared converged: above the
+	// structural floor set by posterior decay and the volatile groups'
+	// bimodality, below the ~0.5 of an untouched overlay, so the metric
+	// measures coverage speed.
+	probingTargetKS = 0.30
+	// probingGroupSize paths share each bottleneck group; in-group pairs
+	// are declared to the correlation model with probingSharedPrior, the
+	// topology-derived prior correlation coefficient.
+	probingGroupSize   = 4
+	probingSharedPrior = 0.5
+	// probingVolatileFrac of the groups follow a two-state capacity
+	// mixture that needs sustained probing; the rest are stable.
+	probingVolatileFrac = 0.25
+	// probingEvalEvery rounds the mean KS is measured.
+	probingEvalEvery = 5
+	// probingTrainBytes is the wire cost of one probe train: 16 packets
+	// of 1228 B, the live prober's train.
+	probingTrainBytes = 16 * 1228
+)
+
 func (c *ProbingConfig) fillDefaults() {
 	if len(c.Paths) == 0 {
 		c.Paths = []int{100, 1000, 5000}
-	}
-	if c.Bins <= 0 {
-		c.Bins = 24
-	}
-	if c.MaxMbps <= 0 {
-		c.MaxMbps = 100
-	}
-	if c.RelNoise <= 0 {
-		c.RelNoise = 0.12
-	}
-	if c.Rounds <= 0 {
-		c.Rounds = 400
-	}
-	if c.TargetKS <= 0 {
-		c.TargetKS = 0.30
-	}
-	if c.GroupSize <= 0 {
-		c.GroupSize = 4
-	}
-	if c.VolatileFrac <= 0 {
-		c.VolatileFrac = 0.25
-	}
-	if c.SharedPrior <= 0 {
-		c.SharedPrior = 0.5
-	}
-	if c.EvalEvery <= 0 {
-		c.EvalEvery = 5
-	}
-	if c.TrainBytes <= 0 {
-		c.TrainBytes = 16 * 1228
 	}
 }
 
@@ -99,7 +73,7 @@ type ProbingPoint struct {
 	Planner string // "active" or "rr"
 	Budget  int    // probe trains per round (equal across planners)
 	// RoundsToTarget is the first evaluated round at which the mean KS
-	// dropped to TargetKS (= cfg.Rounds when never reached).
+	// dropped to probingTargetKS (= probingRounds when never reached).
 	RoundsToTarget int
 	// ProbeKBToTarget is the probe traffic spent to reach the target.
 	ProbeKBToTarget float64
@@ -155,12 +129,12 @@ func gaussCDF(x, mu, sigma float64) float64 {
 func buildTruth(cfg *ProbingConfig, paths int) []truthPath {
 	groupRng := rand.New(rand.NewSource(cfg.Seed))
 	truth := make([]truthPath, paths)
-	groups := (paths + cfg.GroupSize - 1) / cfg.GroupSize
+	groups := (paths + probingGroupSize - 1) / probingGroupSize
 	for g := 0; g < groups; g++ {
 		base := 40 + 55*groupRng.Float64()
-		volatile := groupRng.Float64() < cfg.VolatileFrac
-		for m := 0; m < cfg.GroupSize; m++ {
-			i := g*cfg.GroupSize + m
+		volatile := groupRng.Float64() < probingVolatileFrac
+		for m := 0; m < probingGroupSize; m++ {
+			i := g*probingGroupSize + m
 			if i >= paths {
 				break
 			}
@@ -168,12 +142,12 @@ func buildTruth(cfg *ProbingConfig, paths int) []truthPath {
 			if volatile {
 				lo := 0.55 * base
 				states = []truthState{
-					{mean: base, sigma: sigmaFloor(cfg.RelNoise * base * 1.2), w: 0.5},
-					{mean: lo, sigma: sigmaFloor(cfg.RelNoise * lo * 1.2), w: 0.5},
+					{mean: base, sigma: sigmaFloor(probingRelNoise * base * 1.2), w: 0.5},
+					{mean: lo, sigma: sigmaFloor(probingRelNoise * lo * 1.2), w: 0.5},
 				}
 			} else {
 				states = []truthState{
-					{mean: base, sigma: sigmaFloor(cfg.RelNoise * base * 0.8), w: 1},
+					{mean: base, sigma: sigmaFloor(probingRelNoise * base * 0.8), w: 1},
 				}
 			}
 			truth[i] = truthPath{
@@ -204,8 +178,8 @@ type ksEval struct {
 }
 
 func newKSEval(cfg *ProbingConfig, truth []truthPath) *ksEval {
-	bins := cfg.Bins
-	width := cfg.MaxMbps / float64(bins)
+	bins := probingBins
+	width := probingMaxMbps / float64(bins)
 	ev := &ksEval{
 		condCDF:  make([][]float64, bins),
 		truthCDF: make([][]float64, len(truth)),
@@ -213,7 +187,7 @@ func newKSEval(cfg *ProbingConfig, truth []truthPath) *ksEval {
 	}
 	for i := 0; i < bins; i++ {
 		c := (float64(i) + 0.5) * width
-		s := cfg.RelNoise * c
+		s := probingRelNoise * c
 		if s < width {
 			s = width // the belief's likelihood floor (Belief.rateSigma)
 		}
@@ -265,22 +239,22 @@ func runProbingPlanner(cfg *ProbingConfig, paths int, planner bwest.Planner) Pro
 	}
 	est := bwest.NewEstimator(bwest.Config{
 		Paths:    paths,
-		MaxMbps:  cfg.MaxMbps,
-		Bins:     cfg.Bins,
-		RelNoise: cfg.RelNoise,
+		MaxMbps:  probingMaxMbps,
+		Bins:     probingBins,
+		RelNoise: probingRelNoise,
 		Budget:   budget,
 		Planner:  planner,
 	})
-	groups := (paths + cfg.GroupSize - 1) / cfg.GroupSize
+	groups := (paths + probingGroupSize - 1) / probingGroupSize
 	for g := 0; g < groups; g++ {
-		lo := g * cfg.GroupSize
-		hi := lo + cfg.GroupSize
+		lo := g * probingGroupSize
+		hi := lo + probingGroupSize
 		if hi > paths {
 			hi = paths
 		}
 		for a := lo; a < hi; a++ {
 			for b := a + 1; b < hi; b++ {
-				est.DeclareSharedPrior(a, b, cfg.SharedPrior)
+				est.DeclareSharedPrior(a, b, probingSharedPrior)
 			}
 		}
 	}
@@ -289,25 +263,25 @@ func runProbingPlanner(cfg *ProbingConfig, paths int, planner bwest.Planner) Pro
 		Paths:          paths,
 		Planner:        planner.Name(),
 		Budget:         budget,
-		RoundsToTarget: cfg.Rounds,
+		RoundsToTarget: probingRounds,
 	}
 	trains := 0
 	lastKS := 1.0
-	for r := 1; r <= cfg.Rounds; r++ {
+	for r := 1; r <= probingRounds; r++ {
 		plan := est.PlanTrains(budget)
 		for _, p := range plan {
 			est.ObserveProbe(p, truth[p].sample())
 			trains++
 		}
-		if r%cfg.EvalEvery == 0 {
+		if r%probingEvalEvery == 0 {
 			lastKS = ev.meanKS(est)
-			if lastKS <= cfg.TargetKS {
+			if lastKS <= probingTargetKS {
 				pt.RoundsToTarget = r
 				break
 			}
 		}
 	}
-	pt.ProbeKBToTarget = float64(trains*cfg.TrainBytes) / 1024
+	pt.ProbeKBToTarget = float64(trains*probingTrainBytes) / 1024
 	pt.FinalMeanKS = lastKS
 	pt.MeanEntropyBits = est.MeanEntropyBits()
 	return pt

@@ -33,8 +33,8 @@ func checkProbingClaims(t *testing.T, tables []Table) {
 	cfg.fillDefaults()
 	sweep := tableRows(tables[0])
 	for _, r := range sweep {
-		if ks := num(t, r["final_mean_ks"]); ks > cfg.TargetKS {
-			t.Errorf("%s at %s paths never reached target KS %.2f (final %.4f)", r["planner"], r["paths"], cfg.TargetKS, ks)
+		if ks := num(t, r["final_mean_ks"]); ks > probingTargetKS {
+			t.Errorf("%s at %s paths never reached target KS %.2f (final %.4f)", r["planner"], r["paths"], probingTargetKS, ks)
 		}
 		if r["planner"] != "rr" || num(t, r["paths"]) < 1000 {
 			continue
@@ -68,7 +68,7 @@ func checkProbingClaims(t *testing.T, tables []Table) {
 // TestProbingSweepDeterminism re-runs one cell and demands identical
 // output — the property that makes the goldens meaningful.
 func TestProbingSweepDeterminism(t *testing.T) {
-	cfg := ProbingConfig{Paths: []int{100}, Seed: 7, Rounds: 60}
+	cfg := ProbingConfig{Paths: []int{100}, Seed: 7}
 	cfg.fillDefaults()
 	a := runProbingPlanner(&cfg, 100, bwestActive())
 	b := runProbingPlanner(&cfg, 100, bwestActive())

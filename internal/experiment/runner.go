@@ -47,14 +47,8 @@ type RunConfig struct {
 	DurationSec float64
 	// WarmupSec runs before measurement starts so monitors fill and
 	// queues reach steady state (default 60 s). A zero or negative value
-	// means "use the default"; set NoWarmup for a genuine zero-warmup run.
+	// means "use the default".
 	WarmupSec float64
-	// NoWarmup starts measurement at tick zero regardless of WarmupSec —
-	// the fast path for matrix smoke cells and short CI runs, where the
-	// 60 s default would dominate the run.
-	NoWarmup bool
-	// SampleSec is the throughput sampling interval (default 1 s).
-	SampleSec float64
 	// TwSec is PGOS's scheduling window (default 1 s).
 	TwSec float64
 	// MeanPrediction runs PGOS with mean-bandwidth predictions instead of
@@ -62,24 +56,22 @@ type RunConfig struct {
 	MeanPrediction bool
 	// PaceLimit overrides the per-path queued-packet bound (0 = default).
 	PaceLimit int
-	// FaultSchedule, when non-empty, is played against the testbed by a
+	// faultSchedule, when non-empty, is played against the testbed by a
 	// faults.Scenario: event ticks count from the start of the run
 	// (warmup included), so a schedule is one fixed script across
-	// algorithms and seeds.
-	FaultSchedule faults.Schedule
+	// algorithms and seeds. The fault figure sets it.
+	faultSchedule faults.Schedule
 }
+
+// sampleSec is the throughput sampling interval.
+const sampleSec = 1.0
 
 func (c *RunConfig) fillDefaults() {
 	if c.DurationSec <= 0 {
 		c.DurationSec = 150
 	}
-	if c.NoWarmup {
-		c.WarmupSec = 0
-	} else if c.WarmupSec <= 0 {
+	if c.WarmupSec <= 0 {
 		c.WarmupSec = 60
-	}
-	if c.SampleSec <= 0 {
-		c.SampleSec = 1
 	}
 	if c.TwSec <= 0 {
 		c.TwSec = 1
@@ -216,7 +208,7 @@ func RunGridFTP(cfg RunConfig) (Result, error) {
 
 // run is the one testbed runner every simulated figure shares. Over net it
 // builds the §4 monitors on paths, the per-run telemetry rig and the
-// cfg.Algorithm scheduler, plays cfg.FaultSchedule, ticks w, and accounts
+// cfg.Algorithm scheduler, plays cfg.faultSchedule, ticks w, and accounts
 // every delivery (RTT samples, guarantee windows, per-stream throughput
 // series); fig adds what one figure measures beyond that. cfg must have
 // its defaults filled.
@@ -235,9 +227,9 @@ func run(cfg RunConfig, net *simnet.Network, paths []*simnet.Path, w workload, f
 	// Fault injection: the scripted scenario plays against the testbed's
 	// links on the same virtual clock as everything else.
 	var scn *faults.Scenario
-	if len(cfg.FaultSchedule) > 0 {
+	if len(cfg.faultSchedule) > 0 {
 		var err error
-		scn, err = faults.NewScenario(cfg.Algorithm, net, cfg.FaultSchedule)
+		scn, err = faults.NewScenario(cfg.Algorithm, net, cfg.faultSchedule)
 		if err != nil {
 			return Result{}, err
 		}
@@ -269,7 +261,7 @@ func run(cfg RunConfig, net *simnet.Network, paths []*simnet.Path, w workload, f
 	}
 
 	tickSec := net.TickSeconds()
-	sampleTicks := int64(cfg.SampleSec / tickSec)
+	sampleTicks := int64(sampleSec / tickSec)
 	warmupTicks := int64(cfg.WarmupSec / tickSec)
 
 	nStreams := len(streams)
@@ -321,7 +313,7 @@ func run(cfg RunConfig, net *simnet.Network, paths []*simnet.Path, w workload, f
 					if t >= warmupTicks {
 						total := 0.0
 						for j := range acc[i] {
-							mbps := acc[i][j] / 1e6 / cfg.SampleSec
+							mbps := acc[i][j] / 1e6 / sampleSec
 							perPath[i][j] = append(perPath[i][j], mbps)
 							total += mbps
 						}
@@ -341,7 +333,7 @@ func run(cfg RunConfig, net *simnet.Network, paths []*simnet.Path, w workload, f
 		return Result{}, err
 	}
 
-	res := Result{Algorithm: cfg.Algorithm, SampleSec: cfg.SampleSec}
+	res := Result{Algorithm: cfg.Algorithm, SampleSec: sampleSec}
 	for i, s := range streams {
 		ss := StreamSeries{
 			Name:         s.Name,

@@ -5,7 +5,7 @@ import (
 )
 
 func shortCfg(alg string) RunConfig {
-	return RunConfig{Algorithm: alg, Seed: 42, DurationSec: 60, WarmupSec: 60, SampleSec: 1}
+	return RunConfig{Algorithm: alg, Seed: 42, DurationSec: 60, WarmupSec: 60}
 }
 
 func TestRunSmartPointerUnknownAlgorithm(t *testing.T) {
@@ -29,28 +29,6 @@ func TestFillDefaultsWarmup(t *testing.T) {
 	cfg.fillDefaults()
 	if cfg.WarmupSec != 7 {
 		t.Errorf("explicit WarmupSec overridden to %v", cfg.WarmupSec)
-	}
-	cfg = RunConfig{NoWarmup: true, WarmupSec: 30}
-	cfg.fillDefaults()
-	if cfg.WarmupSec != 0 {
-		t.Errorf("NoWarmup should zero WarmupSec, got %v", cfg.WarmupSec)
-	}
-}
-
-// A NoWarmup run measures from tick zero: every sample lands in the
-// series, so the series length covers the full duration.
-func TestRunSmartPointerNoWarmup(t *testing.T) {
-	skipIfRace(t)
-	res, err := RunSmartPointer(RunConfig{
-		Algorithm: AlgMSFQ, Seed: 7, DurationSec: 10, NoWarmup: true, SampleSec: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range res.Streams {
-		if len(s.Total) != 10 {
-			t.Fatalf("%s: %d samples, want 10 (no warmup)", s.Name, len(s.Total))
-		}
 	}
 }
 

@@ -80,15 +80,6 @@ func Outage(link string, fromTick, toTick int64) Schedule {
 	}
 }
 
-// Degrade scripts a capacity degradation to scale× on [fromTick, toTick),
-// restoring full capacity at toTick.
-func Degrade(link string, fromTick, toTick int64, scale float64) Schedule {
-	return Schedule{
-		{AtTick: fromTick, Link: link, Kind: CapacityScale, Value: scale},
-		{AtTick: toTick, Link: link, Kind: CapacityScale, Value: 1},
-	}
-}
-
 // LossStorm scripts a loss-probability spike to prob on [fromTick,
 // toTick), restoring baseline at toTick.
 func LossStorm(link string, fromTick, toTick int64, prob, baseline float64) Schedule {
@@ -116,6 +107,8 @@ func Flap(link string, startTick, downTicks, upTicks int64, cycles int) Schedule
 
 // CorrelatedOutage scripts a simultaneous failure of several links on
 // [fromTick, toTick) — a shared-bottleneck or fate-sharing event.
+// testonly: experiment's TestFaultsDriveBlockedPathBackoff scripts a
+// both-paths outage with it.
 func CorrelatedOutage(links []string, fromTick, toTick int64) Schedule {
 	var s Schedule
 	for _, l := range links {
@@ -174,9 +167,6 @@ func NewScenario(name string, net *simnet.Network, sched Schedule) (*Scenario, e
 	return s, nil
 }
 
-// Name returns the scenario label.
-func (s *Scenario) Name() string { return s.name }
-
 // SetTelemetry attaches fault counters (iqpaths_faults_events_total per
 // kind), a links-down gauge, and per-event trace records. Either argument
 // may be nil.
@@ -227,11 +217,5 @@ func (s *Scenario) Apply(tick int64) int {
 	return fired
 }
 
-// Done reports whether every scheduled event has fired.
-func (s *Scenario) Done() bool { return s.next >= len(s.events) }
-
 // Applied returns the number of events fired so far.
 func (s *Scenario) Applied() uint64 { return s.applied }
-
-// LinksDown returns how many links the scenario currently holds down.
-func (s *Scenario) LinksDown() int { return len(s.down) }

@@ -94,12 +94,12 @@ func TestDegradeScalesCapacity(t *testing.T) {
 		net.Step()
 		switch {
 		case tick >= 2 && tick < 4:
-			if l.CapacityScale() != 0.25 || l.AvailMbps() != 2.5 {
-				t.Fatalf("tick %d: scale=%v avail=%v", tick, l.CapacityScale(), l.AvailMbps())
+			if l.AvailMbps() != 2.5 {
+				t.Fatalf("tick %d: avail=%v, want 2.5", tick, l.AvailMbps())
 			}
 		case tick >= 4:
-			if l.CapacityScale() != 1 || l.AvailMbps() != 10 {
-				t.Fatalf("tick %d: scale=%v avail=%v", tick, l.CapacityScale(), l.AvailMbps())
+			if l.AvailMbps() != 10 {
+				t.Fatalf("tick %d: avail=%v, want 10", tick, l.AvailMbps())
 			}
 		}
 	}

@@ -87,12 +87,6 @@ func (t *Topology) Rep(c int) (overlay.NodeID, bool) {
 	return 0, false
 }
 
-// IsRep reports whether id is currently its cluster's representative.
-func (t *Topology) IsRep(id overlay.NodeID) bool {
-	r, ok := t.Rep(t.ClusterOf(id))
-	return ok && r == id
-}
-
 // Members appends cluster c's up members (representative included) to
 // dst in id order.
 func (t *Topology) Members(c int, dst []overlay.NodeID) []overlay.NodeID {

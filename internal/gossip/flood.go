@@ -35,11 +35,10 @@ type FullFlood struct {
 }
 
 // NewFullFlood builds the flood oracle over the same Params shape as
-// NewMesh. Fanout applies (same schedule); LossProb and
-// AntiEntropyEvery are ignored — the oracle is lossless and needs no
-// repair channel.
+// NewMesh, with the same fanout schedule. LossProb is ignored and there
+// is no anti-entropy — the oracle is lossless and needs no repair
+// channel.
 func NewFullFlood(p Params) *FullFlood {
-	p = p.withDefaults()
 	return &FullFlood{
 		engineCore: newEngineCore(p.Nodes, p.ClusterSize),
 		p:          p,
@@ -77,7 +76,7 @@ func (f *FullFlood) Round(now int64) {
 			f.send(rep, next)
 		}
 		if len(f.repScratch) > 1 {
-			for i := 0; i < f.p.Fanout; i++ {
+			for i := 0; i < fanout; i++ {
 				tgt := f.repScratch[f.rng.Intn(len(f.repScratch))]
 				if tgt != rep {
 					f.send(rep, tgt)

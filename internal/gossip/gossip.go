@@ -168,9 +168,6 @@ func NewTable() *Table {
 // and the digest encoders' cache key).
 func (t *Table) Gen() uint64 { return t.gen }
 
-// Len returns the number of live records.
-func (t *Table) Len() int { return len(t.recs) }
-
 // MaxVer returns the highest application version applied — for
 // membership records, the node's believed overlay topology version.
 func (t *Table) MaxVer() int64 { return t.maxVer }

@@ -12,15 +12,10 @@ type Params struct {
 	Nodes int
 	// ClusterSize is the nodes-per-cluster target; 0 means ceil(sqrt(N)),
 	// which balances the member star against the representative ring.
+	// knob: control's TestClusterViewsMatchFlatOracle and
+	// TestClusterLossyStillConverges and gossip's differential tests run
+	// small clusters of 5–8 nodes.
 	ClusterSize int
-	// Fanout is how many extra random representatives each representative
-	// pushes to per round, on top of its ring successor. Default 1.
-	Fanout int
-	// AntiEntropyEvery is the anti-entropy period in rounds: each member
-	// exchanges digests with its representative once per period (rotated
-	// by node id so the load spreads), and representatives exchange with
-	// their ring successor on period boundaries. Default 4.
-	AntiEntropyEvery int
 	// LossProb drops each delta push with this probability. Anti-entropy
 	// exchanges are never dropped — they are the repair channel.
 	LossProb float64
@@ -28,15 +23,16 @@ type Params struct {
 	Seed int64
 }
 
-func (p Params) withDefaults() Params {
-	if p.Fanout <= 0 {
-		p.Fanout = 1
-	}
-	if p.AntiEntropyEvery <= 0 {
-		p.AntiEntropyEvery = 4
-	}
-	return p
-}
+const (
+	// fanout is how many extra random representatives each representative
+	// pushes to per round, on top of its ring successor.
+	fanout = 1
+	// antiEntropyEvery is the anti-entropy period in rounds: each member
+	// exchanges digests with its representative once per period (rotated
+	// by node id so the load spreads), and representatives exchange with
+	// their ring successor on period boundaries.
+	antiEntropyEvery = 4
+)
 
 // pairKey names a node pair; directed for push floors, normalized
 // (low id first) for anti-entropy memos.
@@ -95,7 +91,6 @@ type Mesh struct {
 // NewMesh builds a delta/anti-entropy engine. Same Params + same call
 // sequence replays bit-for-bit.
 func NewMesh(p Params) *Mesh {
-	p = p.withDefaults()
 	return &Mesh{
 		engineCore: newEngineCore(p.Nodes, p.ClusterSize),
 		p:          p,
@@ -139,7 +134,7 @@ func (m *Mesh) Round(now int64) {
 			m.push(rep, next)
 		}
 		if len(m.repScratch) > 1 {
-			for f := 0; f < m.p.Fanout; f++ {
+			for f := 0; f < fanout; f++ {
 				tgt := m.repScratch[m.rng.Intn(len(m.repScratch))]
 				if tgt != rep {
 					m.push(rep, tgt)
@@ -162,8 +157,8 @@ func (m *Mesh) Round(now int64) {
 		}
 	}
 	// Phase D — anti-entropy, rotated by node id so each round repairs a
-	// 1/AntiEntropyEvery slice of the member stars.
-	ae := int64(m.p.AntiEntropyEvery)
+	// 1/antiEntropyEvery slice of the member stars.
+	ae := int64(antiEntropyEvery)
 	for c := 0; c < t.Clusters(); c++ {
 		rep, ok := t.Rep(c)
 		if !ok {

@@ -45,7 +45,7 @@ func BenchmarkProbeTrain(b *testing.B) {
 	clock := NewFakeClock()
 	probeConn := newFakeRaw()
 	replyConn := newFakeRaw()
-	p := NewProber(ProbeConfig{TrainPackets: 16, ProbeBytes: 1200}, clock, probeConn)
+	p := NewProber(ProbeConfig{TrainPackets: 16}, clock, probeConn)
 	r := NewResponder(clock, replyConn)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

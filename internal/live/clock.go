@@ -65,6 +65,8 @@ type fakeTimer struct {
 }
 
 // NewFakeClock returns a fake clock at elapsed time zero.
+// testonly: the virtual clock fixture live's tests and cmd/iqpathsd's
+// TestSourcePlaneExportsMetrics run the live path on.
 func NewFakeClock() *FakeClock {
 	c := &FakeClock{}
 	c.waiters = sync.NewCond(&c.mu)
@@ -101,6 +103,7 @@ func (c *FakeClock) After(d time.Duration) <-chan time.Time {
 
 // Advance moves the clock forward by d, firing every timer due at or
 // before the new time, in deadline order.
+// testonly: part of the FakeClock fixture.
 func (c *FakeClock) Advance(d time.Duration) {
 	c.mu.Lock()
 	c.now += d
@@ -124,6 +127,7 @@ func (c *FakeClock) Advance(d time.Duration) {
 // BlockUntilTimers waits (without sleeping) until at least n timers are
 // registered — the synchronization hook tests use to advance the clock
 // only once the code under test is parked in After.
+// testonly: part of the FakeClock fixture.
 func (c *FakeClock) BlockUntilTimers(n int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -65,10 +65,13 @@ type ProberConfig struct {
 	IntervalSec float64
 	// TrainPackets is the probes per train (default 16). Dispersion uses
 	// the (TrainPackets−1) inter-arrival gaps.
+	// knob: TestProbeTrainDispersion, TestProberRunPacesOnClock and the
+	// ProberSet tests count the frames of 2- and 4-packet trains.
 	TrainPackets int
-	// ProbeBytes is the payload size per probe (default 1200).
-	ProbeBytes int
 }
+
+// probeBytes is the payload size per probe.
+const probeBytes = 1200
 
 // ProbeConfig is the historical name for ProberConfig, kept as an alias
 // for existing call sites.
@@ -80,9 +83,6 @@ func (c *ProberConfig) fillDefaults() {
 	}
 	if c.TrainPackets < 2 {
 		c.TrainPackets = 16
-	}
-	if c.ProbeBytes <= 0 {
-		c.ProbeBytes = 1200
 	}
 }
 
@@ -137,7 +137,7 @@ func (p *Prober) ProbeOnce() error {
 	id := p.trainID
 	p.sent++
 	p.mu.Unlock()
-	pad := make([]byte, p.cfg.ProbeBytes)
+	pad := make([]byte, probeBytes)
 	for i := 0; i < p.cfg.TrainPackets; i++ {
 		m := &transport.Message{
 			Kind:    transport.KindTrain,
@@ -156,7 +156,7 @@ func (p *Prober) ProbeOnce() error {
 // probeDatagramBits is the wire size of one probe datagram in bits as a
 // shaping relay sees it (transport header + payload).
 func (p *Prober) probeDatagramBits() float64 {
-	return float64(transport.DatagramOverhead+p.cfg.ProbeBytes) * 8
+	return float64(transport.DatagramOverhead+probeBytes) * 8
 }
 
 // HandleReply consumes one responder measurement: a train of got packets
@@ -239,6 +239,8 @@ type Responder struct {
 
 	mu  sync.Mutex
 	cur *trainState
+	// armed is set while the one gap-timeout goroutine is pending.
+	armed bool
 }
 
 type trainState struct {
@@ -248,6 +250,8 @@ type trainState struct {
 	haveTime bool
 	first    time.Duration
 	last     time.Duration
+	// deadline is when the train is finalized if its tail never arrives.
+	deadline time.Duration
 	done     bool
 }
 
@@ -260,8 +264,9 @@ func NewResponder(clock Clock, conn RawConn) *Responder {
 }
 
 // HandleRequest consumes one train packet, finalizing the previous train
-// if a new one begins, and the current one when it completes. A timeout
-// goroutine covers trains that lose their tail.
+// if a new one begins, and the current one when it completes. One timeout
+// goroutine covers trains that lose their tail; however many trains a
+// peer starts, at most one is pending.
 func (r *Responder) HandleRequest(m *transport.Message) {
 	now := r.clock.Now()
 	_, count := unpackTrainMeta(m.Frame)
@@ -272,13 +277,11 @@ func (r *Responder) HandleRequest(m *transport.Message) {
 			r.cur.done = true
 			finish = r.cur
 		}
-		r.cur = &trainState{id: m.Seq, count: uint32(count)}
-		id := m.Seq
-		timeout := r.GapTimeout
-		go func() {
-			<-r.clock.After(timeout)
-			r.finalizeIfCurrent(id)
-		}()
+		r.cur = &trainState{id: m.Seq, count: uint32(count), deadline: now + r.GapTimeout}
+		if !r.armed {
+			r.armed = true
+			go r.watchGap(r.GapTimeout)
+		}
 	}
 	st := r.cur
 	st.got++
@@ -301,17 +304,30 @@ func (r *Responder) HandleRequest(m *transport.Message) {
 	}
 }
 
-// finalizeIfCurrent closes train id if it is still pending (lost tail).
-func (r *Responder) finalizeIfCurrent(id uint64) {
-	r.mu.Lock()
-	var finish *trainState
-	if r.cur != nil && r.cur.id == id && !r.cur.done {
-		r.cur.done = true
-		finish = r.cur
-	}
-	r.mu.Unlock()
-	if finish != nil {
-		r.reply(finish)
+// watchGap waits out the current train's gap timeout and closes the
+// train if it is still pending (lost tail). When a newer train began
+// while it waited, it re-arms for that train's deadline instead.
+func (r *Responder) watchGap(wait time.Duration) {
+	for {
+		<-r.clock.After(wait)
+		r.mu.Lock()
+		st := r.cur
+		if !st.done {
+			if now := r.clock.Now(); now < st.deadline {
+				wait = st.deadline - now
+				r.mu.Unlock()
+				continue
+			}
+			st.done = true
+		} else {
+			st = nil
+		}
+		r.armed = false
+		r.mu.Unlock()
+		if st != nil {
+			r.reply(st)
+		}
+		return
 	}
 }
 

@@ -2,6 +2,7 @@ package live
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -54,7 +55,7 @@ func TestProbeTrainDispersion(t *testing.T) {
 	clock := NewFakeClock()
 	probeConn := newFakeRaw()
 	replyConn := newFakeRaw()
-	p := NewProber(ProbeConfig{TrainPackets: 4, ProbeBytes: 1200}, clock, probeConn)
+	p := NewProber(ProbeConfig{TrainPackets: 4}, clock, probeConn)
 	r := NewResponder(clock, replyConn)
 
 	var mbps float64
@@ -134,6 +135,34 @@ func TestResponderNewTrainFinalizesPrevious(t *testing.T) {
 	}
 	if _, got, _, _ := unmarshalTrainReply(reply.Payload); got != 2 {
 		t.Fatalf("train 1 got=%d, want 2", got)
+	}
+}
+
+// TestResponderBoundsPendingTimeouts floods the responder with trains of
+// fresh IDs, as a peer sending raw train frames can: one gap timeout stays
+// pending for all of them, not one parked goroutine per train, and the
+// last train is still finalized when its tail never arrives.
+func TestResponderBoundsPendingTimeouts(t *testing.T) {
+	clock := NewFakeClock()
+	replyConn := newFakeRaw()
+	r := NewResponder(clock, replyConn)
+
+	before := runtime.NumGoroutine()
+	const trains = 10000
+	for id := uint64(1); id <= trains; id++ {
+		r.HandleRequest(&transport.Message{Kind: transport.KindTrain, Stream: trainRequest, Seq: id, Frame: packTrainMeta(0, 16)})
+	}
+	clock.Advance(time.Millisecond)
+	r.HandleRequest(&transport.Message{Kind: transport.KindTrain, Stream: trainRequest, Seq: trains, Frame: packTrainMeta(1, 16)})
+	if n := runtime.NumGoroutine() - before; n > 1 {
+		t.Fatalf("%d goroutines pending after %d trains, want at most 1", n, trains)
+	}
+
+	clock.BlockUntilTimers(1)
+	clock.Advance(r.GapTimeout)
+	reply := <-replyConn.out
+	if _, got, count, ok := unmarshalTrainReply(reply.Payload); reply.Seq != trains || !ok || got != 2 || count != 16 {
+		t.Fatalf("reply for train %d got=%d count=%d ok=%v, want train %d 2/16", reply.Seq, got, count, ok, trains)
 	}
 }
 

@@ -177,12 +177,6 @@ func (d *ShardedDriver) AddStream(sp stream.Spec) (id, shardIdx int) {
 	return d.plane.AddStream(sp)
 }
 
-// Rebind migrates stream id to the given shard at the owner's next tick
-// boundary (see shard.Plane.Rebind).
-func (d *ShardedDriver) Rebind(id, shardIdx int) error {
-	return d.plane.Rebind(id, shardIdx)
-}
-
 // Offer enqueues one packet of the given wire size for global stream id.
 // The packet's deadline is the end of the current scheduling window, both
 // in driver ticks (for PGOS) and as a wire Stamp carried in the packet's

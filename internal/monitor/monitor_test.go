@@ -58,49 +58,6 @@ func TestExceedProbabilityEmpty(t *testing.T) {
 	}
 }
 
-func TestExpectedViolationsZeroWhenAmple(t *testing.T) {
-	m := New("p", 100, 10)
-	for i := 0; i < 100; i++ {
-		m.ObserveBandwidth(100) // far above any need
-	}
-	// 10 packets × 12 kbit over 1 s → 0.12 Mbps requirement.
-	if ez := m.ExpectedViolations(10, 12000, 1); ez != 0 {
-		t.Fatalf("E[Z] = %v, want 0 for ample bandwidth", ez)
-	}
-}
-
-func TestExpectedViolationsPositiveWhenStarved(t *testing.T) {
-	m := New("p", 100, 10)
-	for i := 0; i < 100; i++ {
-		m.ObserveBandwidth(1) // 1 Mbps available
-	}
-	// Need 10 Mbps: 834 packets of 12 kbit in 1 s.
-	ez := m.ExpectedViolations(834, 12000, 1)
-	if ez <= 0 {
-		t.Fatal("E[Z] should be positive when starved")
-	}
-	// Bandwidth is deterministic 1 Mbps → ~750 of 834 packets miss.
-	if ez < 700 || ez > 800 {
-		t.Fatalf("E[Z] = %v, want ~750", ez)
-	}
-}
-
-func TestExpectedViolationsMonotoneInDemand(t *testing.T) {
-	m := New("p", 200, 10)
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 200; i++ {
-		m.ObserveBandwidth(20 + rng.Float64()*20)
-	}
-	prev := -1.0
-	for _, x := range []int{100, 500, 1000, 2000, 4000} {
-		ez := m.ExpectedViolations(x, 12000, 1)
-		if ez < prev {
-			t.Fatalf("E[Z] not monotone in demand: %v after %v", ez, prev)
-		}
-		prev = ez
-	}
-}
-
 func TestDramaticChange(t *testing.T) {
 	m := New("p", 100, 10)
 	for i := 0; i < 100; i++ {
@@ -156,38 +113,6 @@ func TestSamplerReadsPath(t *testing.T) {
 	}
 	if got := m.MeanBandwidth(); got != 60 {
 		t.Fatalf("sampled mean = %v, want 60", got)
-	}
-}
-
-func TestPercentileQueriesRTTLoss(t *testing.T) {
-	m := New("p", 100, 2)
-	for i := 1; i <= 100; i++ {
-		m.ObserveRTT(float64(i) / 1000)
-		m.ObserveLoss(float64(i) / 10000)
-	}
-	if got := m.RTTPercentile(0.95); math.Abs(got-0.095) > 1e-9 {
-		t.Fatalf("RTT p95 = %v, want 0.095", got)
-	}
-	if got := m.LossPercentile(0.5); math.Abs(got-0.005) > 1e-9 {
-		t.Fatalf("loss p50 = %v, want 0.005", got)
-	}
-}
-
-func TestBandwidthIIDScore(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	iid := New("iid", 500, 2)
-	trend := New("trend", 500, 2)
-	x := 50.0
-	for i := 0; i < 500; i++ {
-		iid.ObserveBandwidth(50 + rng.NormFloat64()*10)
-		x = 0.98*x + rng.NormFloat64()
-		trend.ObserveBandwidth(x)
-	}
-	if s := iid.BandwidthIIDScore(5); s < 0.85 {
-		t.Fatalf("IID path score = %v", s)
-	}
-	if si, st := iid.BandwidthIIDScore(5), trend.BandwidthIIDScore(5); si <= st {
-		t.Fatalf("IID path (%v) should out-score trending path (%v)", si, st)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package overlay models the paper's overlay graph G = (V, E): servers
 // (data sources), router daemons, and clients (sinks) joined by logical
-// links, with enumeration of the simple and disjoint paths P^j between a
+// links, with enumeration of the disjoint and k-shortest paths P^j between a
 // server and client that PGOS schedules across (§5.1). Like the paper (and
 // OverQoS), it makes no placement decisions — it represents whatever
 // placement the middleware chose and answers path queries about it.
@@ -9,7 +9,6 @@ package overlay
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Kind classifies an overlay node.
@@ -58,7 +57,6 @@ type Graph struct {
 	down    []bool // down[id] marks a failed/departed node
 	adj     map[NodeID][]NodeID
 	version int64
-	tel     *graphMetrics
 }
 
 // NewGraph returns an empty graph.
@@ -222,47 +220,6 @@ func (g *Graph) HasEdge(a, b NodeID) bool {
 // ErrNoPath reports that no path exists between the queried endpoints.
 var ErrNoPath = errors.New("overlay: no path")
 
-// SimplePaths enumerates up to maxPaths simple (loop-free) paths from src
-// to dst by depth-first search, returned shortest first. maxPaths ≤ 0
-// means no limit. Enumeration cost is exponential in the worst case; the
-// overlays this middleware manages are small (tens of nodes).
-func (g *Graph) SimplePaths(src, dst NodeID, maxPaths int) [][]NodeID {
-	var out [][]NodeID
-	if !g.NodeUp(src) || !g.NodeUp(dst) {
-		g.observeQuery("simple", 0)
-		return nil
-	}
-	visited := make(map[NodeID]bool)
-	var path []NodeID
-	var dfs func(n NodeID) bool // returns true when the cap is reached
-	dfs = func(n NodeID) bool {
-		visited[n] = true
-		path = append(path, n)
-		defer func() {
-			visited[n] = false
-			path = path[:len(path)-1]
-		}()
-		if n == dst {
-			cp := make([]NodeID, len(path))
-			copy(cp, path)
-			out = append(out, cp)
-			return maxPaths > 0 && len(out) >= maxPaths
-		}
-		for _, nb := range g.adj[n] {
-			if !visited[nb] && g.NodeUp(nb) {
-				if dfs(nb) {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	dfs(src)
-	sort.SliceStable(out, func(i, j int) bool { return len(out[i]) < len(out[j]) })
-	g.observeQuery("simple", len(out))
-	return out
-}
-
 // DisjointPaths returns a maximal set of pairwise edge-disjoint paths from
 // src to dst, found by repeated BFS with used-edge removal (unit-capacity
 // augmentation). These are the concurrent paths PGOS stripes streams over:
@@ -270,13 +227,11 @@ func (g *Graph) SimplePaths(src, dst NodeID, maxPaths int) [][]NodeID {
 // paper shares with OverQoS.
 func (g *Graph) DisjointPaths(src, dst NodeID) [][]NodeID {
 	if !g.NodeUp(src) || !g.NodeUp(dst) {
-		g.observeQuery("disjoint", 0)
 		return nil
 	}
 	if src == dst {
 		// The trivial path consumes no edges; without this guard the
 		// augmentation loop below would find it forever.
-		g.observeQuery("disjoint", 1)
 		return [][]NodeID{{src}}
 	}
 	used := make(map[[2]NodeID]bool)
@@ -284,7 +239,6 @@ func (g *Graph) DisjointPaths(src, dst NodeID) [][]NodeID {
 	for {
 		p := g.bfs(src, dst, used)
 		if p == nil {
-			g.observeQuery("disjoint", len(out))
 			return out
 		}
 		for i := 0; i+1 < len(p); i++ {
@@ -342,7 +296,6 @@ func (g *Graph) KShortestPaths(src, dst NodeID, k int) [][]NodeID {
 	}
 	shortest := g.bfs(src, dst, nil)
 	if shortest == nil {
-		g.observeQuery("kshortest", 0)
 		return nil
 	}
 	paths := [][]NodeID{shortest}
@@ -390,7 +343,6 @@ func (g *Graph) KShortestPaths(src, dst NodeID, k int) [][]NodeID {
 		paths = append(paths, candidates[best])
 		candidates = append(candidates[:best], candidates[best+1:]...)
 	}
-	g.observeQuery("kshortest", len(paths))
 	return paths
 }
 

@@ -59,39 +59,6 @@ func TestDuplicateEdgeIgnored(t *testing.T) {
 	}
 }
 
-func TestSimplePathsFig8(t *testing.T) {
-	g, src, dst := fig8()
-	paths := g.SimplePaths(src, dst, 0)
-	if len(paths) != 2 {
-		t.Fatalf("found %d simple paths, want 2: %v", len(paths), paths)
-	}
-	for _, p := range paths {
-		if len(p) != 4 {
-			t.Fatalf("path length %d, want 4 nodes: %s", len(p), g.PathString(p))
-		}
-		if p[0] != src || p[len(p)-1] != dst {
-			t.Fatal("path endpoints wrong")
-		}
-	}
-}
-
-func TestSimplePathsMaxCap(t *testing.T) {
-	g, src, dst := fig8()
-	paths := g.SimplePaths(src, dst, 1)
-	if len(paths) != 1 {
-		t.Fatalf("cap ignored: %d paths", len(paths))
-	}
-}
-
-func TestSimplePathsNone(t *testing.T) {
-	g := NewGraph()
-	a := g.AddNode("a", Server)
-	b := g.AddNode("b", Client)
-	if got := g.SimplePaths(a, b, 0); len(got) != 0 {
-		t.Fatal("expected no paths in disconnected graph")
-	}
-}
-
 func TestDisjointPathsFig8(t *testing.T) {
 	g, src, dst := fig8()
 	paths := g.DisjointPaths(src, dst)
@@ -128,53 +95,9 @@ func TestDisjointPathsDiamondWithShortcut(t *testing.T) {
 	}
 }
 
-// Property: every path returned by SimplePaths is loop-free, follows
-// edges, and starts/ends correctly, on random graphs.
-func TestSimplePathsValidProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := NewGraph()
-		n := 6 + rng.Intn(4)
-		for i := 0; i < n; i++ {
-			g.AddNode("x", Router)
-		}
-		for i := 0; i < 2*n; i++ {
-			g.AddEdge(NodeID(rng.Intn(n)), NodeID(rng.Intn(n)))
-		}
-		src, dst := NodeID(0), NodeID(n-1)
-		adj := func(a, b NodeID) bool {
-			for _, x := range g.Neighbors(a) {
-				if x == b {
-					return true
-				}
-			}
-			return false
-		}
-		for _, p := range g.SimplePaths(src, dst, 50) {
-			if p[0] != src || p[len(p)-1] != dst {
-				return false
-			}
-			seen := map[NodeID]bool{}
-			for i, x := range p {
-				if seen[x] {
-					return false
-				}
-				seen[x] = true
-				if i+1 < len(p) && !adj(x, p[i+1]) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPathString(t *testing.T) {
 	g, src, dst := fig8()
-	paths := g.SimplePaths(src, dst, 0)
+	paths := g.KShortestPaths(src, dst, 1)
 	s := g.PathString(paths[0])
 	if s == "" || s[0] != 'N' {
 		t.Fatalf("PathString = %q", s)
@@ -302,9 +225,6 @@ func TestVersionBumpsOnMutation(t *testing.T) {
 
 func TestPathsSrcEqualsDst(t *testing.T) {
 	g, src, _ := fig8()
-	if got := g.SimplePaths(src, src, 0); len(got) != 1 || len(got[0]) != 1 || got[0][0] != src {
-		t.Fatalf("SimplePaths(src,src) = %v, want the trivial path", got)
-	}
 	if got := g.DisjointPaths(src, src); len(got) != 1 || len(got[0]) != 1 {
 		t.Fatalf("DisjointPaths(src,src) = %v, want the trivial path", got)
 	}
@@ -321,42 +241,8 @@ func TestDisconnectedQueries(t *testing.T) {
 	if got := g.DisjointPaths(a, b); len(got) != 0 {
 		t.Fatalf("disjoint on disconnected = %v", got)
 	}
-	if got := g.SimplePaths(a, b, 0); len(got) != 0 {
-		t.Fatalf("simple on disconnected = %v", got)
-	}
 	if got := g.KShortestPaths(a, b, 2); got != nil {
 		t.Fatalf("k-shortest on disconnected = %v", got)
-	}
-}
-
-// TestSimplePathsTruncationOrder checks that maxPaths truncation keeps
-// the returned prefix sorted shortest-first even though DFS discovery
-// order is arbitrary.
-func TestSimplePathsTruncationOrder(t *testing.T) {
-	// src→a→b→dst (long) inserted before src→dst (short).
-	g := NewGraph()
-	src := g.AddNode("s", Server)
-	a := g.AddNode("a", Router)
-	b := g.AddNode("b", Router)
-	dst := g.AddNode("d", Client)
-	g.AddEdge(src, a)
-	g.AddEdge(a, b)
-	g.AddEdge(b, dst)
-	g.AddEdge(src, dst)
-	all := g.SimplePaths(src, dst, 0)
-	if len(all) != 2 || len(all[0]) != 2 {
-		t.Fatalf("uncapped enumeration: %v", all)
-	}
-	for i := 1; i < len(all); i++ {
-		if len(all[i]) < len(all[i-1]) {
-			t.Fatalf("not sorted shortest-first: %v", all)
-		}
-	}
-	// Capped at 1 the result is the first *discovered* path, re-sorted:
-	// still exactly one valid path with correct endpoints.
-	capped := g.SimplePaths(src, dst, 1)
-	if len(capped) != 1 || capped[0][0] != src || capped[0][len(capped[0])-1] != dst {
-		t.Fatalf("capped enumeration: %v", capped)
 	}
 }
 
@@ -377,9 +263,6 @@ func TestRemovalInvalidatesPaths(t *testing.T) {
 	if got := g.DisjointPaths(src, dst); len(got) != 1 {
 		t.Fatalf("disjoint after node down = %v", got)
 	}
-	if got := g.SimplePaths(src, dst, 0); len(got) != 1 {
-		t.Fatalf("simple after node down = %v", got)
-	}
 	if got := g.KShortestPaths(src, dst, 4); len(got) != 1 {
 		t.Fatalf("k-shortest after node down = %v", got)
 	}
@@ -394,8 +277,8 @@ func TestRemovalInvalidatesPaths(t *testing.T) {
 	// routes through it but leaves the reverse direction.
 	n2, _ := g.Node(1)
 	g.RemoveEdge(src, n2.ID)
-	if got := g.SimplePaths(src, dst, 0); len(got) != 1 {
-		t.Fatalf("simple after edge removal = %v", got)
+	if got := g.KShortestPaths(src, dst, 4); len(got) != 1 {
+		t.Fatalf("k-shortest after edge removal = %v", got)
 	}
 	if !g.HasEdge(n2.ID, src) {
 		t.Fatal("reverse direction should survive RemoveEdge")
@@ -411,7 +294,7 @@ func TestRemovalInvalidatesPaths(t *testing.T) {
 	if len(g.Neighbors(n3.ID)) != 0 {
 		t.Fatal("removed node kept out-edges")
 	}
-	if got := g.SimplePaths(src, dst, 0); len(got) != 0 {
+	if got := g.KShortestPaths(src, dst, 4); len(got) != 0 {
 		t.Fatalf("paths survive RemoveNode: %v", got)
 	}
 	if g.UpCount() != g.Len()-1 {

@@ -15,39 +15,22 @@ package pathload
 
 import "iqpaths/internal/simnet"
 
-// Config tunes the estimator.
-type Config struct {
-	// TrainPackets is the probes per train (default 400: at a 10 ms tick
-	// and tens of Mbps available this spreads the train over ~5–40 ticks,
-	// keeping the ±1-tick dispersion quantization under ~10 %).
-	TrainPackets int
-	// ProbeBits is the probe packet size (default 12000 = 1500 B).
-	ProbeBits float64
-	// TimeoutTicks bounds one measurement (default 400 — 4 s at 10 ms).
-	TimeoutTicks int64
-	// StreamID tags probe packets (default -1, distinct from application
-	// streams so accounting can discard them).
-	StreamID int
-}
-
-func (c *Config) fillDefaults() {
-	if c.TrainPackets <= 0 {
-		c.TrainPackets = 400
-	}
-	if c.ProbeBits <= 0 {
-		c.ProbeBits = 12000
-	}
-	if c.TimeoutTicks <= 0 {
-		c.TimeoutTicks = 400
-	}
-	if c.StreamID == 0 {
-		c.StreamID = -1
-	}
-}
+const (
+	// trainPackets is the probes per train: at a 10 ms tick and tens of
+	// Mbps available this spreads the train over ~5–40 ticks, keeping the
+	// ±1-tick dispersion quantization under ~10 %.
+	trainPackets = 400
+	// probeBits is the probe packet size (1500 B).
+	probeBits = 12000
+	// timeoutTicks bounds one measurement (4 s at 10 ms).
+	timeoutTicks = 400
+	// streamID tags probe packets, distinct from application streams so
+	// accounting can discard them.
+	streamID = -1
+)
 
 // Estimator measures one emulated path by probing.
 type Estimator struct {
-	cfg  Config
 	net  *simnet.Network
 	path *simnet.Path
 	// Deliver, when set, receives non-probe packets the estimator drained
@@ -57,9 +40,8 @@ type Estimator struct {
 }
 
 // New builds an estimator for path on net.
-func New(net *simnet.Network, path *simnet.Path, cfg Config) *Estimator {
-	cfg.fillDefaults()
-	return &Estimator{cfg: cfg, net: net, path: path}
+func New(net *simnet.Network, path *simnet.Path) *Estimator {
+	return &Estimator{net: net, path: path}
 }
 
 // Estimate injects one probe train and returns the measured available
@@ -69,12 +51,12 @@ func New(net *simnet.Network, path *simnet.Path, cfg Config) *Estimator {
 // own traffic generation via onTick, invoked once per tick like
 // Network.Run's hook.
 func (e *Estimator) Estimate(onTick func(tick int64)) float64 {
-	n := e.cfg.TrainPackets
+	n := trainPackets
 	ids := make(map[uint64]bool, n)
 	sent := 0
 	// Inject at line rate (as fast as the first hop accepts).
 	for sent < n {
-		p := e.net.NewPacket(e.cfg.StreamID, e.cfg.ProbeBits)
+		p := e.net.NewPacket(streamID, probeBits)
 		if !e.path.Send(p) {
 			break // first hop full: train truncated, measure what went
 		}
@@ -86,20 +68,20 @@ func (e *Estimator) Estimate(onTick func(tick int64)) float64 {
 	}
 	var first, last int64 = -1, -1
 	got := 0
-	deadline := e.net.Tick() + e.cfg.TimeoutTicks
+	deadline := e.net.Tick() + timeoutTicks
 	for got < sent && e.net.Tick() < deadline {
 		if onTick != nil {
 			onTick(e.net.Tick())
 		}
 		e.net.Step()
 		for _, pkt := range e.path.TakeDelivered() {
-			if pkt.Stream == e.cfg.StreamID && ids[pkt.ID] {
+			if pkt.Stream == streamID && ids[pkt.ID] {
 				if first < 0 {
 					first = pkt.Delivered
 				}
 				last = pkt.Delivered
 				got++
-			} else if pkt.Stream != e.cfg.StreamID && e.Deliver != nil {
+			} else if pkt.Stream != streamID && e.Deliver != nil {
 				e.Deliver(pkt)
 			}
 		}
@@ -111,6 +93,6 @@ func (e *Estimator) Estimate(onTick func(tick int64)) float64 {
 	// service (deliveries land at the END of each serving tick, so the
 	// first tick's service is part of the duration).
 	spreadSec := float64(last-first+1) * e.net.TickSeconds()
-	bits := float64(got) * e.cfg.ProbeBits
+	bits := float64(got) * probeBits
 	return bits / spreadSec / 1e6
 }

@@ -21,7 +21,7 @@ func pathWithCross(t *testing.T, cross trace.Generator) (*simnet.Network, *simne
 func TestEstimateConstantCross(t *testing.T) {
 	for _, crossRate := range []float64{20, 50, 70} {
 		net, p := pathWithCross(t, trace.NewCBR(crossRate))
-		est := New(net, p, Config{})
+		est := New(net, p)
 		got := est.Estimate(nil)
 		want := 100 - crossRate
 		if math.Abs(got-want) > 8 {
@@ -32,7 +32,7 @@ func TestEstimateConstantCross(t *testing.T) {
 
 func TestEstimateIdlePath(t *testing.T) {
 	net, p := pathWithCross(t, nil)
-	est := New(net, p, Config{})
+	est := New(net, p)
 	got := est.Estimate(nil)
 	// An idle 100 Mbps path should measure near line rate.
 	if got < 85 || got > 115 {
@@ -43,7 +43,7 @@ func TestEstimateIdlePath(t *testing.T) {
 func TestEstimateNoisyCross(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	net, p := pathWithCross(t, trace.NewNLANRLike(trace.DefaultNLANR(), rng))
-	est := New(net, p, Config{})
+	est := New(net, p)
 	// Average several measurements; compare against the mean oracle value.
 	var sum float64
 	const k = 8
@@ -66,7 +66,7 @@ func TestEstimateNoisyCross(t *testing.T) {
 func TestEstimatorHandsBackForeignPackets(t *testing.T) {
 	net, p := pathWithCross(t, trace.NewCBR(40))
 	var foreign int
-	est := New(net, p, Config{})
+	est := New(net, p)
 	est.Deliver = func(pkt *simnet.Packet) {
 		if pkt.Stream == 5 {
 			foreign++
@@ -103,18 +103,10 @@ func TestEstimatorHandsBackForeignPackets(t *testing.T) {
 	}
 }
 
-func TestConfigDefaults(t *testing.T) {
-	c := Config{}
-	c.fillDefaults()
-	if c.TrainPackets != 400 || c.TimeoutTicks != 400 || c.StreamID != -1 {
-		t.Fatalf("defaults: %+v", c)
-	}
-}
-
 func TestEstimateTimeoutReturnsZero(t *testing.T) {
 	// A path whose bottleneck is fully consumed never delivers the train.
 	net, p := pathWithCross(t, trace.NewCBR(100))
-	est := New(net, p, Config{TimeoutTicks: 50})
+	est := New(net, p)
 	if got := est.Estimate(nil); got != 0 {
 		t.Fatalf("saturated path estimate = %v, want 0", got)
 	}

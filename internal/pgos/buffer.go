@@ -25,17 +25,3 @@ func BufferBound(cdf stats.Distribution, rateMbps, twSec, p float64) float64 {
 	}
 	return short * twSec * 1e6
 }
-
-// MeanBufferBound is the mean-prediction sizing of the same buffer —
-// zero whenever the mean covers the rate — included for the ablation
-// contrasting the two (it under-provisions on any noisy path).
-func MeanBufferBound(cdf stats.Distribution, rateMbps, twSec float64) float64 {
-	if cdf.IsEmpty() || rateMbps <= 0 || twSec <= 0 {
-		return 0
-	}
-	short := rateMbps - cdf.Mean()
-	if short <= 0 {
-		return 0
-	}
-	return short * twSec * 1e6
-}

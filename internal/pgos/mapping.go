@@ -111,6 +111,8 @@ type MapOptions struct {
 // satisfying its guarantee; failing that it divides the stream across
 // paths; failing that it rejects the stream (the caller surfaces the
 // upcall). cdfs[j] is path j's current bandwidth distribution.
+// testonly: the one-shot mapping the root package's benchmarks and pgos's
+// mapping tests call.
 func ComputeMapping(streams []*stream.Stream, cdfs []stats.Distribution, twSec float64) Mapping {
 	return ComputeMappingOpts(streams, cdfs, twSec, MapOptions{})
 }
@@ -351,22 +353,6 @@ func (mp *Mapper) mapViolationBound(s *stream.Stream, i, x int, cdfs []stats.Dis
 		m.Packets[i][j] = a
 		m.Committed[j] += s.RequiredMbps * float64(a) / float64(x)
 	}
-}
-
-// Satisfied checks the active mapping against fresh distributions: every
-// accepted guaranteed stream must still clear its guarantee on its
-// allocation. This is the "previous scheduling vectors don't satisfy
-// current CDF" remap trigger of Fig. 7 line 2.
-func (m *Mapping) Satisfied(streams []*stream.Stream, cdfs []stats.Distribution, slack float64) bool {
-	return m.SatisfiedWith(streams, cdfs, m.Metrics, slack)
-}
-
-// SatisfiedWith is Satisfied with fresh path metrics: a mapped path whose
-// loss rate or RTT has drifted past a stream's ceiling also invalidates
-// the mapping.
-func (m *Mapping) SatisfiedWith(streams []*stream.Stream, cdfs []stats.Distribution, metrics []PathMetrics, slack float64) bool {
-	var sc satisfyScratch
-	return m.satisfiedWith(streams, cdfs, metrics, slack, &sc)
 }
 
 // satisfyScratch carries SatisfiedWith's working buffers so a caller

@@ -19,13 +19,6 @@ type Config struct {
 	TwSec float64
 	// TickSeconds is the underlying clock tick (required).
 	TickSeconds float64
-	// KSThreshold is the Kolmogorov–Smirnov distance between a path's
-	// current bandwidth CDF and the CDF at the last mapping beyond which
-	// the mapping is rebuilt (default 0.15).
-	KSThreshold float64
-	// FeasibilitySlack loosens the per-window mapping-validity check to
-	// avoid remap thrash on small drifts (default 0.02).
-	FeasibilitySlack float64
 	// PaceLimit bounds per-path queued packets (default
 	// sched.DefaultPaceLimit).
 	PaceLimit int
@@ -45,18 +38,22 @@ type Config struct {
 	OnRemap func(m Mapping, latencySec float64)
 }
 
+const (
+	// ksThreshold is the Kolmogorov–Smirnov distance between a path's
+	// current bandwidth CDF and the CDF at the last mapping beyond which
+	// the mapping is rebuilt.
+	ksThreshold = 0.15
+	// feasibilitySlack loosens the per-window mapping-validity check to
+	// avoid remap thrash on small drifts.
+	feasibilitySlack = 0.02
+)
+
 func (c *Config) fillDefaults() {
 	if c.TwSec <= 0 {
 		c.TwSec = 1.0
 	}
 	if c.TickSeconds <= 0 {
 		panic("pgos: Config.TickSeconds is required")
-	}
-	if c.KSThreshold <= 0 {
-		c.KSThreshold = 0.15
-	}
-	if c.FeasibilitySlack <= 0 {
-		c.FeasibilitySlack = 0.02
 	}
 	if c.PaceLimit <= 0 {
 		c.PaceLimit = sched.DefaultPaceLimit
@@ -411,7 +408,7 @@ func (s *Scheduler) beginWindow(now int64) {
 		need := s.dirty || !s.haveMap
 		if !need {
 			for _, m := range s.mons {
-				if m.DramaticChange(s.cfg.KSThreshold) {
+				if m.DramaticChange(ksThreshold) {
 					need = true
 					break
 				}
@@ -419,7 +416,7 @@ func (s *Scheduler) beginWindow(now int64) {
 		}
 		if !need {
 			if !s.mapping.satisfiedWith(s.streams, s.liveDists(), s.liveMetrics(),
-				s.cfg.FeasibilitySlack, &s.satScratch) {
+				feasibilitySlack, &s.satScratch) {
 				need = true
 			}
 		}

@@ -16,23 +16,23 @@ type EvalConfig struct {
 	// (paper: 0.10, i.e. "bandwidth sustained 90 % of the time").
 	Quantile float64
 	// Horizon is n, the number of future samples each percentile
-	// prediction is tested against (paper: 5–10).
+	// prediction is tested against (paper: 5–10). A prediction fails when
+	// more than a Quantile fraction of them fall below it: the guarantee
+	// is itself probabilistic (level 1−Quantile), so the natural test is
+	// whether the observed shortfall rate exceeds the promised rate.
 	Horizon int
-	// Tolerance is the fraction of the Horizon samples allowed to fall
-	// below the predicted percentile before the prediction counts as a
-	// failure. The guarantee is itself probabilistic (level 1−Quantile),
-	// so the natural test is whether the observed shortfall rate exceeds
-	// the promised rate: Tolerance defaults to Quantile when zero.
-	Tolerance float64
-	// Margin scales the predicted level before checking future samples
+}
+
+const (
+	// evalMargin scales the predicted level before checking future samples
 	// against it, mirroring the paper's own §6.1 accounting, which scores
 	// streams against 99.5 % of their required bandwidth rather than the
 	// exact target. A sample counts as a shortfall only when it falls
-	// below Margin·level. Defaults to 0.90.
-	Margin float64
-	// MAWindow sizes the moving-average and AR(1) histories (default 20).
-	MAWindow int
-}
+	// below evalMargin·level.
+	evalMargin = 0.90
+	// maWindow sizes the moving-average and AR(1) histories.
+	maWindow = 20
+)
 
 func (c *EvalConfig) fillDefaults() {
 	if c.WindowN <= 0 {
@@ -43,15 +43,6 @@ func (c *EvalConfig) fillDefaults() {
 	}
 	if c.Horizon <= 0 {
 		c.Horizon = 5
-	}
-	if c.Tolerance <= 0 {
-		c.Tolerance = c.Quantile
-	}
-	if c.Margin <= 0 || c.Margin > 1 {
-		c.Margin = 0.90
-	}
-	if c.MAWindow <= 0 {
-		c.MAWindow = 20
 	}
 }
 
@@ -98,14 +89,14 @@ func (r EvalResult) String() string {
 // next Horizon samples fall below it.
 func Evaluate(series []float64, cfg EvalConfig) EvalResult {
 	cfg.fillDefaults()
-	preds := StandardMeanPredictors(cfg.MAWindow)
+	preds := StandardMeanPredictors(maWindow)
 	pctl := NewPercentile(cfg.WindowN, cfg.Quantile, 0)
 
 	res := EvalResult{MeanErr: make(map[string]float64, len(preds))}
 	errSums := make([]float64, len(preds))
 	errCounts := make([]int, len(preds))
 
-	maxBelow := int(float64(cfg.Horizon) * cfg.Tolerance)
+	maxBelow := int(float64(cfg.Horizon) * cfg.Quantile)
 	var pctlFailures, pctlTotal int
 
 	for i, actual := range series {
@@ -119,7 +110,7 @@ func Evaluate(series []float64, cfg EvalConfig) EvalResult {
 		// Score the percentile prediction made Horizon samples ago by
 		// looking forward instead: predict at i, examine i+1..i+Horizon.
 		if level, ok := pctl.Predict(); ok && i+cfg.Horizon < len(series) {
-			floor := level * cfg.Margin
+			floor := level * evalMargin
 			below := 0
 			for k := i + 1; k <= i+cfg.Horizon; k++ {
 				if series[k] < floor {

@@ -89,7 +89,7 @@ func TestEvaluateShortSeries(t *testing.T) {
 }
 
 func TestEvalResultString(t *testing.T) {
-	res := Evaluate([]float64{1, 2, 3, 4, 5, 6, 7, 8}, EvalConfig{WindowN: 4, MAWindow: 2})
+	res := Evaluate([]float64{1, 2, 3, 4, 5, 6, 7, 8}, EvalConfig{WindowN: 4})
 	if s := res.String(); s == "" {
 		t.Fatal("String should render")
 	}

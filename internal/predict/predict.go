@@ -28,27 +28,6 @@ type MeanPredictor interface {
 	Reset()
 }
 
-// Last predicts the next sample to equal the most recent one.
-type Last struct {
-	last float64
-	seen bool
-}
-
-// NewLast returns a last-value predictor.
-func NewLast() *Last { return &Last{} }
-
-// Name implements MeanPredictor.
-func (l *Last) Name() string { return "LAST" }
-
-// Observe implements MeanPredictor.
-func (l *Last) Observe(x float64) { l.last, l.seen = x, true }
-
-// Predict implements MeanPredictor.
-func (l *Last) Predict() (float64, bool) { return l.last, l.seen }
-
-// Reset implements MeanPredictor.
-func (l *Last) Reset() { *l = Last{} }
-
 // MA predicts the mean of the last K samples (moving average).
 type MA struct {
 	win *stats.Window

@@ -41,14 +41,6 @@ type Multiset struct {
 	stack []int32 // reusable traversal scratch (AppendSorted)
 }
 
-// New returns an empty multiset with capacity for sizeHint values
-// pre-allocated (0 is fine).
-func New(sizeHint int) *Multiset {
-	m := &Multiset{}
-	m.Init(sizeHint)
-	return m
-}
-
 // Init resets m to empty, keeping no prior state. sizeHint pre-sizes the
 // node slab.
 func (m *Multiset) Init(sizeHint int) {
@@ -232,25 +224,6 @@ func (m *Multiset) CountLE(x float64) int {
 	for cur != nilIdx {
 		n := &m.nodes[cur]
 		if x < n.val {
-			cur = n.left
-			continue
-		}
-		count += int(n.dups)
-		if n.left != nilIdx {
-			count += int(m.nodes[n.left].size)
-		}
-		cur = n.right
-	}
-	return count
-}
-
-// CountLT returns the number of stored values strictly < x.
-func (m *Multiset) CountLT(x float64) int {
-	count := 0
-	cur := m.root
-	for cur != nilIdx {
-		n := &m.nodes[cur]
-		if x <= n.val {
 			cur = n.left
 			continue
 		}

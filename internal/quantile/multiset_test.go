@@ -38,10 +38,6 @@ func (o *oracle) countLE(x float64) int {
 	return sort.SearchFloat64s(o.vals, math.Nextafter(x, math.Inf(1)))
 }
 
-func (o *oracle) countLT(x float64) int {
-	return sort.SearchFloat64s(o.vals, x)
-}
-
 // checkAll compares every query the multiset answers against the oracle.
 func checkAll(t *testing.T, step int, m *Multiset, o *oracle, probes []float64) {
 	t.Helper()
@@ -64,9 +60,6 @@ func checkAll(t *testing.T, step int, m *Multiset, o *oracle, probes []float64) 
 	for _, x := range probes {
 		if got, want := m.CountLE(x), o.countLE(x); got != want {
 			t.Fatalf("step %d: CountLE(%v) = %d, oracle %d", step, x, got, want)
-		}
-		if got, want := m.CountLT(x), o.countLT(x); got != want {
-			t.Fatalf("step %d: CountLT(%v) = %d, oracle %d", step, x, got, want)
 		}
 	}
 	got := m.AppendSorted(nil)

@@ -164,29 +164,6 @@ func (f *FQ) pickStreamScan() int {
 	return best
 }
 
-// CatchUpIdle raises every empty stream's virtual time to the busy
-// minimum so a stream idle for a while cannot bank service and then burst
-// past its share — the standard fair-queuing idle rule. Call it once per
-// scheduling window (tests and long-lived deployments with on/off
-// streams); experiments with backlogged streams never need it.
-func (f *FQ) CatchUpIdle() {
-	busyMin := -1.0
-	for i, s := range f.streams {
-		if s.Len() > 0 && (busyMin < 0 || f.served[i] < busyMin) {
-			busyMin = f.served[i]
-		}
-	}
-	if busyMin < 0 {
-		return
-	}
-	for i, s := range f.streams {
-		if s.Len() == 0 && f.served[i] < busyMin {
-			f.served[i] = busyMin
-			f.markDirty(i) // empty now, but the new key must apply when refilled
-		}
-	}
-}
-
 func (f *FQ) nextFreePath() PathService {
 	best := PathService(nil)
 	for _, p := range f.paths {

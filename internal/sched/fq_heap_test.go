@@ -39,15 +39,12 @@ func TestFQPickStreamMatchesScan(t *testing.T) {
 				fq.served[got] += q.Bits / s.Weight
 			}
 			// Occasionally drain a random stream behind the heap's back via
-			// Pop (fires the observer) and run the idle catch-up rule.
+			// Pop (fires the observer).
 			if rng.Float64() < 0.05 {
 				s := streams[rng.Intn(len(streams))]
 				for s.Len() > 0 {
 					s.Pop()
 				}
-			}
-			if rng.Float64() < 0.02 {
-				fq.CatchUpIdle()
 			}
 		}
 	}

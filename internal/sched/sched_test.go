@@ -135,26 +135,6 @@ func TestFQSkipsEmptyStreams(t *testing.T) {
 	}
 }
 
-func TestFQCatchUpIdle(t *testing.T) {
-	s1 := stream.New(0, stream.Spec{Name: "a", Weight: 1})
-	s2 := stream.New(1, stream.Spec{Name: "b", Weight: 1})
-	fill(s1, 100, 12000)
-	p := &fakePath{id: 0, name: "P"}
-	fq := NewWFQ([]*stream.Stream{s1, s2}, p, 1000)
-	fq.Tick(0) // s1 accumulates virtual time, s2 idle
-	fq.CatchUpIdle()
-	// s2 wakes with a burst; it must not monopolize beyond its share.
-	fill(s1, 400, 12000)
-	fill(s2, 400, 12000)
-	p.queued = 0
-	p.sent = nil
-	fq.Tick(1)
-	got := countByStream(p.sent)
-	if got[1] > got[0]*2 {
-		t.Fatalf("idle stream banked service: %v", got)
-	}
-}
-
 func TestFQStopsWhenBlocked(t *testing.T) {
 	s1 := stream.New(0, stream.Spec{Name: "a", Weight: 1})
 	fill(s1, 10, 12000)

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"sync"
 
-	"iqpaths/internal/monitor"
 	"iqpaths/internal/pgos"
-	"iqpaths/internal/sched"
 	"iqpaths/internal/simnet"
 	"iqpaths/internal/stream"
 	"iqpaths/internal/telemetry"
@@ -32,9 +30,8 @@ type Config struct {
 // Plane owns N shards and the stream directory mapping global stream IDs
 // to their owning shard. Exactly one goroutine — the coordinator — may
 // call Tick/Stop and read shard state between ticks; every other method
-// (AddStream, Rebind, Offer, Observe*, SetShardPaths) is safe
-// from any goroutine at any time and takes effect at the next tick
-// boundary of the affected shard.
+// (AddStream, Rebind, Offer, Observe*) is safe from any goroutine at any
+// time and takes effect at the next tick boundary of the affected shard.
 type Plane struct {
 	cfg    Config
 	shards []*Shard
@@ -149,6 +146,9 @@ func (p *Plane) AddStream(spec stream.Spec) (globalID, shardIdx int) {
 // the plane, preserving packet order. Offers racing the migration are
 // rerouted, not lost. It returns an error for unknown streams, bad
 // targets, and streams already mid-migration.
+// testonly: stream migration has no product caller yet; shard's migration
+// tests and live's TestShardedDriverRebindLive drive it, and deleting it
+// would change the offer path the live plane shares.
 func (p *Plane) Rebind(id, target int) error {
 	if target < 0 || target >= len(p.shards) {
 		return fmt.Errorf("shard: rebind stream %d: no shard %d", id, target)
@@ -235,12 +235,6 @@ func (p *Plane) ObserveLoss(k, j int, rate float64) {
 	p.shards[k].ring.push(command{op: opObserve, a: j, b: observeLoss, v: rate})
 }
 
-// SetShardPaths rebinds shard k's scheduler to a new path set at its
-// next tick boundary — the control plane's reroute upcall, sharded.
-func (p *Plane) SetShardPaths(k int, paths []sched.PathService, mons []*monitor.PathMonitor) {
-	p.shards[k].ring.push(command{op: opSetPaths, paths: paths, mons: mons})
-}
-
 // Owner returns the shard currently owning global stream id.
 func (p *Plane) Owner(id int) (int, bool) {
 	p.mu.Lock()
@@ -254,13 +248,6 @@ func (p *Plane) ownerLocked(id int) (int, bool) {
 		return 0, false
 	}
 	return int(p.owner[id]), true
-}
-
-// NumStreams returns the number of placed streams.
-func (p *Plane) NumStreams() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.owner)
 }
 
 // Warm reports whether every monitor of every shard has enough samples

@@ -4,8 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"iqpaths/internal/monitor"
-	"iqpaths/internal/sched"
 	"iqpaths/internal/simnet"
 	"iqpaths/internal/stream"
 )
@@ -29,8 +27,6 @@ const (
 	// opObserve feeds monitor sample v of kind b (observe* constants) to
 	// local path a.
 	opObserve
-	// opSetPaths rebinds the shard's scheduler to a new path set.
-	opSetPaths
 )
 
 // Monitor-sample kinds carried by opObserve.
@@ -43,14 +39,12 @@ const (
 // command is one cross-shard control message. Fields are a union over the
 // ops; unused ones stay zero.
 type command struct {
-	op    op
-	a, b  int
-	v     float64
-	spec  *stream.Spec
-	pkt   *simnet.Packet
-	pkts  []*simnet.Packet
-	paths []sched.PathService
-	mons  []*monitor.PathMonitor
+	op   op
+	a, b int
+	v    float64
+	spec *stream.Spec
+	pkt  *simnet.Packet
+	pkts []*simnet.Packet
 }
 
 // cmdQueue is the per-shard command ring: any goroutine produces (the

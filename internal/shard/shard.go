@@ -3,11 +3,10 @@
 // own PGOS instance (deadline heaps and all), its own paths and quantile
 // windows, its own packet-pool arena, and its own telemetry scope —
 // ticked by its own goroutine on a shared clock. Cross-shard control
-// (stream placement, batched rebind/migration, monitor feeds, path-set
-// swaps) travels through per-shard command queues drained at tick
-// boundaries, so no shard ever takes a lock inside its dispatch loop and
-// the lock-free telemetry registry remains the only plane-wide
-// aggregation point.
+// (stream placement, batched rebind/migration, monitor feeds) travels
+// through per-shard command queues drained at tick boundaries, so no
+// shard ever takes a lock inside its dispatch loop and the lock-free
+// telemetry registry remains the only plane-wide aggregation point.
 //
 // Ownership invariants (DESIGN.md §11 states the full contract):
 //
@@ -130,13 +129,6 @@ func (sh *Shard) Stream(i int) *stream.Stream { return sh.streams[i] }
 // GlobalID returns the global stream ID behind local index i.
 func (sh *Shard) GlobalID(i int) int { return sh.global[i] }
 
-// Owns reports whether the shard currently owns global stream g (ghost
-// slots left by out-migration do not count). Shard-context only.
-func (sh *Shard) Owns(g int) bool {
-	_, ok := sh.LocalIndex(g)
-	return ok
-}
-
 // LocalIndex returns the dense local index of global stream g, if owned.
 // Shard-context only.
 func (sh *Shard) LocalIndex(g int) (int, bool) {
@@ -146,14 +138,8 @@ func (sh *Shard) LocalIndex(g int) (int, bool) {
 	return int(sh.local[g]), true
 }
 
-// Paths returns the shard's current path set.
-func (sh *Shard) Paths() []sched.PathService { return sh.paths }
-
 // Mons returns the shard's path monitors.
 func (sh *Shard) Mons() []*monitor.PathMonitor { return sh.mons }
-
-// Arena returns the shard's packet arena (may be nil).
-func (sh *Shard) Arena() *simnet.Arena { return sh.arena }
 
 // Scheduler returns the shard's PGOS instance. Shard-context only.
 func (sh *Shard) Scheduler() *pgos.Scheduler { return sh.sched }
@@ -244,10 +230,6 @@ func (sh *Shard) apply(c *command, now int64) {
 		case observeLoss:
 			sh.mons[c.a].ObserveLoss(c.v)
 		}
-	case opSetPaths:
-		sh.paths = c.paths
-		sh.mons = c.mons
-		sh.sched.SetPaths(c.paths, c.mons)
 	}
 }
 

@@ -87,6 +87,7 @@ type Link struct {
 }
 
 // Name returns the configured link name.
+// testonly: emulab's TestBuildDefaults names the links a builder assembled.
 func (l *Link) Name() string { return l.cfg.Name }
 
 // SetDown forces the link's transmit capacity to zero (true) or restores
@@ -96,6 +97,8 @@ func (l *Link) Name() string { return l.cfg.Name }
 func (l *Link) SetDown(down bool) { l.down = down }
 
 // IsDown reports whether the link is currently forced down.
+// testonly: faults' tests check that a scripted outage took the link down
+// and back up.
 func (l *Link) IsDown() bool { return l.down }
 
 // SetCapacityScale sets a runtime multiplier on the configured capacity
@@ -106,9 +109,6 @@ func (l *Link) SetCapacityScale(s float64) {
 	}
 	l.capScale = s
 }
-
-// CapacityScale returns the current runtime capacity multiplier.
-func (l *Link) CapacityScale() float64 { return l.capScale }
 
 // SetLossProb overrides the per-packet loss probability at runtime,
 // clamped to [0, 1]. The configured LinkConfig.LossProb is the baseline a
@@ -123,10 +123,9 @@ func (l *Link) SetLossProb(p float64) {
 }
 
 // LossProb returns the link's current per-packet loss probability.
+// testonly: faults' tests check the loss probability a scripted loss storm
+// applied.
 func (l *Link) LossProb() float64 { return l.lossProb }
-
-// BaseLossProb returns the configured (healthy) loss probability.
-func (l *Link) BaseLossProb() float64 { return l.cfg.LossProb }
 
 // AvailMbps returns capacity − cross traffic from the most recent tick.
 func (l *Link) AvailMbps() float64 { return l.availMbps }

@@ -93,12 +93,6 @@ func (n *Network) AddPath(name string, links ...*Link) *Path {
 	return p
 }
 
-// Paths returns the registered paths in creation order.
-func (n *Network) Paths() []*Path { return n.paths }
-
-// Links returns the registered links in creation order.
-func (n *Network) Links() []*Link { return n.links }
-
 // Link returns the link with the given configured name, or nil when no
 // such link exists. Names are assumed unique per network (the topology
 // builders guarantee it); with duplicates the first registered wins.
@@ -163,16 +157,5 @@ func (n *Network) Step() {
 		} else {
 			n.mPoolOutstanding.Set(float64(PoolOutstanding()))
 		}
-	}
-}
-
-// Run advances the clock by ticks steps, invoking onTick (if non-nil)
-// before each step — the hook schedulers use to inject traffic.
-func (n *Network) Run(ticks int, onTick func(tick int64)) {
-	for i := 0; i < ticks; i++ {
-		if onTick != nil {
-			onTick(n.tick)
-		}
-		n.Step()
 	}
 }

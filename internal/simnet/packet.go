@@ -49,6 +49,3 @@ type Packet struct {
 func (p *Packet) String() string {
 	return fmt.Sprintf("pkt{id=%d stream=%d bits=%.0f hop=%d}", p.ID, p.Stream, p.Bits, p.hop)
 }
-
-// Path returns the path the packet was sent on (nil before Path.Send).
-func (p *Packet) Path() *Path { return p.path }

@@ -35,6 +35,7 @@ func (p *Path) ID() int { return p.id }
 func (p *Path) Name() string { return p.name }
 
 // Links returns the path's links in order.
+// testonly: emulab's tests check the hops a topology builder chained.
 func (p *Path) Links() []*Link { return p.links }
 
 // Send injects a packet at the path's first hop. It returns false when the
@@ -54,6 +55,7 @@ func (p *Path) Send(pkt *Packet) bool {
 }
 
 // Blocked reports whether the path currently refuses new packets.
+// testonly: faults' tests check that an outage blocks the path.
 func (p *Path) Blocked() bool { return p.links[0].Full() }
 
 // AvailMbps returns the path's bottleneck available bandwidth from the
@@ -121,4 +123,5 @@ func (p *Path) TakeDelivered() []*Packet {
 
 // Stats returns a copy of the path counters. Delivery counters reflect
 // packets already collected via TakeDelivered.
+// testonly: faults' tests read the path counters around an outage.
 func (p *Path) Stats() PathStats { return p.stats }

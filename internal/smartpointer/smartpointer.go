@@ -90,15 +90,6 @@ func (w *Workload) Tick() {
 	}
 }
 
-// FramesEmitted returns per-stream frame counts.
-func (w *Workload) FramesEmitted() [3]uint64 {
-	var out [3]uint64
-	for i, src := range w.sources {
-		out[i] = src.Frames()
-	}
-	return out
-}
-
 // PacketsPerFrame returns how many packets each stream's frame fragments
 // into, for frame-completion detection at the sink.
 func (w *Workload) PacketsPerFrame(streamID int) int {

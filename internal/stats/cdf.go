@@ -26,6 +26,8 @@ type CDF struct {
 // BuildCDF constructs an empirical CDF from samples. The input slice is not
 // retained or modified. BuildCDF on an empty slice yields a CDF whose
 // queries return zero values; IsEmpty reports that state.
+// testonly: builds the fixed distributions pgos's and the root package's
+// tests feed the mapper.
 func BuildCDF(samples []float64) *CDF {
 	n := len(samples)
 	buf := make([]float64, 2*n+1)
@@ -139,6 +141,8 @@ func (c *CDF) TailMean(b0 float64) float64 {
 // CDFs: sup_x |F1(x) − F2(x)|. The monitor uses it to detect the "CDF
 // changes dramatically" condition that triggers PGOS remapping (Fig. 7,
 // line 2). Either CDF being empty yields distance 1 unless both are empty.
+// testonly: the reference oracle monitor's
+// TestDramaticChangeMatchesSnapshotOracle checks Window.Distance against.
 func (c *CDF) Distance(o *CDF) float64 {
 	if c.IsEmpty() && o.IsEmpty() {
 		return 0

@@ -96,15 +96,3 @@ func Jitter(times []float64) float64 {
 	}
 	return dev / float64(len(gaps))
 }
-
-// MeanAbs returns the mean of absolute values (utility for error series).
-func MeanAbs(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += math.Abs(x)
-	}
-	return s / float64(len(xs))
-}

@@ -97,15 +97,6 @@ func TestJitterScalesWithNoise(t *testing.T) {
 	}
 }
 
-func TestMeanAbs(t *testing.T) {
-	if MeanAbs(nil) != 0 {
-		t.Fatal("empty MeanAbs should be 0")
-	}
-	if got := MeanAbs([]float64{-1, 1, -3, 3}); got != 2 {
-		t.Fatalf("MeanAbs = %v, want 2", got)
-	}
-}
-
 func TestSummarySustainedMonotone(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	series := make([]float64, 500)

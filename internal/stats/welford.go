@@ -1,11 +1,11 @@
 // Package stats provides the streaming statistics primitives used throughout
-// IQ-Paths: running moments, histograms, empirical CDFs, sliding sample
-// windows with percentile queries, and the summary metrics (time-above-target
-// fractions, jitter, relative error) that the paper's evaluation reports.
+// IQ-Paths: running moments, empirical CDFs, sliding sample windows with
+// percentile queries, and the summary metrics (time-above-target fractions,
+// jitter, relative error) that the paper's evaluation reports.
 //
 // All types in this package are deterministic and allocation-conscious; the
-// sliding window and histogram types are designed to sit on the monitoring
-// fast path, where one sample arrives per measurement interval per path.
+// sliding window is designed to sit on the monitoring fast path, where one
+// sample arrives per measurement interval per path.
 // None of the types are safe for concurrent use unless stated otherwise;
 // callers (e.g. internal/monitor) serialize access.
 package stats
@@ -19,23 +19,11 @@ type Welford struct {
 	n    int64
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add incorporates one sample.
 func (w *Welford) Add(x float64) {
 	w.n++
-	if w.n == 1 {
-		w.min, w.max = x, x
-	} else {
-		if x < w.min {
-			w.min = x
-		}
-		if x > w.max {
-			w.max = x
-		}
-	}
 	delta := x - w.mean
 	w.mean += delta / float64(w.n)
 	w.m2 += delta * (x - w.mean)
@@ -46,12 +34,6 @@ func (w *Welford) N() int64 { return w.n }
 
 // Mean returns the sample mean, or 0 if no samples were added.
 func (w *Welford) Mean() float64 { return w.mean }
-
-// Min returns the smallest sample seen, or 0 if no samples were added.
-func (w *Welford) Min() float64 { return w.min }
-
-// Max returns the largest sample seen, or 0 if no samples were added.
-func (w *Welford) Max() float64 { return w.max }
 
 // Variance returns the unbiased sample variance (n-1 denominator).
 // It returns 0 for fewer than two samples.
@@ -67,26 +49,3 @@ func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
 
 // Reset discards all accumulated state.
 func (w *Welford) Reset() { *w = Welford{} }
-
-// Merge combines another accumulator into w using the parallel variance
-// formula, as if all of o's samples had been added to w.
-func (w *Welford) Merge(o *Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = *o
-		return
-	}
-	n := w.n + o.n
-	delta := o.mean - w.mean
-	w.m2 += o.m2 + delta*delta*float64(w.n)*float64(o.n)/float64(n)
-	w.mean += delta * float64(o.n) / float64(n)
-	if o.min < w.min {
-		w.min = o.min
-	}
-	if o.max > w.max {
-		w.max = o.max
-	}
-	w.n = n
-}

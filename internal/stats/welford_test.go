@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -51,9 +50,6 @@ func TestWelfordSingle(t *testing.T) {
 	if w.N() != 1 || w.Mean() != 42 || w.Variance() != 0 {
 		t.Fatalf("single sample: n=%d mean=%v var=%v", w.N(), w.Mean(), w.Variance())
 	}
-	if w.Min() != 42 || w.Max() != 42 {
-		t.Fatalf("min/max after one sample: %v %v", w.Min(), w.Max())
-	}
 }
 
 func TestWelfordKnownValues(t *testing.T) {
@@ -67,9 +63,6 @@ func TestWelfordKnownValues(t *testing.T) {
 	// Population variance is 4; unbiased variance is 32/7.
 	if !almostEqual(w.Variance(), 32.0/7.0, 1e-12) {
 		t.Errorf("variance = %v, want %v", w.Variance(), 32.0/7.0)
-	}
-	if w.Min() != 2 || w.Max() != 9 {
-		t.Errorf("min/max = %v/%v, want 2/9", w.Min(), w.Max())
 	}
 }
 
@@ -92,48 +85,6 @@ func TestWelfordMatchesNaiveProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestWelfordMergeEquivalentToSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
-		n1, n2 := rng.Intn(100), rng.Intn(100)
-		var a, b, all Welford
-		for i := 0; i < n1; i++ {
-			x := rng.NormFloat64()*10 + 50
-			a.Add(x)
-			all.Add(x)
-		}
-		for i := 0; i < n2; i++ {
-			x := rng.NormFloat64()*3 - 20
-			b.Add(x)
-			all.Add(x)
-		}
-		a.Merge(&b)
-		if a.N() != all.N() {
-			t.Fatalf("merged n=%d want %d", a.N(), all.N())
-		}
-		if !almostEqual(a.Mean(), all.Mean(), 1e-9) || !almostEqual(a.Variance(), all.Variance(), 1e-9) {
-			t.Fatalf("merge mismatch: mean %v vs %v, var %v vs %v", a.Mean(), all.Mean(), a.Variance(), all.Variance())
-		}
-		if a.Min() != all.Min() || a.Max() != all.Max() {
-			t.Fatalf("merge min/max mismatch")
-		}
-	}
-}
-
-func TestWelfordMergeWithEmpty(t *testing.T) {
-	var a, b Welford
-	a.Add(1)
-	a.Add(3)
-	a.Merge(&b) // merging empty is a no-op
-	if a.N() != 2 || a.Mean() != 2 {
-		t.Fatalf("merge with empty changed state: n=%d mean=%v", a.N(), a.Mean())
-	}
-	b.Merge(&a) // merging into empty copies
-	if b.N() != 2 || b.Mean() != 2 {
-		t.Fatalf("merge into empty: n=%d mean=%v", b.N(), b.Mean())
 	}
 }
 

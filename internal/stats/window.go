@@ -49,14 +49,8 @@ func NewWindow(capacity int) *Window {
 	return w
 }
 
-// Cap returns the window capacity.
-func (w *Window) Cap() int { return w.cap }
-
 // Len returns the number of samples currently held.
 func (w *Window) Len() int { return w.n }
-
-// Full reports whether the window has reached capacity.
-func (w *Window) Full() bool { return w.n == w.cap }
 
 // Add inserts a sample, evicting the oldest if the window is full.
 // Non-finite samples (NaN, ±Inf) are rejected: NaN breaks the ordered
@@ -89,29 +83,6 @@ func (w *Window) Mean() float64 {
 		return 0
 	}
 	return w.sum / float64(w.n)
-}
-
-// StdDev returns the sample standard deviation of the window contents,
-// folding squared deviations in ascending value order (as a sorted slice
-// would).
-func (w *Window) StdDev() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	m := w.Mean()
-	s := 0.0
-	w.iter.Reset(&w.ms)
-	for {
-		v, c, ok := w.iter.Next()
-		if !ok {
-			break
-		}
-		d := v - m
-		for k := 0; k < c; k++ {
-			s += d * d
-		}
-	}
-	return math.Sqrt(s / float64(w.n-1))
 }
 
 // Quantile returns the nearest-rank q-quantile of the window contents.
@@ -188,15 +159,9 @@ func (w *Window) Snapshot() *CDF {
 	return newCDF(buf, w.n)
 }
 
-// Values returns the window contents in insertion order (oldest first).
-// The returned slice is freshly allocated.
-func (w *Window) Values() []float64 {
-	return w.AppendValues(make([]float64, 0, w.n))
-}
-
 // AppendValues appends the window contents in insertion order (oldest
 // first) to dst and returns the extended slice — the allocation-free
-// variant of Values for callers that keep a scratch buffer across calls.
+// way to read the window for callers that keep a scratch buffer across calls.
 func (w *Window) AppendValues(dst []float64) []float64 {
 	for i := 0; i < w.n; i++ {
 		dst = append(dst, w.ring[(w.head+i)%w.cap])

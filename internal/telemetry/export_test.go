@@ -182,3 +182,10 @@ func TestBuildSnapshotJSON(t *testing.T) {
 		t.Fatalf("histogram lost: %+v", back.Histograms)
 	}
 }
+
+// Total returns the number of events ever emitted.
+func (t *Tracer) Total() uint64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.total
+}

@@ -3,7 +3,7 @@
 // hot paths), an event tracer stamping virtual time when driven by the
 // emulator and wall time otherwise, per-stream guarantee accounting that
 // mirrors the PGOS violation semantics, and exporters (Prometheus text
-// exposition, JSON snapshots, JSONL trace dumps).
+// exposition, JSON snapshots).
 //
 // Metric names follow the scheme iqpaths_<pkg>_<name>, with Prometheus
 // labels for per-path/per-stream/per-link breakdowns. Registration is

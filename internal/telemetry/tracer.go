@@ -1,11 +1,6 @@
 package telemetry
 
-import (
-	"bufio"
-	"encoding/json"
-	"io"
-	"sync"
-)
+import "sync"
 
 // Event is one traced occurrence. T is in seconds on the tracer's clock:
 // virtual seconds when the tracer is driven by the emulator, Unix seconds
@@ -71,24 +66,4 @@ func (t *Tracer) Events() (events []Event, dropped uint64) {
 		events = append(events, t.ring[:t.next]...)
 	}
 	return events, t.dropped
-}
-
-// Total returns the number of events ever emitted.
-func (t *Tracer) Total() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
-}
-
-// WriteJSONL dumps the retained events, one JSON object per line.
-func (t *Tracer) WriteJSONL(w io.Writer) error {
-	events, _ := t.Events()
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, ev := range events {
-		if err := enc.Encode(ev); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }

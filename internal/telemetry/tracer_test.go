@@ -1,9 +1,6 @@
 package telemetry
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"testing"
 )
 
@@ -58,32 +55,5 @@ func TestTracerRingRetention(t *testing.T) {
 	}
 	if tr.Total() != 10 {
 		t.Fatalf("total = %d", tr.Total())
-	}
-}
-
-func TestTracerWriteJSONL(t *testing.T) {
-	clk := &fakeClock{t: 7}
-	tr := NewTracer(clk, 8)
-	tr.Emit("remap", "", "", 1)
-	tr.Emit("violation", "DT2", "", 2)
-
-	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	sc := bufio.NewScanner(&buf)
-	var lines int
-	for sc.Scan() {
-		var ev Event
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("line %d not JSON: %v", lines, err)
-		}
-		if ev.T != 7 {
-			t.Fatalf("line %d timestamp = %v", lines, ev.T)
-		}
-		lines++
-	}
-	if lines != 2 {
-		t.Fatalf("lines = %d", lines)
 	}
 }

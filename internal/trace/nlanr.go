@@ -24,23 +24,27 @@ type NLANRConfig struct {
 	RegimeMin, RegimeMax float64
 	// RegimeStep is the maximum regime step magnitude (Mbps).
 	RegimeStep float64
-	// RegimeDwell is the mean regime dwell time in ticks.
-	RegimeDwell int
 	// JitterSigma is the per-tick noise scale (Mbps).
 	JitterSigma float64
-	// JitterLoZ/JitterHiZ truncate the noise (in sigma units). The
-	// asymmetric default (−3σ, +1.5σ) reflects that load surges above the
-	// aggregate are tightly bounded (the bottleneck link itself caps
-	// them), while lulls stretch further down. The hard upper bound on
-	// cross traffic is what gives available bandwidth its firm lower edge.
-	JitterLoZ, JitterHiZ float64
 	// DipRate is the extra load during a congestion episode (Mbps).
 	DipRate float64
 	// DipMeanOn/DipMeanOff are the mean episode/gap lengths in ticks.
 	DipMeanOn, DipMeanOff float64
-	// DipAlpha is the Pareto tail index of episode durations.
-	DipAlpha float64
 }
+
+const (
+	// regimeDwell is the mean regime dwell time in ticks: 15 min at 0.1 s
+	// ticks.
+	regimeDwell = 9000
+	// jitterLoZ/jitterHiZ truncate the noise (in sigma units). The
+	// asymmetry (−3σ, +1.5σ) reflects that load surges above the
+	// aggregate are tightly bounded (the bottleneck link itself caps
+	// them), while lulls stretch further down. The hard upper bound on
+	// cross traffic is what gives available bandwidth its firm lower edge.
+	jitterLoZ, jitterHiZ = -3, 1.5
+	// dipAlpha is the Pareto tail index of episode durations.
+	dipAlpha = 1.6
+)
 
 // DefaultNLANR returns the calibration used by the experiments, sized for a
 // 100 Mbps-class bottleneck: a ~35 Mbps drifting aggregate, −3σ/+1.5σ
@@ -54,14 +58,10 @@ func DefaultNLANR() NLANRConfig {
 		RegimeMin:   25,
 		RegimeMax:   45,
 		RegimeStep:  4,
-		RegimeDwell: 9000, // 15 min at 0.1 s ticks
 		JitterSigma: 13,
-		JitterLoZ:   -3,
-		JitterHiZ:   1.5,
 		DipRate:     30,
 		DipMeanOn:   300,   // ~30 s episodes
 		DipMeanOff:  15000, // ~25 min gaps → ~2 % duty
-		DipAlpha:    1.6,
 	}
 }
 
@@ -70,9 +70,9 @@ func DefaultNLANR() NLANRConfig {
 // the trace.
 func NewNLANRLike(cfg NLANRConfig, rng *rand.Rand) Generator {
 	return &Sum{Parts: []Generator{
-		NewRegimeWalk(cfg.BaseLoad, cfg.RegimeMin, cfg.RegimeMax, cfg.RegimeStep, cfg.RegimeDwell, rng),
-		NewTruncGaussian(0, cfg.JitterSigma, cfg.JitterLoZ, cfg.JitterHiZ, rng),
-		NewParetoOnOff(cfg.DipRate, cfg.DipAlpha, cfg.DipMeanOn, cfg.DipMeanOff, rng),
+		NewRegimeWalk(cfg.BaseLoad, cfg.RegimeMin, cfg.RegimeMax, cfg.RegimeStep, regimeDwell, rng),
+		NewTruncGaussian(0, cfg.JitterSigma, jitterLoZ, jitterHiZ, rng),
+		NewParetoOnOff(cfg.DipRate, dipAlpha, cfg.DipMeanOn, cfg.DipMeanOff, rng),
 	}}
 }
 

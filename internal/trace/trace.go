@@ -35,6 +35,8 @@ type Generator interface {
 type CBR struct{ Rate float64 }
 
 // NewCBR returns a constant source of rate Mbps.
+// testonly: the constant cross-traffic fixture emulab's, monitor's,
+// pathload's and simnet's tests load links with.
 func NewCBR(rate float64) *CBR { return &CBR{Rate: rate} }
 
 // Name implements Generator.
@@ -110,43 +112,6 @@ func (g *TruncGaussian) Next() float64 {
 		return 0
 	}
 	return v
-}
-
-// MarkovOnOff is a two-state Markov-modulated source: it emits OnRate while
-// in the on state and OffRate while off, flipping with the configured
-// per-tick probabilities. It is the classic building block for bursty
-// cross traffic.
-type MarkovOnOff struct {
-	OnRate, OffRate float64
-	POnToOff        float64
-	POffToOn        float64
-	on              bool
-	rng             *rand.Rand
-}
-
-// NewMarkovOnOff builds a two-state source; it starts in the off state.
-func NewMarkovOnOff(onRate, offRate, pOnToOff, pOffToOn float64, rng *rand.Rand) *MarkovOnOff {
-	return &MarkovOnOff{OnRate: onRate, OffRate: offRate, POnToOff: pOnToOff, POffToOn: pOffToOn, rng: rng}
-}
-
-// Name implements Generator.
-func (m *MarkovOnOff) Name() string { return "markov-onoff" }
-
-// Next implements Generator.
-func (m *MarkovOnOff) Next() float64 {
-	if m.on {
-		if m.rng.Float64() < m.POnToOff {
-			m.on = false
-		}
-	} else {
-		if m.rng.Float64() < m.POffToOn {
-			m.on = true
-		}
-	}
-	if m.on {
-		return m.OnRate
-	}
-	return m.OffRate
 }
 
 // ParetoOnOff is an on/off source whose on- and off-period lengths are
@@ -252,39 +217,6 @@ func (r *RegimeWalk) Next() float64 {
 	return r.Level
 }
 
-// Diurnal modulates a base rate with a sinusoidal day/night cycle —
-// long-horizon load patterns (office hours, backup windows) that sit
-// above the regime walk's drift. Rate(t) = Base + Amplitude·sin(2πt/P).
-type Diurnal struct {
-	Base      float64
-	Amplitude float64
-	// PeriodTicks is the cycle length in ticks (e.g. 864000 ticks of
-	// 0.1 s = one day).
-	PeriodTicks float64
-	t           float64
-}
-
-// NewDiurnal builds a sinusoidal load cycle. periodTicks must be positive.
-func NewDiurnal(base, amplitude, periodTicks float64) *Diurnal {
-	if periodTicks <= 0 {
-		panic("trace: Diurnal period must be positive")
-	}
-	return &Diurnal{Base: base, Amplitude: amplitude, PeriodTicks: periodTicks}
-}
-
-// Name implements Generator.
-func (d *Diurnal) Name() string { return "diurnal" }
-
-// Next implements Generator.
-func (d *Diurnal) Next() float64 {
-	v := d.Base + d.Amplitude*math.Sin(2*math.Pi*d.t/d.PeriodTicks)
-	d.t++
-	if v < 0 {
-		return 0
-	}
-	return v
-}
-
 // Sum aggregates several generators into one (superposed traffic).
 type Sum struct {
 	Parts []Generator
@@ -303,58 +235,6 @@ func (s *Sum) Next() float64 {
 		total += p.Next()
 	}
 	return total
-}
-
-// Clamp bounds another generator's output into [Min, Max].
-type Clamp struct {
-	Inner    Generator
-	Min, Max float64
-}
-
-// NewClamp wraps inner, bounding its output.
-func NewClamp(inner Generator, min, max float64) *Clamp {
-	return &Clamp{Inner: inner, Min: min, Max: max}
-}
-
-// Name implements Generator.
-func (c *Clamp) Name() string { return "clamp(" + c.Inner.Name() + ")" }
-
-// Next implements Generator.
-func (c *Clamp) Next() float64 {
-	v := c.Inner.Next()
-	if v < c.Min {
-		return c.Min
-	}
-	if v > c.Max {
-		return c.Max
-	}
-	return v
-}
-
-// Replay loops over a recorded series.
-type Replay struct {
-	Series []float64
-	name   string
-	i      int
-}
-
-// NewReplay returns a generator replaying series in a loop. It panics on an
-// empty series (a trace with no samples is a construction error).
-func NewReplay(name string, series []float64) *Replay {
-	if len(series) == 0 {
-		panic("trace: Replay requires a non-empty series")
-	}
-	return &Replay{Series: series, name: name}
-}
-
-// Name implements Generator.
-func (r *Replay) Name() string { return "replay:" + r.name }
-
-// Next implements Generator.
-func (r *Replay) Next() float64 {
-	v := r.Series[r.i]
-	r.i = (r.i + 1) % len(r.Series)
-	return v
 }
 
 // Take draws n samples from g into a fresh slice.

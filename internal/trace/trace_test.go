@@ -46,23 +46,6 @@ func TestGaussianNonNegative(t *testing.T) {
 	}
 }
 
-func TestMarkovOnOffDutyCycle(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	// Symmetric transition probabilities → ~50 % duty cycle.
-	g := NewMarkovOnOff(100, 0, 0.1, 0.1, rng)
-	on := 0
-	n := 50000
-	for i := 0; i < n; i++ {
-		if g.Next() > 0 {
-			on++
-		}
-	}
-	duty := float64(on) / float64(n)
-	if duty < 0.45 || duty > 0.55 {
-		t.Fatalf("duty cycle = %v, want ~0.5", duty)
-	}
-}
-
 func TestParetoOnOffEmitsOnlyTwoLevels(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := NewParetoOnOff(25, 1.5, 5, 10, rng)
@@ -123,35 +106,11 @@ func TestRegimeWalkDwells(t *testing.T) {
 	}
 }
 
-func TestSumAndClamp(t *testing.T) {
-	g := NewClamp(NewSum(NewCBR(30), NewCBR(40)), 0, 60)
-	if v := g.Next(); v != 60 {
-		t.Fatalf("clamped sum = %v, want 60", v)
+func TestSum(t *testing.T) {
+	g := NewSum(NewCBR(30), NewCBR(40))
+	if v := g.Next(); v != 70 {
+		t.Fatalf("sum = %v, want 70", v)
 	}
-	g2 := NewClamp(NewCBR(5), 10, 60)
-	if v := g2.Next(); v != 10 {
-		t.Fatalf("clamp floor = %v, want 10", v)
-	}
-}
-
-func TestReplayLoops(t *testing.T) {
-	g := NewReplay("x", []float64{1, 2, 3})
-	got := Take(g, 7)
-	want := []float64{1, 2, 3, 1, 2, 3, 1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("replay = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestReplayPanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on empty replay series")
-		}
-	}()
-	NewReplay("x", nil)
 }
 
 func TestNLANRDeterministicUnderSeed(t *testing.T) {
@@ -210,7 +169,6 @@ func TestGeneratorsNonNegativeProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		gens := []Generator{
 			NewGaussian(10, 20, rng),
-			NewMarkovOnOff(50, 0, 0.2, 0.2, rng),
 			NewParetoOnOff(30, 1.5, 3, 9, rng),
 			NewRegimeWalk(20, 0, 60, 15, 10, rng),
 			NewNLANRLike(DefaultNLANR(), rng),
@@ -228,47 +186,4 @@ func TestGeneratorsNonNegativeProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestDiurnalCycle(t *testing.T) {
-	d := NewDiurnal(50, 20, 100)
-	series := Take(d, 100)
-	var w stats.Welford
-	for _, v := range series {
-		w.Add(v)
-	}
-	if math.Abs(w.Mean()-50) > 0.5 {
-		t.Fatalf("mean = %v, want ~50", w.Mean())
-	}
-	if w.Max() < 69 || w.Max() > 70.5 {
-		t.Fatalf("peak = %v, want ~70", w.Max())
-	}
-	if w.Min() < 29.5 || w.Min() > 31 {
-		t.Fatalf("trough = %v, want ~30", w.Min())
-	}
-	// Period: values one full cycle apart match.
-	again := Take(d, 100)
-	for i := range series {
-		if math.Abs(series[i]-again[i]) > 1e-9 {
-			t.Fatalf("cycle not periodic at %d", i)
-		}
-	}
-}
-
-func TestDiurnalClampsNegative(t *testing.T) {
-	d := NewDiurnal(5, 20, 10)
-	for i := 0; i < 20; i++ {
-		if d.Next() < 0 {
-			t.Fatal("negative rate")
-		}
-	}
-}
-
-func TestDiurnalPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewDiurnal(1, 1, 0)
 }

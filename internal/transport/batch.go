@@ -99,21 +99,6 @@ func (bc *BatchConn) Batched() bool {
 	return mmsgAvailable && !bc.fallback.Load()
 }
 
-// SetFallback(true) forces the portable one-datagram-per-syscall path even
-// where mmsg is compiled in — the hook differential tests and benchmarks
-// use to compare both paths at runtime.
-func (bc *BatchConn) SetFallback(on bool) { bc.fallback.Store(on) }
-
-// Stats returns a snapshot of the syscall/datagram counters.
-func (bc *BatchConn) Stats() BatchStats {
-	return BatchStats{
-		ReadCalls:      bc.readCalls.Load(),
-		ReadDatagrams:  bc.readDgrams.Load(),
-		WriteCalls:     bc.writeCalls.Load(),
-		WriteDatagrams: bc.writeDgrams.Load(),
-	}
-}
-
 // ReadBatch blocks until at least one datagram arrives and fills up to
 // len(dgs) of them in one recvmmsg call where available, returning how
 // many were received. Each filled entry has N and Addr set; Buf contents

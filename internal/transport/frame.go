@@ -151,15 +151,6 @@ func (m *Message) appendMarshal(buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// Unmarshal parses a datagram produced by Marshal.
-func Unmarshal(buf []byte) (*Message, error) {
-	var m Message
-	if err := parseFrame(&m, buf); err != nil {
-		return nil, err
-	}
-	return m.clone(), nil
-}
-
 // parseFrame decodes buf into m without copying: m.Payload aliases buf,
 // so m is a view valid only while buf is. The receive paths parse into a
 // stack Message and clone only what outlives the receive buffer.

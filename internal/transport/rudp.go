@@ -2,7 +2,6 @@ package transport
 
 import (
 	"errors"
-	"fmt"
 	"net/netip"
 	"sync"
 	"time"
@@ -188,14 +187,6 @@ func (c *RUDPConn) Retransmits() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.retransmits
-}
-
-// FastRetransmits returns the number of duplicate-ack-triggered
-// retransmissions.
-func (c *RUDPConn) FastRetransmits() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.fastRetransmits
 }
 
 // AckedBits returns the total payload bits the peer has cumulatively
@@ -613,32 +604,4 @@ func (c *RUDPConn) sendAck() {
 	c.mu.Unlock()
 	c.tm.acksSent.Inc()
 	_ = c.writeCtl(&Message{Kind: KindAck, Seq: cum})
-}
-
-// Probe measures one RTT sample by sending a probe (Stream 0) and waiting
-// for the peer's echo (Stream 1) carrying the same token.
-func (c *RUDPConn) Probe(timeout time.Duration) (time.Duration, error) {
-	token := uint64(time.Now().UnixNano())
-	start := time.Now()
-	if err := c.writeCtl(&Message{Kind: KindProbe, Seq: token}); err != nil {
-		return 0, err
-	}
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
-	for {
-		select {
-		case tok := <-c.probeEcho:
-			if tok != token {
-				continue // stale echo from an earlier timed-out probe
-			}
-			rtt := time.Since(start)
-			c.rtt.Observe(rtt)
-			c.tm.rtt.Observe(rtt.Seconds())
-			return rtt, nil
-		case <-deadline.C:
-			return 0, fmt.Errorf("transport: probe timeout after %v", timeout)
-		case <-c.done:
-			return 0, ErrClosed
-		}
-	}
 }

@@ -26,16 +26,6 @@ var (
 	tmCurrent  *connMetrics
 )
 
-// SetTelemetry redirects the transport's metrics to reg (nil restores the
-// process default registry). Connections pick up the active registry when
-// they are created.
-func SetTelemetry(reg *telemetry.Registry) {
-	tmMu.Lock()
-	tmOverride = reg
-	tmCurrent = nil
-	tmMu.Unlock()
-}
-
 // acquireConnMetrics returns the metric handles bound to the active
 // registry, creating them on first use.
 func acquireConnMetrics() *connMetrics {

@@ -18,44 +18,35 @@ import (
 
 // Config shapes the encoded stream.
 type Config struct {
-	// FPS is the frame rate (default 30).
-	FPS float64
-	// GOP is the group-of-pictures length: 1 I frame per GOP (default 12).
-	GOP int
-	// BaseMbps is the base layer's nominal rate (default 2).
-	BaseMbps float64
-	// EnhMbps are the enhancement layers' nominal rates (default {4, 8}).
-	EnhMbps []float64
-	// IFrameBoost multiplies an I frame's size relative to the GOP
-	// average (default 2.5; P/B frames shrink to keep the rate).
-	IFrameBoost float64
 	// VBRSigma is the per-frame lognormal-ish size jitter (default 0.2).
+	// knob: TestSourceRateAndGOP and TestFGSPartialCredit set it near 0
+	// for frames of predictable size.
 	VBRSigma float64
 	// SceneChangeProb is the per-frame probability of a scene change,
 	// which doubles that frame's size across all layers (default 0.01).
+	// knob: TestSourceRateAndGOP sets it near 0 so no frame doubles.
 	SceneChangeProb float64
 	// DeadlineFrames is the playout deadline in frame periods: a frame
-	// emitted at t must fully arrive by t + DeadlineFrames/FPS
+	// emitted at t must fully arrive by t + DeadlineFrames/fps
 	// (default 8 — a ~270 ms playout buffer at 30 fps).
+	// knob: the receiver tests (TestReceiverScoresPerfectDelivery and
+	// others) shorten it to 1–2 frames so frames fall due quickly.
 	DeadlineFrames int
 }
 
+// The encoded stream's shape: 30 fps, one I frame per 12-frame GOP at
+// 2.5× the GOP-average size (P/B frames shrink to keep the rate), a
+// 2 Mbps base layer and enhancement layers of 4 and 8 Mbps.
+const (
+	fps         = 30.0
+	gop         = 12
+	iFrameBoost = 2.5
+	baseMbps    = 2.0
+)
+
+var enhMbps = []float64{4, 8}
+
 func (c *Config) fillDefaults() {
-	if c.FPS <= 0 {
-		c.FPS = 30
-	}
-	if c.GOP <= 0 {
-		c.GOP = 12
-	}
-	if c.BaseMbps <= 0 {
-		c.BaseMbps = 2
-	}
-	if c.EnhMbps == nil {
-		c.EnhMbps = []float64{4, 8}
-	}
-	if c.IFrameBoost <= 0 {
-		c.IFrameBoost = 2.5
-	}
 	if c.VBRSigma <= 0 {
 		c.VBRSigma = 0.2
 	}
@@ -97,9 +88,9 @@ func NewSource(net *simnet.Network, cfg Config, rng *rand.Rand) *Source {
 			Name: name, Kind: kind, RequiredMbps: rate, Probability: p, Weight: rate,
 		}))
 	}
-	mk(0, "base", cfg.BaseMbps, stream.Probabilistic, 0.99)
-	for i, r := range cfg.EnhMbps {
-		if i == len(cfg.EnhMbps)-1 {
+	mk(0, "base", baseMbps, stream.Probabilistic, 0.99)
+	for i, r := range enhMbps {
+		if i == len(enhMbps)-1 {
 			mk(i+1, layerName(i+1), 0, stream.BestEffort, 0)
 			// Best-effort layers keep their nominal rate as FQ weight.
 			s.streams[i+1].Weight = r
@@ -127,18 +118,15 @@ func (s *Source) Frames() uint64 { return s.frame }
 // fragments into (nil for unknown frames).
 func (s *Source) ExpectedPackets(frame uint64) []int { return s.expected[frame] }
 
-// EmitTick returns the tick a frame was emitted at.
-func (s *Source) EmitTick(frame uint64) int64 { return s.emitTicks[frame] }
-
 // DeadlineTicks returns the playout deadline in ticks after emission.
 func (s *Source) DeadlineTicks() int64 {
-	return int64(float64(s.cfg.DeadlineFrames) / s.cfg.FPS / s.net.TickSeconds())
+	return int64(float64(s.cfg.DeadlineFrames) / fps / s.net.TickSeconds())
 }
 
 // Tick emits any frames due at the current virtual time.
 func (s *Source) Tick() {
 	now := s.net.Now()
-	period := 1 / s.cfg.FPS
+	period := 1 / fps
 	for s.nextEmit <= now {
 		s.emitFrame()
 		s.nextEmit += period
@@ -152,13 +140,13 @@ func (s *Source) emitFrame() {
 	deadline := s.net.Tick() + s.DeadlineTicks()
 
 	// Size multiplier: GOP position + VBR jitter + scene changes.
-	gopPos := int((frame - 1) % uint64(s.cfg.GOP))
+	gopPos := int((frame - 1) % uint64(gop))
 	mult := 1.0
 	if gopPos == 0 {
-		mult = s.cfg.IFrameBoost
+		mult = iFrameBoost
 	} else {
 		// P/B frames shrink so the GOP still averages the nominal rate.
-		mult = (float64(s.cfg.GOP) - s.cfg.IFrameBoost) / float64(s.cfg.GOP-1)
+		mult = (float64(gop) - iFrameBoost) / float64(gop-1)
 	}
 	mult *= 1 + s.rng.NormFloat64()*s.cfg.VBRSigma
 	if s.rng.Float64() < s.cfg.SceneChangeProb {
@@ -168,10 +156,10 @@ func (s *Source) emitFrame() {
 		mult = 0.1
 	}
 
-	rates := append([]float64{s.cfg.BaseMbps}, s.cfg.EnhMbps...)
+	rates := append([]float64{baseMbps}, enhMbps...)
 	counts := make([]int, len(s.streams))
 	for layer, st := range s.streams {
-		bits := rates[layer] * 1e6 / s.cfg.FPS * mult
+		bits := rates[layer] * 1e6 / fps * mult
 		n := 0
 		for bits > 0 {
 			sz := st.PacketBits

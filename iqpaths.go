@@ -141,12 +141,9 @@ func NewSampler(p *Path, m *PathMonitor) *Sampler {
 // oracle.
 type BandwidthEstimator = pathload.Estimator
 
-// EstimatorConfig tunes a BandwidthEstimator.
-type EstimatorConfig = pathload.Config
-
 // NewBandwidthEstimator builds a dispersion estimator for an emulated path.
-func NewBandwidthEstimator(net *Network, p *Path, cfg EstimatorConfig) *BandwidthEstimator {
-	return pathload.New(net, p, cfg)
+func NewBandwidthEstimator(net *Network, p *Path) *BandwidthEstimator {
+	return pathload.New(net, p)
 }
 
 // Summarize condenses a series into the paper's Fig. 11 quantities.

@@ -75,6 +75,9 @@ type checkedPkg struct {
 
 func (m *srcImporter) Import(path string) (*types.Package, error) {
 	dir, ok := strings.CutPrefix(path, "iqpaths/")
+	if path == "iqpaths" {
+		dir, ok = ".", true
+	}
 	if !ok {
 		return m.std.Import(path)
 	}
@@ -95,7 +98,11 @@ func (m *srcImporter) check(dir string) (*checkedPkg, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &checkedPkg{info: &types.Info{Types: map[ast.Expr]types.TypeAndValue{}}}
+	c := &checkedPkg{info: &types.Info{
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
+	}}
 	for _, name := range bp.GoFiles {
 		f, err := parser.ParseFile(m.fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
@@ -104,7 +111,11 @@ func (m *srcImporter) check(dir string) (*checkedPkg, error) {
 		c.files = append(c.files, f)
 	}
 	conf := types.Config{Importer: m}
-	if c.pkg, err = conf.Check("iqpaths/"+filepath.ToSlash(dir), m.fset, c.files, c.info); err != nil {
+	path := "iqpaths"
+	if dir != "." {
+		path += "/" + filepath.ToSlash(dir)
+	}
+	if c.pkg, err = conf.Check(path, m.fset, c.files, c.info); err != nil {
 		return nil, err
 	}
 	m.pkgs[dir] = c
