@@ -77,7 +77,7 @@ func isKnobStruct(name string) bool {
 //     referenced);
 //   - an exported field of an internal *Config, *Params or *Options struct
 //     that no such code sets, by a composite-literal key, an assignment or
-//     taking its address, outside a defaults function.
+//     taking its address, outside a defaults function (see markSets).
 //
 // A "// testonly: <reason>" or "// knob: <reason>" line in the doc comment
 // exempts a declaration. It is for fixtures and reference oracles that
