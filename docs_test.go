@@ -181,3 +181,59 @@ func TestDocsNameDeclarations(t *testing.T) {
 		}
 	}
 }
+
+// docPathPrefixes are the top-level directories whose paths a document
+// names in code spans; rootFile matches a file at the repository root.
+var (
+	docPathPrefixes = []string{"internal/", "cmd/", "ci/", "perfbench/", "examples/"}
+	rootFile        = regexp.MustCompile(`^(?:[A-Z][A-Z_]*\.(?:md|json)|Makefile|go\.mod)$`)
+)
+
+// docPath reports the repo path a code-span word names, if it names one:
+// a path under docPathPrefixes (`./` and a `/...` package pattern
+// stripped) or a root file. Globs and placeholders are not paths.
+func docPath(word string) (string, bool) {
+	word = strings.TrimSuffix(strings.TrimPrefix(word, "./"), "/...")
+	if strings.ContainsAny(word, "*{<") {
+		return "", false
+	}
+	if rootFile.MatchString(word) {
+		return word, true
+	}
+	for _, pre := range docPathPrefixes {
+		if strings.HasPrefix(word, pre) {
+			return word, true
+		}
+	}
+	return "", false
+}
+
+// TestDocsNamePathsAndTargets fails when README.md, DESIGN.md or
+// EXPERIMENTS.md names, in a code span, a repo path that does not exist
+// or a `make` target the Makefile does not define.
+func TestDocsNamePathsAndTargets(t *testing.T) {
+	mk, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^([\w-]+):`).FindAllStringSubmatch(string(mk), -1) {
+		targets[m[1]] = true
+	}
+	for _, doc := range docFiles {
+		spans, lines := codeSpans(t, doc)
+		for i, span := range spans {
+			words := strings.Fields(span)
+			if len(words) > 1 && words[0] == "make" && !targets[words[1]] {
+				t.Errorf("%s:%d: `%s`: the Makefile defines no target %s", doc, lines[i], span, words[1])
+			}
+			for _, w := range words {
+				if p, ok := docPath(w); ok {
+					if _, err := os.Stat(p); err != nil {
+						t.Errorf("%s:%d: `%s`: no such path %s", doc, lines[i], span, p)
+					}
+				}
+			}
+		}
+	}
+}

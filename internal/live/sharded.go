@@ -93,12 +93,12 @@ type ShardedConfig struct {
 // scheduler's per-window rate decisions and re-runs the resource mapping
 // whenever the monitored CDFs drift (the scheduler's own KS trigger).
 // There is one domain per ShardDomain, streams spread by placement, and
-// all control (admission, rebind, offers, probe feeds) flows through the
+// all control (admission, offers, probe feeds) flows through the
 // plane's per-shard command queues, taking effect at the owning shard's
 // next tick boundary. With one domain the plane ticks inline on the
 // driver goroutine, byte-identical to a bare scheduler.
 //
-// Offer/Observe*/AddStream/Rebind are safe from any goroutine. Step and
+// Offer/Observe*/AddStream are safe from any goroutine. Step and
 // Run must be called from a single goroutine; Stats/Mapping-style reads
 // serialize against Step internally, so they are safe anytime.
 type ShardedDriver struct {

@@ -311,31 +311,6 @@ func TestShardedDriverDispatchesOffers(t *testing.T) {
 	}
 }
 
-func TestShardedDriverRebindLive(t *testing.T) {
-	d, paths, _ := newTestDriver(t, Config{TickSeconds: 0.01, TwSec: 0.1}, 2, 100)
-	id, from := d.AddStream(stream.Spec{Name: "be", Kind: stream.BestEffort, PacketBits: 12000, QueueLimit: 100})
-	d.Step()
-	to := 1 - from
-	if err := d.Rebind(id, to); err != nil {
-		t.Fatalf("Rebind: %v", err)
-	}
-	d.Step()
-	d.Step()
-	before := len(paths[to].packets())
-	for i := 0; i < 5; i++ {
-		d.Offer(id, 12000)
-	}
-	for i := 0; i < 6; i++ {
-		d.Step()
-	}
-	if got := len(paths[to].packets()) - before; got != 5 {
-		t.Fatalf("target shard path carried %d post-rebind packets, want 5", got)
-	}
-	if got := len(paths[from].packets()); got != 0 {
-		t.Fatalf("source shard path carried %d packets, want 0", got)
-	}
-}
-
 func TestShardedDriverObserveRoutesToShard(t *testing.T) {
 	d, _, _ := newTestDriver(t, Config{TickSeconds: 0.01, TwSec: 0.1}, 2, 100)
 	if !d.Warm() {

@@ -12,8 +12,7 @@ func (p *Plane) NumStreams() int {
 	return len(p.owner)
 }
 
-// Owns reports whether the shard currently owns global stream g (ghost
-// slots left by out-migration do not count). Shard-context only.
+// Owns reports whether the shard owns global stream g. Shard-context only.
 func (sh *Shard) Owns(g int) bool {
 	_, ok := sh.LocalIndex(g)
 	return ok

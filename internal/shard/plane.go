@@ -30,24 +30,21 @@ type Config struct {
 // Plane owns N shards and the stream directory mapping global stream IDs
 // to their owning shard. Exactly one goroutine — the coordinator — may
 // call Tick/Stop and read shard state between ticks; every other method
-// (AddStream, Rebind, Offer, Observe*) is safe from any goroutine at any
-// time and takes effect at the next tick boundary of the affected shard.
+// (AddStream, Offer, Observe*) is safe from any goroutine at any time and
+// takes effect at the next tick boundary of the affected shard.
 type Plane struct {
 	cfg    Config
 	shards []*Shard
 
 	// mu guards the directory below. Control path only: the shard tick
 	// loop never touches it.
-	mu        sync.Mutex
-	owner     []int32 // global stream ID -> shard index; IDs are dense
-	counts    []int   // placed streams per shard
-	migrating []bool  // by global stream ID
+	mu     sync.Mutex
+	owner  []int32 // global stream ID -> shard index; IDs are dense, append-only
+	counts []int   // placed streams per shard
 
 	stopOnce sync.Once
 
 	mPlaced     *telemetry.Counter
-	mMigrations *telemetry.Counter
-	mRerouted   *telemetry.Counter
 	mLostOffers *telemetry.Counter
 }
 
@@ -71,8 +68,6 @@ func NewPlane(cfg Config, domains []Domain) *Plane {
 		counts: make([]int, len(domains)),
 
 		mPlaced:     reg.Counter("iqpaths_plane_streams_placed_total", "Streams placed onto shards."),
-		mMigrations: reg.Counter("iqpaths_plane_migrations_total", "Completed cross-shard stream migrations."),
-		mRerouted:   reg.Counter("iqpaths_plane_rerouted_offers_total", "Offers rerouted after racing a migration."),
 		mLostOffers: reg.Counter("iqpaths_plane_lost_offers_total", "Offers dropped because the stream is unknown."),
 	}
 	for i, dom := range domains {
@@ -122,80 +117,23 @@ func (p *Plane) Stop() {
 }
 
 // AddStream places a new stream and returns its global ID and shard. The
-// stream materializes on the shard at its next tick boundary.
+// stream materializes on the shard at its next tick boundary. Its command
+// is queued before the directory lock is released, so any offer routed to
+// the new ID lands on the shard's ring behind it.
 func (p *Plane) AddStream(spec stream.Spec) (globalID, shardIdx int) {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	globalID = len(p.owner)
 	shardIdx = p.cfg.Placement.Place(globalID, spec, p.counts)
 	if shardIdx < 0 || shardIdx >= len(p.shards) {
-		p.mu.Unlock()
 		panic(fmt.Sprintf("shard: placement %q returned shard %d of %d",
 			p.cfg.Placement.Name(), shardIdx, len(p.shards)))
 	}
 	p.owner = append(p.owner, int32(shardIdx))
-	p.migrating = append(p.migrating, false)
 	p.counts[shardIdx]++
-	p.mu.Unlock()
 	p.mPlaced.Inc()
 	p.shards[shardIdx].ring.push(command{op: opAddStream, a: globalID, spec: &spec})
 	return globalID, shardIdx
-}
-
-// Rebind migrates global stream id to shard target: at the owner's next
-// tick boundary the backlog is popped and handed to the target through
-// the plane, preserving packet order. Offers racing the migration are
-// rerouted, not lost. It returns an error for unknown streams, bad
-// targets, and streams already mid-migration.
-// testonly: stream migration has no product caller yet; shard's migration
-// tests and live's TestShardedDriverRebindLive drive it, and deleting it
-// would change the offer path the live plane shares.
-func (p *Plane) Rebind(id, target int) error {
-	if target < 0 || target >= len(p.shards) {
-		return fmt.Errorf("shard: rebind stream %d: no shard %d", id, target)
-	}
-	p.mu.Lock()
-	from, ok := p.ownerLocked(id)
-	if !ok {
-		p.mu.Unlock()
-		return fmt.Errorf("shard: rebind: unknown stream %d", id)
-	}
-	if from == target {
-		p.mu.Unlock()
-		return nil
-	}
-	if p.migrating[id] {
-		p.mu.Unlock()
-		return fmt.Errorf("shard: rebind: stream %d already migrating", id)
-	}
-	p.migrating[id] = true
-	p.mu.Unlock()
-	p.shards[from].ring.push(command{op: opExtract, a: id, b: target})
-	return nil
-}
-
-// completeMigration is the owner shard's upcall after extracting a
-// stream: retarget the directory, then inject spec+backlog into the
-// target's queue. Runs on the source shard's goroutine; push never
-// blocks, so shard-context submission cannot deadlock.
-func (p *Plane) completeMigration(id, target int, spec *stream.Spec, pkts []*simnet.Packet) {
-	p.mu.Lock()
-	from := p.owner[id]
-	p.owner[id] = int32(target)
-	p.counts[from]--
-	p.counts[target]++
-	p.migrating[id] = false
-	p.mu.Unlock()
-	p.mMigrations.Inc()
-	p.shards[target].ring.push(command{op: opInject, a: id, spec: spec, pkts: pkts})
-}
-
-// migrationFailed clears the in-flight mark after a stale extract (the
-// stream was not on the shard the directory claimed — e.g. two rebinds
-// raced and the first already moved it).
-func (p *Plane) migrationFailed(id int) {
-	p.mu.Lock()
-	p.migrating[id] = false
-	p.mu.Unlock()
 }
 
 // Offer routes one packet to global stream id's owner; it lands in the
@@ -211,12 +149,6 @@ func (p *Plane) Offer(id int, pkt *simnet.Packet) {
 		return
 	}
 	p.shards[shardIdx].ring.push(command{op: opOffer, a: id, pkt: pkt})
-}
-
-// reroute re-submits an offer that raced a migration (shard upcall).
-func (p *Plane) reroute(id int, pkt *simnet.Packet) {
-	p.mRerouted.Inc()
-	p.Offer(id, pkt)
 }
 
 // ObserveBandwidth feeds one available-bandwidth sample (Mbps) to path j
@@ -235,7 +167,7 @@ func (p *Plane) ObserveLoss(k, j int, rate float64) {
 	p.shards[k].ring.push(command{op: opObserve, a: j, b: observeLoss, v: rate})
 }
 
-// Owner returns the shard currently owning global stream id.
+// Owner returns the shard owning global stream id.
 func (p *Plane) Owner(id int) (int, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -274,9 +206,8 @@ func (p *Plane) ShardStats() []pgos.Stats {
 }
 
 // Stats aggregates the shards' scheduler counters into one view whose
-// PerStream slice is indexed by *global* stream ID — a stream that
-// migrated keeps the counts it accrued on every shard it lived on.
-// Coordinator-context only.
+// PerStream slice is indexed by *global* stream ID. Coordinator-context
+// only.
 func (p *Plane) Stats() pgos.Stats {
 	p.mu.Lock()
 	n := len(p.owner)
@@ -292,12 +223,10 @@ func (p *Plane) Stats() pgos.Stats {
 		agg.SlotMisses += st.SlotMisses
 		agg.SendFailures += st.SendFailures
 		for li, ps := range st.PerStream {
-			if li < len(sh.global) {
-				g := sh.global[li]
-				agg.PerStream[g].Scheduled += ps.Scheduled
-				agg.PerStream[g].OtherPath += ps.OtherPath
-				agg.PerStream[g].Unscheduled += ps.Unscheduled
-			}
+			g := sh.global[li]
+			agg.PerStream[g].Scheduled += ps.Scheduled
+			agg.PerStream[g].OtherPath += ps.OtherPath
+			agg.PerStream[g].Unscheduled += ps.Unscheduled
 		}
 	}
 	return agg

@@ -218,217 +218,71 @@ func firstDiff(a, b string) string {
 	return fmt.Sprintf("lengths differ: %d vs %d lines", len(al), len(bl))
 }
 
-// pinned places every stream on one fixed shard.
-type pinned int
-
-func (pinned) Name() string                        { return "pinned" }
-func (p pinned) Place(int, stream.Spec, []int) int { return int(p) }
-
-// migWorld is a two-shard plane whose shards each own a private simnet,
-// arena, and path, plus per-shard delivery accounting.
-type migWorld struct {
-	plane     *shard.Plane
-	nets      []*simnet.Network
-	arenas    []*simnet.Arena
-	delivered []map[uint64]int // per shard: packet ID -> times seen
-	perStream [][]int          // per shard: deliveries per global stream
-	reg       *telemetry.Registry
-}
-
-// deliveredFor sums stream g's deliveries across shards. Coordinator
-// context only (the per-shard counters are written inside ticks).
-func (mw *migWorld) deliveredFor(g int) int {
-	n := 0
-	for _, ps := range mw.perStream {
-		n += ps[g]
-	}
-	return n
-}
-
-func newMigWorld(t *testing.T, capMbps float64) *migWorld {
+// newTwoShardPlane builds a two-shard plane, streams placed least-loaded
+// (so they alternate 0, 1, 0, ...), each shard with a private simnet and
+// path; deliveries are drained and released.
+func newTwoShardPlane(t *testing.T, reg *telemetry.Registry) *shard.Plane {
 	t.Helper()
-	mw := &migWorld{reg: telemetry.NewRegistry()}
 	var domains []shard.Domain
 	for k := 0; k < 2; k++ {
 		net := simnet.New(dTickSec, rand.New(rand.NewSource(int64(k+1))))
-		arena := &simnet.Arena{}
-		net.SetArena(arena)
 		l := net.AddLink(simnet.LinkConfig{
 			Name:         fmt.Sprintf("s%dl0", k),
-			CapacityMbps: capMbps,
+			CapacityMbps: 10,
 			DelayTicks:   1,
 			QueueLimit:   500,
 		})
 		p := net.AddPath(fmt.Sprintf("s%dp0", k), l)
 		mon := monitor.New(p.Name(), 100, 10)
 		for i := 0; i < 100; i++ {
-			mon.ObserveBandwidth(capMbps)
+			mon.ObserveBandwidth(10)
 		}
-		seen := make(map[uint64]int)
-		perStream := make([]int, 16)
-		mw.nets = append(mw.nets, net)
-		mw.arenas = append(mw.arenas, arena)
-		mw.delivered = append(mw.delivered, seen)
-		mw.perStream = append(mw.perStream, perStream)
 		domains = append(domains, shard.Domain{
 			Paths: []sched.PathService{p},
 			Mons:  []*monitor.PathMonitor{mon},
-			Arena: arena,
 			Step: func(int64) {
 				net.Step()
-				p.DrainDelivered(func(pkt *simnet.Packet) {
-					seen[pkt.ID]++
-					perStream[pkt.Stream]++
-				})
+				p.DrainDelivered(nil)
 			},
 		})
 	}
-	mw.plane = shard.NewPlane(shard.Config{
+	plane := shard.NewPlane(shard.Config{
 		PGOS: pgos.Config{
 			TwSec:       dTwSec,
 			TickSeconds: dTickSec,
 			PaceLimit:   170,
 		},
-		Placement: pinned(0),
-		Telemetry: mw.reg,
+		Placement: shard.LeastLoaded{},
+		Telemetry: reg,
 	}, domains)
-	t.Cleanup(mw.plane.Stop)
-	return mw
+	t.Cleanup(plane.Stop)
+	return plane
 }
 
-// TestRebindMigratesBacklog rebinds a stream with a deep backlog from
-// shard 0 to shard 1 mid-run and checks total conservation: every
-// offered packet is delivered exactly once (on either shard's network),
-// ownership moves, the source keeps only a neutralized ghost slot, and
-// both arenas account to zero once everything drains.
-func TestRebindMigratesBacklog(t *testing.T) {
-	// ~1 packet per tick so the backlog is still deep when the rebind
-	// lands, forcing a real hand-off of queued packets.
-	mw := newMigWorld(t, 1.2)
-	g, k := mw.plane.AddStream(stream.Spec{Name: "mover", Kind: stream.BestEffort, QueueLimit: 1000})
-	if k != 0 {
-		t.Fatalf("pinned placement put stream on shard %d, want 0", k)
-	}
-	mw.plane.Tick(0) // materialize
-
-	const preRebind, postRebind = 60, 5
-	for i := 0; i < preRebind; i++ {
-		mw.plane.Offer(g, mw.nets[0].NewPacket(g, dBits))
-	}
-	mw.plane.Tick(1) // backlog lands, dispatch starts
-
-	if err := mw.plane.Rebind(g, 1); err != nil {
-		t.Fatalf("Rebind: %v", err)
-	}
-	// Offers submitted after the rebind but before it executes must be
-	// rerouted to the new owner, not lost.
-	for i := 0; i < postRebind; i++ {
-		mw.plane.Offer(g, mw.nets[0].NewPacket(g, dBits))
-	}
-
-	total := preRebind + postRebind
-	now := int64(2)
-	for ; now < 400 && mw.deliveredFor(g) < total; now++ {
-		mw.plane.Tick(now)
-	}
-	if got := mw.deliveredFor(g); got != total {
-		t.Fatalf("delivered %d of %d packets after %d ticks", got, total, now)
-	}
-	for k, seen := range mw.delivered {
-		for id, c := range seen {
-			if c != 1 {
-				t.Fatalf("shard %d delivered packet %d %d times", k, id, c)
-			}
-		}
-	}
-	if len(mw.delivered[1]) == 0 {
-		t.Fatalf("no packets delivered on the target shard — migration never moved the backlog")
-	}
-
-	if owner, ok := mw.plane.Owner(g); !ok || owner != 1 {
-		t.Fatalf("Owner(%d) = %d,%v, want 1,true", g, owner, ok)
-	}
-	if !mw.plane.Shard(1).Owns(g) || mw.plane.Shard(0).Owns(g) {
-		t.Fatalf("shard ownership flags wrong: s0=%v s1=%v",
-			mw.plane.Shard(0).Owns(g), mw.plane.Shard(1).Owns(g))
-	}
-	if n := mw.plane.Shard(0).NumStreams(); n != 1 {
-		t.Fatalf("source shard slots = %d, want 1 ghost", n)
-	}
-	if got := mw.plane.Shard(0).Stream(0).Spec.Kind; got != stream.BestEffort {
-		t.Fatalf("ghost slot kind = %v, want BestEffort", got)
-	}
-
-	// All packets were acquired from shard 0's arena; deliveries on shard
-	// 1 released them cross-shard. Origin-routed accounting must settle.
-	if out := mw.arenas[0].Outstanding(); out != 0 {
-		t.Fatalf("arena 0 outstanding = %d after full drain, want 0", out)
-	}
-	if out := mw.arenas[1].Outstanding(); out != 0 {
-		t.Fatalf("arena 1 outstanding = %d, want 0 (never acquired)", out)
-	}
-}
-
-func TestRebindErrors(t *testing.T) {
-	mw := newMigWorld(t, 10)
-	g, _ := mw.plane.AddStream(stream.Spec{Name: "s", Kind: stream.BestEffort})
-	mw.plane.Tick(0)
-
-	if err := mw.plane.Rebind(g, 5); err == nil {
-		t.Fatal("Rebind to nonexistent shard succeeded")
-	}
-	if err := mw.plane.Rebind(99, 1); err == nil {
-		t.Fatal("Rebind of unknown stream succeeded")
-	}
-	if err := mw.plane.Rebind(g, 0); err != nil {
-		t.Fatalf("no-op Rebind to current owner errored: %v", err)
-	}
-	if err := mw.plane.Rebind(g, 1); err != nil {
-		t.Fatalf("first Rebind: %v", err)
-	}
-	if err := mw.plane.Rebind(g, 1); err == nil {
-		t.Fatal("second Rebind during in-flight migration succeeded, want error")
-	}
-	mw.plane.Tick(1)
-	mw.plane.Tick(2)
-	if owner, _ := mw.plane.Owner(g); owner != 1 {
-		t.Fatalf("owner after migration = %d, want 1", owner)
-	}
-	// Completed migration clears the in-flight mark: rebinding back works.
-	if err := mw.plane.Rebind(g, 0); err != nil {
-		t.Fatalf("rebind back after completion: %v", err)
-	}
-}
-
-// TestDirectoryOwnership checks the dense stream directories: negative,
-// never-issued and migrated-away IDs are not owned through Owns,
-// LocalIndex and Plane.Owner, and rebinds keep the plane's NumStreams and
-// each shard's iqpaths_shard_streams gauge counting owned streams, not
-// the ghost slots migrations leave behind.
+// TestDirectoryOwnership checks the dense stream directories: each stream
+// is owned through Owns, LocalIndex and Plane.Owner by its placed shard
+// only, negative and never-issued IDs are owned by none, and each
+// shard's iqpaths_shard_streams gauge counts its streams.
 func TestDirectoryOwnership(t *testing.T) {
-	mw := newMigWorld(t, 10)
-	for i := 0; i < 3; i++ {
-		mw.plane.AddStream(stream.Spec{Name: "s", Kind: stream.BestEffort})
-	}
-	mw.plane.Tick(0)
+	reg := telemetry.NewRegistry()
+	plane := newTwoShardPlane(t, reg)
 	gauge := func(k int) float64 {
-		return mw.reg.WithLabels("shard", fmt.Sprint(k)).Gauge("iqpaths_shard_streams", "").Value()
+		return reg.WithLabels("shard", fmt.Sprint(k)).Gauge("iqpaths_shard_streams", "").Value()
 	}
-	// check asserts where every stream lives: owners[g] is g's shard, and
-	// slots[k] is shard k's local slot count (ghosts included).
-	check := func(owners []int, slots [2]int) {
+	// check asserts where every stream lives: owners[g] is g's shard.
+	check := func(owners []int) {
 		t.Helper()
-		if n := mw.plane.NumStreams(); n != len(owners) {
+		if n := plane.NumStreams(); n != len(owners) {
 			t.Fatalf("plane NumStreams = %d, want %d", n, len(owners))
 		}
 		owned := [2]int{}
 		for g, want := range owners {
-			if k, ok := mw.plane.Owner(g); !ok || k != want {
+			if k, ok := plane.Owner(g); !ok || k != want {
 				t.Fatalf("Owner(%d) = %d,%v, want %d,true", g, k, ok, want)
 			}
 			owned[want]++
 			for k := 0; k < 2; k++ {
-				sh := mw.plane.Shard(k)
+				sh := plane.Shard(k)
 				li, ok := sh.LocalIndex(g)
 				if ok != (k == want) || sh.Owns(g) != ok {
 					t.Fatalf("shard %d: LocalIndex(%d) ok=%v Owns=%v, want %v", k, g, ok, sh.Owns(g), k == want)
@@ -439,70 +293,70 @@ func TestDirectoryOwnership(t *testing.T) {
 			}
 		}
 		for k := 0; k < 2; k++ {
-			if n := mw.plane.Shard(k).NumStreams(); n != slots[k] {
-				t.Fatalf("shard %d slots = %d, want %d", k, n, slots[k])
+			if n := plane.Shard(k).NumStreams(); n != owned[k] {
+				t.Fatalf("shard %d NumStreams = %d, want %d", k, n, owned[k])
 			}
 			if got := gauge(k); got != float64(owned[k]) {
 				t.Fatalf("shard %d iqpaths_shard_streams = %v, want %d", k, got, owned[k])
 			}
 		}
 		for _, g := range []int{-1, -1 << 40, len(owners), 1 << 20} {
-			if k, ok := mw.plane.Owner(g); ok {
+			if k, ok := plane.Owner(g); ok {
 				t.Fatalf("Owner(%d) = %d, want not owned", g, k)
 			}
 			for k := 0; k < 2; k++ {
-				if _, ok := mw.plane.Shard(k).LocalIndex(g); ok || mw.plane.Shard(k).Owns(g) {
+				if _, ok := plane.Shard(k).LocalIndex(g); ok || plane.Shard(k).Owns(g) {
 					t.Fatalf("shard %d owns never-issued stream %d", k, g)
 				}
 			}
 		}
 	}
-	check([]int{0, 0, 0}, [2]int{3, 0})
-	if err := mw.plane.Rebind(1, 1); err != nil {
-		t.Fatalf("Rebind: %v", err)
+	for i := 0; i < 3; i++ {
+		plane.AddStream(stream.Spec{Name: "s", Kind: stream.BestEffort})
 	}
-	mw.plane.Tick(1)
-	mw.plane.Tick(2)
-	check([]int{0, 1, 0}, [2]int{3, 1})
-	if err := mw.plane.Rebind(1, 0); err != nil {
-		t.Fatalf("Rebind back: %v", err)
-	}
-	mw.plane.Tick(3)
-	mw.plane.Tick(4)
-	// The return takes a fresh slot; the old one stays a ghost.
-	check([]int{0, 0, 0}, [2]int{4, 1})
+	plane.Tick(0)
+	check([]int{0, 1, 0})
+	plane.AddStream(stream.Spec{Name: "s", Kind: stream.BestEffort})
+	plane.Tick(1)
+	check([]int{0, 1, 0, 1})
 }
 
 // TestStatsAggregatesByGlobalID checks that Plane.Stats re-indexes
-// per-shard counters under global stream IDs and survives migration
-// (counts accrued on both shards sum).
+// per-shard counters under global stream IDs: both streams sit at local
+// index 0 of their shards, with different send counts.
 func TestStatsAggregatesByGlobalID(t *testing.T) {
-	mw := newMigWorld(t, 10)
-	g0, _ := mw.plane.AddStream(stream.Spec{Name: "a", Kind: stream.BestEffort, QueueLimit: 100})
-	g1, _ := mw.plane.AddStream(stream.Spec{Name: "b", Kind: stream.BestEffort, QueueLimit: 100})
-	mw.plane.Tick(0)
+	plane := newTwoShardPlane(t, nil)
+	g0, k0 := plane.AddStream(stream.Spec{Name: "a", Kind: stream.BestEffort, QueueLimit: 100})
+	g1, k1 := plane.AddStream(stream.Spec{Name: "b", Kind: stream.BestEffort, QueueLimit: 100})
+	if k0 == k1 {
+		t.Fatalf("both streams placed on shard %d", k0)
+	}
+	plane.Tick(0)
+	offer := func(g int) {
+		p := simnet.AcquirePacket()
+		p.Stream, p.Bits = g, dBits
+		plane.Offer(g, p)
+	}
 	for i := 0; i < 10; i++ {
-		mw.plane.Offer(g0, mw.nets[0].NewPacket(g0, dBits))
-		mw.plane.Offer(g1, mw.nets[0].NewPacket(g1, dBits))
+		offer(g0)
+		if i < 7 {
+			offer(g1)
+		}
 	}
-	mw.plane.Tick(1)
-	if err := mw.plane.Rebind(g1, 1); err != nil {
-		t.Fatalf("Rebind: %v", err)
+	for now := int64(1); now < 40; now++ {
+		plane.Tick(now)
 	}
-	for now := int64(2); now < 40; now++ {
-		mw.plane.Tick(now)
-	}
-	st := mw.plane.Stats()
+	st := plane.Stats()
 	if len(st.PerStream) != 2 {
 		t.Fatalf("PerStream len = %d, want 2", len(st.PerStream))
 	}
 	sent0 := st.PerStream[g0].Scheduled + st.PerStream[g0].OtherPath + st.PerStream[g0].Unscheduled
 	sent1 := st.PerStream[g1].Scheduled + st.PerStream[g1].OtherPath + st.PerStream[g1].Unscheduled
-	if sent0 != 10 || sent1 != 10 {
-		t.Fatalf("per-global-stream sends = %d,%d, want 10,10", sent0, sent1)
+	if sent0 != 10 || sent1 != 7 {
+		t.Fatalf("per-global-stream sends = %d,%d, want 10,7", sent0, sent1)
 	}
 	total := st.ScheduledSent + st.OtherPathSent + st.UnscheduledSent
-	if total != 20 {
-		t.Fatalf("aggregate sends = %d, want 20", total)
+	if total != 17 {
+		t.Fatalf("aggregate sends = %d, want 17", total)
 	}
 }

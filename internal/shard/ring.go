@@ -15,13 +15,6 @@ const (
 	opNone op = iota
 	// opAddStream places a new stream (global ID a, spec) on the shard.
 	opAddStream
-	// opExtract migrates global stream a out of the shard toward shard b:
-	// the owner pops its backlog, neutralizes the local slot, and reports
-	// to the plane, which injects into the target.
-	opExtract
-	// opInject completes a migration: global stream a arrives with its
-	// spec and in-flight backlog pkts.
-	opInject
 	// opOffer enqueues one packet for global stream a.
 	opOffer
 	// opObserve feeds monitor sample v of kind b (observe* constants) to
@@ -44,7 +37,6 @@ type command struct {
 	v    float64
 	spec *stream.Spec
 	pkt  *simnet.Packet
-	pkts []*simnet.Packet
 }
 
 // cmdQueue is the per-shard command ring: any goroutine produces (the
@@ -59,8 +51,7 @@ type command struct {
 // processes the whole batch privately — commands are applied in
 // submission order (FIFO), and the batch is everything submitted before
 // the tick boundary. The queue is unbounded (append under the producer
-// lock), so a shard-context producer — e.g. a migration source injecting
-// into its target — can never deadlock against a full ring.
+// lock), so a producer never blocks on a full ring.
 type cmdQueue struct {
 	mu      sync.Mutex
 	in      []command

@@ -3,16 +3,17 @@
 // own PGOS instance (deadline heaps and all), its own paths and quantile
 // windows, its own packet-pool arena, and its own telemetry scope —
 // ticked by its own goroutine on a shared clock. Cross-shard control
-// (stream placement, batched rebind/migration, monitor feeds) travels
-// through per-shard command queues drained at tick boundaries, so no
-// shard ever takes a lock inside its dispatch loop and the lock-free
-// telemetry registry remains the only plane-wide aggregation point.
+// (stream placement, offers, monitor feeds) travels through per-shard
+// command queues drained at tick boundaries, so no shard ever takes a
+// lock inside its dispatch loop and the lock-free telemetry registry
+// remains the only plane-wide aggregation point.
 //
 // Ownership invariants (DESIGN.md §11 states the full contract):
 //
-//   - A stream's backlog, heap entries, quantile windows, and pool
-//     packets belong to exactly one shard at a time. Only that shard's
-//     goroutine — inside tick — may touch them.
+//   - A stream is placed on exactly one shard and never leaves it. Its
+//     backlog, heap entries, quantile windows, and pool packets belong to
+//     that shard; only the shard's goroutine — inside tick — may touch
+//     them.
 //   - The coordinator (whoever calls Plane.Tick) may read shard state
 //     only between ticks; Plane.Tick is a barrier, so shards are
 //     quiescent whenever Tick is not executing.
@@ -38,7 +39,7 @@ import (
 type Domain struct {
 	Paths []sched.PathService
 	Mons  []*monitor.PathMonitor
-	// Arena, when non-nil, is the shard's packet pool; migrated packets
+	// Arena, when non-nil, is the shard's packet pool; its packets
 	// released on another shard still credit this one (see simnet pool
 	// accounting). Nil leaves packet acquisition to the traffic source.
 	Arena *simnet.Arena
@@ -59,7 +60,6 @@ type Shard struct {
 	streams []*stream.Stream // dense local index = stream.ID
 	global  []int            // local index -> global stream ID
 	local   []int32          // global stream ID -> local index, -1 if not owned
-	owned   int              // streams currently owned (ghost slots excluded)
 
 	paths []sched.PathService
 	mons  []*monitor.PathMonitor
@@ -73,13 +73,11 @@ type Shard struct {
 	doneCh chan struct{}
 	stopCh chan struct{}
 
-	mTicks       *telemetry.Counter
-	mCommands    *telemetry.Counter
-	mMigratedIn  *telemetry.Counter
-	mMigratedOut *telemetry.Counter
-	mOfferDrops  *telemetry.Counter
-	mStreams     *telemetry.Gauge
-	mArena       *telemetry.Gauge
+	mTicks      *telemetry.Counter
+	mCommands   *telemetry.Counter
+	mOfferDrops *telemetry.Counter
+	mStreams    *telemetry.Gauge
+	mArena      *telemetry.Gauge
 }
 
 func newShard(id int, p *Plane, dom Domain, reg *telemetry.Registry) *Shard {
@@ -103,13 +101,11 @@ func newShard(id int, p *Plane, dom Domain, reg *telemetry.Registry) *Shard {
 		doneCh: make(chan struct{}),
 		stopCh: make(chan struct{}),
 
-		mTicks:       scope.Counter("iqpaths_shard_ticks_total", "Ticks executed by this shard."),
-		mCommands:    scope.Counter("iqpaths_shard_commands_total", "Cross-shard commands applied at tick boundaries."),
-		mMigratedIn:  scope.Counter("iqpaths_shard_migrated_in_total", "Streams migrated into this shard."),
-		mMigratedOut: scope.Counter("iqpaths_shard_migrated_out_total", "Streams migrated out of this shard."),
-		mOfferDrops:  scope.Counter("iqpaths_shard_offer_drops_total", "Offered packets refused by a full stream backlog."),
-		mStreams:     scope.Gauge("iqpaths_shard_streams", "Streams currently owned by this shard."),
-		mArena:       scope.Gauge("iqpaths_shard_arena_outstanding", "Packets outstanding from this shard's arena."),
+		mTicks:      scope.Counter("iqpaths_shard_ticks_total", "Ticks executed by this shard."),
+		mCommands:   scope.Counter("iqpaths_shard_commands_total", "Cross-shard commands applied at tick boundaries."),
+		mOfferDrops: scope.Counter("iqpaths_shard_offer_drops_total", "Offered packets refused by a full stream backlog."),
+		mStreams:    scope.Gauge("iqpaths_shard_streams", "Streams owned by this shard."),
+		mArena:      scope.Gauge("iqpaths_shard_arena_outstanding", "Packets outstanding from this shard's arena."),
 	}
 	sh.sched = pgos.New(cfg, nil, dom.Paths, dom.Mons)
 	return sh
@@ -118,8 +114,7 @@ func newShard(id int, p *Plane, dom Domain, reg *telemetry.Registry) *Shard {
 // ID returns the shard's index within its plane.
 func (sh *Shard) ID() int { return sh.id }
 
-// NumStreams returns the number of local stream slots (including
-// neutralized slots left behind by out-migrations).
+// NumStreams returns the number of streams the shard owns.
 func (sh *Shard) NumStreams() int { return len(sh.streams) }
 
 // Stream returns the local stream at dense index i. Shard-context only:
@@ -194,24 +189,13 @@ func (sh *Shard) apply(c *command, now int64) {
 	switch c.op {
 	case opAddStream:
 		sh.addLocal(c.a, c.spec)
-	case opInject:
-		st := sh.addLocal(c.a, c.spec)
-		for _, p := range c.pkts {
-			if !st.Push(p) {
-				simnet.ReleasePacket(p)
-				sh.mOfferDrops.Inc()
-			}
-		}
-		sh.mMigratedIn.Inc()
-	case opExtract:
-		sh.extract(c.a, c.b)
 	case opOffer:
 		li, ok := sh.LocalIndex(c.a)
 		if !ok {
-			// The stream migrated away between submission and this tick
-			// boundary; hand the packet back to the plane, which routes it
-			// to the current owner.
-			sh.plane.reroute(c.a, c.pkt)
+			// Unreachable while the directory is append-only: AddStream
+			// queues the stream before any offer can name it.
+			simnet.ReleasePacket(c.pkt)
+			sh.plane.mLostOffers.Inc()
 			return
 		}
 		if !sh.streams[li].Push(c.pkt) {
@@ -234,7 +218,7 @@ func (sh *Shard) apply(c *command, now int64) {
 }
 
 // addLocal appends a new local stream slot for global ID g.
-func (sh *Shard) addLocal(g int, spec *stream.Spec) *stream.Stream {
+func (sh *Shard) addLocal(g int, spec *stream.Spec) {
 	li := len(sh.streams)
 	st := stream.New(li, *spec)
 	sh.streams = append(sh.streams, st)
@@ -243,47 +227,6 @@ func (sh *Shard) addLocal(g int, spec *stream.Spec) *stream.Stream {
 		sh.local = append(sh.local, -1)
 	}
 	sh.local[g] = int32(li)
-	sh.owned++
 	sh.sched.AddStream(st)
-	sh.mStreams.Set(float64(sh.owned))
-	return st
-}
-
-// extract migrates global stream g out toward shard target: pop the
-// whole backlog, neutralize the local slot (dense PGOS indices cannot be
-// removed, so the slot stays as a zero-demand best-effort ghost), and
-// report the spec + backlog to the plane for injection.
-func (sh *Shard) extract(g, target int) {
-	li, ok := sh.LocalIndex(g)
-	if !ok {
-		// Already migrated away (stale extract); nothing to move.
-		sh.plane.migrationFailed(g)
-		return
-	}
-	st := sh.streams[li]
-	spec := st.Spec
-	var pkts []*simnet.Packet
-	for {
-		p := st.Pop()
-		if p == nil {
-			break
-		}
-		pkts = append(pkts, p)
-	}
-	// Neutralize: no demand, no constraint, nothing queued ever again.
-	// The slot keeps its dense index so the scheduler's per-stream
-	// structures stay aligned; with zero required bandwidth and an empty
-	// queue it gets no scheduled slots and never surfaces in rule 3.
-	st.Spec = stream.Spec{
-		Name:       spec.Name + "(moved)",
-		Kind:       stream.BestEffort,
-		PacketBits: spec.PacketBits,
-		QueueLimit: 1,
-	}
-	sh.local[g] = -1
-	sh.owned--
-	sh.sched.Invalidate()
-	sh.mMigratedOut.Inc()
-	sh.mStreams.Set(float64(sh.owned))
-	sh.plane.completeMigration(g, target, &spec, pkts)
+	sh.mStreams.Set(float64(len(sh.streams)))
 }

@@ -24,11 +24,12 @@ import (
 //
 // Sharding: each scheduler shard owns an Arena so its steady-state
 // acquire/release traffic stays core-local. Packets may legally cross
-// shards (a stream rebind migrates its backlog; a relay forwards a
-// delivered packet) and be released by a shard other than the one that
-// acquired them. ReleasePacket routes both the struct and the accounting
-// credit to the packet's *origin* arena, so per-arena Outstanding counts
-// cannot leak on hand-off and never go negative on the releasing side.
+// shards (a producer offers a packet from its own pool to a stream on
+// another shard; a relay forwards a delivered packet) and be released by
+// a shard other than the one that acquired them. ReleasePacket routes
+// both the struct and the accounting credit to the packet's *origin*
+// arena, so per-arena Outstanding counts cannot leak on hand-off and
+// never go negative on the releasing side.
 
 // padUint64 is a cache-line-padded atomic counter: the pool counters are
 // hit by every shard on every packet, and without padding the

@@ -8,13 +8,13 @@ import (
 
 // TestArenaCrossShardHandOff is the regression test for the per-shard
 // arena accounting: packets acquired by shard A's arena and released by
-// shard B (the rebind/migration hand-off boundary) must credit A, so
+// shard B (a cross-shard offer or relay hand-off) must credit A, so
 // neither arena leaks outstanding packets and neither goes negative.
 func TestArenaCrossShardHandOff(t *testing.T) {
 	var a, b Arena
 	const n = 1000
 
-	// Shard A acquires; half its packets migrate to shard B, which
+	// Shard A acquires; half its packets pass to shard B, which
 	// releases them. Meanwhile B acquires its own and hands half to A.
 	// Concurrency mirrors the real plane: two goroutines exchanging
 	// ownership through a channel.
