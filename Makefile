@@ -57,7 +57,6 @@ fuzz:
 	$(GO) test -fuzz FuzzUnmarshal -fuzztime 10s -run xxx ./internal/transport/
 	$(GO) test -fuzz FuzzBatchDatagrams -fuzztime 10s -run xxx ./internal/transport/
 	$(GO) test -fuzz FuzzReadMessage -fuzztime 10s -run xxx ./internal/transport/
-	$(GO) test -fuzz FuzzRead -fuzztime 10s -run xxx ./internal/trace/
 	$(GO) test -fuzz FuzzParseFrame -fuzztime 10s -run xxx ./internal/live/
 	$(GO) test -fuzz FuzzReadFrame -fuzztime 10s -run xxx ./internal/live/
 	$(GO) test -fuzz FuzzParseDelta -fuzztime 10s -run xxx ./internal/gossip/

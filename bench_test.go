@@ -32,6 +32,20 @@ func benchCfg(alg string, seed int64) experiment.RunConfig {
 	}
 }
 
+// runArms runs scn once per arm at benchCfg(arm, seed).
+func runArms(b *testing.B, seed int64, scn experiment.Scenario, arms []string) []experiment.Result {
+	b.Helper()
+	var results []experiment.Result
+	for _, arm := range arms {
+		res, err := experiment.Run(benchCfg(arm, seed), scn)
+		if err != nil {
+			b.Fatal(err)
+		}
+		results = append(results, res)
+	}
+	return results
+}
+
 // runFigure runs the registered figure name at p.
 func runFigure(b *testing.B, name string, p experiment.Params) []experiment.Table {
 	b.Helper()
@@ -95,7 +109,7 @@ func BenchmarkFig9SmartPointer(b *testing.B) {
 	for _, alg := range []string{experiment.AlgWFQ, experiment.AlgMSFQ, experiment.AlgPGOS, experiment.AlgOptSched} {
 		b.Run(alg, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := experiment.RunSmartPointer(benchCfg(alg, int64(42+i)))
+				res, err := experiment.Run(benchCfg(alg, int64(42+i)), experiment.SmartPointer)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -114,7 +128,7 @@ func BenchmarkFig9SmartPointer(b *testing.B) {
 // plus the CDF extraction).
 func BenchmarkFig10CDF(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunSmartPointer(benchCfg(experiment.AlgPGOS, int64(42+i)))
+		res, err := experiment.Run(benchCfg(experiment.AlgPGOS, int64(42+i)), experiment.SmartPointer)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -128,10 +142,7 @@ func BenchmarkFig10CDF(b *testing.B) {
 // (the full four-algorithm suite at reduced duration).
 func BenchmarkFig11Summary(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		results, err := experiment.RunArms(benchCfg("", int64(42+i)), experiment.RunSmartPointer, experiment.SmartPointerArms...)
-		if err != nil {
-			b.Fatal(err)
-		}
+		results := runArms(b, int64(42+i), experiment.SmartPointer, experiment.SmartPointerArms)
 		t := experiment.RenderFig11(results, "Atom", "Bond1")
 		if len(t.Rows) != 8 {
 			b.Fatal("row count")
@@ -147,7 +158,7 @@ func BenchmarkFig12GridFTP(b *testing.B) {
 	for _, alg := range []string{experiment.AlgBlocked, experiment.AlgPGOS} {
 		b.Run(alg, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := experiment.RunGridFTP(benchCfg(alg, int64(42+i)))
+				res, err := experiment.Run(benchCfg(alg, int64(42+i)), experiment.GridFTP)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -165,10 +176,7 @@ func BenchmarkFig12GridFTP(b *testing.B) {
 // BenchmarkFig13GridFTPCDF regenerates the Fig. 13 CDFs (both layouts).
 func BenchmarkFig13GridFTPCDF(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		results, err := experiment.RunArms(benchCfg("", int64(42+i)), experiment.RunGridFTP, experiment.GridFTPArms...)
-		if err != nil {
-			b.Fatal(err)
-		}
+		results := runArms(b, int64(42+i), experiment.GridFTP, experiment.GridFTPArms)
 		if t := experiment.RenderCDFs(results); len(t.Rows) != 9 {
 			b.Fatal("cdf rows")
 		}

@@ -144,7 +144,7 @@ func seedList(first int64, n int) []int64 {
 func dumpTelemetry(path string, cfg experiment.RunConfig, res *experiment.Result) error {
 	if res == nil {
 		cfg.Algorithm = experiment.AlgPGOS
-		r, err := experiment.RunSmartPointer(cfg)
+		r, err := experiment.Run(cfg, experiment.SmartPointer)
 		if err != nil {
 			return err
 		}
@@ -169,35 +169,33 @@ func dumpTelemetry(path string, cfg experiment.RunConfig, res *experiment.Result
 }
 
 // writeHTML runs Fig. 4, the two §6 suites and the video figure and
-// renders the HTML report.
+// renders the HTML report; the suites' runs reach it through OnSuite.
 func writeHTML(path string, cfg experiment.RunConfig) error {
-	smart, err := experiment.RunArms(cfg, experiment.RunSmartPointer, experiment.SmartPointerArms...)
-	if err != nil {
-		return err
+	data := report.Data{
+		Fig4:        experiment.Fig4(experiment.Fig4Config{Seed: cfg.Seed}),
+		GeneratedBy: fmt.Sprintf("iqbench -html, seed %d, %gs measured after %gs warm-up", cfg.Seed, cfg.DurationSec, cfg.WarmupSec),
 	}
-	grid, err := experiment.RunArms(cfg, experiment.RunGridFTP, experiment.GridFTPArms...)
-	if err != nil {
-		return err
-	}
-	videoFig, err := experiment.Lookup("video")
-	if err != nil {
-		return err
-	}
-	video, err := videoFig[0].Run(experiment.Params{Run: cfg})
-	if err != nil {
-		return err
+	p := experiment.Params{Run: cfg, OnSuite: func(workload string, results []experiment.Result) {
+		if workload == "smartpointer" {
+			data.Smart = results
+		} else {
+			data.Grid = results
+		}
+	}}
+	for _, name := range []string{"smartpointer", "gridftp", "video"} {
+		figs, err := experiment.Lookup(name)
+		if err != nil {
+			return err
+		}
+		if data.Video, err = figs[0].Run(p); err != nil {
+			return err
+		}
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	err = report.Generate(f, report.Data{
-		Fig4:        experiment.Fig4(experiment.Fig4Config{Seed: cfg.Seed}),
-		Smart:       smart,
-		Grid:        grid,
-		Video:       video,
-		GeneratedBy: fmt.Sprintf("iqbench -html, seed %d, %gs measured after %gs warm-up", cfg.Seed, cfg.DurationSec, cfg.WarmupSec),
-	})
+	err = report.Generate(f, data)
 	if err != nil {
 		f.Close()
 		return err

@@ -19,13 +19,18 @@ func main() {
 	fmt.Printf("GridFTP (§6.2): DT1 %.2f Mbps, DT2 %.2f Mbps targets (25 records/s); DT3 elastic\n",
 		float64(gridftp.DT1Mbps), float64(gridftp.DT2Mbps))
 	fmt.Println("running blocked layout vs IQPG (PGOS) over the Fig. 8 testbed (90 s each)...")
-	results, err := experiment.RunArms(experiment.RunConfig{
-		Seed:        42,
-		DurationSec: 90,
-		WarmupSec:   60,
-	}, experiment.RunGridFTP, experiment.GridFTPArms...)
-	if err != nil {
-		log.Fatal(err)
+	var results []experiment.Result
+	for _, arm := range experiment.GridFTPArms {
+		res, err := experiment.Run(experiment.RunConfig{
+			Algorithm:   arm,
+			Seed:        42,
+			DurationSec: 90,
+			WarmupSec:   60,
+		}, experiment.GridFTP)
+		if err != nil {
+			log.Fatal(err)
+		}
+		results = append(results, res)
 	}
 	fmt.Println()
 	for _, res := range results {

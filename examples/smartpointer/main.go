@@ -17,13 +17,18 @@ import (
 func main() {
 	fmt.Println("SmartPointer (§6.1): Atom 3.249 Mbps @95%, Bond1 22.148 Mbps @95%, Bond2 best-effort")
 	fmt.Println("running WFQ, MSFQ, PGOS, OptSched over the Fig. 8 testbed (90 s each)...")
-	results, err := experiment.RunArms(experiment.RunConfig{
-		Seed:        42,
-		DurationSec: 90,
-		WarmupSec:   60,
-	}, experiment.RunSmartPointer, experiment.SmartPointerArms...)
-	if err != nil {
-		log.Fatal(err)
+	var results []experiment.Result
+	for _, arm := range experiment.SmartPointerArms {
+		res, err := experiment.Run(experiment.RunConfig{
+			Algorithm:   arm,
+			Seed:        42,
+			DurationSec: 90,
+			WarmupSec:   60,
+		}, experiment.SmartPointer)
+		if err != nil {
+			log.Fatal(err)
+		}
+		results = append(results, res)
 	}
 	fmt.Println()
 	if err := experiment.RenderFig11(results, "Atom", "Bond1").Write(os.Stdout, false); err != nil {

@@ -16,9 +16,6 @@ import (
 
 // Config parameterizes the testbed build.
 type Config struct {
-	// LossProb is an independent per-packet loss probability applied on
-	// every link (failure injection; 0 disables).
-	LossProb float64
 	// Seed drives all synthesized randomness. The cross traffic of path
 	// A's bottleneck (N-3→N-5) is an NLANR-like trace with the default
 	// calibration, and path B's (N-2→N-4) a heavier, more variable one,
@@ -27,10 +24,13 @@ type Config struct {
 	Seed int64
 }
 
-// The testbed's links: a 0.01 s emulator tick, 100 Mbps fast ethernet,
-// one tick of propagation delay and a 1000-packet queue.
+// TickSeconds is the testbed's emulator tick; scripts played against a
+// testbed (faults, membership churn) are scheduled in these ticks.
+const TickSeconds = 0.01
+
+// The testbed's links: 100 Mbps fast ethernet, one tick of propagation
+// delay and a 1000-packet queue.
 const (
-	tickSeconds  = 0.01
 	capacityMbps = 100
 	delayTicks   = 1
 	queueLimit   = 1000
@@ -73,7 +73,7 @@ func BuildN(cfg Config, n int) *MultiPath {
 	if n < 1 || n > 6 {
 		panic("emulab: BuildN supports 1..6 paths")
 	}
-	net := simnet.New(tickSeconds, rand.New(rand.NewSource(cfg.Seed)))
+	net := simnet.New(TickSeconds, rand.New(rand.NewSource(cfg.Seed)))
 	mp := &MultiPath{Net: net}
 	for i := 0; i < n; i++ {
 		var tc trace.NLANRConfig
@@ -113,14 +113,13 @@ func Build(cfg Config) *Testbed {
 	crossA := trace.NewNLANRLike(trace.DefaultNLANR(), rand.New(rand.NewSource(cfg.Seed+1)))
 	crossB := trace.NewNLANRLike(HeavyNLANR(), rand.New(rand.NewSource(cfg.Seed+2)))
 
-	net := simnet.New(tickSeconds, rng)
+	net := simnet.New(TickSeconds, rng)
 	mk := func(name string, cross trace.Generator) *simnet.Link {
 		return net.AddLink(simnet.LinkConfig{
 			Name:         name,
 			CapacityMbps: capacityMbps,
 			DelayTicks:   delayTicks,
 			QueueLimit:   queueLimit,
-			LossProb:     cfg.LossProb,
 			Cross:        cross,
 		})
 	}

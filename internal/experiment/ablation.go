@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
-	"iqpaths/internal/emulab"
 	"iqpaths/internal/predict"
-	"iqpaths/internal/simnet"
 	"iqpaths/internal/stream"
 	"iqpaths/internal/trace"
 )
@@ -25,96 +23,93 @@ func quantileSweep(seed int64) Table {
 	for _, q := range []float64{0.05, 0.10, 0.20, 0.30} {
 		res := predict.Evaluate(avail, predict.EvalConfig{WindowN: 500, Quantile: q, Horizon: 10})
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%.2f", q),
-			fmt.Sprintf("%.4f", res.PercentileFailureRate),
+			fmt.Sprintf("%.2f", q), fmt.Sprintf("%.4f", res.PercentileFailureRate),
 			fmt.Sprintf("%.4f", res.MeanErrAvg),
 		})
 	}
 	return t
 }
 
-// windowSweep reruns the SmartPointer PGOS experiment across scheduling
-// windows tw — the paper operates at 1 s; shorter windows react faster but
-// schedule fewer packets per vector, longer windows smooth more. Each row
-// reports a critical stream's sustained-95 % level and σ beside Bond2's
-// mean (the cost side).
-func windowSweep(cfg RunConfig) (Table, error) {
-	tws := []float64{0.25, 0.5, 1, 2, 4}
-	cfg.Algorithm = AlgPGOS
-	results, err := sweep(cfg, tws, func(c *RunConfig, tw float64) { c.TwSec = tw }, RunSmartPointer)
-	if err != nil {
-		return Table{}, err
-	}
+// windowTws are the scheduling windows tw the window sweep reruns the
+// SmartPointer PGOS experiment across — the paper operates at 1 s;
+// shorter windows react faster but schedule fewer packets per vector,
+// longer windows smooth more.
+var windowTws = []float64{0.25, 0.5, 1, 2, 4}
+
+// windowTable renders a row per window and critical stream: its
+// sustained-95 % level and σ beside Bond2's mean (the cost side).
+func windowTable(_ Params, results []Result) []Table {
 	t := Table{Header: []string{"tw_s", "stream", "sustained_95pct", "stddev", "bond2_mean"}}
 	for k, res := range results {
 		for _, ss := range res.Streams[:2] {
 			t.Rows = append(t.Rows, []string{
-				fmt.Sprintf("%.2f", tws[k]),
-				ss.Name,
-				fmt.Sprintf("%.3f", ss.Summary.SustainedAt(0.95)),
-				fmt.Sprintf("%.4f", ss.Summary.StdDev),
-				fmt.Sprintf("%.2f", res.Streams[2].Summary.Mean),
+				fmt.Sprintf("%.2f", windowTws[k]), ss.Name, fmt.Sprintf("%.3f", ss.Summary.SustainedAt(0.95)),
+				fmt.Sprintf("%.4f", ss.Summary.StdDev), fmt.Sprintf("%.2f", res.Streams[2].Summary.Mean),
 			})
 		}
 	}
-	return t, nil
+	return []Table{t}
 }
 
-// admissionAblation contrasts admission *honesty*: one stream asks for R
-// Mbps at 95 % on a single overlay path as R climbs toward the path's
-// capacity. Percentile-based admission (IQ-Paths) only accepts what the
-// bandwidth distribution's lower tail supports and keeps its promises;
+// The admission ablation contrasts admission *honesty*: one stream asks
+// for R Mbps at 95 % on a single overlay path as R climbs toward the
+// path's capacity. Percentile-based admission (IQ-Paths) only accepts what
+// the bandwidth distribution's lower tail supports and keeps its promises;
 // mean-based admission accepts anything below the mean and breaks them.
 // Multi-path rescue (precedence rule 2) is disabled by the single path so
-// the predictor alone carries the guarantee. A decision is honest when the
+// the predictor alone carries the guarantee. Its runs are floored at
+// admissionMinSec measured seconds: long enough to include congestion
+// episodes (~2 % duty, ~30 s long); short windows can miss them and
+// flatter the mean mapper.
+const admissionMinSec = 400
+
+// admissionAsk is one ask of the admission ablation, under one mode.
+type admissionAsk struct {
+	mode      string // "percentile" or "mean"
+	req, prob float64
+}
+
+// admissionAsks is the ablation's axis: each ask under percentile, then
+// mean admission.
+var admissionAsks = []admissionAsk{
+	{"percentile", 48, 0.95}, {"percentile", 56, 0.95}, {"percentile", 60, 0.99}, {"percentile", 62, 0.99},
+	{"mean", 48, 0.95}, {"mean", 56, 0.95}, {"mean", 60, 0.99}, {"mean", 62, 0.99},
+}
+
+// oneAsk is the admission ablation's workload: one stream asking for a.req
+// Mbps at a.prob, offered at a.req, with bulk buffers.
+func oneAsk(a admissionAsk) Workload {
+	return Workload{PaceLimit: bulkPace, New: func(h *Harness, _ RunConfig) workload {
+		st := stream.New(0, stream.Spec{
+			Name: "guaranteed", Kind: stream.Probabilistic,
+			RequiredMbps: a.req, Probability: a.prob,
+		})
+		var w sources
+		w.add(st, stream.NewRateSource(h.Net, st, a.req))
+		return w
+	}}
+}
+
+// admissionTable renders a row per ask. A decision is honest when the
 // stream was refused up front or achieved at least its promised
 // probability (within a 1 % measurement slack) of seconds at ≥98.5 % of
 // the target.
-func admissionAblation(cfg RunConfig) (Table, error) {
-	cfg.fillDefaults()
-	if cfg.DurationSec < 400 {
-		// Long enough to include congestion episodes (~2 % duty, ~30 s
-		// long); short windows can miss them and flatter the mean mapper.
-		cfg.DurationSec = 400
-	}
+func admissionTable(_ Params, results []Result) []Table {
 	t := Table{Header: []string{"mode", "required_mbps", "promised", "admitted", "mean", "achieved_frac", "honest"}}
-	type ask struct{ req, prob float64 }
-	for _, mode := range []string{"percentile", "mean"} {
-		for _, a := range []ask{{48, 0.95}, {56, 0.95}, {60, 0.99}, {62, 0.99}} {
-			tb := emulab.Build(emulab.Config{Seed: cfg.Seed})
-			st := stream.New(0, stream.Spec{
-				Name: "guaranteed", Kind: stream.Probabilistic,
-				RequiredMbps: a.req, Probability: a.prob,
-			})
-			var w sources
-			w.add(st, stream.NewRateSource(tb.Net, st, a.req))
-			c := cfg
-			c.Algorithm = AlgPGOS
-			c.MeanPrediction = mode == "mean"
-			if c.PaceLimit <= 0 {
-				c.PaceLimit = 170
-			}
-			res, err := run(c, tb.Net, []*simnet.Path{tb.PathA}, w, hooks{})
-			if err != nil {
-				return Table{}, err
-			}
-			admitted := len(res.Rejected) == 0
-			achieved := res.Streams[0].Summary.FractionAtLeast(a.req * 0.985)
-			t.Rows = append(t.Rows, []string{
-				mode,
-				fmt.Sprintf("%.0f", a.req),
-				fmt.Sprintf("%.2f", a.prob),
-				fmt.Sprintf("%t", admitted),
-				fmt.Sprintf("%.2f", res.Streams[0].Summary.Mean),
-				fmt.Sprintf("%.3f", achieved),
-				fmt.Sprintf("%t", !admitted || achieved+0.01 >= a.prob),
-			})
-		}
+	for k, res := range results {
+		a := admissionAsks[k]
+		admitted := len(res.Rejected) == 0
+		achieved := res.Streams[0].Summary.FractionAtLeast(a.req * 0.985)
+		t.Rows = append(t.Rows, []string{
+			a.mode, fmt.Sprintf("%.0f", a.req), fmt.Sprintf("%.2f", a.prob), fmt.Sprintf("%t", admitted),
+			fmt.Sprintf("%.2f", res.Streams[0].Summary.Mean), fmt.Sprintf("%.3f", achieved),
+			fmt.Sprintf("%t", !admitted || achieved+0.01 >= a.prob),
+		})
 	}
-	return t, nil
+	return []Table{t}
 }
 
-// meanPredictorAblation runs IQPG-GridFTP twice — once with its
+// The predictor ablation runs IQPG-GridFTP twice — once with its
 // statistical (percentile) predictions and once with mean predictions
 // driving the identical scheduler — isolating the predictor's
 // contribution. The GridFTP demand (DT1+DT2 ≈ 60 Mbps against a path
@@ -122,12 +117,7 @@ func admissionAblation(cfg RunConfig) (Table, error) {
 // the regime where mean-based admission over-commits: the mean mapper
 // packs both guaranteed streams onto path A and DT2 starves whenever the
 // path dips, while the percentile mapper splits DT2 across paths.
-func meanPredictorAblation(cfg RunConfig) (Table, error) {
-	cfg.Algorithm = AlgPGOS
-	results, err := sweep(cfg, []bool{false, true}, func(c *RunConfig, mean bool) { c.MeanPrediction = mean }, RunGridFTP)
-	if err != nil {
-		return Table{}, err
-	}
+func predictorTable(_ Params, results []Result) []Table {
 	results[0].Algorithm, results[1].Algorithm = "PGOS(percentile)", "PGOS(mean-pred)"
-	return RenderFig11(results, "DT1", "DT2"), nil
+	return []Table{RenderFig11(results, "DT1", "DT2")}
 }

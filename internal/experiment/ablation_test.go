@@ -1,6 +1,11 @@
 package experiment
 
-import "testing"
+import (
+	"strings"
+	"testing"
+
+	"iqpaths/internal/simnet"
+)
 
 func TestQuantileSweepRows(t *testing.T) {
 	t.Parallel()
@@ -62,7 +67,14 @@ func TestLossInjection(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment run")
 	}
-	res, err := runLossy(RunConfig{Seed: 42, DurationSec: 60, WarmupSec: 60}, 0.01)
+	lossy := Scenario{Workload: SmartPointer.Workload, Topology: func(seed int64) (*simnet.Network, []*simnet.Path) {
+		net, paths := fig8(seed)
+		for _, name := range strings.Fields("N-1:N-3 N-3:N-5 N-5:N-6 N-1:N-2 N-2:N-4 N-4:N-6") {
+			net.Link(name).SetLossProb(0.01)
+		}
+		return net, paths
+	}}
+	res, err := Run(RunConfig{Algorithm: AlgPGOS, Seed: 42, DurationSec: 60, WarmupSec: 60}, lossy)
 	if err != nil {
 		t.Fatal(err)
 	}

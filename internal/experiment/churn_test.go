@@ -1,6 +1,20 @@
 package experiment
 
-import "testing"
+import (
+	"testing"
+
+	"iqpaths/internal/emulab"
+)
+
+// runChurn runs the churn figure's scenario in both routing modes under
+// cfg.
+func runChurn(cfg RunConfig) (*ChurnResult, error) {
+	results, err := runAxis(Params{Run: cfg}, churnScenario, churnModes)
+	if err != nil {
+		return nil, err
+	}
+	return churnOf(results), nil
+}
 
 // TestRunChurnDeterministic replays the static/control churn comparison
 // twice under the same seed; every number — including the admission
@@ -41,26 +55,27 @@ func TestRunChurnAcceptance(t *testing.T) {
 
 	// Convergence is measured and bounded: failure detection plus at most
 	// two gossip rounds (witness seeding lands on or just before a round).
-	bound := int64((res.Timeline.DetectSec + 2*res.Timeline.GossipSec) / churnTickSec)
+	tl := churnTimeline(cfg)
+	bound := int64((tl.DetectSec + 2*tl.GossipSec) / emulab.TickSeconds)
 	if res.Control.ConvergeTicks < 0 {
 		t.Fatal("control mode reports no completed convergence")
 	}
 	if res.Control.ConvergeTicks > bound {
 		t.Fatalf("convergence took %d ticks, bound %d (detect %vs + 2 gossip rounds)",
-			res.Control.ConvergeTicks, bound, res.Timeline.DetectSec)
+			res.Control.ConvergeTicks, bound, tl.DetectSec)
 	}
 
 	// The control plane must strictly improve the guaranteed stream.
-	critical := func(r ChurnRun) FaultStreamRow {
-		for _, s := range r.Streams {
-			if s.Name == res.Critical {
-				return s
+	critical := func(r ChurnRun) float64 {
+		for _, a := range r.Accounts {
+			if a.Name == "Gold" {
+				return violatedFrac(a)
 			}
 		}
-		t.Fatalf("%s run lacks critical stream %q", r.Mode, res.Critical)
-		return FaultStreamRow{}
+		t.Fatalf("%s run lacks critical stream Gold", r.Mode)
+		return 0
 	}
-	sf, cf := critical(res.Static).ViolatedFrac, critical(res.Control).ViolatedFrac
+	sf, cf := critical(res.Static), critical(res.Control)
 	if sf == 0 {
 		t.Fatal("static run shows no violations — churn script had no effect")
 	}

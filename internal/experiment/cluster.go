@@ -24,9 +24,7 @@ type ClusterConfig struct {
 	// Rounds bounds the gossip rounds spent inside the event phase
 	// (default 200); Drain rounds follow with churn quiesced (default 24).
 	// knob: set with Events by the cluster goldens and TestRenderCluster.
-	Rounds int
-	// knob: set with Events by the cluster goldens and TestRenderCluster.
-	Drain int
+	Rounds, Drain int
 	// Seed drives the script and both engines' fanout/loss draws.
 	Seed int64
 }
@@ -122,8 +120,7 @@ func runClusterScript(cfg ClusterConfig, nodes int, e gossip.Engine) {
 func runCluster(cfg ClusterConfig) (Table, error) {
 	cfg.fillDefaults()
 	t := Table{Header: []string{
-		"nodes", "clusters", "mode", "events",
-		"mean_conv_ticks", "max_conv_ticks", "violated_frac",
+		"nodes", "clusters", "mode", "events", "mean_conv_ticks", "max_conv_ticks", "violated_frac",
 		"kbytes", "B_per_node_round", "tables_match",
 	}}
 	for _, n := range cfg.Nodes {
@@ -153,13 +150,9 @@ func runCluster(cfg ClusterConfig) (Table, error) {
 			{"flood", flood.Stats(), flood.Topology()},
 		} {
 			t.Rows = append(t.Rows, []string{
-				fmt.Sprintf("%d", n),
-				fmt.Sprintf("%d", eng.topo.Clusters()),
-				eng.mode,
-				fmt.Sprintf("%d", cfg.Events),
-				fmt.Sprintf("%.2f", eng.s.MeanConvRounds()),
-				fmt.Sprintf("%d", eng.s.MaxConvRounds),
-				fmt.Sprintf("%.4f", eng.s.ViolatedFrac()),
+				fmt.Sprintf("%d", n), fmt.Sprintf("%d", eng.topo.Clusters()), eng.mode,
+				fmt.Sprintf("%d", cfg.Events), fmt.Sprintf("%.2f", eng.s.MeanConvRounds()),
+				fmt.Sprintf("%d", eng.s.MaxConvRounds), fmt.Sprintf("%.4f", eng.s.ViolatedFrac()),
 				fmt.Sprintf("%.1f", float64(eng.s.Bytes)/1024),
 				fmt.Sprintf("%.1f", float64(eng.s.Bytes)/float64(n)/float64(eng.s.Rounds)),
 				fmt.Sprintf("%v", match),

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"iqpaths/internal/emulab"
 	"iqpaths/internal/faults"
 	"iqpaths/internal/monitor"
 	"iqpaths/internal/pgos"
@@ -11,6 +12,15 @@ import (
 	"iqpaths/internal/simnet"
 	"iqpaths/internal/stream"
 )
+
+// runFaults runs the fault figure's scenario over its arms under cfg.
+func runFaults(cfg RunConfig) ([]FaultRun, error) {
+	results, err := runAxis(Params{Run: cfg}, faultScenario, faultArms)
+	if err != nil {
+		return nil, err
+	}
+	return faultsOf(cfg, results), nil
+}
 
 func faultCfg(durationSec float64) RunConfig {
 	return RunConfig{Seed: 42, DurationSec: durationSec, WarmupSec: 60}
@@ -29,7 +39,7 @@ func TestDefaultFaultScheduleShape(t *testing.T) {
 	}
 	end := cfg.WarmupSec + cfg.DurationSec
 	for _, e := range sched {
-		sec := float64(e.AtTick) * faultTickSec
+		sec := float64(e.AtTick) * emulab.TickSeconds
 		if sec < cfg.WarmupSec || sec > end {
 			t.Fatalf("event %+v at %vs outside measured window [%v, %v]", e, sec, cfg.WarmupSec, end)
 		}
@@ -43,7 +53,7 @@ func TestDefaultFaultScheduleShape(t *testing.T) {
 // TestRunFaultsDeterministic replays the full WFQ/MSFQ/PGOS comparison
 // twice under the same seed; every number must be bit-for-bit identical.
 func TestRunFaultsDeterministic(t *testing.T) {
-	checkTypedReplay(t, "faults_seed42.golden", runFaults, func(r *FaultsResult) []Table { return []Table{faultsTable(r)} })
+	checkTypedReplay(t, "faults_seed42.golden", runFaults, func(r []FaultRun) []Table { return []Table{faultsTable(r)} })
 }
 
 // TestRunFaultsAcceptance is the headline fault-tolerance claim: under an
@@ -58,19 +68,19 @@ func TestRunFaultsAcceptance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Runs) != 3 {
-		t.Fatalf("runs = %d, want 3", len(res.Runs))
+	if len(res) != 3 {
+		t.Fatalf("runs = %d, want 3", len(res))
 	}
 	byAlg := map[string]FaultRun{}
-	for _, r := range res.Runs {
+	for _, r := range res {
 		byAlg[r.Algorithm] = r
 	}
 	// The identical script must have played fully in every run.
-	want := res.Runs[0].FaultEvents
+	want := res[0].FaultEvents
 	if want == 0 {
 		t.Fatal("no fault events applied")
 	}
-	for _, r := range res.Runs {
+	for _, r := range res {
 		if r.FaultEvents != want {
 			t.Fatalf("%s applied %d fault events, others %d — script not identical", r.Algorithm, r.FaultEvents, want)
 		}
@@ -89,18 +99,18 @@ func TestRunFaultsAcceptance(t *testing.T) {
 		}
 	}
 
-	critical := func(r FaultRun) FaultStreamRow {
-		for _, s := range r.Streams {
-			if s.Name == res.Critical {
-				return s
+	critical := func(r FaultRun) float64 {
+		for _, a := range r.Accounts {
+			if a.Name == "Atom" { // the tightest guaranteed stream
+				return violatedFrac(a)
 			}
 		}
-		t.Fatalf("%s run lacks critical stream %q", r.Algorithm, res.Critical)
-		return FaultStreamRow{}
+		t.Fatalf("%s run lacks critical stream Atom", r.Algorithm)
+		return 0
 	}
-	pgFrac := critical(pg).ViolatedFrac
+	pgFrac := critical(pg)
 	for _, alg := range []string{AlgWFQ, AlgMSFQ} {
-		frac := critical(byAlg[alg]).ViolatedFrac
+		frac := critical(byAlg[alg])
 		if pgFrac >= frac {
 			t.Fatalf("critical stream violated frac: PGOS %.4f, %s %.4f — PGOS must be strictly lower",
 				pgFrac, alg, frac)

@@ -8,17 +8,14 @@ import (
 	"iqpaths/internal/trace"
 )
 
-// Fig4Point is one x-axis point of Figure 4: prediction quality at one
-// bandwidth-measurement window size.
+// Fig4Point is one x-axis point of Figure 4: at one bandwidth-measurement
+// window (0.1–1.0 s), the mean predictors' average relative error, broken
+// down per predictor (MA, SMA, EWMA, AR1), and the percentile-prediction
+// failure rate.
 type Fig4Point struct {
-	// WindowSec is the measurement window (0.1–1.0 s).
-	WindowSec float64
-	// MeanErr is the average relative error of the mean predictors.
-	MeanErr float64
-	// MeanErrBy breaks MeanErr down per predictor (MA, SMA, EWMA, AR1).
-	MeanErrBy map[string]float64
-	// PctlFail is the percentile-prediction failure rate.
-	PctlFail float64
+	WindowSec, MeanErr float64
+	MeanErrBy          map[string]float64
+	PctlFail           float64
 }
 
 // Fig4Config parameterizes the Figure 4 regeneration.
@@ -82,12 +79,9 @@ func fig4Table(points []Fig4Point) Table {
 	t := Table{Header: []string{"window_s", "mean_pred_err", "pctl_fail_rate", "MA", "SMA", "EWMA", "AR1"}}
 	for _, p := range points {
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%.1f", p.WindowSec),
-			fmt.Sprintf("%.4f", p.MeanErr),
-			fmt.Sprintf("%.4f", p.PctlFail),
-			fmt.Sprintf("%.4f", p.MeanErrBy["MA"]),
-			fmt.Sprintf("%.4f", p.MeanErrBy["SMA"]),
-			fmt.Sprintf("%.4f", p.MeanErrBy["EWMA"]),
+			fmt.Sprintf("%.1f", p.WindowSec), fmt.Sprintf("%.4f", p.MeanErr),
+			fmt.Sprintf("%.4f", p.PctlFail), fmt.Sprintf("%.4f", p.MeanErrBy["MA"]),
+			fmt.Sprintf("%.4f", p.MeanErrBy["SMA"]), fmt.Sprintf("%.4f", p.MeanErrBy["EWMA"]),
 			fmt.Sprintf("%.4f", p.MeanErrBy["AR1"]),
 		})
 	}

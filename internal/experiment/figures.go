@@ -27,19 +27,14 @@ type Params struct {
 	OnSuite func(workload string, results []Result)
 }
 
-// Figure is one entry of the evaluation. Its Run renders the tables that
-// iqbench prints and that the figure's golden pins, from one code path.
+// Figure is one entry of the evaluation: the names that select it with
+// iqbench -fig (the first also names its CSV file), the title heading its
+// output, its -fig group ("all" or "ablations", if any), and Run, which
+// renders the tables iqbench prints and the figure's golden pins.
 type Figure struct {
-	// Names select the figure with iqbench -fig; the first also names its
-	// CSV file.
-	Names []string
-	// Title heads the figure's output.
-	Title string
-	// Group is the -fig group ("all" or "ablations") the figure is in, if
-	// any.
-	Group string
-	// Run runs the figure and renders its tables.
-	Run func(Params) ([]Table, error)
+	Names        []string
+	Title, Group string
+	Run          func(Params) ([]Table, error)
 }
 
 // Arm lists of the two §6 suites, in paper order.
@@ -51,7 +46,10 @@ var (
 	GridFTPArms = []string{AlgBlocked, AlgPartitioned, AlgPGOS}
 )
 
-// Figures is the registry, in output order.
+// Figures is the registry, in output order. A simulated figure's row is
+// a scenario, one sweep axis and its render (simulated); the others run
+// no testbed, or — the dispersion ablation — interleave probe trains with
+// scheduler ticks, so they keep their own Run.
 var Figures = []Figure{
 	{[]string{"fig4", "4"}, "Figure 4: bandwidth prediction — mean predictors vs percentile prediction", "all",
 		func(p Params) ([]Table, error) {
@@ -59,85 +57,88 @@ var Figures = []Figure{
 		}},
 	{[]string{"smartpointer", "9", "10", "11"},
 		"Figures 9–11: SmartPointer throughput series, summary (target / mean / sustained 95% and 99% / stddev) and CDFs", "all",
-		suiteFigure("smartpointer", RunSmartPointer, SmartPointerArms, "Atom", "Bond1")},
+		simulated(SmartPointer, arms(SmartPointerArms...), suiteTables("smartpointer", "Atom", "Bond1"))},
 	{[]string{"gridftp", "12", "13"}, "Figures 12–13: GridFTP vs IQPG-GridFTP throughput series, summary and CDFs", "all",
-		suiteFigure("gridftp", RunGridFTP, GridFTPArms, "DT1", "DT2", "DT3")},
+		simulated(GridFTP, arms(GridFTPArms...), suiteTables("gridftp", "DT1", "DT2", "DT3"))},
 	{[]string{"video"}, "Multimedia: MPEG-4 FGS layered video playback quality (tech-report companion)", "all",
-		oneTable(func(p Params) (Table, error) { return runVideo(p.Run, AlgWFQ, AlgMSFQ, AlgPGOS) })},
+		simulated(videoScenario, arms(AlgWFQ, AlgMSFQ, AlgPGOS), videoTable)},
 	{[]string{"quantiles"}, "Ablation: percentile level sweep (extends Fig. 4)", "ablations",
-		oneTable(func(p Params) (Table, error) { return quantileSweep(p.Run.Seed), nil })},
+		func(p Params) ([]Table, error) { return []Table{quantileSweep(p.Run.Seed)}, nil }},
 	{[]string{"window"}, "Ablation: PGOS scheduling-window sweep", "ablations",
-		oneTable(func(p Params) (Table, error) { return windowSweep(p.Run) })},
+		simulated(SmartPointer, over(windowTws, func(c *RunConfig, _ *Scenario, tw float64) {
+			c.Algorithm, c.TwSec = AlgPGOS, tw
+		}), windowTable)},
 	{[]string{"predictor"}, "Ablation: PGOS with a mean predictor (predictor contribution)", "ablations",
-		oneTable(func(p Params) (Table, error) { return meanPredictorAblation(p.Run) })},
+		simulated(GridFTP, over([]bool{false, true}, func(c *RunConfig, _ *Scenario, mean bool) {
+			c.Algorithm, c.MeanPrediction = AlgPGOS, mean
+		}), predictorTable)},
 	{[]string{"admission"}, "Ablation: admission honesty — percentile vs mean admission on one path", "ablations",
-		oneTable(func(p Params) (Table, error) { return admissionAblation(p.Run) })},
+		simulated(Scenario{Topology: fig8PathA}, over(admissionAsks, func(c *RunConfig, s *Scenario, a admissionAsk) {
+			c.Algorithm, c.MeanPrediction, s.Workload = AlgPGOS, a.mode == "mean", oneAsk(a)
+			c.DurationSec = max(c.DurationSec, admissionMinSec)
+		}), admissionTable)},
 	{[]string{"paths"}, "Ablation: path-count sweep (70 Mbps @ 95% across 1–4 paths)", "ablations",
-		oneTable(func(p Params) (Table, error) { return pathsSweep(p.Run) })},
+		simulated(pathsScenario, over(pathCounts, func(c *RunConfig, s *Scenario, n int) {
+			c.Algorithm, s.Topology = AlgPGOS, multiPath(n)
+		}), pathsTable)},
 	{[]string{"dispersion"}, "Ablation: oracle sampling vs live dispersion probing", "ablations",
-		oneTable(func(p Params) (Table, error) { return probingAblation(p.Run) })},
+		func(p Params) ([]Table, error) {
+			t, err := probingAblation(p.Run)
+			return []Table{t}, err
+		}},
 	{[]string{"violation-bound"}, "Violation-bound guarantee (Lemma 2) end-to-end: 30 Mbps, E[Z] <= 100 pkts/window", "ablations",
-		func(p Params) ([]Table, error) {
-			res, err := runViolationBound(p.Run, 30, 100)
-			if err != nil {
-				return nil, err
-			}
-			return violationBoundTables(res), nil
-		}},
+		simulated(violationBound(30, 100), arms(AlgPGOS), func(_ Params, results []Result) []Table {
+			return violationBoundTables(results[0])
+		})},
 	{[]string{"faults"}, "Fault scenario: WFQ/MSFQ/PGOS recovery under an identical fault script", "",
-		func(p Params) ([]Table, error) {
-			res, err := runFaults(p.Run)
-			if err != nil {
-				return nil, err
-			}
-			return []Table{faultsTable(res)}, nil
-		}},
+		simulated(faultScenario, faultArms, func(p Params, results []Result) []Table {
+			return []Table{faultsTable(faultsOf(p.Run, results))}
+		})},
 	{[]string{"churn"}, "Churn scenario: static routing vs control-plane rerouting under membership churn", "",
-		func(p Params) ([]Table, error) {
-			res, err := runChurn(p.Run)
-			if err != nil {
-				return nil, err
-			}
-			return churnTables(res), nil
-		}},
+		simulated(churnScenario, churnModes, func(p Params, results []Result) []Table {
+			return churnTables(churnOf(results))
+		})},
 	{[]string{"cluster"}, "Cluster: delta/anti-entropy gossip vs full flood across overlay sizes", "",
-		oneTable(func(p Params) (Table, error) {
+		func(p Params) ([]Table, error) {
 			c := p.Cluster
 			c.Seed = p.Run.Seed
-			return runCluster(c)
-		})},
+			t, err := runCluster(c)
+			return []Table{t}, err
+		}},
 	{[]string{"probing"}, "Probing: Bayesian active probe selection vs round-robin, + scheduler arms", "",
 		func(p Params) ([]Table, error) {
 			c := p.Probing
-			c.Seed, c.SchedCfg = p.Run.Seed, p.Run
-			return runProbing(c)
+			c.Seed = p.Run.Seed
+			sweep, err := runProbing(c)
+			if err != nil {
+				return nil, err
+			}
+			results, err := runAxis(p, SmartPointer, arms(AlgWFQ, AlgMSFQ, AlgPGOS, AlgBackpressure))
+			if err != nil {
+				return nil, err
+			}
+			return []Table{sweep, probingArmsTable(results)}, nil
 		}},
 	{[]string{"matrix"}, "Matrix: arms × workloads × bands × seeds (violated-window fraction, aggregate Mbps, delay jitter)", "",
-		oneTable(func(p Params) (Table, error) { return runMatrix(p.Matrix) })},
+		simulated(Scenario{}, matrixCells, matrixTable)},
 	{[]string{"multiseed"}, "Multi-seed Fig. 11 aggregate (mean ± standard error across seeds)", "",
-		oneTable(func(p Params) (Table, error) { return multiSeed(p.Run, p.Seeds) })},
+		simulated(SmartPointer, seedSuites, multiSeedTable)},
 }
 
-// oneTable adapts a figure that renders a single table.
-func oneTable(run func(Params) (Table, error)) func(Params) ([]Table, error) {
-	return func(p Params) ([]Table, error) {
-		t, err := run(p)
-		if err != nil {
-			return nil, err
-		}
-		return []Table{t}, nil
-	}
-}
+// faultArms and churnModes are the fault and churn figures' axes.
+var (
+	faultArms  = arms(AlgWFQ, AlgMSFQ, AlgPGOS)
+	churnModes = over([]string{"static", "control"}, func(c *RunConfig, s *Scenario, mode string) {
+		c.Algorithm, s.Churn = AlgPGOS, mode
+	})
+)
 
-// suiteFigure runs one §6 suite — the same workload and seed under each
-// arm — and renders every arm's throughput series (Fig. 9 / 12), the
-// summary of the named streams (Fig. 11) and the CDFs (Fig. 10 / 13).
-func suiteFigure(workload string, run func(RunConfig) (Result, error), arms []string, streams ...string) func(Params) ([]Table, error) {
-	return func(p Params) ([]Table, error) {
-		results, err := RunArms(p.Run, run, arms...)
-		if err != nil {
-			return nil, err
-		}
+// suiteTables renders one §6 suite — the same workload and seed under
+// each arm: every arm's throughput series (Fig. 9 / 12), the summary of
+// the named streams (Fig. 11) and the CDFs (Fig. 10 / 13). It hands the
+// runs to p.OnSuite first.
+func suiteTables(workload string, streams ...string) func(Params, []Result) []Table {
+	return func(p Params, results []Result) []Table {
 		if p.OnSuite != nil {
 			p.OnSuite(workload, results)
 		}
@@ -149,7 +150,7 @@ func suiteFigure(workload string, run func(RunConfig) (Result, error), arms []st
 		}
 		summary, cdfs := RenderFig11(results, streams...), RenderCDFs(results)
 		summary.Title, cdfs.Title = "summary", "cdfs"
-		return append(tables, summary, cdfs), nil
+		return append(tables, summary, cdfs)
 	}
 }
 

@@ -82,7 +82,7 @@ func TestGridFTPShape(t *testing.T) {
 		t.Skip("multi-run experiment")
 	}
 	t.Parallel()
-	results, err := RunArms(RunConfig{Seed: 42, DurationSec: 150, WarmupSec: 60}, RunGridFTP, AlgBlocked, AlgPGOS)
+	results, err := runAxis(Params{Run: RunConfig{Seed: 42, DurationSec: 150, WarmupSec: 60}}, GridFTP, arms(AlgBlocked, AlgPGOS))
 	if err != nil {
 		t.Fatal(err)
 	}

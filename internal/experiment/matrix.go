@@ -56,8 +56,9 @@ type PathDraw struct {
 	Bystanders int
 }
 
-// MatrixScenario is a concrete scenario drawn from a Band for one seed.
-type MatrixScenario struct {
+// BandDraw is one band's concrete conditions for one seed: the input of
+// the matrix topology (BandDraw.build) and of the matrix workloads.
+type BandDraw struct {
 	Band string
 	Seed int64
 	// Clients/Providers/Bystanders are the drawn group sizes.
@@ -68,17 +69,13 @@ type MatrixScenario struct {
 	Paths []PathDraw
 }
 
-// fnvSeed folds a band name into a seed offset so each (band, seed) pair
-// draws an independent, stable scenario.
-func fnvSeed(name string) int64 {
+// Draw deterministically instantiates the band under seed. The band's name
+// is folded into the seed, so each (band, seed) pair draws independent,
+// stable conditions.
+func (b Band) Draw(seed int64) BandDraw {
 	h := fnv.New64a()
-	h.Write([]byte(name))
-	return int64(h.Sum64() & 0x7fffffffffffffff)
-}
-
-// DrawScenario deterministically instantiates band under seed.
-func DrawScenario(b Band, seed int64) MatrixScenario {
-	rng := rand.New(rand.NewSource(seed ^ fnvSeed(b.Name)))
+	h.Write([]byte(b.Name))
+	rng := rand.New(rand.NewSource(seed ^ int64(h.Sum64()&0x7fffffffffffffff)))
 	intIn := func(r [2]int) int {
 		if r[1] <= r[0] {
 			return r[0]
@@ -91,7 +88,7 @@ func DrawScenario(b Band, seed int64) MatrixScenario {
 		}
 		return r[0] + rng.Float64()*(r[1]-r[0])
 	}
-	scn := MatrixScenario{
+	d := BandDraw{
 		Band:          b.Name,
 		Seed:          seed,
 		Clients:       intIn(b.Clients),
@@ -99,11 +96,9 @@ func DrawScenario(b Band, seed int64) MatrixScenario {
 		Bystanders:    intIn(b.Bystanders),
 		BystanderMbps: fIn(b.BystanderMbps),
 	}
-	if scn.Clients < 1 {
-		scn.Clients = 1
-	}
+	d.Clients = max(1, d.Clients)
 	for j := 0; j < matrixPaths; j++ {
-		scn.Paths = append(scn.Paths, PathDraw{
+		d.Paths = append(d.Paths, PathDraw{
 			LatencyMs:     fIn(b.LatencyMs),
 			BandwidthMbps: fIn(b.BandwidthMbps),
 			JitterMbps:    fIn(b.JitterMbps),
@@ -111,49 +106,41 @@ func DrawScenario(b Band, seed int64) MatrixScenario {
 		})
 	}
 	// Bystanders land round-robin across paths.
-	for i := 0; i < scn.Bystanders; i++ {
-		scn.Paths[i%matrixPaths].Bystanders++
+	for i := 0; i < d.Bystanders; i++ {
+		d.Paths[i%matrixPaths].Bystanders++
 	}
-	return scn
+	return d
 }
 
-// buildScenarioNet assembles a matrixPaths-wide testbed realizing scn:
-// each path is an ingress–bottleneck–egress chain, the bottleneck carrying
-// the drawn capacity, latency, loss, Gaussian jitter, and the path's share
-// of bystander cross sources.
-func buildScenarioNet(scn MatrixScenario) (*simnet.Network, []*simnet.Path) {
+// build is the matrix topology: a matrixPaths-wide testbed realizing the
+// draw under seed (the draw's own seed in every matrix cell). Each path is
+// an ingress–bottleneck–egress chain, the bottleneck carrying the drawn
+// capacity, latency, loss, Gaussian jitter, and the path's share of
+// bystander cross sources.
+func (d BandDraw) build(seed int64) (*simnet.Network, []*simnet.Path) {
 	const tickSec = 0.01
-	net := simnet.New(tickSec, rand.New(rand.NewSource(scn.Seed)))
-	paths := make([]*simnet.Path, len(scn.Paths))
-	for j, pd := range scn.Paths {
-		crossRng := rand.New(rand.NewSource(scn.Seed + int64(j)*101 + 1))
+	net := simnet.New(tickSec, rand.New(rand.NewSource(seed)))
+	paths := make([]*simnet.Path, len(d.Paths))
+	for j, pd := range d.Paths {
+		crossRng := rand.New(rand.NewSource(seed + int64(j)*101 + 1))
 		parts := []trace.Generator{
 			trace.NewGaussian(pd.JitterMbps, pd.JitterMbps/2, crossRng),
 		}
 		for i := 0; i < pd.Bystanders; i++ {
 			parts = append(parts, trace.NewParetoOnOff(
-				scn.BystanderMbps, 1.5, 200, 600,
-				rand.New(rand.NewSource(scn.Seed+int64(j)*101+int64(i)*17+2))))
-		}
-		delayTicks := int(pd.LatencyMs/1000/tickSec + 0.5)
-		if delayTicks < 1 {
-			delayTicks = 1
+				d.BystanderMbps, 1.5, 200, 600,
+				rand.New(rand.NewSource(seed+int64(j)*101+int64(i)*17+2))))
 		}
 		mk := func(name string, capMbps float64, delay int, loss float64, cross trace.Generator) *simnet.Link {
-			return net.AddLink(simnet.LinkConfig{
-				Name:         name,
-				CapacityMbps: capMbps,
-				DelayTicks:   delay,
-				QueueLimit:   1000,
-				LossProb:     loss,
-				Cross:        cross,
-			})
+			return net.AddLink(simnet.LinkConfig{Name: name, CapacityMbps: capMbps, DelayTicks: delay,
+				QueueLimit: 1000, LossProb: loss, Cross: cross})
 		}
-		in := mk(fmt.Sprintf("S:R%d", j), 100, 1, 0, nil)
-		mid := mk(fmt.Sprintf("R%d:R%d'", j, j), pd.BandwidthMbps, delayTicks,
-			pd.LossPct/100, trace.NewSum(parts...))
-		out := mk(fmt.Sprintf("R%d':C", j), 100, 1, 0, nil)
-		paths[j] = net.AddPath(fmt.Sprintf("Path%d", j), in, mid, out)
+		// Argument order is link order: ingress, bottleneck, egress.
+		paths[j] = net.AddPath(fmt.Sprintf("Path%d", j),
+			mk(fmt.Sprintf("S:R%d", j), 100, 1, 0, nil),
+			mk(fmt.Sprintf("R%d:R%d'", j, j), pd.BandwidthMbps, max(1, int(pd.LatencyMs/1000/tickSec+0.5)),
+				pd.LossPct/100, trace.NewSum(parts...)),
+			mk(fmt.Sprintf("R%d':C", j), 100, 1, 0, nil))
 	}
 	return net, paths
 }
@@ -166,72 +153,58 @@ const (
 	matrixProviderMbps = 8
 )
 
-// matrixWorkloads builds the named workload's streams and sources on net
-// for the drawn scenario. Client streams always occupy IDs
-// [0, scn.Clients) and carry the guarantees; provider streams follow as
-// best-effort.
-var matrixWorkloads = map[string]func(net *simnet.Network, scn MatrixScenario) sources{
+// matrixLoad is one matrix workload: how its guaranteed clients (stream
+// IDs [0, Clients)) and best-effort providers (the IDs after them) are
+// named, weighted and fed.
+type matrixLoad struct {
+	client, provider             string // stream name prefixes
+	clientWeight, providerWeight float64
+	clientFeed, providerFeed     func(net *simnet.Network, st *stream.Stream) interface{ Tick() }
+}
+
+func backlogFeed(net *simnet.Network, st *stream.Stream) interface{ Tick() } {
+	return stream.NewBacklogSource(net, st, 1000)
+}
+
+func rateFeed(mbps float64) func(*simnet.Network, *stream.Stream) interface{ Tick() } {
+	return func(net *simnet.Network, st *stream.Stream) interface{ Tick() } {
+		return stream.NewRateSource(net, st, mbps)
+	}
+}
+
+var matrixWorkloads = map[string]matrixLoad{
 	// smartpointer: frame-structured interactive clients (25 fps with
 	// per-frame deadlines) against backlogged providers.
-	"smartpointer": func(net *simnet.Network, scn MatrixScenario) sources {
-		var w sources
-		for i := 0; i < scn.Clients; i++ {
-			st := stream.New(i, stream.Spec{
-				Name: fmt.Sprintf("C%d", i), Kind: stream.Probabilistic,
-				RequiredMbps: matrixClientMbps, Probability: 0.95,
-			})
-			w.add(st, stream.NewFrameSource(net, st, 25, matrixClientMbps*1e6/8/25))
-		}
-		for i := 0; i < scn.Providers; i++ {
-			st := stream.New(scn.Clients+i, stream.Spec{
-				Name: fmt.Sprintf("P%d", i), Weight: 40,
-			})
-			w.add(st, stream.NewBacklogSource(net, st, 1000))
-		}
-		return w
-	},
+	"smartpointer": {"C", "P", 0, 40, func(net *simnet.Network, st *stream.Stream) interface{ Tick() } {
+		return stream.NewFrameSource(net, st, 25, matrixClientMbps*1e6/8/25)
+	}, backlogFeed},
 	// gridftp: guaranteed bulk movers (always backlogged) against
 	// best-effort bulk providers — the striped-transfer shape.
-	"gridftp": func(net *simnet.Network, scn MatrixScenario) sources {
-		var w sources
-		for i := 0; i < scn.Clients; i++ {
-			st := stream.New(i, stream.Spec{
-				Name: fmt.Sprintf("DT%d", i), Kind: stream.Probabilistic,
-				RequiredMbps: matrixClientMbps, Probability: 0.95,
-				Weight: matrixClientMbps,
-			})
-			w.add(st, stream.NewBacklogSource(net, st, 1000))
-		}
-		for i := 0; i < scn.Providers; i++ {
-			st := stream.New(scn.Clients+i, stream.Spec{
-				Name: fmt.Sprintf("BG%d", i), Weight: 20,
-			})
-			w.add(st, stream.NewBacklogSource(net, st, 1000))
-		}
-		return w
-	},
+	"gridftp": {"DT", "BG", matrixClientMbps, 20, backlogFeed, backlogFeed},
 	// cbr: constant-bit-rate guaranteed clients (finite offered load)
-	// against rate-limited best-effort providers.
-	"cbr": func(net *simnet.Network, scn MatrixScenario) sources {
-		var w sources
-		for i := 0; i < scn.Clients; i++ {
-			st := stream.New(i, stream.Spec{
-				Name: fmt.Sprintf("C%d", i), Kind: stream.Probabilistic,
-				RequiredMbps: matrixClientMbps, Probability: 0.95,
-			})
-			// 10 % arrival headroom over the guarantee: offering exactly the
-			// quota sits on a quantization knife-edge where every window
-			// boundary can fall one packet short.
-			w.add(st, stream.NewRateSource(net, st, matrixClientMbps*1.1))
+	// against rate-limited best-effort providers. Clients offer 10 %
+	// headroom over the guarantee: offering exactly the quota sits on a
+	// quantization knife-edge where every window boundary can fall one
+	// packet short.
+	"cbr": {"C", "P", 0, 30, rateFeed(matrixClientMbps * 1.1), rateFeed(matrixProviderMbps)},
+}
+
+// sources builds the workload's streams and sources on net for the draw.
+func (l matrixLoad) sources(net *simnet.Network, d BandDraw) sources {
+	var w sources
+	for i := 0; i < d.Clients+d.Providers; i++ {
+		spec, feed := stream.Spec{Name: fmt.Sprintf("%s%d", l.provider, i-d.Clients), Weight: l.providerWeight}, l.providerFeed
+		if i < d.Clients {
+			spec = stream.Spec{
+				Name: fmt.Sprintf("%s%d", l.client, i), Kind: stream.Probabilistic,
+				RequiredMbps: matrixClientMbps, Probability: 0.95, Weight: l.clientWeight,
+			}
+			feed = l.clientFeed
 		}
-		for i := 0; i < scn.Providers; i++ {
-			st := stream.New(scn.Clients+i, stream.Spec{
-				Name: fmt.Sprintf("P%d", i), Weight: 30,
-			})
-			w.add(st, stream.NewRateSource(net, st, matrixProviderMbps))
-		}
-		return w
-	},
+		st := stream.New(i, spec)
+		w.add(st, feed(net, st))
+	}
+	return w
 }
 
 // MatrixWorkloadNames returns the sorted workload names the matrix accepts.
@@ -254,12 +227,8 @@ type Matrix struct {
 	Workloads []string
 	// Bands are the scenario bands.
 	Bands []Band
-	// Seeds drive the per-band scenario draws and the emulator RNG.
+	// Seeds drive the per-band draws and the emulator RNG.
 	Seeds []int64
-	// WarmupSec/DurationSec/TwSec/PaceLimit configure each cell run
-	// (defaults 5 / 10 / 1 / DefaultPaceLimit).
-	WarmupSec, DurationSec, TwSec float64
-	PaceLimit                     int
 }
 
 // DefaultBands is the stock band set: a quiet LAN, a long-haul WAN, a
@@ -267,34 +236,22 @@ type Matrix struct {
 // capacity.
 func DefaultBands() []Band {
 	return []Band{
-		{
-			Name:    "lan",
+		{Name: "lan",
 			Clients: [2]int{2, 3}, Providers: [2]int{1, 2}, Bystanders: [2]int{0, 2},
 			LatencyMs: [2]float64{1, 5}, BandwidthMbps: [2]float64{80, 100},
-			JitterMbps: [2]float64{2, 6}, LossPct: [2]float64{0, 0},
-			BystanderMbps: [2]float64{1, 3},
-		},
-		{
-			Name:    "wan",
+			JitterMbps: [2]float64{2, 6}, LossPct: [2]float64{0, 0}, BystanderMbps: [2]float64{1, 3}},
+		{Name: "wan",
 			Clients: [2]int{2, 4}, Providers: [2]int{1, 3}, Bystanders: [2]int{2, 6},
 			LatencyMs: [2]float64{20, 60}, BandwidthMbps: [2]float64{40, 80},
-			JitterMbps: [2]float64{5, 15}, LossPct: [2]float64{0, 0.2},
-			BystanderMbps: [2]float64{2, 6},
-		},
-		{
-			Name:    "lossy",
+			JitterMbps: [2]float64{5, 15}, LossPct: [2]float64{0, 0.2}, BystanderMbps: [2]float64{2, 6}},
+		{Name: "lossy",
 			Clients: [2]int{1, 3}, Providers: [2]int{1, 2}, Bystanders: [2]int{1, 4},
 			LatencyMs: [2]float64{10, 30}, BandwidthMbps: [2]float64{30, 60},
-			JitterMbps: [2]float64{8, 20}, LossPct: [2]float64{0.5, 2},
-			BystanderMbps: [2]float64{2, 5},
-		},
-		{
-			Name:    "congested",
+			JitterMbps: [2]float64{8, 20}, LossPct: [2]float64{0.5, 2}, BystanderMbps: [2]float64{2, 5}},
+		{Name: "congested",
 			Clients: [2]int{3, 5}, Providers: [2]int{2, 4}, Bystanders: [2]int{4, 10},
 			LatencyMs: [2]float64{5, 15}, BandwidthMbps: [2]float64{25, 45},
-			JitterMbps: [2]float64{10, 25}, LossPct: [2]float64{0, 0.5},
-			BystanderMbps: [2]float64{3, 8},
-		},
+			JitterMbps: [2]float64{10, 25}, LossPct: [2]float64{0, 0.5}, BystanderMbps: [2]float64{3, 8}},
 	}
 }
 
@@ -309,143 +266,104 @@ func DefaultMatrix() Matrix {
 	}
 }
 
-// cellRow is one (arm, workload, band, seed) cell's measured outcome.
-type cellRow struct {
-	Arm, Workload, Band string
-	Seed                int64
-	// Clients/Providers/Bystanders echo the drawn group sizes.
-	Clients, Providers, Bystanders int
-	// ViolatedFrac is the fraction of guarantee windows violated across
-	// the cell's guaranteed (client) streams.
-	ViolatedFrac float64
-	// AggMbps is the aggregate delivered goodput across all streams over
-	// the measured window.
-	AggMbps float64
-	// DelayJitterMs is the standard deviation of sampled client one-way
-	// delays in milliseconds.
-	DelayJitterMs float64
-}
+// Every matrix cell runs matrixWarmupSec, which outlasts the monitors'
+// 100-sample (10 s) warm threshold, before matrixDurationSec measured.
+const (
+	matrixWarmupSec   = 12
+	matrixDurationSec = 10
+)
 
-// fillDefaults applies the cell-run defaults.
-func (m *Matrix) fillDefaults() {
-	// Warmup must outlast the monitors' 100-sample (10 s) warm threshold,
-	// or prediction-driven arms start the measured window on cold
-	// distributions.
-	if m.WarmupSec <= 0 {
-		m.WarmupSec = 12
-	}
-	if m.DurationSec <= 0 {
-		m.DurationSec = 10
-	}
-	if m.TwSec <= 0 {
-		m.TwSec = 1
-	}
-	if m.PaceLimit <= 0 {
-		m.PaceLimit = sched.DefaultPaceLimit
-	}
-}
-
-// runMatrix executes every cell of the grid and renders a row per cell in
+// matrixCells is the matrix figure's axis: every cell of p.Matrix in
 // arm-major/workload/band/seed order. Unknown arms error through the
 // scheduler registry with the registered list; unknown workloads error
 // with the known workload names.
-func runMatrix(m Matrix) (Table, error) {
-	m.fillDefaults()
+func matrixCells(p Params) ([]point, error) {
+	m := p.Matrix
 	if len(m.Arms) == 0 || len(m.Workloads) == 0 || len(m.Bands) == 0 || len(m.Seeds) == 0 {
-		return Table{}, fmt.Errorf("experiment: matrix needs at least one arm, workload, band, and seed")
+		return nil, fmt.Errorf("experiment: matrix needs at least one arm, workload, band, and seed")
 	}
-	for _, w := range m.Workloads {
-		if matrixWorkloads[w] == nil {
-			return Table{}, fmt.Errorf("experiment: unknown matrix workload %q (known: %s)",
-				w, strings.Join(MatrixWorkloadNames(), ", "))
-		}
-	}
-	var rows []cellRow
+	var pts []point
 	for _, arm := range m.Arms {
 		for _, wl := range m.Workloads {
+			if _, ok := matrixWorkloads[wl]; !ok {
+				return nil, fmt.Errorf("experiment: unknown matrix workload %q (known: %s)",
+					wl, strings.Join(MatrixWorkloadNames(), ", "))
+			}
 			for _, band := range m.Bands {
 				for _, seed := range m.Seeds {
-					row, err := runMatrixCell(m, arm, wl, band, seed)
-					if err != nil {
-						return Table{}, fmt.Errorf("experiment: matrix cell %s/%s/%s/seed%d: %w",
-							arm, wl, band.Name, seed, err)
-					}
-					rows = append(rows, row)
+					draw := band.Draw(seed)
+					pts = append(pts, func(c *RunConfig, s *Scenario) {
+						*c = RunConfig{Algorithm: arm, Seed: seed, WarmupSec: matrixWarmupSec, DurationSec: matrixDurationSec}
+						*s = Scenario{Topology: draw.build, Workload: Workload{PaceLimit: sched.DefaultPaceLimit,
+							New: func(h *Harness, c RunConfig) workload { return newMatrixCell(h, c, wl, draw) }}}
+					})
 				}
 			}
 		}
 	}
-	return matrixTable(rows), nil
+	return pts, nil
 }
 
-// runMatrixCell draws the scenario, realizes it as a testbed, and measures
-// one arm × workload run on the shared runner.
-func runMatrixCell(m Matrix, arm, wl string, band Band, seed int64) (cellRow, error) {
-	scn := DrawScenario(band, seed)
-	net, paths := buildScenarioNet(scn)
-	w := matrixWorkloads[wl](net, scn)
-	cfg := RunConfig{Algorithm: arm, WarmupSec: m.WarmupSec, DurationSec: m.DurationSec,
-		TwSec: m.TwSec, PaceLimit: m.PaceLimit}
-	cfg.fillDefaults()
+// matrixCell is one cell's workload: the named matrix workload on the band
+// draw, measuring the aggregate goodput and sampling client one-way delays
+// after warmup.
+type matrixCell struct {
+	sources
+	cell     cellOutcome
+	aggBits  float64
+	delaysMs []float64
+}
 
-	tickSec := net.TickSeconds()
+// cellOutcome is what a matrix cell measured: the aggregate delivered
+// goodput over the measured window and the standard deviation of the
+// sampled client delays.
+type cellOutcome struct {
+	workload          string
+	draw              BandDraw
+	aggMbps, jitterMs float64
+}
+
+func (w *matrixCell) measured() any {
+	w.cell.aggMbps, w.cell.jitterMs = w.aggBits/1e6/matrixDurationSec, stats.Summarize(w.delaysMs).StdDev
+	return w.cell
+}
+
+func newMatrixCell(h *Harness, cfg RunConfig, name string, draw BandDraw) *matrixCell {
+	w := &matrixCell{sources: matrixWorkloads[name].sources(h.Net, draw), cell: cellOutcome{workload: name, draw: draw}}
+	tickSec := h.Net.TickSeconds()
 	warmupTicks := int64(cfg.WarmupSec / tickSec)
-	var aggBits float64
-	var delaysMs []float64
-	res, err := run(cfg, net, paths, w, hooks{
-		onDeliver: func(_ int, pkt *simnet.Packet, t int64) {
-			if t < warmupTicks {
-				return
-			}
-			aggBits += pkt.Bits
-			// Sparse one-way-delay samples on client streams feed the
-			// delay-jitter metric.
-			if pkt.Stream < scn.Clients && pkt.ID%16 == 0 {
-				delaysMs = append(delaysMs, float64(pkt.Delivered-pkt.Created)*tickSec*1000)
-			}
-		},
-	})
-	if err != nil {
-		return cellRow{}, err
-	}
-
-	row := cellRow{
-		Arm: arm, Workload: wl, Band: band.Name, Seed: seed,
-		Clients: scn.Clients, Providers: scn.Providers, Bystanders: scn.Bystanders,
-		AggMbps: aggBits / 1e6 / m.DurationSec,
-	}
-	var windows, violated int
-	for i, a := range res.Accounts {
-		if i < scn.Clients {
-			windows += a.Windows
-			violated += a.ViolatedWindows
+	h.OnDeliver = func(_ int, pkt *simnet.Packet, t int64) {
+		if t < warmupTicks {
+			return
+		}
+		w.aggBits += pkt.Bits
+		// Sparse one-way-delay samples on client streams feed the
+		// delay-jitter metric.
+		if pkt.Stream < draw.Clients && pkt.ID%16 == 0 {
+			w.delaysMs = append(w.delaysMs, float64(pkt.Delivered-pkt.Created)*tickSec*1000)
 		}
 	}
-	if windows > 0 {
-		row.ViolatedFrac = float64(violated) / float64(windows)
-	}
-	row.DelayJitterMs = stats.Summarize(delaysMs).StdDev
-	return row, nil
+	return w
 }
 
-// matrixTable renders the per-cell rows.
-func matrixTable(rows []cellRow) Table {
-	header := []string{
-		"arm", "workload", "band", "seed", "clients", "providers", "bystanders",
-		"violated_frac", "agg_mbps", "delay_jitter_ms",
+var matrixHeader = []string{"arm", "workload", "band", "seed", "clients", "providers", "bystanders",
+	"violated_frac", "agg_mbps", "delay_jitter_ms"}
+
+// matrixTable renders a row per cell, with the fraction of guarantee
+// windows violated across the cell's client streams.
+func matrixTable(_ Params, results []Result) []Table {
+	t := Table{Header: matrixHeader}
+	for _, res := range results {
+		c := res.measured.(cellOutcome)
+		t.Rows = append(t.Rows, matrixRow(res.Algorithm, c.workload, c.draw,
+			violatedFrac(res.Telemetry.Streams[:c.draw.Clients]...), c.aggMbps, c.jitterMs))
 	}
-	var out [][]string
-	for _, r := range rows {
-		out = append(out, []string{
-			r.Arm, r.Workload, r.Band,
-			fmt.Sprintf("%d", r.Seed),
-			fmt.Sprintf("%d", r.Clients),
-			fmt.Sprintf("%d", r.Providers),
-			fmt.Sprintf("%d", r.Bystanders),
-			fmt.Sprintf("%.4f", r.ViolatedFrac),
-			fmt.Sprintf("%.3f", r.AggMbps),
-			fmt.Sprintf("%.4f", r.DelayJitterMs),
-		})
-	}
-	return Table{Header: header, Rows: out}
+	return []Table{t}
+}
+
+// matrixRow renders one cell under matrixHeader.
+func matrixRow(arm, workload string, d BandDraw, violatedFrac, aggMbps, delayJitterMs float64) []string {
+	return []string{arm, workload, d.Band, fmt.Sprint(d.Seed), fmt.Sprint(d.Clients), fmt.Sprint(d.Providers),
+		fmt.Sprint(d.Bystanders), fmt.Sprintf("%.4f", violatedFrac), fmt.Sprintf("%.3f", aggMbps),
+		fmt.Sprintf("%.4f", delayJitterMs)}
 }

@@ -2,6 +2,12 @@ package experiment
 
 import "testing"
 
+// runViolationBound runs the violation-bound scenario under PGOS.
+func runViolationBound(cfg RunConfig, requiredMbps, maxViolations float64) (Result, error) {
+	cfg.Algorithm = AlgPGOS
+	return Run(cfg, violationBound(requiredMbps, maxViolations))
+}
+
 func TestPathsSweepShape(t *testing.T) {
 	rows := tableRows(shapeRun(t, "paths_seed42.golden")[0])
 	if len(rows) != 4 {
@@ -46,7 +52,7 @@ func TestViolationBoundRejectsImpossible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Admitted {
+	if admitted, _, _ := violationBoundCheck(res); admitted {
 		t.Error("150 Mbps with a tight bound must be rejected")
 	}
 	checkGolden(t, "violation_bound_reject_seed42.golden", renderCSV(t, violationBoundTables(res)...))

@@ -7,31 +7,37 @@ import (
 	"iqpaths/internal/stats"
 )
 
-// multiSeed runs the §6.1 suite across the given seeds and aggregates the
-// Fig. 11 quantities of Atom and Bond1 per algorithm: the across-seed mean
-// of each run's mean, sustained-95 % level and σ beside its standard
-// error, so readers can judge whether the contrasts exceed run-to-run
-// variation.
-func multiSeed(cfg RunConfig, seeds []int64) (Table, error) {
-	if len(seeds) == 0 {
-		return Table{}, fmt.Errorf("experiment: multi-seed aggregate needs at least one seed")
+// seedSuites is the multi-seed figure's axis: the §6.1 suite under each
+// of p.Seeds, arm-minor.
+func seedSuites(p Params) ([]point, error) {
+	if len(p.Seeds) == 0 {
+		return nil, fmt.Errorf("experiment: multi-seed aggregate needs at least one seed")
 	}
-	suites, err := sweep(cfg, seeds, func(c *RunConfig, seed int64) { c.Seed = seed }, func(c RunConfig) ([]Result, error) {
-		return RunArms(c, RunSmartPointer, SmartPointerArms...)
-	})
-	if err != nil {
-		return Table{}, err
+	var pts []point
+	for _, seed := range p.Seeds {
+		for _, arm := range SmartPointerArms {
+			pts = append(pts, func(c *RunConfig, _ *Scenario) { c.Seed, c.Algorithm = seed, arm })
+		}
 	}
+	return pts, nil
+}
+
+// multiSeedTable aggregates the Fig. 11 quantities of Atom and Bond1 per
+// algorithm across the seeds: the across-seed mean of each run's mean,
+// sustained-95 % level and σ beside its standard error, so readers can
+// judge whether the contrasts exceed run-to-run variation.
+func multiSeedTable(_ Params, results []Result) []Table {
+	n := len(SmartPointerArms)
 	t := Table{Header: []string{"algorithm", "stream", "target", "seeds", "mean", "mean_se",
 		"sustained95", "sustained95_se", "stddev", "stddev_se"}}
-	for a, res := range suites[0] {
+	for a, res := range results[:n] {
 		for s, ss := range res.Streams {
 			if ss.Name != "Atom" && ss.Name != "Bond1" {
 				continue
 			}
 			var mean, sustained, stdev stats.Welford
-			for _, suite := range suites {
-				sum := suite[a].Streams[s].Summary
+			for k := a; k < len(results); k += n {
+				sum := results[k].Streams[s].Summary
 				mean.Add(sum.Mean)
 				sustained.Add(sum.SustainedAt(0.95))
 				stdev.Add(sum.StdDev)
@@ -47,5 +53,5 @@ func multiSeed(cfg RunConfig, seeds []int64) (Table, error) {
 			t.Rows = append(t.Rows, cells)
 		}
 	}
-	return t, nil
+	return []Table{t}
 }

@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 
-	"iqpaths/internal/emulab"
 	"iqpaths/internal/monitor"
 	"iqpaths/internal/pathload"
 	"iqpaths/internal/sched"
@@ -23,22 +22,17 @@ import (
 // mode.
 func probingAblation(cfg RunConfig) (Table, error) {
 	cfg.fillDefaults()
-	if cfg.PaceLimit <= 0 {
-		cfg.PaceLimit = 140
-	}
 	t := Table{Header: []string{"mode", "stream", "mean", "sustained_95pct", "stddev"}}
 	for _, probing := range []bool{false, true} {
-		tb := emulab.Build(emulab.Config{Seed: cfg.Seed})
-		net := tb.Net
+		net, paths := SmartPointer.Topology(cfg.Seed)
 		w := smartpointer.New(net)
 		streams := w.Streams()
-		paths := []*simnet.Path{tb.PathA, tb.PathB}
 		mons := []*monitor.PathMonitor{
 			monitor.New("A", 500, 60), monitor.New("B", 500, 60),
 		}
 		scheduler, err := sched.Build(AlgPGOS, sched.BuildConfig{
-			Streams: streams, Paths: []sched.PathService{tb.PathA, tb.PathB},
-			PaceLimit: cfg.PaceLimit, TickSeconds: net.TickSeconds(),
+			Streams: streams, Paths: []sched.PathService{paths[0], paths[1]},
+			PaceLimit: SmartPointer.Workload.PaceLimit, TickSeconds: net.TickSeconds(),
 			TwSec: cfg.TwSec, Monitors: mons,
 		})
 		if err != nil {
@@ -47,23 +41,16 @@ func probingAblation(cfg RunConfig) (Table, error) {
 
 		acc := map[int]float64{}
 		series := map[int][]float64{}
-		account := func(streamID int, bits float64) {
-			if streamID >= 0 && streamID < len(streams) {
-				acc[streamID] += bits
-			}
-		}
-		collect := func() {
-			for _, pw := range paths {
-				for _, pkt := range pw.TakeDelivered() {
-					account(pkt.Stream, pkt.Bits)
-				}
+		account := func(pkt *simnet.Packet) {
+			if pkt.Stream >= 0 && pkt.Stream < len(streams) {
+				acc[pkt.Stream] += pkt.Bits
 			}
 		}
 
 		ests := make([]*pathload.Estimator, len(paths))
 		for j, pw := range paths {
 			ests[j] = pathload.New(net, pw)
-			ests[j].Deliver = func(pkt *simnet.Packet) { account(pkt.Stream, pkt.Bits) }
+			ests[j].Deliver = account
 		}
 
 		tickSec := net.TickSeconds()
@@ -97,7 +84,7 @@ func probingAblation(cfg RunConfig) (Table, error) {
 						appTick(tick)
 						// Drain the path not being probed.
 						for _, pkt := range paths[1-j].TakeDelivered() {
-							account(pkt.Stream, pkt.Bits)
+							account(pkt)
 						}
 						flushSample(tick)
 					})
@@ -109,25 +96,24 @@ func probingAblation(cfg RunConfig) (Table, error) {
 			}
 			appTick(t)
 			net.Step()
-			collect()
+			for _, pw := range paths {
+				for _, pkt := range pw.TakeDelivered() {
+					account(pkt)
+				}
+			}
 			if !probing && t%10 == 0 {
-				mons[0].ObserveBandwidth(tb.PathA.AvailMbps())
-				mons[1].ObserveBandwidth(tb.PathB.AvailMbps())
+				mons[0].ObserveBandwidth(paths[0].AvailMbps())
+				mons[1].ObserveBandwidth(paths[1].AvailMbps())
 			}
 			flushSample(net.Tick())
 		}
 
-		mode := "oracle"
-		if probing {
-			mode = "probing"
-		}
+		mode := map[bool]string{false: "oracle", true: "probing"}[probing]
 		for _, i := range []int{0, 1} {
 			sum := stats.Summarize(series[i])
 			t.Rows = append(t.Rows, []string{
-				mode, streams[i].Name,
-				fmt.Sprintf("%.3f", sum.Mean),
-				fmt.Sprintf("%.3f", sum.SustainedAt(0.95)),
-				fmt.Sprintf("%.4f", sum.StdDev),
+				mode, streams[i].Name, fmt.Sprintf("%.3f", sum.Mean),
+				fmt.Sprintf("%.3f", sum.SustainedAt(0.95)), fmt.Sprintf("%.4f", sum.StdDev),
 			})
 		}
 	}

@@ -6,15 +6,15 @@ import (
 	"math/rand"
 
 	"iqpaths/internal/bwest"
+	"iqpaths/internal/telemetry"
 )
 
-// This file is the PR-9 probing figure: Bayesian active probe selection
-// (internal/bwest) against a fixed round-robin cadence at equal probe
-// budget, measured as probe traffic spent to reach a target per-path CDF
-// accuracy — plus the scheduler-arms companion table adding the
-// throughput-optimal Backpressure baseline to the WFQ/MSFQ/PGOS
-// comparison. (The seed-era oracle-vs-pathload ablation lives in
-// probing.go; this figure is about *which* paths to probe, not *how*.)
+// The probing figure: Bayesian active probe selection (internal/bwest)
+// against a fixed round-robin cadence at equal probe budget, measured as
+// probe traffic spent to reach a target per-path CDF accuracy, plus the
+// scheduler arms with the throughput-optimal Backpressure baseline. It is
+// about *which* paths to probe; the dispersion ablation (probing.go) is
+// about *how*.
 
 // ProbingConfig parameterizes the probing figure.
 type ProbingConfig struct {
@@ -25,8 +25,6 @@ type ProbingConfig struct {
 	// path i returns the same value under every planner — the planners
 	// differ only in *which* paths they spend the budget on.
 	Seed int64
-	// SchedCfg parameterizes the scheduler-arms companion runs.
-	SchedCfg RunConfig
 }
 
 // The probing sweep's fixed parameters.
@@ -102,11 +100,7 @@ func (tp *truthPath) sample() float64 {
 			break
 		}
 	}
-	v := st.mean + st.sigma*tp.rng.NormFloat64()
-	if v < 0.5 {
-		v = 0.5
-	}
-	return v
+	return max(0.5, st.mean+st.sigma*tp.rng.NormFloat64())
 }
 
 func (tp *truthPath) cdf(x float64) float64 {
@@ -142,13 +136,11 @@ func buildTruth(cfg *ProbingConfig, paths int) []truthPath {
 			if volatile {
 				lo := 0.55 * base
 				states = []truthState{
-					{mean: base, sigma: sigmaFloor(probingRelNoise * base * 1.2), w: 0.5},
-					{mean: lo, sigma: sigmaFloor(probingRelNoise * lo * 1.2), w: 0.5},
+					{mean: base, sigma: max(1, probingRelNoise*base*1.2), w: 0.5},
+					{mean: lo, sigma: max(1, probingRelNoise*lo*1.2), w: 0.5},
 				}
 			} else {
-				states = []truthState{
-					{mean: base, sigma: sigmaFloor(probingRelNoise * base * 0.8), w: 1},
-				}
+				states = []truthState{{mean: base, sigma: max(1, probingRelNoise*base*0.8), w: 1}}
 			}
 			truth[i] = truthPath{
 				states: states,
@@ -159,13 +151,6 @@ func buildTruth(cfg *ProbingConfig, paths int) []truthPath {
 	return truth
 }
 
-func sigmaFloor(s float64) float64 {
-	if s < 1 {
-		return 1
-	}
-	return s
-}
-
 // ksEval measures per-path CDF accuracy: the posterior predictive CDF
 // (posterior mass pushed through the estimator's own measurement model,
 // precomputed as condCDF[bin][edge]) against the true mixture CDF, sup
@@ -174,35 +159,26 @@ type ksEval struct {
 	condCDF  [][]float64 // [truth bin][edge] measurement-model CDF
 	truthCDF [][]float64 // [path][edge] ground-truth CDF
 	pmf      []float64   // scratch
-	bins     int
 }
 
-func newKSEval(cfg *ProbingConfig, truth []truthPath) *ksEval {
-	bins := probingBins
-	width := probingMaxMbps / float64(bins)
-	ev := &ksEval{
-		condCDF:  make([][]float64, bins),
-		truthCDF: make([][]float64, len(truth)),
-		bins:     bins,
+func newKSEval(truth []truthPath) *ksEval {
+	width := probingMaxMbps / float64(probingBins)
+	// atEdges evaluates cdf at the interior bin edges.
+	atEdges := func(cdf func(x float64) float64) []float64 {
+		row := make([]float64, probingBins-1)
+		for e := range row {
+			row[e] = cdf(float64(e+1) * width)
+		}
+		return row
 	}
-	for i := 0; i < bins; i++ {
+	ev := &ksEval{condCDF: make([][]float64, probingBins), truthCDF: make([][]float64, len(truth))}
+	for i := range ev.condCDF {
 		c := (float64(i) + 0.5) * width
-		s := probingRelNoise * c
-		if s < width {
-			s = width // the belief's likelihood floor (Belief.rateSigma)
-		}
-		row := make([]float64, bins-1)
-		for e := 1; e < bins; e++ {
-			row[e-1] = gaussCDF(float64(e)*width, c, s)
-		}
-		ev.condCDF[i] = row
+		s := max(probingRelNoise*c, width) // width: the belief's likelihood floor (Belief.rateSigma)
+		ev.condCDF[i] = atEdges(func(x float64) float64 { return gaussCDF(x, c, s) })
 	}
 	for p := range truth {
-		row := make([]float64, bins-1)
-		for e := 1; e < bins; e++ {
-			row[e-1] = truth[p].cdf(float64(e) * width)
-		}
-		ev.truthCDF[p] = row
+		ev.truthCDF[p] = atEdges(truth[p].cdf)
 	}
 	return ev
 }
@@ -214,14 +190,12 @@ func (ev *ksEval) meanKS(est *bwest.Estimator) float64 {
 	for p := range ev.truthCDF {
 		ev.pmf = est.PMF(p, ev.pmf)
 		sup := 0.0
-		for e := 0; e < ev.bins-1; e++ {
+		for e := range ev.truthCDF[p] {
 			pred := 0.0
-			for i := 0; i < ev.bins; i++ {
-				pred += ev.pmf[i] * ev.condCDF[i][e]
+			for i, cond := range ev.condCDF {
+				pred += ev.pmf[i] * cond[e]
 			}
-			if d := math.Abs(pred - ev.truthCDF[p][e]); d > sup {
-				sup = d
-			}
+			sup = max(sup, math.Abs(pred-ev.truthCDF[p][e]))
 		}
 		total += sup
 	}
@@ -232,26 +206,12 @@ func (ev *ksEval) meanKS(est *bwest.Estimator) float64 {
 // its sweep cell.
 func runProbingPlanner(cfg *ProbingConfig, paths int, planner bwest.Planner) ProbingPoint {
 	truth := buildTruth(cfg, paths)
-	ev := newKSEval(cfg, truth)
-	budget := paths / 50
-	if budget < 2 {
-		budget = 2
-	}
-	est := bwest.NewEstimator(bwest.Config{
-		Paths:    paths,
-		MaxMbps:  probingMaxMbps,
-		Bins:     probingBins,
-		RelNoise: probingRelNoise,
-		Budget:   budget,
-		Planner:  planner,
-	})
-	groups := (paths + probingGroupSize - 1) / probingGroupSize
-	for g := 0; g < groups; g++ {
-		lo := g * probingGroupSize
-		hi := lo + probingGroupSize
-		if hi > paths {
-			hi = paths
-		}
+	ev := newKSEval(truth)
+	budget := max(2, paths/50)
+	est := bwest.NewEstimator(bwest.Config{Paths: paths, MaxMbps: probingMaxMbps, Bins: probingBins,
+		RelNoise: probingRelNoise, Budget: budget, Planner: planner})
+	for lo := 0; lo < paths; lo += probingGroupSize {
+		hi := min(lo+probingGroupSize, paths)
 		for a := lo; a < hi; a++ {
 			for b := a + 1; b < hi; b++ {
 				est.DeclareSharedPrior(a, b, probingSharedPrior)
@@ -259,12 +219,7 @@ func runProbingPlanner(cfg *ProbingConfig, paths int, planner bwest.Planner) Pro
 		}
 	}
 
-	pt := ProbingPoint{
-		Paths:          paths,
-		Planner:        planner.Name(),
-		Budget:         budget,
-		RoundsToTarget: probingRounds,
-	}
+	pt := ProbingPoint{Paths: paths, Planner: planner.Name(), Budget: budget, RoundsToTarget: probingRounds}
 	trains := 0
 	lastKS := 1.0
 	for r := 1; r <= probingRounds; r++ {
@@ -287,52 +242,43 @@ func runProbingPlanner(cfg *ProbingConfig, paths int, planner bwest.Planner) Pro
 	return pt
 }
 
-// probingArms runs the WFQ / MSFQ / PGOS / Backpressure comparison on the
-// SmartPointer workload: aggregate mean throughput over all streams vs.
-// the violated-window fraction over the guaranteed (non-best-effort)
-// streams. Backpressure (max-weight) is the
+// probingArmsTable renders the WFQ / MSFQ / PGOS / Backpressure
+// comparison on the SmartPointer workload: aggregate mean throughput over
+// all streams vs. the violated-window fraction over the guaranteed
+// (non-best-effort) streams. Backpressure (max-weight) is the
 // throughput-optimal-but-guarantee-blind foil for PGOS.
 //
 // Aggregate throughput is rendered at 0.1 Mbps: the SmartPointer arrival
 // rate (not path capacity) bounds the aggregate, so every work-conserving
 // scheduler delivers the same total to within scheduling-noise — the arms
 // differ in the violated-window column.
-func probingArms(cfg RunConfig) (Table, error) {
-	results, err := RunArms(cfg, RunSmartPointer, AlgWFQ, AlgMSFQ, AlgPGOS, AlgBackpressure)
-	if err != nil {
-		return Table{}, err
-	}
+func probingArmsTable(results []Result) Table {
 	t := Table{Gap: true, Header: []string{"algorithm", "agg_mbps", "guar_violated_frac"}}
 	for _, res := range results {
 		agg := 0.0
 		for _, ss := range res.Streams {
 			agg += ss.Summary.Mean
 		}
-		windows, violated, frac := 0, 0, 0.0
-		for _, acc := range res.Accounts {
-			if acc.Kind == "best-effort" {
-				continue
+		var guaranteed []telemetry.StreamAccount
+		for _, acc := range res.Telemetry.Streams {
+			if acc.Kind != "best-effort" {
+				guaranteed = append(guaranteed, acc)
 			}
-			windows += acc.Windows
-			violated += acc.ViolatedWindows
 		}
-		if windows > 0 {
-			frac = float64(violated) / float64(windows)
-		}
-		t.Rows = append(t.Rows, []string{res.Algorithm, fmt.Sprintf("%.1f", agg), fmt.Sprintf("%.4f", frac)})
+		t.Rows = append(t.Rows, []string{res.Algorithm, fmt.Sprintf("%.1f", agg), fmt.Sprintf("%.4f", violatedFrac(guaranteed...))})
 	}
-	return t, nil
+	return t
 }
 
-// runProbing executes the probing figure: the active-vs-round-robin probe
-// budget sweep over cfg.Paths, then the scheduler-arms companion table.
-func runProbing(cfg ProbingConfig) ([]Table, error) {
+// runProbing runs the probing figure's active-vs-round-robin probe budget
+// sweep over cfg.Paths.
+func runProbing(cfg ProbingConfig) (Table, error) {
 	cfg.fillDefaults()
 	sweep := Table{Title: "probing", Header: []string{"paths", "planner", "budget_trains", "rounds_to_target",
 		"probe_KB_to_target", "final_mean_ks", "mean_entropy_bits", "savings_pct"}}
 	for _, paths := range cfg.Paths {
 		if paths <= 0 {
-			return nil, fmt.Errorf("probing: invalid overlay size %d", paths)
+			return Table{}, fmt.Errorf("probing: invalid overlay size %d", paths)
 		}
 		rr := runProbingPlanner(&cfg, paths, bwest.NewRoundRobinPlanner())
 		active := runProbingPlanner(&cfg, paths, bwest.NewInfoGainPlanner())
@@ -346,19 +292,11 @@ func runProbing(cfg ProbingConfig) ([]Table, error) {
 				cell = fmt.Sprintf("%.1f", savings)
 			}
 			sweep.Rows = append(sweep.Rows, []string{
-				fmt.Sprintf("%d", p.Paths), p.Planner,
-				fmt.Sprintf("%d", p.Budget),
-				fmt.Sprintf("%d", p.RoundsToTarget),
-				fmt.Sprintf("%.1f", p.ProbeKBToTarget),
-				fmt.Sprintf("%.4f", p.FinalMeanKS),
-				fmt.Sprintf("%.3f", p.MeanEntropyBits),
-				cell,
+				fmt.Sprintf("%d", p.Paths), p.Planner, fmt.Sprintf("%d", p.Budget),
+				fmt.Sprintf("%d", p.RoundsToTarget), fmt.Sprintf("%.1f", p.ProbeKBToTarget),
+				fmt.Sprintf("%.4f", p.FinalMeanKS), fmt.Sprintf("%.3f", p.MeanEntropyBits), cell,
 			})
 		}
 	}
-	arms, err := probingArms(cfg.SchedCfg)
-	if err != nil {
-		return nil, err
-	}
-	return []Table{sweep, arms}, nil
+	return sweep, nil
 }

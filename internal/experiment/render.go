@@ -6,6 +6,9 @@ import (
 	"slices"
 	"sort"
 	"strings"
+
+	"iqpaths/internal/emulab"
+	"iqpaths/internal/telemetry"
 )
 
 // Table is one rendered figure table: a header row and its data rows,
@@ -40,13 +43,10 @@ func (t Table) Write(w io.Writer, csv bool) error {
 		}
 	} else {
 		widths := make([]int, len(t.Header))
-		for i, h := range t.Header {
-			widths[i] = len(h)
-		}
-		for _, r := range t.Rows {
+		for _, r := range append([][]string{t.Header}, t.Rows...) {
 			for i, c := range r {
-				if i < len(widths) && len(c) > widths[i] {
-					widths[i] = len(c)
+				if i < len(widths) {
+					widths[i] = max(widths[i], len(c))
 				}
 			}
 		}
@@ -82,46 +82,32 @@ func (t Table) Write(w io.Writer, csv bool) error {
 // a row per sample with one column per stream, plus per-path columns for
 // streams that used several paths.
 func seriesTable(res Result) Table {
-	header := []string{"t_s"}
-	type col struct {
-		stream int
-		path   string // "" = total
-	}
-	var cols []col
-	for i, ss := range res.Streams {
-		paths := usedPaths(ss)
-		if len(paths) > 1 {
+	t := Table{Header: []string{"t_s"}}
+	var cols [][]float64
+	for _, ss := range res.Streams {
+		if paths := usedPaths(ss); len(paths) > 1 {
 			for _, p := range paths {
-				header = append(header, fmt.Sprintf("%s-%s", ss.Name, p))
-				cols = append(cols, col{i, p})
+				t.Header = append(t.Header, ss.Name+"-"+p)
+				cols = append(cols, ss.PerPath[p])
 			}
-			header = append(header, ss.Name+"-All")
-			cols = append(cols, col{i, ""})
+			t.Header = append(t.Header, ss.Name+"-All")
 		} else {
-			header = append(header, ss.Name)
-			cols = append(cols, col{i, ""})
+			t.Header = append(t.Header, ss.Name)
 		}
+		cols = append(cols, ss.Total)
 	}
-	n := 0
-	if len(res.Streams) > 0 {
-		n = len(res.Streams[0].Total)
-	}
-	var rows [][]string
-	for k := 0; k < n; k++ {
+	for k := 0; len(res.Streams) > 0 && k < len(res.Streams[0].Total); k++ {
 		row := []string{fmt.Sprintf("%.0f", float64(k+1)*res.SampleSec)}
 		for _, c := range cols {
-			ss := res.Streams[c.stream]
 			v := 0.0
-			if c.path == "" {
-				v = ss.Total[k]
-			} else if series := ss.PerPath[c.path]; k < len(series) {
-				v = series[k]
+			if k < len(c) {
+				v = c[k]
 			}
 			row = append(row, fmt.Sprintf("%.3f", v))
 		}
-		rows = append(rows, row)
+		t.Rows = append(t.Rows, row)
 	}
-	return Table{Header: header, Rows: rows}
+	return t
 }
 
 // usedPaths lists the path names over which the stream actually delivered
@@ -162,12 +148,9 @@ func RenderFig11(results []Result, streams ...string) Table {
 				jitter = fmt.Sprintf("%.3f", ms)
 			}
 			t.Rows = append(t.Rows, []string{
-				res.Algorithm, ss.Name,
-				fmt.Sprintf("%.3f", ss.RequiredMbps),
-				fmt.Sprintf("%.3f", ss.Summary.Mean),
-				fmt.Sprintf("%.3f", ss.Summary.SustainedAt(0.95)),
-				fmt.Sprintf("%.3f", ss.Summary.SustainedAt(0.99)),
-				fmt.Sprintf("%.4f", ss.Summary.StdDev),
+				res.Algorithm, ss.Name, fmt.Sprintf("%.3f", ss.RequiredMbps),
+				fmt.Sprintf("%.3f", ss.Summary.Mean), fmt.Sprintf("%.3f", ss.Summary.SustainedAt(0.95)),
+				fmt.Sprintf("%.3f", ss.Summary.SustainedAt(0.99)), fmt.Sprintf("%.4f", ss.Summary.StdDev),
 				jitter,
 			})
 		}
@@ -201,20 +184,30 @@ func RenderCDFs(results []Result) Table {
 
 // guaranteeRows renders one run's realised guarantees, a row per stream:
 // lead cells first, the stream's account, then the run's trailing cells.
-func guaranteeRows(lead string, streams []FaultStreamRow, trail ...string) [][]string {
+func guaranteeRows(lead string, accounts []telemetry.StreamAccount, trail ...string) [][]string {
 	var rows [][]string
-	for _, s := range streams {
+	for _, a := range accounts {
 		rows = append(rows, append([]string{
-			lead, s.Name,
-			fmt.Sprintf("%.3f", s.RequiredMbps),
-			fmt.Sprintf("%.3f", s.DeliveredMbps),
-			fmt.Sprintf("%d", s.Windows),
-			fmt.Sprintf("%d", s.ViolatedWindows),
-			fmt.Sprintf("%.4f", s.ViolatedFrac),
-			fmt.Sprintf("%.3f", s.MeanShortfall),
+			lead, a.Name, fmt.Sprintf("%.3f", a.RequiredMbps), fmt.Sprintf("%.3f", a.DeliveredMbps),
+			fmt.Sprintf("%d", a.Windows), fmt.Sprintf("%d", a.ViolatedWindows),
+			fmt.Sprintf("%.4f", violatedFrac(a)), fmt.Sprintf("%.3f", a.MeanShortfall),
 		}, trail...))
 	}
 	return rows
+}
+
+// violatedFrac is the fraction of the accounts' pooled windows that were
+// violated (0 with no windows).
+func violatedFrac(accounts ...telemetry.StreamAccount) float64 {
+	windows, violated := 0, 0
+	for _, a := range accounts {
+		windows += a.Windows
+		violated += a.ViolatedWindows
+	}
+	if windows == 0 {
+		return 0
+	}
+	return float64(violated) / float64(windows)
 }
 
 // guaranteeHeader heads guaranteeRows' columns.
@@ -224,15 +217,15 @@ var guaranteeHeader = []string{"stream", "target_mbps", "delivered_mbps",
 // faultsTable renders the fault-scenario comparison: one row per
 // algorithm × stream, with the per-algorithm recovery columns repeated on
 // each of the algorithm's rows for grep-ability.
-func faultsTable(res *FaultsResult) Table {
+func faultsTable(runs []FaultRun) Table {
 	t := Table{Header: append(append([]string{"algorithm"}, guaranteeHeader...),
 		"remaps", "recovery_windows", "fault_events")}
-	for _, run := range res.Runs {
+	for _, run := range runs {
 		recovery := "-"
 		if run.RecoveryWindows >= 0 {
 			recovery = fmt.Sprintf("%d", run.RecoveryWindows)
 		}
-		t.Rows = append(t.Rows, guaranteeRows(run.Algorithm, run.Streams,
+		t.Rows = append(t.Rows, guaranteeRows(run.Algorithm, run.Accounts,
 			fmt.Sprintf("%d", run.Remaps), recovery, fmt.Sprintf("%d", run.FaultEvents))...)
 	}
 	return t
@@ -246,9 +239,9 @@ func churnTables(res *ChurnResult) []Table {
 	for _, run := range []ChurnRun{res.Static, res.Control} {
 		converge := "-"
 		if run.ConvergeTicks >= 0 {
-			converge = fmt.Sprintf("%.2f", run.ConvergeSec)
+			converge = fmt.Sprintf("%.2f", float64(run.ConvergeTicks)*emulab.TickSeconds)
 		}
-		t.Rows = append(t.Rows, guaranteeRows(run.Mode, run.Streams, fmt.Sprintf("%d", run.Reroutes),
+		t.Rows = append(t.Rows, guaranteeRows(run.Mode, run.Accounts, fmt.Sprintf("%d", run.Reroutes),
 			converge, fmt.Sprintf("%d", run.Remaps), fmt.Sprintf("%d", run.ControlEvents))...)
 	}
 	var adm Table

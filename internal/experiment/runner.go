@@ -4,26 +4,24 @@
 // Figs. 12–13 (GridFTP vs IQPG-GridFTP), plus the ablations listed in
 // DESIGN.md. Every figure is a row of the registry Figures (figures.go),
 // whose run renders the tables that iqbench prints and that the figure's
-// golden pins.
+// golden pins. A simulated figure's row is a Scenario (scenarios.go), one
+// sweep axis and a render; Run is the one runner that plays a scenario.
 package experiment
 
 import (
 	"fmt"
 
-	"iqpaths/internal/emulab"
 	"iqpaths/internal/faults"
-	"iqpaths/internal/gridftp"
 	"iqpaths/internal/pgos"
 	"iqpaths/internal/sched"
 	"iqpaths/internal/simnet"
-	"iqpaths/internal/smartpointer"
 	"iqpaths/internal/stats"
 	"iqpaths/internal/stream"
 	"iqpaths/internal/telemetry"
 )
 
-// Algorithm names accepted by the runners — the canonical registry names
-// from internal/sched; any other registered arm works too.
+// Algorithm names accepted by Run — the canonical registry names from
+// internal/sched; any other registered arm works too.
 const (
 	AlgWFQ         = sched.NameWFQ
 	AlgMSFQ        = sched.NameMSFQ
@@ -46,21 +44,13 @@ type RunConfig struct {
 	// paper's Fig. 9c/d x-axis).
 	DurationSec float64
 	// WarmupSec runs before measurement starts so monitors fill and
-	// queues reach steady state (default 60 s). A zero or negative value
-	// means "use the default".
+	// queues reach steady state (default 60 s).
 	WarmupSec float64
 	// TwSec is PGOS's scheduling window (default 1 s).
 	TwSec float64
 	// MeanPrediction runs PGOS with mean-bandwidth predictions instead of
 	// percentile predictions (ablation).
 	MeanPrediction bool
-	// PaceLimit overrides the per-path queued-packet bound (0 = default).
-	PaceLimit int
-	// faultSchedule, when non-empty, is played against the testbed by a
-	// faults.Scenario: event ticks count from the start of the run
-	// (warmup included), so a schedule is one fixed script across
-	// algorithms and seeds. The fault figure sets it.
-	faultSchedule faults.Schedule
 }
 
 // sampleSec is the throughput sampling interval.
@@ -78,11 +68,11 @@ func (c *RunConfig) fillDefaults() {
 	}
 }
 
-// StreamSeries is one stream's measured behaviour over a run.
+// StreamSeries is one stream's measured behaviour over a run: its label
+// ("Atom", "DT1", ...) and utility target (0 for best-effort), then what
+// it got.
 type StreamSeries struct {
-	// Name is the stream label ("Atom", "DT1", ...).
-	Name string
-	// RequiredMbps is the utility target (0 for best-effort).
+	Name         string
 	RequiredMbps float64
 	// Total is the delivered throughput in Mbps per sample interval.
 	Total []float64
@@ -113,22 +103,38 @@ type Result struct {
 	// scheduler recorded, per-stream guarantee accounts (virtual-time
 	// windows, PGOS shortfall semantics), and the retained event trace.
 	Telemetry *telemetry.Snapshot
-	// Accounts is the per-stream realised-guarantee record (same data the
-	// snapshot carries, exposed directly for programmatic consumers).
-	Accounts []telemetry.StreamAccount
-	// RemapTimes lists the virtual times (seconds from run start, warmup
-	// included) of PGOS resource-mapping rebuilds; empty for the other
-	// schedulers.
+	// RemapTimes lists the virtual times (seconds from run start) of PGOS
+	// resource-mapping rebuilds; empty for the other schedulers.
 	RemapTimes []float64
 	// FaultEvents counts fault-injection events applied during the run.
 	FaultEvents uint64
+
+	// measured is what a measuring workload measured beyond the runner's
+	// accounting; churn is a churn run's control-plane record.
+	measured any
+	churn    *ChurnRun
 }
 
-// workload is the application a testbed run schedules: its streams and
-// the sources that feed them, ticked once per emulator tick.
+// workload is one run's application: its streams and the sources that
+// feed them, ticked once per emulator tick before the scheduler.
 type workload interface {
 	Streams() []*stream.Stream
 	Tick()
+}
+
+// framed is a workload whose stream id delivers frames of framePackets(id)
+// packets (0 = not tracked); Run records their completion times.
+type framed interface {
+	workload
+	framePackets(id int) int
+}
+
+// measuring is a workload that measures what its figure needs through the
+// Harness hooks. The Result keeps measured(), not the workload, which
+// holds the testbed.
+type measuring interface {
+	workload
+	measured() any
 }
 
 // sources is a workload of streams fed by sources ticked in order.
@@ -150,101 +156,39 @@ func (w sources) Tick() {
 	}
 }
 
-// hooks are one figure's additions to the shared testbed run. All are
-// optional.
-type hooks struct {
-	// framePackets maps a stream ID to its packets per application frame;
-	// streams with a positive count get frame completion times (jitter).
-	framePackets func(streamID int) int
-	// build replaces sched.Build(cfg.Algorithm, ·), for a figure that
-	// needs a handle on its scheduler or wires one by hand.
-	build func(sched.BuildConfig) (sched.Scheduler, error)
-	// onDeliver sees each delivered packet after the standard accounting.
-	onDeliver func(path int, pkt *simnet.Packet, t int64)
-	// postTick runs at the end of every tick.
-	postTick func(t int64)
-}
-
-// fig8Paths returns the Fig. 8 testbed's two overlay paths.
-func fig8Paths(tb *emulab.Testbed) []*simnet.Path {
-	return []*simnet.Path{tb.PathA, tb.PathB}
-}
-
-// RunSmartPointer executes one §6.1 run: the three SmartPointer streams
-// over the Fig. 8 testbed under the chosen algorithm.
-func RunSmartPointer(cfg RunConfig) (Result, error) {
+// Run plays scn under cfg — the one runner behind every simulated figure.
+// It builds the topology, the workload, the §4 monitors on every path, the
+// telemetry rig, the fault or churn script and the scheduler arm. Every
+// tick, in this order, it plays the script, ticks the control plane, the
+// workload and the scheduler, steps the network, samples the monitors,
+// accounts each delivery, closes guarantee windows and throughput samples,
+// and calls the workload's hooks.
+func Run(cfg RunConfig, scn Scenario) (Result, error) {
 	cfg.fillDefaults()
-	if cfg.PaceLimit <= 0 {
-		// Interactive application → moderately shallow per-path buffers:
-		// deep enough to keep both pipes full at peak bandwidth (in-transit
-		// occupancy is ~2 ticks × rate), shallow enough that queueing
-		// delay — and with it frame jitter — stays low.
-		cfg.PaceLimit = 140
-	}
-	tb := emulab.Build(emulab.Config{Seed: cfg.Seed})
-	w := smartpointer.New(tb.Net)
-	return run(cfg, tb.Net, fig8Paths(tb), w, hooks{framePackets: func(id int) int {
-		if id == 0 { // Atom frames drive the §6.1 jitter number
-			return w.PacketsPerFrame(0)
-		}
-		return 0
-	}})
-}
-
-// RunGridFTP executes one §6.2 run: DT1/DT2/DT3 record transfer. Algorithm
-// AlgBlocked is stock GridFTP (blocked layout, no guarantees); AlgPGOS is
-// IQPG-GridFTP. AlgMSFQ/AlgWFQ/AlgOptSched are accepted for ablations.
-func RunGridFTP(cfg RunConfig) (Result, error) {
-	cfg.fillDefaults()
-	if cfg.PaceLimit <= 0 {
-		// Bulk transfer → deep buffers (~2 ticks): utilization over
-		// latency, as a striped file mover configures its sockets.
-		cfg.PaceLimit = 170
-	}
-	tb := emulab.Build(emulab.Config{Seed: cfg.Seed})
-	w := gridftp.NewWorkload(tb.Net, cfg.Algorithm == AlgPGOS)
-	return run(cfg, tb.Net, fig8Paths(tb), w, hooks{})
-}
-
-// run is the one testbed runner every simulated figure shares. Over net it
-// builds the §4 monitors on paths, the per-run telemetry rig and the
-// cfg.Algorithm scheduler, plays cfg.faultSchedule, ticks w, and accounts
-// every delivery (RTT samples, guarantee windows, per-stream throughput
-// series); fig adds what one figure measures beyond that. cfg must have
-// its defaults filled.
-func run(cfg RunConfig, net *simnet.Network, paths []*simnet.Path, w workload, fig hooks) (Result, error) {
+	net, paths := scn.Topology(cfg.Seed)
+	h := &Harness{Net: net}
+	w := scn.Workload.New(h, cfg)
 	streams := w.Streams()
-	pathServices := make([]sched.PathService, len(paths))
-	for j, p := range paths {
-		pathServices[j] = p
-	}
 
-	// Monitors sample every 0.1 s with a 500-sample window (§4), and the
-	// per-run telemetry rig holds each stream's contract.
 	mons, samplers := pathMonitors(paths)
 	reg, tracer, acct := newRunTelemetry(net, streams, cfg.TwSec)
 
-	// Fault injection: the scripted scenario plays against the testbed's
-	// links on the same virtual clock as everything else.
-	var scn *faults.Scenario
-	if len(cfg.faultSchedule) > 0 {
-		var err error
-		scn, err = faults.NewScenario(cfg.Algorithm, net, cfg.faultSchedule)
-		if err != nil {
+	var (
+		script *faults.Scenario
+		err    error
+	)
+	if scn.Faults != nil {
+		schedule, _ := scn.Faults(cfg)
+		if script, err = faults.NewScenario(cfg.Algorithm, net, schedule); err != nil {
 			return Result{}, err
 		}
-		scn.SetTelemetry(reg, tracer)
+		script.SetTelemetry(reg, tracer)
 	}
 
 	var remapTimes []float64
-	build := fig.build
-	if build == nil {
-		build = func(bc sched.BuildConfig) (sched.Scheduler, error) { return sched.Build(cfg.Algorithm, bc) }
-	}
-	scheduler, err := build(sched.BuildConfig{
+	bc := sched.BuildConfig{
 		Streams:        streams,
-		Paths:          pathServices,
-		PaceLimit:      cfg.PaceLimit,
+		PaceLimit:      scn.Workload.PaceLimit,
 		TickSeconds:    net.TickSeconds(),
 		TwSec:          cfg.TwSec,
 		Monitors:       mons,
@@ -255,100 +199,136 @@ func run(cfg RunConfig, net *simnet.Network, paths []*simnet.Path, w workload, f
 			remapTimes = append(remapTimes, net.Now())
 		},
 		Avail: availOracle(paths),
-	})
-	if err != nil {
+	}
+	for _, p := range paths {
+		bc.Paths = append(bc.Paths, p)
+	}
+	var cp *controlPlane
+	if scn.Churn != "" {
+		if cp, err = newControlPlane(scn.Churn, cfg, h, paths, mons, reg, tracer); err != nil {
+			return Result{}, err
+		}
+		bc.Paths, bc.Monitors = cp.ctl.Paths(), cp.ctl.Monitors()
+	}
+	build := scn.build
+	if build == nil {
+		build = func(bc sched.BuildConfig) (sched.Scheduler, error) { return sched.Build(cfg.Algorithm, bc) }
+	}
+	if h.Scheduler, err = build(bc); err != nil {
 		return Result{}, fmt.Errorf("experiment: %w", err)
 	}
 
 	tickSec := net.TickSeconds()
-	sampleTicks := int64(sampleSec / tickSec)
 	warmupTicks := int64(cfg.WarmupSec / tickSec)
-
-	nStreams := len(streams)
-	// Accumulators for the current sample interval: bits[stream][path].
-	acc := make([][]float64, nStreams)
-	series := make([][]float64, nStreams)      // total Mbps
-	perPath := make([][]([]float64), nStreams) // [stream][path]Mbps
-	frameProgress := make([]map[uint64]int, nStreams)
-	frameTimes := make([][]float64, nStreams)
-	for i := range acc {
-		acc[i] = make([]float64, len(paths))
+	totalTicks := warmupTicks + int64(cfg.DurationSec/tickSec)
+	monEvery := max(1, int64(monitorIntervalSec/tickSec))
+	windowTicks := max(1, int64(cfg.TwSec/tickSec))
+	sampleTicks := int64(sampleSec / tickSec)
+	bits := make([][]float64, len(streams))        // [stream][path] this sample
+	series := make([][]float64, len(streams))      // total Mbps
+	perPath := make([][]([]float64), len(streams)) // [stream][path]Mbps
+	frameProgress := make([]map[uint64]int, len(streams))
+	frameTimes := make([][]float64, len(streams))
+	for i := range streams {
+		bits[i] = make([]float64, len(paths))
 		perPath[i] = make([][]float64, len(paths))
 		frameProgress[i] = make(map[uint64]int)
 	}
-
-	h := &Harness{
-		Net:         net,
-		Scheduler:   scheduler,
-		Paths:       paths,
-		Samplers:    samplers,
-		Scenario:    scn,
-		Accountant:  acct,
-		WarmupSec:   cfg.WarmupSec,
-		DurationSec: cfg.DurationSec,
-		TwSec:       cfg.TwSec,
-		PreTick:     func(int64) { w.Tick() },
-		OnDeliver: accountDeliveries(mons, acct, nStreams, tickSec, func(j int, pkt *simnet.Packet, t int64) {
-			acc[pkt.Stream][j] += pkt.Bits
-			if fig.framePackets != nil && pkt.Frame != 0 {
-				if n := fig.framePackets(pkt.Stream); n > 0 {
-					fp := frameProgress[pkt.Stream]
-					fp[pkt.Frame]++
-					if fp[pkt.Frame] == n {
-						delete(fp, pkt.Frame)
-						if t >= warmupTicks {
-							frameTimes[pkt.Stream] = append(frameTimes[pkt.Stream],
-								float64(t-warmupTicks)*tickSec)
-						}
-					}
-				}
-			}
-			if fig.onDeliver != nil {
-				fig.onDeliver(j, pkt, t)
-			}
-		}),
-		PostTick: func(t int64) {
-			if (t+1)%sampleTicks == 0 {
-				for i := range acc {
-					if t >= warmupTicks {
-						total := 0.0
-						for j := range acc[i] {
-							mbps := acc[i][j] / 1e6 / sampleSec
-							perPath[i][j] = append(perPath[i][j], mbps)
-							total += mbps
-						}
-						series[i] = append(series[i], total)
-					}
-					for j := range acc[i] {
-						acc[i][j] = 0
-					}
-				}
-			}
-			if fig.postTick != nil {
-				fig.postTick(t)
-			}
-		},
-	}
-	if err := h.Run(); err != nil {
-		return Result{}, err
-	}
-
-	res := Result{Algorithm: cfg.Algorithm, SampleSec: sampleSec}
-	for i, s := range streams {
-		ss := StreamSeries{
-			Name:         s.Name,
-			RequiredMbps: s.RequiredMbps,
-			Total:        series[i],
-			PerPath:      map[string][]float64{},
-			FrameTimes:   frameTimes[i],
-			Summary:      stats.Summarize(series[i]),
+	frames, _ := w.(framed)
+	// deliver accounts a delivered packet: a sparse RTT sample (every 64th
+	// packet, twice the one-way delay as the round-trip proxy), the
+	// guarantee accountant, the sample's bits and a completed frame.
+	deliver := func(j int, pkt *simnet.Packet, t int64) {
+		if pkt.ID%64 == 0 {
+			mons[j].ObserveRTT(2 * float64(pkt.Delivered-pkt.Created) * tickSec)
 		}
+		acct.ObserveDelivery(pkt.Stream, pkt.Bits, pkt.Deadline != 0 && pkt.Delivered > pkt.Deadline)
+		bits[pkt.Stream][j] += pkt.Bits
+		if frames == nil || pkt.Frame == 0 {
+			return
+		}
+		if n := frames.framePackets(pkt.Stream); n > 0 {
+			fp := frameProgress[pkt.Stream]
+			if fp[pkt.Frame]++; fp[pkt.Frame] == n {
+				delete(fp, pkt.Frame)
+				if t >= warmupTicks {
+					frameTimes[pkt.Stream] = append(frameTimes[pkt.Stream], float64(t-warmupTicks)*tickSec)
+				}
+			}
+		}
+	}
+
+	for t := int64(0); t < totalTicks; t++ {
+		if script != nil {
+			script.Apply(t)
+		}
+		if cp != nil {
+			cp.ctl.Tick(t) // before the sources it reroutes
+		}
+		w.Tick()
+		h.Scheduler.Tick(t)
+		net.Step()
+		if t%monEvery == 0 {
+			for _, s := range samplers {
+				s.Sample()
+			}
+		}
+		for j, p := range paths {
+			for _, pkt := range p.TakeDelivered() {
+				if pkt.Stream < 0 || pkt.Stream >= len(streams) {
+					continue
+				}
+				deliver(j, pkt, t)
+				if h.OnDeliver != nil {
+					h.OnDeliver(j, pkt, t)
+				}
+			}
+		}
+		if (t+1)%windowTicks == 0 {
+			if t >= warmupTicks {
+				acct.CloseWindow()
+			} else {
+				acct.DiscardWindow()
+			}
+		}
+		if (t+1)%sampleTicks == 0 {
+			for i := range bits {
+				if t >= warmupTicks {
+					total := 0.0
+					for j, b := range bits[i] {
+						mbps := b / 1e6 / sampleSec
+						perPath[i][j] = append(perPath[i][j], mbps)
+						total += mbps
+					}
+					series[i] = append(series[i], total)
+				}
+				clear(bits[i])
+			}
+		}
+		if cp != nil && t == warmupTicks {
+			cp.probeAdmission()
+		}
+		if h.PostTick != nil {
+			h.PostTick(t)
+		}
+	}
+
+	res := Result{Algorithm: cfg.Algorithm, SampleSec: sampleSec, RemapTimes: remapTimes}
+	if m, ok := w.(measuring); ok {
+		res.measured = m.measured()
+	}
+	if cp != nil {
+		res.churn = cp.record()
+	}
+	for i, s := range streams {
+		ss := StreamSeries{Name: s.Name, RequiredMbps: s.RequiredMbps, Total: series[i],
+			PerPath: map[string][]float64{}, FrameTimes: frameTimes[i], Summary: stats.Summarize(series[i])}
 		for j, p := range paths {
 			ss.PerPath[p.Name()] = perPath[i][j]
 		}
 		res.Streams = append(res.Streams, ss)
 	}
-	if p, ok := scheduler.(*pgos.Scheduler); ok {
+	if p, ok := h.Scheduler.(*pgos.Scheduler); ok {
 		st := p.Stats()
 		res.PGOSStats = &st
 		for i, rej := range p.Mapping().Rejected {
@@ -358,44 +338,62 @@ func run(cfg RunConfig, net *simnet.Network, paths []*simnet.Path, w workload, f
 		}
 	}
 	res.Telemetry = telemetry.BuildSnapshot(net, reg, acct, tracer)
-	res.Accounts = acct.Accounts()
-	res.RemapTimes = remapTimes
-	if scn != nil {
-		res.FaultEvents = scn.Applied()
+	if script != nil {
+		res.FaultEvents = script.Applied()
 	}
 	return res, nil
 }
 
-// sweep runs fn once per value, each time on a copy of cfg that set
-// adjusted for the value, and returns the outcomes in order: the one loop
-// behind every figure that runs a configuration once per arm or variant.
-func sweep[V, R any](cfg RunConfig, values []V, set func(*RunConfig, V), fn func(RunConfig) (R, error)) ([]R, error) {
-	out := make([]R, 0, len(values))
-	for _, v := range values {
-		c := cfg
-		set(&c, v)
-		r, err := fn(c)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: %v: %w", v, err)
+// An axis lists a simulated figure's runs: each point adjusts the pass's
+// run configuration and the figure's scenario for one run.
+type (
+	axis  func(Params) ([]point, error)
+	point func(*RunConfig, *Scenario)
+)
+
+// over is the axis of values, each point applying its value with set.
+func over[V any](values []V, set func(*RunConfig, *Scenario, V)) axis {
+	return func(Params) ([]point, error) {
+		pts := make([]point, len(values))
+		for i, v := range values {
+			pts[i] = func(c *RunConfig, s *Scenario) { set(c, s, v) }
 		}
-		out = append(out, r)
+		return pts, nil
+	}
+}
+
+// arms is the axis of scheduler arms (Alg* names).
+func arms(names ...string) axis {
+	return over(names, func(c *RunConfig, _ *Scenario, arm string) { c.Algorithm = arm })
+}
+
+// runAxis runs scn once per point of ax, each from p.Run, in order.
+func runAxis(p Params, scn Scenario, ax axis) ([]Result, error) {
+	pts, err := ax(p)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Result, 0, len(pts))
+	for i, pt := range pts {
+		c, s := p.Run, scn
+		pt(&c, &s)
+		res, err := Run(c, s)
+		if err != nil {
+			return nil, fmt.Errorf("experiment: run %d (%s, seed %d): %w", i, c.Algorithm, c.Seed, err)
+		}
+		out = append(out, res)
 	}
 	return out, nil
 }
 
-// RunArms runs the same configuration once per scheduler arm (Alg*
-// names), e.g. RunSmartPointer over SmartPointerArms for Figs. 9–11.
-func RunArms(cfg RunConfig, run func(RunConfig) (Result, error), arms ...string) ([]Result, error) {
-	return sweep(cfg, arms, func(c *RunConfig, arm string) { c.Algorithm = arm }, run)
-}
-
-// runLossy is a test hook: the SmartPointer run with per-link loss.
-func runLossy(cfg RunConfig, lossProb float64) (Result, error) {
-	cfg.fillDefaults()
-	if cfg.PaceLimit <= 0 {
-		cfg.PaceLimit = 140
+// simulated is the Run of a figure row: scn run once per point of ax,
+// rendered by render.
+func simulated(scn Scenario, ax axis, render func(Params, []Result) []Table) func(Params) ([]Table, error) {
+	return func(p Params) ([]Table, error) {
+		results, err := runAxis(p, scn, ax)
+		if err != nil {
+			return nil, err
+		}
+		return render(p, results), nil
 	}
-	cfg.Algorithm = AlgPGOS
-	tb := emulab.Build(emulab.Config{Seed: cfg.Seed, LossProb: lossProb})
-	return run(cfg, tb.Net, fig8Paths(tb), smartpointer.New(tb.Net), hooks{})
 }

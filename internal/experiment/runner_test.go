@@ -9,7 +9,7 @@ func shortCfg(alg string) RunConfig {
 }
 
 func TestRunSmartPointerUnknownAlgorithm(t *testing.T) {
-	if _, err := RunSmartPointer(shortCfg("nope")); err == nil {
+	if _, err := Run(shortCfg("nope"), SmartPointer); err == nil {
 		t.Fatal("expected error for unknown algorithm")
 	}
 }
@@ -36,7 +36,7 @@ func TestRunSmartPointerAllAlgorithms(t *testing.T) {
 	skipIfRace(t)
 	t.Parallel()
 	for _, alg := range []string{AlgWFQ, AlgMSFQ, AlgPGOS, AlgOptSched} {
-		res, err := RunSmartPointer(shortCfg(alg))
+		res, err := Run(shortCfg(alg), SmartPointer)
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
@@ -68,12 +68,12 @@ func TestSmartPointerShape(t *testing.T) {
 	t.Parallel()
 	cfg := RunConfig{Seed: 42, DurationSec: 150, WarmupSec: 60}
 	cfg.Algorithm = AlgPGOS
-	pg, err := RunSmartPointer(cfg)
+	pg, err := Run(cfg, SmartPointer)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Algorithm = AlgMSFQ
-	ms, err := RunSmartPointer(cfg)
+	ms, err := Run(cfg, SmartPointer)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,8 +10,8 @@ import (
 
 // TestViolationBoundTelemetryAgreement is the acceptance check for the
 // guarantee accountant: the telemetry snapshot's per-stream violation
-// accounting must match the values runViolationBound's own, fully
-// independent per-window counting loop computes.
+// accounting must match the values the violation-bound workload's own,
+// fully independent per-window count gives (violationBoundCheck).
 func TestViolationBoundTelemetryAgreement(t *testing.T) {
 	cfg := RunConfig{Seed: 42, DurationSec: 60, WarmupSec: 60}
 	res, err := runViolationBound(cfg, 50, 10)
@@ -29,15 +29,14 @@ func TestViolationBoundTelemetryAgreement(t *testing.T) {
 		t.Fatalf("windows = %d, want %d", vb.Windows, wantWindows)
 	}
 	// The accountant's empirical E[Z] against the independent checker's.
-	if math.Abs(vb.MeanShortfall-res.MeanViolations) > 1e-9 {
-		t.Fatalf("accountant mean shortfall %v != independent checker %v",
-			vb.MeanShortfall, res.MeanViolations)
+	_, mean, worst := violationBoundCheck(res)
+	if math.Abs(vb.MeanShortfall-mean) > 1e-9 {
+		t.Fatalf("accountant mean shortfall %v != independent checker %v", vb.MeanShortfall, mean)
 	}
 	// Violated windows must equal the independent count of windows with a
 	// positive shortfall; when none fell short both sides must agree on 0.
-	if (vb.ViolatedWindows == 0) != (res.MeanViolations == 0 && res.WorstViolations == 0) {
-		t.Fatalf("violation presence disagrees: account=%+v checker mean=%v worst=%v",
-			vb, res.MeanViolations, res.WorstViolations)
+	if (vb.ViolatedWindows == 0) != (mean == 0 && worst == 0) {
+		t.Fatalf("violation presence disagrees: account=%+v checker mean=%v worst=%v", vb, mean, worst)
 	}
 	// Registry counters must mirror the account (two separate paths
 	// through the telemetry package).
@@ -48,7 +47,7 @@ func TestViolationBoundTelemetryAgreement(t *testing.T) {
 		t.Fatalf("windows counter %d != account %d", c, vb.Windows)
 	}
 	t.Logf("vb: windows=%d violated=%d meanShortfall=%.3f (checker %.3f) deliveredMbps=%.2f",
-		vb.Windows, vb.ViolatedWindows, vb.MeanShortfall, res.MeanViolations, vb.DeliveredMbps)
+		vb.Windows, vb.ViolatedWindows, vb.MeanShortfall, mean, vb.DeliveredMbps)
 }
 
 // TestRunnerTelemetrySnapshot checks the snapshot a PGOS SmartPointer run
@@ -57,7 +56,7 @@ func TestViolationBoundTelemetryAgreement(t *testing.T) {
 // emulator's per-link metrics present.
 func TestRunnerTelemetrySnapshot(t *testing.T) {
 	skipIfRace(t)
-	res, err := RunSmartPointer(shortCfg(AlgPGOS))
+	res, err := Run(shortCfg(AlgPGOS), SmartPointer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +143,7 @@ func TestRunnerTelemetrySnapshot(t *testing.T) {
 // TestNonPGOSRunsCarrySnapshots: baselines get emulator + guarantee
 // telemetry too (no scheduler metrics, but accounts still real).
 func TestNonPGOSRunSnapshot(t *testing.T) {
-	res, err := RunSmartPointer(shortCfg(AlgMSFQ))
+	res, err := Run(shortCfg(AlgMSFQ), SmartPointer)
 	if err != nil {
 		t.Fatal(err)
 	}

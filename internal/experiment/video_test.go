@@ -3,7 +3,7 @@ package experiment
 import "testing"
 
 func TestRunVideoUnknownAlg(t *testing.T) {
-	if _, err := runVideo(RunConfig{Seed: 1, DurationSec: 1, WarmupSec: 1}, "nope"); err == nil {
+	if _, err := Run(RunConfig{Algorithm: "nope", Seed: 1, DurationSec: 1, WarmupSec: 1}, videoScenario); err == nil {
 		t.Fatal("expected error")
 	}
 }

@@ -14,8 +14,9 @@ import (
 type Data struct {
 	Title string
 	Fig4  []experiment.Fig4Point
-	// Smart and Grid are the §6 suites' runs (experiment.RunArms over
-	// SmartPointerArms and GridFTPArms), charted as Figs. 9–10 and 12–13.
+	// Smart and Grid are the §6 suites' runs, which the smartpointer and
+	// gridftp figures hand to experiment.Params.OnSuite, charted as Figs.
+	// 9–10 and 12–13.
 	Smart, Grid []experiment.Result
 	// Video is the video figure's tables (experiment.Lookup("video")).
 	Video       []experiment.Table

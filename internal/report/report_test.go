@@ -60,24 +60,26 @@ func TestGenerateFullReport(t *testing.T) {
 		t.Skip("runs experiments")
 	}
 	cfg := experiment.RunConfig{Seed: 7, DurationSec: 15, WarmupSec: 30}
-	smart, err := experiment.RunArms(cfg, experiment.RunSmartPointer, experiment.SmartPointerArms...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	grid, err := experiment.RunArms(cfg, experiment.RunGridFTP, experiment.GridFTPArms...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	videoFig, err := experiment.Lookup("video")
-	if err != nil {
-		t.Fatal(err)
-	}
-	video, err := videoFig[0].Run(experiment.Params{Run: cfg})
-	if err != nil {
-		t.Fatal(err)
+	var smart, grid []experiment.Result
+	p := experiment.Params{Run: cfg, OnSuite: func(workload string, results []experiment.Result) {
+		if workload == "smartpointer" {
+			smart = results
+		} else {
+			grid = results
+		}
+	}}
+	var video []experiment.Table
+	for _, name := range []string{"smartpointer", "gridftp", "video"} {
+		figs, err := experiment.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if video, err = figs[0].Run(p); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var buf bytes.Buffer
-	err = Generate(&buf, Data{
+	err := Generate(&buf, Data{
 		Fig4:        experiment.Fig4(experiment.Fig4Config{Seed: 7, Samples: 8000}),
 		Smart:       smart,
 		Grid:        grid,

@@ -70,14 +70,60 @@ func isKnobStruct(name string) bool {
 	return strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Params") || strings.HasSuffix(name, "Options")
 }
 
+// knobStructs returns the names of pkg's struct types whose exported
+// fields count as knobs: every *Config, *Params or *Options struct and,
+// transitively, every exported struct type of pkg that is the type of an
+// exported field of a counted struct, or the element type of such a
+// field's slice (through pointers).
+func knobStructs(pkg *types.Package) map[string]bool {
+	counted := map[string]bool{}
+	var add func(name string)
+	add = func(name string) {
+		tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+		if !ok || counted[name] {
+			return
+		}
+		st, ok := tn.Type().Underlying().(*types.Struct)
+		if !ok {
+			return
+		}
+		counted[name] = true
+		for i := 0; i < st.NumFields(); i++ {
+			if !st.Field(i).Exported() {
+				continue
+			}
+			t := st.Field(i).Type()
+			for {
+				if p, ok := t.(*types.Pointer); ok {
+					t = p.Elem()
+				} else if s, ok := t.(*types.Slice); ok {
+					t = s.Elem()
+				} else {
+					break
+				}
+			}
+			if n, ok := t.(*types.Named); ok && n.Obj().Pkg() == pkg && n.Obj().Exported() {
+				add(n.Obj().Name())
+			}
+		}
+	}
+	for _, name := range pkg.Scope().Names() {
+		if isKnobStruct(name) {
+			add(name)
+		}
+	}
+	return counted
+}
+
 // TestNoTestOnlySurface fails on surface that only tests use:
 //   - an exported function or method declared in non-test code under
 //     internal/ that no non-test code of the module or of perfbench
 //     references (a method that implements an interface method counts as
 //     referenced);
-//   - an exported field of an internal *Config, *Params or *Options struct
+//   - an exported field of an internal *Config, *Params or *Options struct,
+//     or of an exported struct such a struct's fields hold (knobStructs),
 //     that no such code sets, by a composite-literal key, an assignment or
-//     taking its address, outside a defaults function (see markSets).
+//     taking its address, outside a defaults method (see markSets).
 //
 // A "// testonly: <reason>" or "// knob: <reason>" line in the doc comment
 // exempts a declaration. It is for fixtures and reference oracles that
@@ -135,6 +181,7 @@ func TestNoTestOnlySurface(t *testing.T) {
 		if !strings.HasPrefix(c.pkg.Path(), "iqpaths/internal/") {
 			continue
 		}
+		knobTypes := knobStructs(c.pkg)
 		for _, f := range c.files {
 			for _, decl := range f.Decls {
 				switch d := decl.(type) {
@@ -153,7 +200,7 @@ func TestNoTestOnlySurface(t *testing.T) {
 				case *ast.GenDecl:
 					for _, spec := range d.Specs {
 						ts, ok := spec.(*ast.TypeSpec)
-						if !ok || !isKnobStruct(ts.Name.Name) {
+						if !ok || !knobTypes[ts.Name.Name] {
 							continue
 						}
 						st, ok := ts.Type.(*ast.StructType)
@@ -175,7 +222,7 @@ func TestNoTestOnlySurface(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d exported fields in internal *Config/*Params/*Options structs", knobs)
+	t.Logf("%d exported fields in internal *Config/*Params/*Options structs and the structs they hold", knobs)
 }
 
 // checkDecl reports a declaration that product code does not use unless it
@@ -238,10 +285,12 @@ func implementsInterface(fn *types.Func, ifaces map[*types.Interface]bool) bool 
 }
 
 // markSets records every struct field that f sets outside a defaults
-// function: a composite-literal key (or every field of an unkeyed
-// literal), an assignment or increment target, or an operand of &. An
-// assignment in the body of an if whose condition reads the same field
-// (if c.X == 0 { c.X = 10 }) fills a default and does not count.
+// method (one whose name contains "default", such as fillDefaults): a
+// composite-literal key (or every field of an unkeyed literal), an
+// assignment or increment target, or an operand of &. An assignment in the
+// body of an if whose condition reads the same field (if c.X == 0 {
+// c.X = 10 }) fills a default and does not count. A function that builds
+// a value, such as DefaultBands, sets the fields it fills.
 func markSets(f *ast.File, info *types.Info, set map[*types.Var]bool) {
 	fieldOf := func(e ast.Expr) *types.Var {
 		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
@@ -278,7 +327,7 @@ func markSets(f *ast.File, info *types.Info, set map[*types.Var]bool) {
 		}
 	}
 	for _, decl := range f.Decls {
-		if fd, ok := decl.(*ast.FuncDecl); ok && strings.Contains(strings.ToLower(fd.Name.Name), "default") {
+		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv != nil && strings.Contains(strings.ToLower(fd.Name.Name), "default") {
 			continue
 		}
 		ast.Inspect(decl, func(n ast.Node) bool {
