@@ -92,8 +92,11 @@ type Stream struct {
 	ID int
 	Spec
 
+	// queue[head:] is the backlog; head is 0 whenever it is empty (Pop
+	// rewinds a drained queue), so the backing array follows the live
+	// depth.
 	queue []*simnet.Packet
-	head  int // index of first valid element in queue (amortized pop)
+	head  int
 
 	// observer, when set, is invoked with the stream's ID after every
 	// successful queue mutation (Push, Pop, PushFront). PGOS uses it to
@@ -178,8 +181,14 @@ func (s *Stream) Pop() *simnet.Packet {
 	p := s.queue[s.head]
 	s.queue[s.head] = nil
 	s.head++
-	if s.head > 64 && s.head*2 >= len(s.queue) {
-		// Compact to keep the backing array bounded: the copy moves at most
+	if s.head == len(s.queue) {
+		// Drained: rewind, so the next Push reuses slot 0 rather than
+		// growing the array. A stream holding 0–1 packets keeps a
+		// one-slot array.
+		s.queue = s.queue[:0]
+		s.head = 0
+	} else if s.head > 64 && s.head*2 >= len(s.queue) {
+		// A backlog that never drains: compact. The copy moves at most
 		// head elements after head pops, so Pop stays amortized O(1), and
 		// the backing array plateaus near twice the peak queue depth —
 		// which is what makes steady-state Push allocation-free.

@@ -93,37 +93,115 @@ func TestBitsAccounting(t *testing.T) {
 	}
 }
 
-// Property: after arbitrary push/pop sequences the queue length and bit
-// count stay consistent and compaction never loses packets.
+// Property: after arbitrary Push/Pop/PushFront sequences the queue pops
+// exactly the packets a reference FIFO expects, in its order, and the
+// length, bit count and Dequeued counter stay consistent through
+// rewinds and compactions. PushFront follows a Pop as in PGOS's dispatch
+// when a path refuses the packet, also onto a queue the Pop just drained.
 func TestQueueConsistencyProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		net := simnet.New(0.01, rng)
 		s := New(0, Spec{Name: "x", QueueLimit: 1 << 20})
-		pushed, popped := 0, 0
+		var want []*simnet.Packet // reference FIFO, head first
 		bits := 0.0
+		popped := uint64(0)
 		for i := 0; i < 5000; i++ {
-			if rng.Float64() < 0.6 {
+			// Phases of growth and drain: deep backlogs compact, and
+			// drained queues rewind.
+			pushP := 0.2
+			if i%1000 < 300 {
+				pushP = 0.7
+			}
+			if rng.Float64() < pushP {
 				b := float64(1 + rng.Intn(1000))
-				s.Push(net.NewPacket(0, b))
+				p := net.NewPacket(0, b)
+				s.Push(p)
+				want = append(want, p)
 				bits += b
-				pushed++
 			} else if p := s.Pop(); p != nil {
+				if len(want) == 0 || p != want[0] {
+					return false
+				}
+				// A refused send hands the packet back: a fifth of the
+				// time, and more often when the Pop drained (and so
+				// rewound) the queue.
+				if rng.Float64() < 0.2 || (s.Len() == 0 && rng.Intn(2) == 0) {
+					s.PushFront(p)
+					if s.Peek() != p {
+						return false
+					}
+					continue
+				}
+				want = want[1:]
 				bits -= p.Bits
 				popped++
-			}
-			if s.Len() != pushed-popped {
+			} else if len(want) != 0 {
 				return false
 			}
-			if s.Bits() != bits {
+			if s.Len() != len(want) || s.Bits() != bits || s.Dequeued != popped {
 				return false
 			}
 		}
-		return true
+		for _, p := range want {
+			if s.Pop() != p {
+				return false
+			}
+		}
+		return s.Len() == 0 && s.Pop() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// A stream that holds one packet at a time must keep a small backing
+// array: Pop rewinds a drained queue instead of letting each Push land
+// one slot further along. A backlog that never drains still compacts, so
+// its array stays near twice the peak depth.
+func TestQueueCapacityFollowsDepth(t *testing.T) {
+	net := simnet.New(0.01, rand.New(rand.NewSource(1)))
+	t.Run("one_in_flight", func(t *testing.T) {
+		s := New(0, Spec{Name: "x"})
+		for i := 0; i < 10000; i++ {
+			p := net.NewPacket(0, 100)
+			s.Push(p)
+			if s.Pop() != p {
+				t.Fatalf("cycle %d: pop returned another packet", i)
+			}
+		}
+		if c := cap(s.queue); c > 2 {
+			t.Fatalf("cap(queue) = %d after 10000 one-packet cycles, want <= 2", c)
+		}
+	})
+	t.Run("deep_backlog", func(t *testing.T) {
+		const peak = 1000
+		s := New(0, Spec{Name: "x"})
+		var want []*simnet.Packet
+		for i := 0; i < peak; i++ {
+			p := net.NewPacket(0, 100)
+			s.Push(p)
+			want = append(want, p)
+		}
+		// Depth alternates between peak-1 and peak and never drains.
+		for i := 0; i < 100*peak; i++ {
+			if s.Pop() != want[0] {
+				t.Fatalf("cycle %d: pop out of order", i)
+			}
+			want = want[1:]
+			p := net.NewPacket(0, 100)
+			s.Push(p)
+			want = append(want, p)
+		}
+		if c := cap(s.queue); c > 5*peak/2 {
+			t.Fatalf("cap(queue) = %d at peak depth %d, want <= %d", c, peak, 5*peak/2)
+		}
+		for i, p := range want {
+			if s.Pop() != p {
+				t.Fatalf("drain %d: pop out of order", i)
+			}
+		}
+	})
 }
 
 func TestRequiredPacketsPerWindow(t *testing.T) {
