@@ -353,14 +353,15 @@ func runSource(ctx context.Context, cfg sourceConfig) error {
 	}
 }
 
-// startProbing wires probe trains, routing each path's measurements to
-// its (shard, local) slot. "timer" is the historical deployment: one Run
-// loop per path, every path trained every interval. "rr" and "active"
-// replace the per-path timers with one budgeted ProberSet planning loop;
-// "active" additionally routes every measurement through a
-// bwest.Estimator whose information-gain planner concentrates the budget
-// on the paths with the most posterior uncertainty. The planner name was
-// validated before any path was dialed.
+// startProbing wires probe trains, routing each path's bandwidth samples
+// to its (shard, local) slot. "timer" is the historical deployment: one
+// Run loop per path, every path trained every interval. "rr" and
+// "active" replace the per-path timers with one budgeted ProberSet
+// planning loop over a bwest.Estimator that also absorbs every probe and
+// passive RTT/loss sample: "rr" plans with its round-robin sweep,
+// "active" with its information-gain planner, which concentrates the
+// budget on the paths with the most posterior uncertainty. The planner
+// name was validated before any path was dialed.
 func startProbing(ctx context.Context, cfg sourceConfig, clock live.Clock,
 	conns []*transport.RUDPConn, sp *sourcePlane) {
 	budget := cfg.budget
@@ -368,10 +369,15 @@ func startProbing(ctx context.Context, cfg sourceConfig, clock live.Clock,
 		budget = max(1, len(conns)/2)
 	}
 	var est *bwest.Estimator
-	if cfg.planner == "active" {
+	if cfg.planner == "rr" || cfg.planner == "active" {
+		var planner bwest.Planner // nil selects the information-gain planner
+		if cfg.planner == "rr" {
+			planner = bwest.NewRoundRobinPlanner()
+		}
 		est = bwest.NewEstimator(bwest.Config{
 			Paths:     len(conns),
 			Budget:    budget,
+			Planner:   planner,
 			Telemetry: telemetry.Default(),
 		})
 	}
@@ -385,36 +391,23 @@ func startProbing(ctx context.Context, cfg sourceConfig, clock live.Clock,
 				est.ObserveProbe(j, mbps)
 			}
 		}
-		p.OnRTT = func(sec float64) {
-			sp.d.ObserveRTT(at.shard, at.local, sec)
-			if est != nil {
-				est.ObserveRTT(j, sec)
-			}
-		}
-		p.OnLoss = func(rate float64) {
-			sp.d.ObserveLoss(at.shard, at.local, rate)
-			if est != nil {
-				est.ObserveLoss(j, rate, sp.meanBandwidth(j))
-			}
+		if est != nil {
+			p.OnRTT = func(sec float64) { est.ObserveRTT(j, sec) }
+			p.OnLoss = func(rate float64) { est.ObserveLoss(j, rate, sp.meanBandwidth(j)) }
 		}
 		live.Bind(conn, p, nil)
 		probers[j] = p
 	}
-	switch cfg.planner {
-	case "rr", "active":
-		var planner live.TrainPlanner = live.NewFixedPlanner(len(conns))
-		if est != nil {
-			planner = est
-		}
-		ps := live.NewProberSet(live.ProberSetConfig{IntervalSec: cfg.probeSec, Budget: budget},
-			clock, probers, planner)
-		go ps.Run(ctx)
-		log.Printf("source: %s probe planner, %d trains/round over %d paths", cfg.planner, budget, len(conns))
-	default:
+	if est == nil {
 		for _, p := range probers {
 			go p.Run(ctx)
 		}
+		return
 	}
+	ps := live.NewProberSet(live.ProberSetConfig{IntervalSec: cfg.probeSec, Budget: budget},
+		clock, probers, est)
+	go ps.Run(ctx)
+	log.Printf("source: %s probe planner, %d trains/round over %d paths", cfg.planner, budget, len(conns))
 }
 
 func monSummary(sp *sourcePlane, names []string) string {

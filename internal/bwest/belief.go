@@ -13,8 +13,7 @@
 // The subsystem sits beside the existing pipeline rather than in it: the
 // measured probe samples themselves fill the monitor.PathMonitor windows
 // that PGOS mapping and admission read, while the posterior decides which
-// paths are probed and supplies admission's credible-floor veto
-// (PosteriorHeadroom).
+// paths are probed.
 package bwest
 
 import "math"

@@ -64,8 +64,8 @@ func (c *Config) fillDefaults() {
 // model, the information-gain cache, and the probe planner. It is the
 // subsystem's single entry point: the prober asks PlanTrains which
 // trains to emit, feeds measurements back through ObserveProbe /
-// ObserveLoss / ObserveRTT, and downstream consumers read posterior
-// quantiles (Quantile) or admission headroom (PosteriorHeadroom).
+// ObserveLoss / ObserveRTT, and evaluation harnesses read the posterior
+// back (PMF, MeanEntropyBits).
 //
 // Scalability rests on three invariants: decay is lazy (closed-form
 // batch at touch time, so idle paths cost nothing per round), the
@@ -85,7 +85,6 @@ type Estimator struct {
 
 	gain      []float64 // cached EIG bits per path (refreshed on touch)
 	lastTouch []int64   // round of last decay application
-	observed  []bool    // ever received a direct probe measurement
 	minRTT    []float64 // per-path min RTT baseline (s); 0 = none yet
 	round     int64
 
@@ -119,7 +118,6 @@ func NewEstimator(cfg Config) *Estimator {
 		correl:    NewCorrelation(cfg.Paths),
 		gain:      make([]float64, cfg.Paths),
 		lastTouch: make([]int64, cfg.Paths),
-		observed:  make([]bool, cfg.Paths),
 		minRTT:    make([]float64, cfg.Paths),
 		py:        make([]float64, cfg.Bins),
 	}
@@ -234,7 +232,6 @@ func (e *Estimator) ObserveProbe(i int, mbps float64) {
 	e.touch(i)
 	innov := mbps - e.beliefs[i].Mean()
 	e.beliefs[i].ObserveRate(mbps, e.cfg.RelNoise)
-	e.observed[i] = true
 	e.gain[i] = e.eig(e.beliefs[i])
 	e.correl.Observe(i, innov, e.round)
 	e.correl.ForNeighbors(i, func(j int, rho float64) {
@@ -246,7 +243,6 @@ func (e *Estimator) ObserveProbe(i int, mbps float64) {
 		}
 		e.touch(j)
 		e.beliefs[j].ObserveRateTempered(mbps, e.cfg.RelNoise, rho*rho)
-		e.observed[j] = true
 		e.gain[j] = e.eig(e.beliefs[j])
 	})
 }
@@ -348,19 +344,4 @@ func (e *Estimator) PMF(i int, dst []float64) []float64 {
 	}
 	e.touch(i)
 	return append(dst[:0], e.beliefs[i].p...)
-}
-
-// PosteriorHeadroom reports path i's conservative available-bandwidth
-// headroom — the posterior 5th percentile — and whether the posterior
-// has absorbed any direct or shared measurement at all. ok=false means
-// "unknown, not bad": admission must not treat it as zero. Implements
-// the control-plane HeadroomSource contract.
-func (e *Estimator) PosteriorHeadroom(i int) (mbps float64, ok bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if i < 0 || i >= len(e.beliefs) || !e.observed[i] {
-		return 0, false
-	}
-	e.touch(i)
-	return e.beliefs[i].Quantile(0.05), true
 }

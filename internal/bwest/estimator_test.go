@@ -38,24 +38,6 @@ func TestObserveProbeConcentratesPosterior(t *testing.T) {
 	}
 }
 
-func TestHeadroomUnknownVsKnown(t *testing.T) {
-	e := NewEstimator(Config{Paths: 2})
-	if _, ok := e.PosteriorHeadroom(0); ok {
-		t.Fatal("unobserved path must report ok=false")
-	}
-	e.ObserveProbe(0, 70)
-	hr, ok := e.PosteriorHeadroom(0)
-	if !ok {
-		t.Fatal("observed path must report ok=true")
-	}
-	if hr <= 0 || hr > 70 {
-		t.Fatalf("headroom %v out of range", hr)
-	}
-	if _, ok := e.PosteriorHeadroom(1); ok {
-		t.Fatal("path 1 never observed")
-	}
-}
-
 func TestSharedBottleneckPropagation(t *testing.T) {
 	e := NewEstimator(Config{Paths: 2})
 	e.DeclareShared(0, 1)
@@ -141,13 +123,12 @@ func TestRoundRobinPlannerSweeps(t *testing.T) {
 	for r := 0; r < 7; r++ { // 7 rounds * 3 = 21 = 3 full sweeps
 		got = append(got, e.PlanTrains(0)...)
 	}
-	counts := make([]int, 7)
-	for _, p := range got {
-		counts[p]++
+	if len(got) != 21 {
+		t.Fatalf("planned %d trains, want 21: %v", len(got), got)
 	}
-	for i, c := range counts {
-		if c != 3 {
-			t.Fatalf("path %d probed %d times, want 3 (uniform sweep): %v", i, c, got)
+	for i, p := range got {
+		if p != i%7 {
+			t.Fatalf("train %d on path %d, want %d (index-order sweep): %v", i, p, i%7, got)
 		}
 	}
 }

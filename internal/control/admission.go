@@ -58,17 +58,6 @@ type Decision struct {
 	Warming bool
 }
 
-// HeadroomSource supplies a conservative per-path available-bandwidth
-// floor from an external estimator — bwest.Estimator's posterior 5th
-// percentile. ok=false means the source has no information about path j
-// ("unknown"), which admission must treat as a non-answer, never as zero
-// headroom. When a source is set, Admit vetoes specs whose required rate
-// exceeds the summed credible floor of the known paths even if the
-// window-CDF feasibility test (which can lag the posterior) would pass.
-type HeadroomSource interface {
-	PosteriorHeadroom(j int) (mbps float64, ok bool)
-}
-
 // Admission is the CDF-based admission controller: a stream is admitted
 // only when the PGOS resource-mapping feasibility test — per-path
 // guarantee headroom after the rates already committed to admitted
@@ -83,9 +72,8 @@ type Admission struct {
 	// remote is per-path load committed by other admission shards,
 	// replicated in via SetRemoteCommitted; feasibility subtracts it from
 	// headroom alongside local commitments.
-	remote   []float64
-	headroom HeadroomSource
-	tel      admTelemetry
+	remote []float64
+	tel    admTelemetry
 	// snap caches cdfs(); snap[j] was taken from snapMons[j] at its
 	// bandwidth generation snapGens[j].
 	snap     []stats.Distribution
@@ -240,16 +228,9 @@ func (a *Admission) Admit(spec stream.Spec) Decision {
 		return d
 	}
 	// The admitted streams' committed mapping is computed once here and
-	// shared by the veto, the test and every best-rate/best-probability
-	// probe of a rejection: none of them changes the admitted set. The
-	// veto reads the local commitments before withRemote folds the remote
-	// shards' load into the same vector.
-	committed := a.committed(&a.committedMap, cdfs, a.admitted)
-	reason, vetoed := a.posteriorVeto(spec, cdfs, committed)
-	load := a.withRemote(committed)
-	if vetoed {
-		return a.reject(spec, reason, cdfs, load)
-	}
+	// shared by the test and every best-rate/best-probability probe of a
+	// rejection: neither changes the admitted set.
+	load := a.withRemote(a.committed(&a.committedMap, cdfs, a.admitted))
 	if a.feasible(spec, cdfs, load) {
 		a.admitted = append(a.admitted, newAdmitted(spec))
 		d := Decision{Spec: spec, Admitted: true}
@@ -273,43 +254,6 @@ func (a *Admission) anyWarm() bool {
 		}
 	}
 	return false
-}
-
-// posteriorVeto consults the attached HeadroomSource, if any: when every
-// path the source knows about sums — at the posterior's conservative 5th
-// percentile — to less than the already-committed load plus the
-// candidate's rate, the spec is vetoed regardless of what the (possibly
-// stale) window CDFs say. Paths the source reports as unknown contribute
-// their window-CDF guarantee level instead, so a partially-observed
-// overlay is not unfairly capped.
-func (a *Admission) posteriorVeto(spec stream.Spec, cdfs []stats.Distribution, committed []float64) (string, bool) {
-	if a.headroom == nil || spec.RequiredMbps <= 0 {
-		return "", false
-	}
-	total := 0.0
-	known := 0
-	for j := range cdfs {
-		if hr, ok := a.headroom.PosteriorHeadroom(j); ok {
-			total += hr
-			known++
-		} else if !cdfs[j].IsEmpty() {
-			total += cdfs[j].Quantile(0.05)
-		}
-	}
-	if known == 0 {
-		return "", false
-	}
-	need := spec.RequiredMbps
-	for j, c := range committed {
-		need += c
-		if j < len(a.remote) {
-			need += a.remote[j]
-		}
-	}
-	if total < need {
-		return "insufficient posterior headroom", true
-	}
-	return "", false
 }
 
 // tryPreempt evicts admitted best-effort streams newest-first until spec

@@ -3,7 +3,6 @@ package control
 import (
 	"testing"
 
-	"iqpaths/internal/bwest"
 	"iqpaths/internal/monitor"
 	"iqpaths/internal/stream"
 )
@@ -42,47 +41,5 @@ func TestBestEffortAdmittedWhileWarming(t *testing.T) {
 	adm := NewAdmission(AdmissionOptions{}, []*monitor.PathMonitor{cold})
 	if d := adm.Admit(stream.Spec{Name: "bulk", Kind: stream.BestEffort}); !d.Admitted {
 		t.Fatal("best-effort must not wait for warm monitors")
-	}
-}
-
-func TestPosteriorHeadroomVeto(t *testing.T) {
-	// Window CDF says 50 Mbps; the posterior — which has seen the path
-	// degrade — says the credible floor is ~10. The veto must win.
-	mons := []*monitor.PathMonitor{warmMon("A", 49, 50, 51)}
-	adm := NewAdmission(AdmissionOptions{}, mons)
-
-	est := bwest.NewEstimator(bwest.Config{Paths: 1, MaxMbps: 100, Bins: 24})
-	for i := 0; i < 12; i++ {
-		est.ObserveProbe(0, 10)
-	}
-	adm.SetHeadroomSource(est)
-
-	d := adm.Admit(probSpec("gold", 30, 0.9))
-	if d.Admitted {
-		t.Fatalf("posterior veto should have blocked a 30 Mbps ask over ~10 Mbps credible floor: %+v", d)
-	}
-	if d.Reason != "insufficient posterior headroom" {
-		t.Fatalf("reason = %q", d.Reason)
-	}
-	// A modest ask inside the credible floor passes the veto and the
-	// window feasibility test.
-	if d := adm.Admit(probSpec("small", 5, 0.9)); !d.Admitted {
-		t.Fatalf("5 Mbps should clear a ~10 Mbps floor: %+v", d)
-	}
-	// Detaching the source restores window-only behavior.
-	adm.SetHeadroomSource(nil)
-	if d := adm.Admit(probSpec("gold2", 30, 0.9)); !d.Admitted {
-		t.Fatalf("without the source the window CDF governs: %+v", d)
-	}
-}
-
-func TestPosteriorVetoSkipsUnknownPaths(t *testing.T) {
-	// The estimator has never observed the path: ok=false means the veto
-	// must not fire (unknown ≠ zero headroom).
-	mons := []*monitor.PathMonitor{warmMon("A", 49, 50, 51)}
-	adm := NewAdmission(AdmissionOptions{}, mons)
-	adm.SetHeadroomSource(bwest.NewEstimator(bwest.Config{Paths: 1}))
-	if d := adm.Admit(probSpec("gold", 30, 0.9)); !d.Admitted {
-		t.Fatalf("unobserved posterior must not veto: %+v", d)
 	}
 }

@@ -20,24 +20,11 @@ var updateAdmissionGolden = flag.Bool("update-admission", false, "rewrite testda
 // decisions bit for bit rather than to a printed precision.
 func bits(v float64) string { return fmt.Sprintf("%016x", math.Float64bits(v)) }
 
-// fixedHeadroom is a HeadroomSource with a fixed credible floor per
-// path; NaN marks a path the source knows nothing about.
-type fixedHeadroom []float64
-
-func (h fixedHeadroom) PosteriorHeadroom(j int) (float64, bool) {
-	if j >= len(h) || math.IsNaN(h[j]) {
-		return 0, false
-	}
-	return h[j], true
-}
-
 // admissionScript drives one Admission through a seeded sequence of
 // admits (probabilistic, violation-bound, best-effort), releases, monitor
 // samples and remote-load updates, with best-effort preemption enabled,
-// and renders every decision and committed-load vector it produces. With
-// headroom set, a posterior floor vetoes some admits before the window
-// test.
-func admissionScript(seed int64, headroom HeadroomSource) string {
+// and renders every decision and committed-load vector it produces.
+func admissionScript(seed int64) string {
 	rng := rand.New(rand.NewSource(seed))
 	mons := []*monitor.PathMonitor{
 		warmMon("A", 45, 50, 55),
@@ -45,9 +32,6 @@ func admissionScript(seed int64, headroom HeadroomSource) string {
 		warmMon("C", 12, 15, 18, 21),
 	}
 	adm := NewAdmission(AdmissionOptions{PreemptBestEffort: true, TwSec: 0.5}, mons)
-	if headroom != nil {
-		adm.SetHeadroomSource(headroom)
-	}
 	var out strings.Builder
 	var live []string
 	next := 0
@@ -128,10 +112,8 @@ func TestAdmissionDecisionsGolden(t *testing.T) {
 	var got strings.Builder
 	for _, seed := range []int64{1, 2, 3} {
 		fmt.Fprintf(&got, "seed %d\n", seed)
-		got.WriteString(admissionScript(seed, nil))
+		got.WriteString(admissionScript(seed))
 	}
-	got.WriteString("seed 4 with posterior headroom\n")
-	got.WriteString(admissionScript(4, fixedHeadroom{40, math.NaN(), 12}))
 	path := filepath.Join("testdata", "admission_decisions.golden")
 	if *updateAdmissionGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {

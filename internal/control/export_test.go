@@ -78,11 +78,3 @@ func Compose(parts ...Schedule) Schedule {
 	}
 	return s
 }
-
-// SetHeadroomSource attaches (or, with nil, detaches) a posterior
-// headroom source consulted on every guaranteed admission.
-func (a *Admission) SetHeadroomSource(src HeadroomSource) {
-	a.mu.Lock()
-	a.headroom = src
-	a.mu.Unlock()
-}

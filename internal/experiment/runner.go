@@ -235,13 +235,9 @@ func Run(cfg RunConfig, scn Scenario) (Result, error) {
 		frameProgress[i] = make(map[uint64]int)
 	}
 	frames, _ := w.(framed)
-	// deliver accounts a delivered packet: a sparse RTT sample (every 64th
-	// packet, twice the one-way delay as the round-trip proxy), the
-	// guarantee accountant, the sample's bits and a completed frame.
+	// deliver accounts a delivered packet: the guarantee accountant, the
+	// sample's bits and a completed frame.
 	deliver := func(j int, pkt *simnet.Packet, t int64) {
-		if pkt.ID%64 == 0 {
-			mons[j].ObserveRTT(2 * float64(pkt.Delivered-pkt.Created) * tickSec)
-		}
 		acct.ObserveDelivery(pkt.Stream, pkt.Bits, pkt.Deadline != 0 && pkt.Delivered > pkt.Deadline)
 		bits[pkt.Stream][j] += pkt.Bits
 		if frames == nil || pkt.Frame == 0 {

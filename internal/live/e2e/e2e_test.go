@@ -223,8 +223,6 @@ func runPhase(t *testing.T, kind stream.GuaranteeKind, name string, relayA, rela
 		p := live.NewProber(live.ProbeConfig{IntervalSec: probeSec}, clock, conn)
 		j := j
 		p.OnBandwidth = func(mbps float64) { d.ObserveBandwidth(0, j, mbps) }
-		p.OnRTT = func(sec float64) { d.ObserveRTT(0, j, sec) }
-		p.OnLoss = func(rate float64) { d.ObserveLoss(0, j, rate) }
 		live.Bind(conn, p, nil)
 		go p.Run(ctx)
 	}

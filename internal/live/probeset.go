@@ -8,40 +8,12 @@ import (
 // TrainPlanner decides which paths emit a dispersion train each probing
 // round. PlanTrains receives the per-round budget (k ≤ 0 means "the
 // planner's own default") and returns path indexes into the ProberSet's
-// prober slice. bwest.Estimator implements this with its information-
-// gain planner; FixedPlanner reproduces the everything-on-a-timer sweep.
+// prober slice. bwest.Estimator implements it: with its information-gain
+// planner it probes where the posterior is least certain, with its
+// round-robin planner at a budget of the path count it reproduces the
+// everything-on-a-timer sweep.
 type TrainPlanner interface {
 	PlanTrains(k int) []int
-}
-
-// FixedPlanner is the fixed-cadence oracle: every path, every round —
-// exactly the cost model of running each Prober's own Run loop. With a
-// Budget below the path count it degrades to a round-robin sweep.
-type FixedPlanner struct {
-	paths  int
-	cursor int
-	out    []int
-}
-
-// NewFixedPlanner sweeps paths paths per round.
-func NewFixedPlanner(paths int) *FixedPlanner {
-	return &FixedPlanner{paths: paths}
-}
-
-// PlanTrains implements TrainPlanner.
-func (f *FixedPlanner) PlanTrains(k int) []int {
-	if k <= 0 || k > f.paths {
-		k = f.paths
-	}
-	f.out = f.out[:0]
-	for i := 0; i < k; i++ {
-		f.out = append(f.out, f.cursor)
-		f.cursor++
-		if f.cursor >= f.paths {
-			f.cursor = 0
-		}
-	}
-	return f.out
 }
 
 // ProberSetConfig tunes a ProberSet.
@@ -58,10 +30,10 @@ type ProberSetConfig struct {
 // each round it asks the TrainPlanner which paths deserve a train and
 // emits only those, instead of every path running its own timer. This
 // is what turns O(paths) fixed-cadence probing into budgeted active
-// probing — with a FixedPlanner and budget = path count it is behavior-
-// identical to the per-path Run loops it replaces (pinned by the
-// regression test), and with a bwest information-gain planner the same
-// loop concentrates trains where posterior uncertainty is highest.
+// probing — with a bwest round-robin planner and budget = path count it
+// is behavior-identical to the per-path Run loops it replaces (pinned by
+// the regression test), and with a bwest information-gain planner the
+// same loop concentrates trains where posterior uncertainty is highest.
 // Passive samples stay per-path and per-round: they come free from the
 // connections' own counters, so there is no reason to ration them.
 type ProberSet struct {
@@ -72,7 +44,7 @@ type ProberSet struct {
 }
 
 // NewProberSet builds a planning loop over probers. planner must not be
-// nil; use NewFixedPlanner(len(probers)) for the oracle sweep.
+// nil.
 func NewProberSet(cfg ProberSetConfig, clock Clock, probers []*Prober, planner TrainPlanner) *ProberSet {
 	if len(probers) == 0 {
 		panic("live: ProberSet needs probers")

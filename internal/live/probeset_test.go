@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"iqpaths/internal/bwest"
 	"iqpaths/internal/transport"
 )
 
@@ -67,10 +68,11 @@ func TestDefaultProberConfigByteIdentical(t *testing.T) {
 	<-done
 }
 
-// TestProberSetFixedPlannerMatchesTimers pins the ProberSet + fixed
-// planner at full budget to the behavior of one Run loop per path: per
-// round, every path emits exactly one default train, in path order.
-func TestProberSetFixedPlannerMatchesTimers(t *testing.T) {
+// TestProberSetRoundRobinMatchesTimers pins the ProberSet over a bwest
+// estimator with the round-robin planner, at a budget of the path count,
+// to the behavior of one Run loop per path: per round, every path emits
+// exactly one default train, in path order.
+func TestProberSetRoundRobinMatchesTimers(t *testing.T) {
 	const paths = 3
 	clock := NewFakeClock()
 	conns := make([]*fakeRaw, paths)
@@ -79,7 +81,8 @@ func TestProberSetFixedPlannerMatchesTimers(t *testing.T) {
 		conns[i] = newFakeRaw()
 		probers[i] = NewProber(ProberConfig{}, clock, conns[i])
 	}
-	ps := NewProberSet(ProberSetConfig{}, clock, probers, NewFixedPlanner(paths))
+	est := bwest.NewEstimator(bwest.Config{Paths: paths, Budget: paths, Planner: bwest.NewRoundRobinPlanner()})
+	ps := NewProberSet(ProberSetConfig{}, clock, probers, est)
 
 	for round := 0; round < 3; round++ {
 		if got := ps.ProbeRound(); got != paths {
@@ -100,23 +103,6 @@ func TestProberSetFixedPlannerMatchesTimers(t *testing.T) {
 				t.Fatalf("path %d round %d: extra packet", pi, round)
 			default:
 			}
-		}
-	}
-}
-
-func TestFixedPlannerBudgetSweeps(t *testing.T) {
-	f := NewFixedPlanner(5)
-	var got []int
-	for r := 0; r < 5; r++ {
-		got = append(got, f.PlanTrains(2)...)
-	}
-	want := []int{0, 1, 2, 3, 4, 0, 1, 2, 3, 4}
-	if len(got) != len(want) {
-		t.Fatalf("plans %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("plans %v, want %v", got, want)
 		}
 	}
 }
@@ -162,7 +148,7 @@ func TestProberSetRunPacesOnClock(t *testing.T) {
 	clock := NewFakeClock()
 	conn := newFakeRaw()
 	p := NewProber(ProberConfig{TrainPackets: 2}, clock, conn)
-	ps := NewProberSet(ProberSetConfig{IntervalSec: 0.25}, clock, []*Prober{p}, NewFixedPlanner(1))
+	ps := NewProberSet(ProberSetConfig{IntervalSec: 0.25}, clock, []*Prober{p}, plannerFunc(func(int) []int { return []int{0} }))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
@@ -184,7 +170,9 @@ func TestProberSetRunPacesOnClock(t *testing.T) {
 
 func TestProberSetPanics(t *testing.T) {
 	for _, fn := range []func(){
-		func() { NewProberSet(ProberSetConfig{}, NewFakeClock(), nil, NewFixedPlanner(1)) },
+		func() {
+			NewProberSet(ProberSetConfig{}, NewFakeClock(), nil, plannerFunc(func(int) []int { return nil }))
+		},
 		func() {
 			NewProberSet(ProberSetConfig{}, NewFakeClock(), []*Prober{NewProber(ProberConfig{}, NewFakeClock(), newFakeRaw())}, nil)
 		},

@@ -87,18 +87,19 @@ type ShardedConfig struct {
 
 // ShardedDriver is the live driver: it runs the unchanged PGOS engine in
 // wall-clock time. Applications Offer packets into stream backlogs,
-// probers feed the path monitors via Observe*, and each tick every
-// scheduling domain runs one PGOS dispatch round, which paces each
-// admitted stream's packets onto its domain's live paths per the
-// scheduler's per-window rate decisions and re-runs the resource mapping
-// whenever the monitored CDFs drift (the scheduler's own KS trigger).
+// probers feed the path monitors' bandwidth samples via
+// ObserveBandwidth, and each tick every scheduling domain runs one PGOS
+// dispatch round, which paces each admitted stream's packets onto its
+// domain's live paths per the scheduler's per-window rate decisions and
+// re-runs the resource mapping whenever the monitored CDFs drift (the
+// scheduler's own KS trigger).
 // There is one domain per ShardDomain, streams spread by placement, and
 // all control (admission, offers, probe feeds) flows through the
 // plane's per-shard command queues, taking effect at the owning shard's
 // next tick boundary. With one domain the plane ticks inline on the
 // driver goroutine, byte-identical to a bare scheduler.
 //
-// Offer/Observe*/AddStream are safe from any goroutine. Step and
+// Offer/ObserveBandwidth/AddStream are safe from any goroutine. Step and
 // Run must be called from a single goroutine; Stats/Mapping-style reads
 // serialize against Step internally, so they are safe anytime.
 type ShardedDriver struct {
@@ -217,15 +218,13 @@ func (d *ShardedDriver) ObserveBandwidth(k, j int, mbps float64) {
 	d.plane.ObserveBandwidth(k, j, mbps)
 }
 
-// ObserveRTT feeds one RTT sample (seconds) to path j of shard k.
-func (d *ShardedDriver) ObserveRTT(k, j int, sec float64) {
-	d.plane.ObserveRTT(k, j, sec)
-}
+// ObserveRTT discards an RTT sample: PGOS maps on bandwidth alone, so
+// the monitors keep no RTT window. It remains only because a benchmark
+// harness binds prober RTT callbacks to it; it goes with that binding.
+func (d *ShardedDriver) ObserveRTT(k, j int, sec float64) {}
 
-// ObserveLoss feeds one loss-rate sample ([0,1]) to path j of shard k.
-func (d *ShardedDriver) ObserveLoss(k, j int, rate float64) {
-	d.plane.ObserveLoss(k, j, rate)
-}
+// ObserveLoss discards a loss-rate sample, as ObserveRTT does an RTT one.
+func (d *ShardedDriver) ObserveLoss(k, j int, rate float64) {}
 
 // Step executes one scheduling tick across every shard (a barrier; see
 // shard.Plane.Tick) after the OnTick hook and window bookkeeping.

@@ -210,8 +210,6 @@ func TestDriverWarm(t *testing.T) {
 	}
 	for i := 0; i < 8; i++ {
 		d.ObserveBandwidth(0, 0, 50)
-		d.ObserveRTT(0, 0, 0.01)
-		d.ObserveLoss(0, 0, 0)
 	}
 	if d.Warm() {
 		t.Fatal("Warm() true before the samples reached a tick boundary")

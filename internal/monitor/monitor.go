@@ -1,9 +1,10 @@
 // Package monitor implements IQ-Paths' Statistical Monitoring component
-// (Fig. 3): per-path tracking of available bandwidth (as a sliding-window
-// empirical distribution), loss rate, and RTT, and the queries PGOS makes
-// against them: the bandwidth distribution its Lemma 1/2 checks read, and
-// detection of the "CDF changes dramatically" condition that triggers
-// resource remapping.
+// (Fig. 3): per-path tracking of available bandwidth as a sliding-window
+// empirical distribution, and the queries PGOS makes against it: the
+// bandwidth distribution its Lemma 1/2 checks read, and detection of the
+// "CDF changes dramatically" condition that triggers resource remapping.
+// Bandwidth is the only input: PGOS consumes per-path available-bandwidth
+// processes and nothing else.
 package monitor
 
 import (
@@ -13,13 +14,11 @@ import (
 	"iqpaths/internal/stats"
 )
 
-// PathMonitor accumulates one path's measurements. Not safe for
+// PathMonitor accumulates one path's bandwidth samples. Not safe for
 // concurrent use; the overlay node's event loop owns it.
 type PathMonitor struct {
 	name string
 	bw   *stats.Window
-	rtt  *stats.Window
-	loss *stats.Window
 	// baseline is the bandwidth CDF snapshot taken at the last resource
 	// mapping; DramaticChange compares against it.
 	baseline *stats.CDF
@@ -45,8 +44,6 @@ func New(name string, windowN, minWarm int) *PathMonitor {
 	return &PathMonitor{
 		name:    name,
 		bw:      stats.NewWindow(windowN),
-		rtt:     stats.NewWindow(windowN),
-		loss:    stats.NewWindow(windowN),
 		minWarm: minWarm,
 	}
 }
@@ -61,12 +58,6 @@ func (m *PathMonitor) ObserveBandwidth(mbps float64) {
 // whenever the bandwidth window may have, so an unchanged generation
 // means a CDF taken earlier still describes the window.
 func (m *PathMonitor) BandwidthGen() uint64 { return m.bwGen }
-
-// ObserveRTT records one round-trip-time sample in seconds.
-func (m *PathMonitor) ObserveRTT(sec float64) { m.rtt.Add(sec) }
-
-// ObserveLoss records one loss-rate sample in [0, 1].
-func (m *PathMonitor) ObserveLoss(rate float64) { m.loss.Add(rate) }
 
 // Warm reports whether enough bandwidth samples have accumulated for the
 // statistical queries to be meaningful.
@@ -83,12 +74,6 @@ func (m *PathMonitor) CDF() *stats.CDF { return m.bw.Snapshot() }
 // window. Answers match CDF() exactly but track the window as samples
 // arrive; callers needing an immutable baseline must use CDF().
 func (m *PathMonitor) Dist() stats.Distribution { return m.bw.Dist() }
-
-// MeanRTT returns the windowed mean RTT in seconds.
-func (m *PathMonitor) MeanRTT() float64 { return m.rtt.Mean() }
-
-// MeanLoss returns the windowed mean loss rate.
-func (m *PathMonitor) MeanLoss() float64 { return m.loss.Mean() }
 
 // MarkBaseline snapshots the current CDF as the distribution the active
 // resource mapping was computed from.

@@ -87,20 +87,6 @@ func TestDramaticChangeColdMonitor(t *testing.T) {
 	}
 }
 
-func TestRTTAndLoss(t *testing.T) {
-	m := New("p", 10, 2)
-	m.ObserveRTT(0.05)
-	m.ObserveRTT(0.07)
-	if got := m.MeanRTT(); math.Abs(got-0.06) > 1e-9 {
-		t.Fatalf("mean RTT = %v", got)
-	}
-	m.ObserveLoss(0.02)
-	m.ObserveLoss(0.04)
-	if got := m.MeanLoss(); math.Abs(got-0.03) > 1e-9 {
-		t.Fatalf("mean loss = %v", got)
-	}
-}
-
 func TestSamplerReadsPath(t *testing.T) {
 	net := simnet.New(0.01, rand.New(rand.NewSource(1)))
 	l := net.AddLink(simnet.LinkConfig{Name: "l", CapacityMbps: 100, Cross: trace.NewCBR(40)})

@@ -10,16 +10,6 @@ import (
 // allocation. This is the "previous scheduling vectors don't satisfy
 // current CDF" remap trigger of Fig. 7 line 2.
 func (m *Mapping) Satisfied(streams []*stream.Stream, cdfs []stats.Distribution, slack float64) bool {
-	return m.SatisfiedWith(streams, cdfs, m.Metrics, slack)
-}
-
-// SatisfiedWith checks the active mapping against fresh distributions
-// and path metrics: every accepted guaranteed stream must still clear its
-// guarantee on its allocation, and a mapped path whose loss rate or RTT
-// has drifted past a stream's ceiling also invalidates the mapping. This
-// is the "previous scheduling vectors don't satisfy current CDF" remap
-// trigger of Fig. 7 line 2.
-func (m *Mapping) SatisfiedWith(streams []*stream.Stream, cdfs []stats.Distribution, metrics []PathMetrics, slack float64) bool {
 	var sc satisfyScratch
-	return m.satisfiedWith(streams, cdfs, metrics, slack, &sc)
+	return m.satisfiedWith(streams, cdfs, slack, &sc)
 }

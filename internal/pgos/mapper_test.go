@@ -24,12 +24,6 @@ func randomMappingInput(rng *rand.Rand) ([]*stream.Stream, []stats.Distribution,
 			opt.InitialCommitted[j] = rng.Float64() * 20
 		}
 	}
-	if rng.Intn(3) == 0 {
-		opt.Metrics = make([]PathMetrics, l)
-		for j := range opt.Metrics {
-			opt.Metrics[j] = PathMetrics{MeanLoss: rng.Float64() * 0.1, MeanRTT: rng.Float64() * 0.2}
-		}
-	}
 	opt.MeanPrediction = rng.Intn(5) == 0
 	streams := make([]*stream.Stream, rng.Intn(12))
 	for i := range streams {
@@ -43,9 +37,6 @@ func randomMappingInput(rng *rand.Rand) ([]*stream.Stream, []stats.Distribution,
 			spec.MaxViolations = rng.Float64() * 100
 		default:
 			spec.Kind = stream.BestEffort
-		}
-		if rng.Intn(4) == 0 {
-			spec.MaxLossRate = rng.Float64() * 0.1
 		}
 		if rng.Intn(6) == 0 {
 			spec.WindowX = 1 + rng.Intn(400)
@@ -67,7 +58,7 @@ func sameMapping(a, b *Mapping) bool {
 		}
 	}
 	return slices.Equal(a.SinglePath, b.SinglePath) && slices.Equal(a.Rejected, b.Rejected) &&
-		slices.Equal(a.Committed, b.Committed) && slices.Equal(a.Metrics, b.Metrics) &&
+		slices.Equal(a.Committed, b.Committed) &&
 		a.TwSec == b.TwSec && a.MeanPrediction == b.MeanPrediction
 }
 

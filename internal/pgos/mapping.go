@@ -29,8 +29,6 @@ type Mapping struct {
 	// MeanPrediction records that the mapping was computed from mean
 	// bandwidth predictions instead of the distribution (ablation mode).
 	MeanPrediction bool
-	// Metrics are the per-path loss/RTT measures the mapping honored.
-	Metrics []PathMetrics
 }
 
 // appendMapOrder writes stream indices in mapping priority order into
@@ -79,15 +77,6 @@ func appendMapOrder(dst []int, streams []*stream.Stream) []int {
 	return dst
 }
 
-// PathMetrics carries a path's non-bandwidth quality measures into the
-// mapper, for streams with loss-rate or RTT service objectives.
-type PathMetrics struct {
-	// MeanLoss is the path's measured mean loss rate in [0, 1].
-	MeanLoss float64
-	// MeanRTT is the path's measured mean round-trip time in seconds.
-	MeanRTT float64
-}
-
 // MapOptions tunes ComputeMappingOpts.
 type MapOptions struct {
 	// MeanPrediction makes the mapper treat each path's *mean* bandwidth
@@ -95,9 +84,6 @@ type MapOptions struct {
 	// paper argues against), instead of the distribution percentiles.
 	// Used by the predictor-contribution ablation.
 	MeanPrediction bool
-	// Metrics, when non-nil (parallel to the CDFs), lets streams with
-	// MaxLossRate/MaxRTT objectives exclude unacceptable paths.
-	Metrics []PathMetrics
 	// InitialCommitted, when non-nil (parallel to the CDFs), seeds each
 	// path's committed rate in Mbps before any stream is mapped. The
 	// control plane's admission test uses it to ask "does this candidate
@@ -167,7 +153,7 @@ func (mp *Mapper) Map(streams []*stream.Stream, cdfs []stats.Distribution, twSec
 	}
 	m.Rejected = reuse(m.Rejected, n)
 	m.Committed = reuse(m.Committed, l)
-	m.TwSec, m.MeanPrediction, m.Metrics = twSec, opt.MeanPrediction, opt.Metrics
+	m.TwSec, m.MeanPrediction = twSec, opt.MeanPrediction
 	for j, c := range opt.InitialCommitted {
 		if j < l && c > 0 {
 			m.Committed[j] = c
@@ -220,9 +206,6 @@ func (mp *Mapper) mapProbabilistic(s *stream.Stream, i, x int, cdfs []stats.Dist
 	// bandwidths for critical traffic".
 	best, bestProb, bestCV := -1, 0.0, 0.0
 	for j, cdf := range cdfs {
-		if !m.pathAcceptable(s, j) {
-			continue
-		}
 		p := m.guaranteeProb(cdf, x, s.PacketBits, twSec, m.Committed[j])
 		if p < s.Probability {
 			continue
@@ -246,9 +229,6 @@ func (mp *Mapper) mapProbabilistic(s *stream.Stream, i, x int, cdfs []stats.Dist
 	hs := slices.Grow(mp.hs[:0], len(cdfs))
 	total := 0.0
 	for j, cdf := range cdfs {
-		if !m.pathAcceptable(s, j) {
-			continue
-		}
 		h := m.feasibleRate(cdf, s.Probability, m.Committed[j])
 		if h > 0 {
 			hs = append(hs, headroom{j, h})
@@ -294,9 +274,6 @@ func (mp *Mapper) mapViolationBound(s *stream.Stream, i, x int, cdfs []stats.Dis
 	// Single path: the one with the smallest E[Z], if within bound.
 	best, bestEZ := -1, 0.0
 	for j, cdf := range cdfs {
-		if !m.pathAcceptable(s, j) {
-			continue
-		}
 		ez := ExpectedViolations(cdf, x, s.PacketBits, twSec, m.Committed[j])
 		if best < 0 || ez < bestEZ {
 			best, bestEZ = j, ez
@@ -317,7 +294,7 @@ func (mp *Mapper) mapViolationBound(s *stream.Stream, i, x int, cdfs []stats.Dis
 	}
 	alloc := reuse(mp.alloc, len(cdfs))
 	mp.alloc = alloc
-	if !m.anyAcceptable(s, len(cdfs)) {
+	if len(cdfs) == 0 {
 		m.Rejected[i] = true
 		return
 	}
@@ -328,9 +305,6 @@ func (mp *Mapper) mapViolationBound(s *stream.Stream, i, x int, cdfs []stats.Dis
 		}
 		bestJ, bestDelta := -1, 0.0
 		for j, cdf := range cdfs {
-			if !m.pathAcceptable(s, j) {
-				continue
-			}
 			cur := ExpectedViolations(cdf, alloc[j], s.PacketBits, twSec, m.Committed[j])
 			next := ExpectedViolations(cdf, alloc[j]+c, s.PacketBits, twSec, m.Committed[j])
 			delta := next - cur
@@ -355,18 +329,17 @@ func (mp *Mapper) mapViolationBound(s *stream.Stream, i, x int, cdfs []stats.Dis
 	}
 }
 
-// satisfyScratch carries SatisfiedWith's working buffers so a caller
+// satisfyScratch carries satisfiedWith's working buffers so a caller
 // re-checking every window (the PGOS scheduler) allocates nothing.
 type satisfyScratch struct {
 	order     []int
 	committed []float64
 }
 
-func (m *Mapping) satisfiedWith(streams []*stream.Stream, cdfs []stats.Distribution, metrics []PathMetrics, slack float64, sc *satisfyScratch) bool {
+func (m *Mapping) satisfiedWith(streams []*stream.Stream, cdfs []stats.Distribution, slack float64, sc *satisfyScratch) bool {
 	if len(m.Packets) != len(streams) {
 		return false
 	}
-	probe := Mapping{Metrics: metrics}
 	// Rebuild committed-below bookkeeping in mapping priority order so each
 	// stream is checked against the load of streams mapped before it.
 	sc.order = appendMapOrder(sc.order[:0], streams)
@@ -385,9 +358,6 @@ func (m *Mapping) satisfiedWith(streams []*stream.Stream, cdfs []stats.Distribut
 		for j, pkts := range m.Packets[i] {
 			if pkts == 0 {
 				continue
-			}
-			if !probe.pathAcceptable(s, j) {
-				return false
 			}
 			share := s.RequiredMbps * float64(pkts) / float64(maxInt(s.RequiredPacketsPerWindow(m.TwSec), 1))
 			switch s.Kind {
@@ -413,33 +383,6 @@ func maxInt(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// pathAcceptable reports whether path j satisfies stream s's loss-rate
-// and RTT service objectives (always true when no metrics are supplied
-// or the stream sets no ceilings).
-func (m *Mapping) pathAcceptable(s *stream.Stream, j int) bool {
-	if j >= len(m.Metrics) {
-		return true
-	}
-	mt := m.Metrics[j]
-	if s.MaxLossRate > 0 && mt.MeanLoss > s.MaxLossRate {
-		return false
-	}
-	if s.MaxRTT > 0 && mt.MeanRTT > s.MaxRTT {
-		return false
-	}
-	return true
-}
-
-// anyAcceptable reports whether any of l paths passes the objectives.
-func (m *Mapping) anyAcceptable(s *stream.Stream, l int) bool {
-	for j := 0; j < l; j++ {
-		if m.pathAcceptable(s, j) {
-			return true
-		}
-	}
-	return false
 }
 
 // guaranteeProb evaluates Lemma 1, or its degenerate mean-prediction form

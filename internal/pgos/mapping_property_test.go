@@ -16,14 +16,12 @@ import (
 //     quota; a rejected or best-effort stream is allocated nothing;
 //  2. SinglePath[i] = j implies the whole quota sits on path j;
 //  3. committed rates are nonnegative and no larger than the total
-//     admitted requirement (plus rounding);
-//  4. no packets land on paths that fail a stream's loss/RTT ceilings.
+//     admitted requirement (plus rounding).
 func TestMappingInvariantsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		nPaths := 1 + rng.Intn(4)
 		cdfs := make([]stats.Distribution, nPaths)
-		metrics := make([]PathMetrics, nPaths)
 		for j := range cdfs {
 			xs := make([]float64, 50+rng.Intn(200))
 			base := rng.Float64() * 80
@@ -34,7 +32,6 @@ func TestMappingInvariantsProperty(t *testing.T) {
 				}
 			}
 			cdfs[j] = stats.BuildCDF(xs)
-			metrics[j] = PathMetrics{MeanLoss: rng.Float64() * 0.1, MeanRTT: rng.Float64() * 0.2}
 		}
 		nStreams := 1 + rng.Intn(5)
 		streams := make([]*stream.Stream, nStreams)
@@ -52,16 +49,10 @@ func TestMappingInvariantsProperty(t *testing.T) {
 			default:
 				spec.Kind = stream.BestEffort
 			}
-			if rng.Intn(3) == 0 {
-				spec.MaxLossRate = rng.Float64() * 0.1
-			}
-			if rng.Intn(3) == 0 {
-				spec.MaxRTT = rng.Float64() * 0.2
-			}
 			streams[i] = stream.New(i, spec)
 		}
 		tw := 0.5 + rng.Float64()*2
-		m := ComputeMappingOpts(streams, cdfs, tw, MapOptions{Metrics: metrics})
+		m := ComputeMapping(streams, cdfs, tw)
 
 		totalCommitted := 0.0
 		for j, c := range m.Committed {
@@ -74,12 +65,8 @@ func TestMappingInvariantsProperty(t *testing.T) {
 		totalRequired := 0.0
 		for i, s := range streams {
 			sum := 0
-			for j, pkts := range m.Packets[i] {
+			for _, pkts := range m.Packets[i] {
 				if pkts < 0 {
-					return false
-				}
-				if pkts > 0 && !m.pathAcceptable(s, j) {
-					t.Logf("stream %d allocated to unacceptable path %d", i, j)
 					return false
 				}
 				sum += pkts
@@ -117,6 +104,11 @@ func TestMappingInvariantsProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// twoCDFs builds two constant CDFs.
+func twoCDFs(a, b float64) []stats.Distribution {
+	return []stats.Distribution{constCDF(a, 100), constCDF(b, 100)}
 }
 
 // Property: remapping with the same inputs is deterministic.

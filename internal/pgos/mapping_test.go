@@ -165,6 +165,41 @@ func TestMappingViolationBoundReject(t *testing.T) {
 	}
 }
 
+// With no path distributions at all, the mapper refuses every stream
+// that needs slots (a rate, or a window constraint alone) instead of
+// indexing a path that is not there, in both prediction modes and on a
+// reused Mapper. Best-effort streams are left unmapped, not refused.
+func TestMappingNoPathsRejectsGuaranteed(t *testing.T) {
+	specs := []stream.Spec{
+		{Name: "p", Kind: stream.Probabilistic, RequiredMbps: 5, Probability: 0.9},
+		{Name: "pw", Kind: stream.Probabilistic, WindowX: 10},
+		{Name: "v", Kind: stream.ViolationBound, RequiredMbps: 5, MaxViolations: 1e9},
+		{Name: "vw", Kind: stream.ViolationBound, WindowX: 10, MaxViolations: 1e9},
+		{Name: "be"},
+	}
+	streams := make([]*stream.Stream, len(specs))
+	for i, sp := range specs {
+		streams[i] = stream.New(i, sp)
+	}
+	var mp Mapper
+	for _, opt := range []MapOptions{{}, {MeanPrediction: true}, {InitialCommitted: []float64{3}}} {
+		oneShot := ComputeMappingOpts(streams, nil, 1, opt)
+		for _, m := range []*Mapping{&oneShot, mp.Map(streams, nil, 1, opt)} {
+			for i, s := range streams {
+				if want := s.Kind != stream.BestEffort; m.Rejected[i] != want {
+					t.Errorf("%+v: %s rejected = %v, want %v", opt, s.Name, m.Rejected[i], want)
+				}
+				if len(m.Packets[i]) != 0 || m.SinglePath[i] != -1 {
+					t.Errorf("%+v: %s mapped onto no paths: %v, single %d", opt, s.Name, m.Packets[i], m.SinglePath[i])
+				}
+			}
+			if len(m.Committed) != 0 {
+				t.Errorf("%+v: committed %v over no paths", opt, m.Committed)
+			}
+		}
+	}
+}
+
 func TestMappingSatisfied(t *testing.T) {
 	streams := []*stream.Stream{
 		stream.New(0, stream.Spec{Name: "a", Kind: stream.Probabilistic, RequiredMbps: 20, Probability: 0.95}),

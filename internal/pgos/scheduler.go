@@ -132,11 +132,10 @@ type Scheduler struct {
 	r2 r2State
 	r3 r3State
 
-	// Reusable window-boundary scratch: live Distribution views, path
-	// metrics, and the mapping-validity check's ordering buffers. These
-	// make a steady-state window boundary allocation-free.
+	// Reusable window-boundary scratch: live Distribution views and the
+	// mapping-validity check's ordering buffers. These make a
+	// steady-state window boundary allocation-free.
 	dists      []stats.Distribution
-	metricsBuf []PathMetrics
 	satScratch satisfyScratch
 
 	// oracle, when non-nil, audits every dispatch decision against a
@@ -377,18 +376,6 @@ func (s *Scheduler) liveDists() []stats.Distribution {
 	return s.dists
 }
 
-// liveMetrics refreshes the scratch slice of per-path loss/RTT metrics.
-func (s *Scheduler) liveMetrics() []PathMetrics {
-	if cap(s.metricsBuf) < len(s.mons) {
-		s.metricsBuf = make([]PathMetrics, len(s.mons))
-	}
-	s.metricsBuf = s.metricsBuf[:len(s.mons)]
-	for j, m := range s.mons {
-		s.metricsBuf[j] = PathMetrics{MeanLoss: m.MeanLoss(), MeanRTT: m.MeanRTT()}
-	}
-	return s.metricsBuf
-}
-
 // beginWindow runs Fig. 7 lines 1–11: updateCDF happens continuously in
 // the monitors; here the scheduler decides whether the active scheduling
 // vectors still satisfy the current CDFs and rebuilds them if not. The
@@ -415,8 +402,7 @@ func (s *Scheduler) beginWindow(now int64) {
 			}
 		}
 		if !need {
-			if !s.mapping.satisfiedWith(s.streams, s.liveDists(), s.liveMetrics(),
-				feasibilitySlack, &s.satScratch) {
+			if !s.mapping.satisfiedWith(s.streams, s.liveDists(), feasibilitySlack, &s.satScratch) {
 				need = true
 			}
 		}
@@ -461,13 +447,8 @@ func (s *Scheduler) remap() {
 		copy(wasRejected, s.mapping.Rejected)
 	}
 	dists := s.liveDists()
-	metrics := make([]PathMetrics, len(s.mons))
-	copy(metrics, s.liveMetrics())
 	remapStart := time.Now()
-	s.mapping = ComputeMappingOpts(s.streams, dists, s.cfg.TwSec, MapOptions{
-		MeanPrediction: s.cfg.MeanPrediction,
-		Metrics:        metrics,
-	})
+	s.mapping = ComputeMappingOpts(s.streams, dists, s.cfg.TwSec, MapOptions{MeanPrediction: s.cfg.MeanPrediction})
 	remapLatency := time.Since(remapStart).Seconds()
 	s.haveMap = true
 	s.dirty = false

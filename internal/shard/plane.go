@@ -154,17 +154,7 @@ func (p *Plane) Offer(id int, pkt *simnet.Packet) {
 // ObserveBandwidth feeds one available-bandwidth sample (Mbps) to path j
 // of shard k, applied at that shard's next tick boundary.
 func (p *Plane) ObserveBandwidth(k, j int, mbps float64) {
-	p.shards[k].ring.push(command{op: opObserve, a: j, b: observeBandwidth, v: mbps})
-}
-
-// ObserveRTT feeds one RTT sample (seconds) to path j of shard k.
-func (p *Plane) ObserveRTT(k, j int, sec float64) {
-	p.shards[k].ring.push(command{op: opObserve, a: j, b: observeRTT, v: sec})
-}
-
-// ObserveLoss feeds one loss-rate sample ([0,1]) to path j of shard k.
-func (p *Plane) ObserveLoss(k, j int, rate float64) {
-	p.shards[k].ring.push(command{op: opObserve, a: j, b: observeLoss, v: rate})
+	p.shards[k].ring.push(command{op: opObserve, a: j, v: mbps})
 }
 
 // Owner returns the shard owning global stream id.

@@ -17,23 +17,15 @@ const (
 	opAddStream
 	// opOffer enqueues one packet for global stream a.
 	opOffer
-	// opObserve feeds monitor sample v of kind b (observe* constants) to
-	// local path a.
+	// opObserve feeds available-bandwidth sample v (Mbps) to local path a.
 	opObserve
-)
-
-// Monitor-sample kinds carried by opObserve.
-const (
-	observeBandwidth = iota
-	observeRTT
-	observeLoss
 )
 
 // command is one cross-shard control message. Fields are a union over the
 // ops; unused ones stay zero.
 type command struct {
 	op   op
-	a, b int
+	a    int
 	v    float64
 	spec *stream.Spec
 	pkt  *simnet.Packet

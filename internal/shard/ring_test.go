@@ -68,20 +68,20 @@ func TestCmdQueueConcurrentProducers(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < perProducer; i++ {
-				q.push(command{op: opOffer, a: p, b: i})
+				q.push(command{op: opOffer, a: p, v: float64(i)})
 			}
 		}(p)
 	}
 
 	// Consume concurrently, like a ticking shard would across barriers.
-	got := make([]int, producers) // next expected b per producer
+	got := make([]int, producers) // next expected v per producer
 	total := 0
 	for total < producers*perProducer {
 		batch := q.swap()
 		for _, c := range batch {
-			if c.b != got[c.a] {
-				t.Fatalf("producer %d: command %d arrived before %d (per-producer order violated)",
-					c.a, c.b, got[c.a])
+			if int(c.v) != got[c.a] {
+				t.Fatalf("producer %d: command %v arrived before %d (per-producer order violated)",
+					c.a, c.v, got[c.a])
 			}
 			got[c.a]++
 			total++

@@ -203,16 +203,8 @@ func (sh *Shard) apply(c *command, now int64) {
 			sh.mOfferDrops.Inc()
 		}
 	case opObserve:
-		if c.a < 0 || c.a >= len(sh.mons) {
-			return
-		}
-		switch c.b {
-		case observeBandwidth:
+		if c.a >= 0 && c.a < len(sh.mons) {
 			sh.mons[c.a].ObserveBandwidth(c.v)
-		case observeRTT:
-			sh.mons[c.a].ObserveRTT(c.v)
-		case observeLoss:
-			sh.mons[c.a].ObserveLoss(c.v)
 		}
 	}
 }

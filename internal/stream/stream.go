@@ -61,17 +61,15 @@ type Spec struct {
 	WindowX, WindowY int
 	// PacketBits is the stream's packet size (default 12000 = 1500 B).
 	PacketBits float64
-	// MaxLossRate, when positive, excludes paths whose measured loss rate
-	// exceeds it from this stream's mapping (loss-rate service objective).
-	MaxLossRate float64
-	// MaxRTT, when positive, excludes paths whose measured mean RTT (in
-	// seconds) exceeds it — control traffic typically sets this.
-	MaxRTT float64
 	// Weight is the fair-queuing weight used by the WFQ/MSFQ baselines;
 	// zero derives it from RequiredMbps (or 1 for best-effort).
 	Weight float64
 	// QueueLimit bounds the stream's backlog in packets (default 20000);
 	// overflow drops the newest packets and is counted.
+	// knob: shard's TestConcurrentPlaneConservesPackets and
+	// TestStatsAggregatesByGlobalID and pgos's heap-vs-scan differential
+	// tests (randSpec) and TestSchedulerSteadyTickZeroAlloc bound backlogs
+	// with it; live's TestDriverCountsRefusedOffers overflows one.
 	QueueLimit int
 }
 

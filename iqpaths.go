@@ -116,7 +116,7 @@ func BuildTestbed(cfg TestbedConfig) *Testbed { return emulab.Build(cfg) }
 
 // Monitoring and statistics.
 type (
-	// PathMonitor tracks one path's bandwidth/loss/RTT distributions.
+	// PathMonitor tracks one path's available-bandwidth distribution.
 	PathMonitor = monitor.PathMonitor
 	// Sampler couples an emulated path to a monitor.
 	Sampler = monitor.Sampler

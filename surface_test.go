@@ -65,16 +65,22 @@ func exemption(doc *ast.CommentGroup) (exempt, bad bool) {
 }
 
 // isKnobStruct reports whether a type name is one of the configuration
-// structs whose fields count as knobs.
+// structs whose fields count as knobs: run-level configuration and the
+// per-stream specification (stream.Spec).
 func isKnobStruct(name string) bool {
-	return strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Params") || strings.HasSuffix(name, "Options")
+	for _, suffix := range []string{"Config", "Params", "Options", "Spec"} {
+		if strings.HasSuffix(name, suffix) {
+			return true
+		}
+	}
+	return false
 }
 
 // knobStructs returns the names of pkg's struct types whose exported
-// fields count as knobs: every *Config, *Params or *Options struct and,
-// transitively, every exported struct type of pkg that is the type of an
-// exported field of a counted struct, or the element type of such a
-// field's slice (through pointers).
+// fields count as knobs: every *Config, *Params, *Options or *Spec struct
+// and, transitively, every exported struct type of pkg that is the type
+// of an exported field of a counted struct, or the element type of such
+// a field's slice (through pointers).
 func knobStructs(pkg *types.Package) map[string]bool {
 	counted := map[string]bool{}
 	var add func(name string)
@@ -120,8 +126,9 @@ func knobStructs(pkg *types.Package) map[string]bool {
 //     internal/ that no non-test code of the module or of perfbench
 //     references (a method that implements an interface method counts as
 //     referenced);
-//   - an exported field of an internal *Config, *Params or *Options struct,
-//     or of an exported struct such a struct's fields hold (knobStructs),
+//   - an exported field of an internal *Config, *Params, *Options or *Spec
+//     struct, or of an exported struct such a struct's fields hold
+//     (knobStructs),
 //     that no such code sets, by a composite-literal key, an assignment or
 //     taking its address, outside a defaults method (see markSets).
 //
@@ -222,7 +229,7 @@ func TestNoTestOnlySurface(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d exported fields in internal *Config/*Params/*Options structs and the structs they hold", knobs)
+	t.Logf("%d exported fields in internal *Config/*Params/*Options/*Spec structs and the structs they hold", knobs)
 }
 
 // checkDecl reports a declaration that product code does not use unless it
