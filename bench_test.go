@@ -483,16 +483,3 @@ func BenchmarkBufferBound(b *testing.B) {
 		_ = pgos.BufferBound(c, 50, 1, 0.95)
 	}
 }
-
-// BenchmarkPathloadEstimate measures one dispersion measurement over the
-// testbed's path A (the per-5 s monitoring cost in probing mode).
-func BenchmarkPathloadEstimate(b *testing.B) {
-	tb := BuildTestbed(TestbedConfig{Seed: 1})
-	est := NewBandwidthEstimator(tb.Net, tb.PathA)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if v := est.Estimate(nil); v <= 0 {
-			b.Fatal("estimate failed")
-		}
-	}
-}

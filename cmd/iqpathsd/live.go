@@ -354,59 +354,47 @@ func runSource(ctx context.Context, cfg sourceConfig) error {
 }
 
 // startProbing wires probe trains, routing each path's bandwidth samples
-// to its (shard, local) slot. "timer" is the historical deployment: one
-// Run loop per path, every path trained every interval. "rr" and
-// "active" replace the per-path timers with one budgeted ProberSet
-// planning loop over a bwest.Estimator that also absorbs every probe and
-// passive RTT/loss sample: "rr" plans with its round-robin sweep,
-// "active" with its information-gain planner, which concentrates the
-// budget on the paths with the most posterior uncertainty. The planner
-// name was validated before any path was dialed.
+// to its (shard, local) slot. Every planner runs one ProberSet planning
+// loop over a bwest.Estimator that also absorbs every probe and passive
+// RTT/loss sample. "timer" is the historical deployment: the round-robin
+// sweep at a budget of the path count, so every path is trained every
+// interval. "rr" runs the same sweep at the configured budget, and
+// "active" the information-gain planner, which concentrates the budget
+// on the paths with the most posterior uncertainty. The planner name was
+// validated before any path was dialed.
 func startProbing(ctx context.Context, cfg sourceConfig, clock live.Clock,
 	conns []*transport.RUDPConn, sp *sourcePlane) {
 	budget := cfg.budget
 	if budget <= 0 {
 		budget = max(1, len(conns)/2)
 	}
-	var est *bwest.Estimator
-	if cfg.planner == "rr" || cfg.planner == "active" {
-		var planner bwest.Planner // nil selects the information-gain planner
-		if cfg.planner == "rr" {
-			planner = bwest.NewRoundRobinPlanner()
-		}
-		est = bwest.NewEstimator(bwest.Config{
-			Paths:     len(conns),
-			Budget:    budget,
-			Planner:   planner,
-			Telemetry: telemetry.Default(),
-		})
+	var planner bwest.Planner // nil selects the information-gain planner
+	switch cfg.planner {
+	case "", "timer":
+		planner, budget = bwest.NewRoundRobinPlanner(), len(conns)
+	case "rr":
+		planner = bwest.NewRoundRobinPlanner()
 	}
+	est := bwest.NewEstimator(bwest.Config{
+		Paths:     len(conns),
+		Budget:    budget,
+		Planner:   planner,
+		Telemetry: telemetry.Default(),
+	})
 	probers := make([]*live.Prober, len(conns))
 	for j, conn := range conns {
 		p := live.NewProber(live.ProberConfig{IntervalSec: cfg.probeSec}, clock, conn)
 		at := sp.pathAt[j]
 		p.OnBandwidth = func(mbps float64) {
 			sp.d.ObserveBandwidth(at.shard, at.local, mbps)
-			if est != nil {
-				est.ObserveProbe(j, mbps)
-			}
+			est.ObserveProbe(j, mbps)
 		}
-		if est != nil {
-			p.OnRTT = func(sec float64) { est.ObserveRTT(j, sec) }
-			p.OnLoss = func(rate float64) { est.ObserveLoss(j, rate, sp.meanBandwidth(j)) }
-		}
+		p.OnRTT = func(sec float64) { est.ObserveRTT(j, sec) }
+		p.OnLoss = func(rate float64) { est.ObserveLoss(j, rate, sp.meanBandwidth(j)) }
 		live.Bind(conn, p, nil)
 		probers[j] = p
 	}
-	if est == nil {
-		for _, p := range probers {
-			go p.Run(ctx)
-		}
-		return
-	}
-	ps := live.NewProberSet(live.ProberSetConfig{IntervalSec: cfg.probeSec, Budget: budget},
-		clock, probers, est)
-	go ps.Run(ctx)
+	go live.NewProberSet(live.ProberSetConfig{Budget: budget}, clock, probers, est).Run(ctx)
 	log.Printf("source: %s probe planner, %d trains/round over %d paths", cfg.planner, budget, len(conns))
 }
 

@@ -75,7 +75,7 @@ func main() {
 		window    = flag.Float64("window", 0.5, "source: scheduling window in seconds")
 		tick      = flag.Float64("tick", 0.005, "source: scheduling tick in seconds")
 		probe     = flag.Float64("probe", 0.25, "source: probe-train interval in seconds")
-		probePlan = flag.String("probe-planner", "timer", "source: probe scheduling — timer (per-path cadence), rr (budgeted round-robin sweep), active (bwest information-gain planner)")
+		probePlan = flag.String("probe-planner", "timer", "source: probe scheduling, one ProberSet loop each — timer (every path every interval), rr (budgeted round-robin sweep), active (bwest information-gain planner)")
 		probeBudg = flag.Int("probe-budget", 0, "source: probe trains per round for rr/active planners (0 = max(1, paths/2))")
 		report    = flag.String("report", "", "source: sink HTTP base URL for link-state reports (optional)")
 		duration  = flag.Duration("duration", 0, "source: stop after this long (0 runs until signal)")

@@ -48,8 +48,7 @@ var (
 
 // Figures is the registry, in output order. A simulated figure's row is
 // a scenario, one sweep axis and its render (simulated); the others run
-// no testbed, or — the dispersion ablation — interleave probe trains with
-// scheduler ticks, so they keep their own Run.
+// no testbed, so they keep their own Run.
 var Figures = []Figure{
 	{[]string{"fig4", "4"}, "Figure 4: bandwidth prediction — mean predictors vs percentile prediction", "all",
 		func(p Params) ([]Table, error) {
@@ -82,10 +81,9 @@ var Figures = []Figure{
 			c.Algorithm, s.Topology = AlgPGOS, multiPath(n)
 		}), pathsTable)},
 	{[]string{"dispersion"}, "Ablation: oracle sampling vs live dispersion probing", "ablations",
-		func(p Params) ([]Table, error) {
-			t, err := probingAblation(p.Run)
-			return []Table{t}, err
-		}},
+		simulated(SmartPointer, over([]bool{false, true}, func(c *RunConfig, s *Scenario, probing bool) {
+			c.Algorithm, s.Dispersion = AlgPGOS, probing
+		}), dispersionTable)},
 	{[]string{"violation-bound"}, "Violation-bound guarantee (Lemma 2) end-to-end: 30 Mbps, E[Z] <= 100 pkts/window", "ablations",
 		simulated(violationBound(30, 100), arms(AlgPGOS), func(_ Params, results []Result) []Table {
 			return violationBoundTables(results[0])

@@ -37,6 +37,48 @@ func pathMonitors(paths []*simnet.Path) ([]*monitor.PathMonitor, []*monitor.Samp
 	return mons, samplers
 }
 
+// dispersionEverySec is the dispersion probing cadence: one train per
+// path every 5 s.
+const dispersionEverySec = 5
+
+// dispersion paces Run's dispersion trains: a round every
+// dispersionEverySec, one path at a time — the next path's train starts
+// in the tick after the previous one settles.
+type dispersion struct {
+	trains []*monitor.Train
+	every  int64
+	cur    int // the path whose train is due or in flight; len(trains) between rounds
+}
+
+func newDispersion(net *simnet.Network, paths []*simnet.Path, mons []*monitor.PathMonitor) *dispersion {
+	d := &dispersion{every: int64(dispersionEverySec / net.TickSeconds()), cur: len(paths)}
+	for j, p := range paths {
+		d.trains = append(d.trains, monitor.NewTrain(net, p, mons[j]))
+	}
+	return d
+}
+
+// start opens a round on the cadence and starts the train due, passing
+// over a path whose train cannot start.
+func (d *dispersion) start(t int64) {
+	if d.cur == len(d.trains) {
+		if t == 0 || t%d.every != 0 {
+			return
+		}
+		d.cur = 0
+	}
+	for d.cur < len(d.trains) && !d.trains[d.cur].Active() && !d.trains[d.cur].Start() {
+		d.cur++
+	}
+}
+
+// settle moves on to the next path once the train in flight settles.
+func (d *dispersion) settle() {
+	if d.cur < len(d.trains) && d.trains[d.cur].Settle() {
+		d.cur++
+	}
+}
+
 // newRunTelemetry builds the per-run telemetry rig: an isolated registry,
 // an event tracer on the emulator's clock, and a guarantee accountant
 // holding each stream's contract.

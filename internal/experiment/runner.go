@@ -156,13 +156,15 @@ func (w sources) Tick() {
 	}
 }
 
-// Run plays scn under cfg — the one runner behind every simulated figure.
-// It builds the topology, the workload, the §4 monitors on every path, the
-// telemetry rig, the fault or churn script and the scheduler arm. Every
-// tick, in this order, it plays the script, ticks the control plane, the
-// workload and the scheduler, steps the network, samples the monitors,
-// accounts each delivery, closes guarantee windows and throughput samples,
-// and calls the workload's hooks.
+// Run plays scn under cfg — the one runner behind every simulated figure,
+// and the only loop that steps a simulated network. It builds the
+// topology, the workload, the §4 monitors on every path, the telemetry
+// rig, the fault or churn script and the scheduler arm. Every tick, in
+// this order, it plays the script, ticks the control plane, starts a
+// dispersion train when one is due, ticks the workload and the scheduler,
+// steps the network, samples the monitors, accounts each delivery,
+// settles the train in flight, closes guarantee windows and throughput
+// samples, and calls the workload's hooks.
 func Run(cfg RunConfig, scn Scenario) (Result, error) {
 	cfg.fillDefaults()
 	net, paths := scn.Topology(cfg.Seed)
@@ -171,6 +173,10 @@ func Run(cfg RunConfig, scn Scenario) (Result, error) {
 	streams := w.Streams()
 
 	mons, samplers := pathMonitors(paths)
+	var probes *dispersion
+	if scn.Dispersion {
+		probes = newDispersion(net, paths, mons)
+	}
 	reg, tracer, acct := newRunTelemetry(net, streams, cfg.TwSec)
 
 	var (
@@ -261,16 +267,22 @@ func Run(cfg RunConfig, scn Scenario) (Result, error) {
 		if cp != nil {
 			cp.ctl.Tick(t) // before the sources it reroutes
 		}
+		if probes != nil {
+			probes.start(t) // trains go out ahead of the tick's traffic
+		}
 		w.Tick()
 		h.Scheduler.Tick(t)
 		net.Step()
-		if t%monEvery == 0 {
+		if probes == nil && t%monEvery == 0 {
 			for _, s := range samplers {
 				s.Sample()
 			}
 		}
 		for j, p := range paths {
 			for _, pkt := range p.TakeDelivered() {
+				if probes != nil && probes.trains[j].Take(pkt) {
+					continue
+				}
 				if pkt.Stream < 0 || pkt.Stream >= len(streams) {
 					continue
 				}
@@ -279,6 +291,9 @@ func Run(cfg RunConfig, scn Scenario) (Result, error) {
 					h.OnDeliver(j, pkt, t)
 				}
 			}
+		}
+		if probes != nil {
+			probes.settle()
 		}
 		if (t+1)%windowTicks == 0 {
 			if t >= warmupTicks {

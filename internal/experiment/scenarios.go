@@ -11,7 +11,8 @@ import (
 )
 
 // Scenario is one simulated testbed run as a value: a topology, a
-// workload on it, and optionally a fault or control-plane churn script.
+// workload on it, optionally a fault or control-plane churn script, and
+// how the monitors are fed.
 // The run adds the arm, seed and durations (RunConfig).
 type Scenario struct {
 	Topology Topology
@@ -22,6 +23,10 @@ type Scenario struct {
 	// Churn, when "static" or "control", routes the run over the control
 	// plane under churn.go's script, frozen or rerouting.
 	Churn string
+	// Dispersion, when set, feeds the monitors with dispersion trains
+	// (monitor.Train) instead of the 0.1 s oracle samplers: every 5 s one
+	// train per path, one path at a time.
+	Dispersion bool
 	// build, when set, replaces the registry arm RunConfig.Algorithm names.
 	build sched.Builder
 }

@@ -21,6 +21,7 @@ import (
 	"testing"
 	"time"
 
+	"iqpaths/internal/bwest"
 	"iqpaths/internal/live"
 	"iqpaths/internal/live/testbed"
 	"iqpaths/internal/monitor"
@@ -219,13 +220,19 @@ func runPhase(t *testing.T, kind stream.GuaranteeKind, name string, relayA, rela
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	for j, conn := range []*transport.RUDPConn{connA, connB} {
+	// Probe trains go out as iqpathsd's default planner sends them: one
+	// round-robin ProberSet training every path every interval.
+	conns := []*transport.RUDPConn{connA, connB}
+	probers := make([]*live.Prober, len(conns))
+	for j, conn := range conns {
 		p := live.NewProber(live.ProbeConfig{IntervalSec: probeSec}, clock, conn)
 		j := j
 		p.OnBandwidth = func(mbps float64) { d.ObserveBandwidth(0, j, mbps) }
 		live.Bind(conn, p, nil)
-		go p.Run(ctx)
+		probers[j] = p
 	}
+	est := bwest.NewEstimator(bwest.Config{Paths: len(conns), Budget: len(conns), Planner: bwest.NewRoundRobinPlanner()})
+	go live.NewProberSet(live.ProberSetConfig{Budget: len(conns)}, clock, probers, est).Run(ctx)
 	runDone := make(chan struct{})
 	go func() {
 		d.Run(ctx)

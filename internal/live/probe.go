@@ -1,7 +1,6 @@
 package live
 
 import (
-	"context"
 	"encoding/binary"
 	"sync"
 	"time"
@@ -59,14 +58,15 @@ func unpackTrainMeta(f uint64) (index, count int) {
 // ProberConfig tunes a Prober.
 type ProberConfig struct {
 	// IntervalSec is the time between probe rounds (default 0.25): one
-	// train plus one passive sample per round. The paper's monitors want
+	// train plus one passive sample per round. A ProberSet rounds at its
+	// probers' interval. The paper's monitors want
 	// hundreds of samples per window-history, so intervals in the
 	// 100–500 ms range warm a 64-sample CDF inside seconds.
 	IntervalSec float64
 	// TrainPackets is the probes per train (default 16). Dispersion uses
 	// the (TrainPackets−1) inter-arrival gaps.
-	// knob: TestProbeTrainDispersion, TestProberRunPacesOnClock and the
-	// ProberSet tests count the frames of 2- and 4-packet trains.
+	// knob: TestProbeTrainDispersion and the ProberSet tests count the
+	// frames of 2- and 4-packet trains.
 	TrainPackets int
 }
 
@@ -86,10 +86,10 @@ func (c *ProberConfig) fillDefaults() {
 	}
 }
 
-// Prober measures one live path: periodic packet-train dispersion probes
-// (the pathload-class estimator of internal/pathload, now over real
+// Prober measures one live path: packet-train dispersion probes (the
+// pathload-class estimator monitor.Train runs over simnet, here over real
 // sockets) plus passive RTT and loss sampling from the RUDP connection's
-// own counters. Results flow to the callbacks, which typically are the
+// own counters; a ProberSet paces its rounds. Results flow to the callbacks, which typically are the
 // driver's Observe* methods for the matching path index — closing the
 // loop that keeps the CDF predictors driven by measured data.
 type Prober struct {
@@ -209,22 +209,6 @@ func (p *Prober) SamplePassive() {
 	}
 	if p.OnLoss != nil {
 		p.OnLoss(rate)
-	}
-}
-
-// Run probes every IntervalSec until ctx is done.
-func (p *Prober) Run(ctx context.Context) {
-	interval := time.Duration(p.cfg.IntervalSec * float64(time.Second))
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-p.clock.After(interval):
-		}
-		if err := p.ProbeOnce(); err != nil {
-			return // connection gone
-		}
-		p.SamplePassive()
 	}
 }
 

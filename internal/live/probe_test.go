@@ -1,7 +1,6 @@
 package live
 
 import (
-	"context"
 	"runtime"
 	"sync"
 	"testing"
@@ -190,36 +189,6 @@ func TestSamplePassive(t *testing.T) {
 	if losses[1] != 0.2 {
 		t.Fatalf("loss %v, want 0.2", losses[1])
 	}
-}
-
-func TestProberRunPacesOnClock(t *testing.T) {
-	clock := NewFakeClock()
-	conn := newFakeRaw()
-	p := NewProber(ProbeConfig{IntervalSec: 0.25, TrainPackets: 2}, clock, conn)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		p.Run(ctx)
-		close(done)
-	}()
-
-	for round := 0; round < 3; round++ {
-		clock.BlockUntilTimers(1)
-		clock.Advance(250 * time.Millisecond)
-		for i := 0; i < 2; i++ {
-			m := <-conn.out
-			if m.Kind != transport.KindTrain {
-				t.Fatalf("round %d packet %d: kind %d", round, i, m.Kind)
-			}
-		}
-	}
-	if sent, _ := p.Trains(); sent != 3 {
-		t.Fatalf("trains sent %d, want 3", sent)
-	}
-	clock.BlockUntilTimers(1)
-	cancel()
-	<-done
 }
 
 func TestBindDispatchesByRole(t *testing.T) {

@@ -18,22 +18,18 @@ type TrainPlanner interface {
 
 // ProberSetConfig tunes a ProberSet.
 type ProberSetConfig struct {
-	// IntervalSec is the time between planning rounds (default 0.25,
-	// matching the single-prober cadence).
-	IntervalSec float64
 	// Budget is the per-round train budget passed to the planner
 	// (0 = planner default).
 	Budget int
 }
 
-// ProberSet drives a set of per-path Probers from one planning loop:
-// each round it asks the TrainPlanner which paths deserve a train and
-// emits only those, instead of every path running its own timer. This
-// is what turns O(paths) fixed-cadence probing into budgeted active
-// probing — with a bwest round-robin planner and budget = path count it
-// is behavior-identical to the per-path Run loops it replaces (pinned by
-// the regression test), and with a bwest information-gain planner the
-// same loop concentrates trains where posterior uncertainty is highest.
+// ProberSet drives a set of per-path Probers from one planning loop, the
+// only loop that sends live trains: each round it asks the TrainPlanner
+// which paths deserve a train and emits only those. With a bwest
+// round-robin planner and budget = path count it trains every path every
+// round, as one timer per path would (pinned by the regression test);
+// with a bwest information-gain planner the same loop concentrates
+// trains where posterior uncertainty is highest.
 // Passive samples stay per-path and per-round: they come free from the
 // connections' own counters, so there is no reason to ration them.
 type ProberSet struct {
@@ -43,17 +39,14 @@ type ProberSet struct {
 	planner TrainPlanner
 }
 
-// NewProberSet builds a planning loop over probers. planner must not be
-// nil.
+// NewProberSet builds a planning loop over probers, which share one
+// ProberConfig. planner must not be nil.
 func NewProberSet(cfg ProberSetConfig, clock Clock, probers []*Prober, planner TrainPlanner) *ProberSet {
 	if len(probers) == 0 {
 		panic("live: ProberSet needs probers")
 	}
 	if planner == nil {
 		panic("live: ProberSet needs a planner")
-	}
-	if cfg.IntervalSec <= 0 {
-		cfg.IntervalSec = 0.25
 	}
 	if clock == nil {
 		clock = NewWallClock()
@@ -81,9 +74,10 @@ func (ps *ProberSet) ProbeRound() int {
 	return emitted
 }
 
-// Run rounds every IntervalSec until ctx is done.
+// Run rounds every ProberConfig.IntervalSec of its probers, which share
+// one config, until ctx is done.
 func (ps *ProberSet) Run(ctx context.Context) {
-	interval := time.Duration(ps.cfg.IntervalSec * float64(time.Second))
+	interval := time.Duration(ps.probers[0].cfg.IntervalSec * float64(time.Second))
 	for {
 		select {
 		case <-ctx.Done():

@@ -12,16 +12,18 @@ import (
 // TestDefaultProberConfigByteIdentical pins the default ProberConfig to
 // the historical hard-coded behavior: 250 ms cadence, 16-packet trains
 // of 1200-byte payloads, sequential train IDs, index/count metadata —
-// the exact datagrams a pre-ProberConfig prober emitted.
+// the exact datagrams a pre-ProberConfig prober emitted, here paced by a
+// one-prober ProberSet.
 func TestDefaultProberConfigByteIdentical(t *testing.T) {
 	clock := NewFakeClock()
 	conn := newFakeRaw()
 	p := NewProber(ProberConfig{}, clock, conn)
+	ps := NewProberSet(ProberSetConfig{}, clock, []*Prober{p}, plannerFunc(func(int) []int { return []int{0} }))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
-		p.Run(ctx)
+		ps.Run(ctx)
 		close(done)
 	}()
 
@@ -70,7 +72,7 @@ func TestDefaultProberConfigByteIdentical(t *testing.T) {
 
 // TestProberSetRoundRobinMatchesTimers pins the ProberSet over a bwest
 // estimator with the round-robin planner, at a budget of the path count,
-// to the behavior of one Run loop per path: per round, every path emits
+// to the behavior of one timer per path: per round, every path emits
 // exactly one default train, in path order.
 func TestProberSetRoundRobinMatchesTimers(t *testing.T) {
 	const paths = 3
@@ -144,11 +146,13 @@ func TestProberSetHonorsPlanAndSamplesPassively(t *testing.T) {
 	}
 }
 
+// TestProberSetRunPacesOnClock: a ProberSet rounds at its probers'
+// ProberConfig.IntervalSec.
 func TestProberSetRunPacesOnClock(t *testing.T) {
 	clock := NewFakeClock()
 	conn := newFakeRaw()
-	p := NewProber(ProberConfig{TrainPackets: 2}, clock, conn)
-	ps := NewProberSet(ProberSetConfig{IntervalSec: 0.25}, clock, []*Prober{p}, plannerFunc(func(int) []int { return []int{0} }))
+	p := NewProber(ProberConfig{IntervalSec: 0.1, TrainPackets: 2}, clock, conn)
+	ps := NewProberSet(ProberSetConfig{}, clock, []*Prober{p}, plannerFunc(func(int) []int { return []int{0} }))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
@@ -156,12 +160,23 @@ func TestProberSetRunPacesOnClock(t *testing.T) {
 		ps.Run(ctx)
 		close(done)
 	}()
-	for round := 0; round < 2; round++ {
+	for round := 0; round < 3; round++ {
 		clock.BlockUntilTimers(1)
-		clock.Advance(250 * time.Millisecond)
-		for i := 0; i < 2; i++ {
-			<-conn.out
+		clock.Advance(99 * time.Millisecond)
+		select {
+		case m := <-conn.out:
+			t.Fatalf("round %d: train fired before 100 ms: %+v", round, m)
+		default:
 		}
+		clock.Advance(time.Millisecond)
+		for i := 0; i < 2; i++ {
+			if m := <-conn.out; m.Kind != transport.KindTrain {
+				t.Fatalf("round %d packet %d: kind %d", round, i, m.Kind)
+			}
+		}
+	}
+	if sent, _ := p.Trains(); sent != 3 {
+		t.Fatalf("trains sent %d, want 3", sent)
 	}
 	clock.BlockUntilTimers(1)
 	cancel()

@@ -4,7 +4,8 @@
 // bandwidth distribution its Lemma 1/2 checks read, and detection of the
 // "CDF changes dramatically" condition that triggers resource remapping.
 // Bandwidth is the only input: PGOS consumes per-path available-bandwidth
-// processes and nothing else.
+// processes and nothing else. On simnet a monitor is fed by a Sampler
+// (the emulator's oracle) or by a Train (dispersion probes).
 package monitor
 
 import (

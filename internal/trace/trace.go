@@ -35,8 +35,8 @@ type Generator interface {
 type CBR struct{ Rate float64 }
 
 // NewCBR returns a constant source of rate Mbps.
-// testonly: the constant cross-traffic fixture emulab's, monitor's,
-// pathload's and simnet's tests load links with.
+// testonly: the constant cross-traffic fixture emulab's, monitor's and
+// simnet's tests load links with.
 func NewCBR(rate float64) *CBR { return &CBR{Rate: rate} }
 
 // Name implements Generator.

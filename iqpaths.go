@@ -33,7 +33,6 @@ import (
 	"iqpaths/internal/emulab"
 	"iqpaths/internal/monitor"
 	"iqpaths/internal/overlay"
-	"iqpaths/internal/pathload"
 	"iqpaths/internal/pgos"
 	"iqpaths/internal/sched"
 	"iqpaths/internal/simnet"
@@ -134,16 +133,6 @@ func NewPathMonitor(name string, windowN, minWarm int) *PathMonitor {
 // NewSampler wires an emulated path to a monitor.
 func NewSampler(p *Path, m *PathMonitor) *Sampler {
 	return monitor.NewSampler(p, m)
-}
-
-// BandwidthEstimator measures a path end to end with packet-train
-// dispersion (pathload-class probing) instead of reading the emulator's
-// oracle.
-type BandwidthEstimator = pathload.Estimator
-
-// NewBandwidthEstimator builds a dispersion estimator for an emulated path.
-func NewBandwidthEstimator(net *Network, p *Path) *BandwidthEstimator {
-	return pathload.New(net, p)
 }
 
 // Summarize condenses a series into the paper's Fig. 11 quantities.
