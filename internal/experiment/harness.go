@@ -16,12 +16,17 @@ const monitorIntervalSec = 0.1
 // scheduler once Run has built it, and the one hook layer through which a
 // workload measures what its figure needs. Run calls OnDeliver with every
 // delivered packet of the run's streams and PostTick at the end of every
-// tick, each after its own accounting; both are optional.
+// tick, each after its own accounting; both are optional. OnDeliver must
+// not keep the packet: Run returns it to the packet pool right after.
 type Harness struct {
 	Net       *simnet.Network
 	Scheduler sched.Scheduler
 	OnDeliver func(path int, pkt *simnet.Packet, t int64)
 	PostTick  func(t int64)
+
+	// arena is the run's private packet pool: Net draws every packet
+	// from it, so its Outstanding count is the run's live population.
+	arena *simnet.Arena
 }
 
 // pathMonitors builds the §4 monitoring rig over the given paths: a

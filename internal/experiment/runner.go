@@ -164,11 +164,13 @@ func (w sources) Tick() {
 // dispersion train when one is due, ticks the workload and the scheduler,
 // steps the network, samples the monitors, accounts each delivery,
 // settles the train in flight, closes guarantee windows and throughput
-// samples, and calls the workload's hooks.
+// samples, and calls the workload's hooks. Every delivery returns to the
+// run's private packet arena once it is accounted.
 func Run(cfg RunConfig, scn Scenario) (Result, error) {
 	cfg.fillDefaults()
 	net, paths := scn.Topology(cfg.Seed)
-	h := &Harness{Net: net}
+	h := &Harness{Net: net, arena: new(simnet.Arena)}
+	net.SetArena(h.arena)
 	w := scn.Workload.New(h, cfg)
 	streams := w.Streams()
 
@@ -281,15 +283,15 @@ func Run(cfg RunConfig, scn Scenario) (Result, error) {
 		for j, p := range paths {
 			for _, pkt := range p.TakeDelivered() {
 				if probes != nil && probes.trains[j].Take(pkt) {
-					continue
+					continue // Take retired the probe
 				}
-				if pkt.Stream < 0 || pkt.Stream >= len(streams) {
-					continue
+				if pkt.Stream >= 0 && pkt.Stream < len(streams) {
+					deliver(j, pkt, t)
+					if h.OnDeliver != nil {
+						h.OnDeliver(j, pkt, t)
+					}
 				}
-				deliver(j, pkt, t)
-				if h.OnDeliver != nil {
-					h.OnDeliver(j, pkt, t)
-				}
+				simnet.ReleasePacket(pkt)
 			}
 		}
 		if probes != nil {

@@ -2,6 +2,8 @@ package experiment
 
 import (
 	"testing"
+
+	"iqpaths/internal/simnet"
 )
 
 func shortCfg(alg string) RunConfig {
@@ -104,5 +106,60 @@ func TestSmartPointerShape(t *testing.T) {
 	// Frame jitter improves under PGOS (§6.1: 2.0 ms → 1.4 ms).
 	if pj, mj := pg.Streams[0].JitterSec(), ms.Streams[0].JitterSec(); pj > mj {
 		t.Errorf("Atom jitter: PGOS %.4f should not exceed MSFQ %.4f", pj, mj)
+	}
+}
+
+// TestRunReleasesDeliveries: a run returns every packet it delivers to
+// its private arena, so once it ends the arena's outstanding count is
+// exactly the packets the testbed still holds — queued on or in flight
+// along the paths' links, or waiting in the streams' queues — not every
+// packet the run ever sent.
+func TestRunReleasesDeliveries(t *testing.T) {
+	var (
+		h     *Harness
+		paths []*simnet.Path
+		w     workload
+	)
+	scn := SmartPointer
+	scn.Topology = func(seed int64) (*simnet.Network, []*simnet.Path) {
+		net, ps := SmartPointer.Topology(seed)
+		paths = ps
+		return net, ps
+	}
+	scn.Workload.New = func(hh *Harness, cfg RunConfig) workload {
+		h, w = hh, SmartPointer.Workload.New(hh, cfg)
+		return w
+	}
+	if _, err := Run(RunConfig{Algorithm: AlgPGOS, Seed: 42, DurationSec: 5, WarmupSec: 5}, scn); err != nil {
+		t.Fatal(err)
+	}
+
+	// Along the paths: what their first hops accepted, less what was
+	// delivered, dropped at a later hop or lost on a link.
+	var onLinks int64
+	var delivered uint64
+	links := map[*simnet.Link]bool{}
+	for _, p := range paths {
+		st := p.Stats()
+		onLinks += int64(st.Sent) - int64(st.DeliveredCount) - int64(st.Dropped)
+		delivered += st.DeliveredCount
+		for _, l := range p.Links() {
+			links[l] = true
+		}
+	}
+	for l := range links {
+		st := l.Stats()
+		onLinks -= int64(st.LossDrops + st.Processed)
+	}
+	var queued int64
+	for _, s := range w.Streams() {
+		queued += int64(s.Len())
+	}
+	if delivered == 0 {
+		t.Fatal("the run delivered nothing")
+	}
+	if got, want := h.arena.Outstanding(), onLinks+queued; got != want {
+		t.Fatalf("arena holds %d packets after the run, want %d (%d along the paths, %d in stream queues; %d delivered)",
+			got, want, onLinks, queued, delivered)
 	}
 }

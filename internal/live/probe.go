@@ -19,6 +19,9 @@ const (
 // (RTT, retransmits, sent packets) the ARQ machinery maintains for free.
 // *transport.RUDPConn implements it; tests use fakes.
 type RawConn interface {
+	// WriteRaw transmits m once. Like transport.Conn's Send, it must
+	// serialize m before returning and retain neither m nor its Payload:
+	// probers and responders reuse both across calls.
 	WriteRaw(m *transport.Message) error
 	SetRawHandler(fn func(*transport.Message))
 	RTT() time.Duration
@@ -110,6 +113,11 @@ type Prober struct {
 	got      uint64 // replies received
 	lastSent uint64
 	lastRetx uint64
+
+	// trainMu serializes ProbeOnce over train, the one wire message (and
+	// pad) every packet of every train is written from.
+	trainMu sync.Mutex
+	train   transport.Message
 }
 
 // NewProber builds a prober over conn using clock for pacing.
@@ -118,7 +126,11 @@ func NewProber(cfg ProberConfig, clock Clock, conn RawConn) *Prober {
 	if clock == nil {
 		clock = NewWallClock()
 	}
-	return &Prober{cfg: cfg, clock: clock, conn: conn}
+	return &Prober{cfg: cfg, clock: clock, conn: conn, train: transport.Message{
+		Kind:    transport.KindTrain,
+		Stream:  trainRequest,
+		Payload: make([]byte, probeBytes),
+	}}
 }
 
 // Trains returns (trains sent, replies received).
@@ -130,23 +142,19 @@ func (p *Prober) Trains() (sent, replies uint64) {
 
 // ProbeOnce injects one dispersion train at line rate. The responder
 // measures the arrival spread and replies; HandleReply converts it to an
-// available-bandwidth sample.
+// available-bandwidth sample. Concurrent calls send their trains one
+// after the other.
 func (p *Prober) ProbeOnce() error {
+	p.trainMu.Lock()
+	defer p.trainMu.Unlock()
 	p.mu.Lock()
 	p.trainID++
-	id := p.trainID
+	p.train.Seq = p.trainID
 	p.sent++
 	p.mu.Unlock()
-	pad := make([]byte, probeBytes)
 	for i := 0; i < p.cfg.TrainPackets; i++ {
-		m := &transport.Message{
-			Kind:    transport.KindTrain,
-			Stream:  trainRequest,
-			Seq:     id,
-			Frame:   packTrainMeta(i, p.cfg.TrainPackets),
-			Payload: pad,
-		}
-		if err := p.conn.WriteRaw(m); err != nil {
+		p.train.Frame = packTrainMeta(i, p.cfg.TrainPackets)
+		if err := p.conn.WriteRaw(&p.train); err != nil {
 			return err
 		}
 	}
@@ -221,10 +229,19 @@ type Responder struct {
 	// GapTimeout finalizes a train that lost its tail (default 500 ms).
 	GapTimeout time.Duration
 
-	mu  sync.Mutex
-	cur *trainState
+	mu sync.Mutex
+	// cur is the train being timed, reset in place when a new one begins
+	// (valid once started is set); finished trains reply from copies.
+	cur     trainState
+	started bool
 	// armed is set while the one gap-timeout goroutine is pending.
 	armed bool
+
+	// replyMu serializes reply over replyMsg, the reused wire message
+	// (and 16-byte payload) of every reply: the demux goroutine and the
+	// gap watcher both send them.
+	replyMu  sync.Mutex
+	replyMsg transport.Message
 }
 
 type trainState struct {
@@ -244,7 +261,11 @@ func NewResponder(clock Clock, conn RawConn) *Responder {
 	if clock == nil {
 		clock = NewWallClock()
 	}
-	return &Responder{clock: clock, conn: conn, GapTimeout: 500 * time.Millisecond}
+	return &Responder{clock: clock, conn: conn, GapTimeout: 500 * time.Millisecond, replyMsg: transport.Message{
+		Kind:    transport.KindTrain,
+		Stream:  trainReply,
+		Payload: make([]byte, trainReplyBytes),
+	}}
 }
 
 // HandleRequest consumes one train packet, finalizing the previous train
@@ -254,36 +275,36 @@ func NewResponder(clock Clock, conn RawConn) *Responder {
 func (r *Responder) HandleRequest(m *transport.Message) {
 	now := r.clock.Now()
 	_, count := unpackTrainMeta(m.Frame)
-	var finish *trainState
+	var finish, complete trainState
 	r.mu.Lock()
-	if r.cur == nil || r.cur.id != m.Seq {
-		if r.cur != nil && !r.cur.done {
+	if !r.started || r.cur.id != m.Seq {
+		if r.started && !r.cur.done {
 			r.cur.done = true
 			finish = r.cur
 		}
-		r.cur = &trainState{id: m.Seq, count: uint32(count), deadline: now + r.GapTimeout}
+		r.started = true
+		r.cur = trainState{id: m.Seq, count: uint32(count), deadline: now + r.GapTimeout}
 		if !r.armed {
 			r.armed = true
 			go r.watchGap(r.GapTimeout)
 		}
 	}
-	st := r.cur
+	st := &r.cur
 	st.got++
 	if !st.haveTime {
 		st.haveTime = true
 		st.first = now
 	}
 	st.last = now
-	var complete *trainState
 	if st.got >= st.count && !st.done {
 		st.done = true
-		complete = st
+		complete = *st
 	}
 	r.mu.Unlock()
-	if finish != nil {
+	if finish.done {
 		r.reply(finish)
 	}
-	if complete != nil {
+	if complete.done {
 		r.reply(complete)
 	}
 }
@@ -295,53 +316,52 @@ func (r *Responder) watchGap(wait time.Duration) {
 	for {
 		<-r.clock.After(wait)
 		r.mu.Lock()
-		st := r.cur
-		if !st.done {
+		var finish trainState
+		if st := &r.cur; !st.done {
 			if now := r.clock.Now(); now < st.deadline {
 				wait = st.deadline - now
 				r.mu.Unlock()
 				continue
 			}
 			st.done = true
-		} else {
-			st = nil
+			finish = *st
 		}
 		r.armed = false
 		r.mu.Unlock()
-		if st != nil {
-			r.reply(st)
+		if finish.done {
+			r.reply(finish)
 		}
 		return
 	}
 }
 
 // reply reports one finalized train to the prober.
-func (r *Responder) reply(st *trainState) {
+func (r *Responder) reply(st trainState) {
 	if st.got < 2 {
 		return // nothing measurable; the prober's train counter notices
 	}
 	spread := st.last - st.first
-	m := &transport.Message{
-		Kind:    transport.KindTrain,
-		Stream:  trainReply,
-		Seq:     st.id,
-		Payload: marshalTrainReply(int64(spread), st.got, st.count),
-	}
-	_ = r.conn.WriteRaw(m)
+	r.replyMu.Lock()
+	defer r.replyMu.Unlock()
+	r.replyMsg.Seq = st.id
+	putTrainReply(r.replyMsg.Payload, int64(spread), st.got, st.count)
+	_ = r.conn.WriteRaw(&r.replyMsg)
 }
 
-// marshalTrainReply encodes (spreadNanos, got, count).
-func marshalTrainReply(spreadNanos int64, got, count uint32) []byte {
-	buf := make([]byte, 16)
+// trainReplyBytes is the payload size of a train reply.
+const trainReplyBytes = 16
+
+// putTrainReply encodes (spreadNanos, got, count) into buf, which holds
+// trainReplyBytes.
+func putTrainReply(buf []byte, spreadNanos int64, got, count uint32) {
 	binary.LittleEndian.PutUint64(buf, uint64(spreadNanos))
 	binary.LittleEndian.PutUint32(buf[8:], got)
 	binary.LittleEndian.PutUint32(buf[12:], count)
-	return buf
 }
 
-// unmarshalTrainReply decodes marshalTrainReply's layout.
+// unmarshalTrainReply decodes putTrainReply's layout.
 func unmarshalTrainReply(b []byte) (spreadNanos int64, got, count uint32, ok bool) {
-	if len(b) != 16 {
+	if len(b) != trainReplyBytes {
 		return 0, 0, 0, false
 	}
 	return int64(binary.LittleEndian.Uint64(b)),

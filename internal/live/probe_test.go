@@ -9,8 +9,8 @@ import (
 	"iqpaths/internal/transport"
 )
 
-// fakeRaw is an in-memory RawConn: writes land in a channel, passive
-// counters are settable.
+// fakeRaw is an in-memory RawConn: copies of the written messages land
+// in a channel, passive counters are settable.
 type fakeRaw struct {
 	out chan *transport.Message
 
@@ -23,7 +23,13 @@ type fakeRaw struct {
 
 func newFakeRaw() *fakeRaw { return &fakeRaw{out: make(chan *transport.Message, 256)} }
 
-func (f *fakeRaw) WriteRaw(m *transport.Message) error { f.out <- m; return nil }
+// WriteRaw records a copy of m: callers reuse the message they pass.
+func (f *fakeRaw) WriteRaw(m *transport.Message) error {
+	c := *m
+	c.Payload = append([]byte(nil), m.Payload...)
+	f.out <- &c
+	return nil
+}
 func (f *fakeRaw) SetRawHandler(fn func(*transport.Message)) {
 	f.mu.Lock()
 	f.handler = fn

@@ -1,18 +1,22 @@
 package transport
 
 import (
+	"fmt"
 	"net"
+	"net/netip"
 	"testing"
 	"time"
 )
 
-// Allocation budgets of the live datagram path. Everything below the
-// receiver-owned *Message that Recv hands to the application must run
-// without heap allocation: batched reads and writes, the listener's demux
-// of an ack, and a steady RUDP send-plus-ack cycle. testing.AllocsPerRun
-// reports the average over its runs, so "0" means amortised zero: a
-// scratch slice that grows once during warm-up passes, an allocation on
-// every call does not.
+// Allocation budgets of the live datagram path. Batched reads and
+// writes, the listener's demux of an ack, and a steady RUDP send-plus-ack
+// cycle must run without heap allocation. The one thing the path still
+// allocates is the memory of the messages Recv hands to the application,
+// and that is carved from per-connection receive slabs (recvslab.go): at
+// most one chunk or slab per sixteen delivered messages.
+// testing.AllocsPerRun reports the average over its runs, so "0" means
+// amortised zero: a scratch slice that grows once during warm-up passes,
+// an allocation on every call does not.
 
 // TestAllocBudgetBatchConn: ReadBatch and WriteBatch allocate nothing per
 // call, with explicit destination addresses (unconnected sender) and on
@@ -86,30 +90,39 @@ func TestAllocBudgetBatchConn(t *testing.T) {
 	}
 }
 
-// TestAllocBudgetListenerAck: a listener session's send, and the demux of
-// the ack that retires it, allocate nothing.
-func TestAllocBudgetListenerAck(t *testing.T) {
-	skipIfRace(t)
+// listenerSession registers a session on a fresh listener as the demux
+// would on a SYN from a real peer socket, and returns the listener, the
+// peer's address (what the test dispatches frames from) and the session.
+// The peer never sends, so only the test's dispatch calls reach the
+// session.
+func listenerSession(t *testing.T) (*RUDPListener, netip.AddrPort, *RUDPConn) {
+	t.Helper()
 	l, err := ListenRUDP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
+	t.Cleanup(func() { l.Close() })
 	peer, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer peer.Close()
+	t.Cleanup(func() { peer.Close() })
 	from := peer.LocalAddr().(*net.UDPAddr).AddrPort()
-
-	// Register the session as the demux would on the peer's SYN.
 	syn := Message{Kind: KindControl, Payload: ctlSyn}
 	l.dispatch(&syn, from)
 	srv, err := l.Accept()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	t.Cleanup(func() { srv.Close() })
+	return l, from, srv
+}
+
+// TestAllocBudgetListenerAck: a listener session's send, and the demux of
+// the ack that retires it, allocate nothing.
+func TestAllocBudgetListenerAck(t *testing.T) {
+	skipIfRace(t)
+	l, from, srv := listenerSession(t)
 
 	msg := &Message{Kind: KindData, Payload: make([]byte, 1200)}
 	var seq uint64
@@ -126,6 +139,62 @@ func TestAllocBudgetListenerAck(t *testing.T) {
 	}
 	if n := srv.InFlight(); n != 0 {
 		t.Fatalf("%d packets still in flight after their acks", n)
+	}
+}
+
+// TestAllocBudgetRUDPRecv: a listener session's in-order receive — the
+// demux of each data frame, its copy into the receive slab, the acks, and
+// the application's Recv — allocates a fresh Message chunk or payload
+// slab now and then, never a Message or payload per datagram. A live
+// packet's payload shares a slab with twenty others, so the whole path
+// costs at most one object per sixteen messages; a gridftp block (16 KiB)
+// shares one with one other, so one slab per two messages. Each budget
+// leaves about one allocation per 64-message cycle of headroom over the
+// chunks and slabs: AllocsPerRun also counts what the runtime allocates
+// in the background, and a cycle that gives each 16 KiB block its own
+// allocation reads 65 or more.
+func TestAllocBudgetRUDPRecv(t *testing.T) {
+	skipIfRace(t)
+	for _, tc := range []struct {
+		name    string
+		payload int
+		budget  float64 // allocations per received message
+	}{
+		{"live-packet", 1200, 1.0 / 16},
+		{"gridftp-block", 16384, 1.0/2 + 1.0/16},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l, from, srv := listenerSession(t)
+			const batch = 64
+			payload := make([]byte, tc.payload)
+			var seq uint64
+			var failed error
+			cycle := func() {
+				for i := 0; i < batch; i++ {
+					seq++
+					m := Message{Kind: KindData, Seq: seq, Payload: payload}
+					l.dispatch(&m, from)
+				}
+				for want := seq - batch + 1; want <= seq; want++ {
+					m, err := srv.Recv()
+					if err != nil {
+						failed = err
+						return
+					}
+					if m.Seq != want || len(m.Payload) != len(payload) {
+						failed = fmt.Errorf("received seq %d with %d bytes, want seq %d with %d", m.Seq, len(m.Payload), want, len(payload))
+						return
+					}
+				}
+			}
+			allocs := testing.AllocsPerRun(100, cycle)
+			if failed != nil {
+				t.Fatal(failed)
+			}
+			if per := allocs / batch; per > tc.budget {
+				t.Errorf("%v allocs per received message (%v per %d), want at most %v", per, allocs, batch, tc.budget)
+			}
+		})
 	}
 }
 
@@ -171,8 +240,8 @@ func ackingPeer(t *testing.T) (addr string, stop func()) {
 // TestAllocBudgetRUDPSendAck: a dialed connection's steady send-plus-ack
 // cycle — Send and SendBatch, the batched write, the reader's demux of
 // the ack, ring retirement and the retransmit wheel — allocates nothing.
-// The peer acks without allocating, so the receiver's Message (the one
-// allocation the path keeps) is outside the measurement.
+// The peer acks without allocating, so only the sender is measured;
+// TestAllocBudgetRUDPRecv covers the receiving side.
 func TestAllocBudgetRUDPSendAck(t *testing.T) {
 	skipIfRace(t)
 	addr, stop := ackingPeer(t)

@@ -27,7 +27,9 @@ func Unmarshal(buf []byte) (*Message, error) {
 	if err := parseFrame(&m, buf); err != nil {
 		return nil, err
 	}
-	return m.clone(), nil
+	c := m
+	c.Payload = append([]byte(nil), m.Payload...)
+	return &c, nil
 }
 
 // FastRetransmits returns the number of duplicate-ack-triggered

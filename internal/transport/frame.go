@@ -153,7 +153,8 @@ func (m *Message) appendMarshal(buf []byte) ([]byte, error) {
 
 // parseFrame decodes buf into m without copying: m.Payload aliases buf,
 // so m is a view valid only while buf is. The receive paths parse into a
-// stack Message and clone only what outlives the receive buffer.
+// stack Message and copy only what outlives the receive buffer into the
+// connection's receive slab (recvslab.go).
 func parseFrame(m *Message, buf []byte) error {
 	if len(buf) < headerLen {
 		return fmt.Errorf("%w: short datagram (%d bytes)", ErrBadFrame, len(buf))
@@ -173,17 +174,6 @@ func parseFrame(m *Message, buf []byte) error {
 		Payload: buf[headerLen:],
 	}
 	return nil
-}
-
-// clone returns an owned copy of m: a parsed view's payload still aliases
-// the receive buffer, which the next read overwrites. An empty payload
-// clones to nil.
-func (m *Message) clone() *Message {
-	c := &Message{Kind: m.Kind, Stream: m.Stream, Frame: m.Frame, Seq: m.Seq}
-	if len(m.Payload) > 0 {
-		c.Payload = append([]byte(nil), m.Payload...)
-	}
-	return c
 }
 
 // bufferedConn pairs a connection with its buffered reader/writer.

@@ -105,6 +105,11 @@ type RUDPConn struct {
 	recvNext uint64
 	ooo      map[uint64]*Message
 	recvQ    chan *Message
+	// slab carves the messages handle delivers (recvslab.go), and raw is
+	// the view each KindTrain frame reaches the raw handler through; only
+	// the receive goroutine touches either.
+	slab recvSlab
+	raw  Message
 	// ackPending marks in-order deliveries that did not reach an ack
 	// boundary; the retransmit monitor flushes them as a delayed ack.
 	ackPending bool
@@ -209,7 +214,8 @@ func (c *RUDPConn) SentSeq() uint64 {
 // SetRawHandler installs fn as the receiver of KindTrain messages.
 // fn runs on the connection's demux goroutine and must be fast and
 // non-blocking; nil uninstalls. Raw messages bypass sequencing, acks, and
-// Recv entirely.
+// Recv entirely. m and its Payload alias the receive buffer and are valid
+// only during the call: fn must copy anything it keeps.
 func (c *RUDPConn) SetRawHandler(fn func(*Message)) {
 	c.rawMu.Lock()
 	c.rawHandler = fn
@@ -377,7 +383,8 @@ func (c *RUDPConn) SendBatch(msgs []*Message) error {
 	return nil
 }
 
-// Recv implements Conn: messages are delivered reliably and in order.
+// Recv implements Conn: messages are delivered reliably and in order,
+// carved from the connection's receive slab (see Conn.Recv on retention).
 func (c *RUDPConn) Recv() (*Message, error) {
 	m, ok := <-c.recvQ
 	if !ok {
@@ -414,8 +421,10 @@ func (c *RUDPConn) Close() error {
 
 // handle processes one datagram addressed to this connection. m is a
 // parsed view whose payload aliases the receive buffer: it is valid only
-// for this call, so whatever outlives it (delivered data, raw frames) is
-// cloned, and an ack costs no allocation at all.
+// for this call, so delivered data, which outlives it, is carved from the
+// connection's receive slab. Acks and raw frames (which the raw handler
+// may not keep) cost no allocation at all. One goroutine at a time calls
+// handle.
 func (c *RUDPConn) handle(m *Message) {
 	switch m.Kind {
 	case KindAck:
@@ -438,7 +447,11 @@ func (c *RUDPConn) handle(m *Message) {
 		fn := c.rawHandler
 		c.rawMu.RUnlock()
 		if fn != nil {
-			fn(m.clone())
+			// Hand fn the connection's raw view, not m: m must not
+			// escape, or every parsed frame would move to the heap.
+			c.raw = *m
+			fn(&c.raw)
+			c.raw.Payload = nil
 		}
 	case KindControl:
 		if string(m.Payload) == string(ctlFin) {
@@ -520,8 +533,8 @@ func (c *RUDPConn) onAck(cum uint64) {
 }
 
 // onData sequences one data (or application control) frame. In-order
-// arrivals are delivered straight to Recv; only a frame ahead of a gap
-// waits in ooo. A sequence at or beyond recvNext+rudpWindow lies outside
+// arrivals are delivered straight to Recv while it has room (recvRoom);
+// only a frame ahead of a gap waits in ooo. A sequence at or beyond recvNext+rudpWindow lies outside
 // any window a conforming sender can have in flight, so it is dropped
 // rather than parked in ooo forever.
 func (c *RUDPConn) onData(m *Message) {
@@ -539,11 +552,13 @@ func (c *RUDPConn) onData(m *Message) {
 	start := c.recvNext
 	if m.Seq != c.recvNext {
 		if _, dup := c.ooo[m.Seq]; !dup {
-			c.ooo[m.Seq] = m.clone()
+			c.ooo[m.Seq] = c.slab.own(m)
 		}
-	} else {
-		c.deliver(m.clone())
-		for len(c.ooo) > 0 {
+	} else if c.recvRoom() {
+		// A copy of m may be parked from when Recv last fell behind.
+		delete(c.ooo, m.Seq)
+		c.deliver(c.slab.own(m))
+		for len(c.ooo) > 0 && c.recvRoom() {
 			next, ok := c.ooo[c.recvNext]
 			if !ok {
 				break
@@ -582,17 +597,23 @@ func (c *RUDPConn) onData(m *Message) {
 	}
 }
 
+// recvRoom reports whether recvQ can take another delivery. When Recv
+// has fallen a full queue behind, onData neither delivers nor acks the
+// next in-order frame: the sender retransmits it (its duplicate acks
+// bring a fast retransmit), by which time the application has made
+// room. Acking and then dropping it would lose acknowledged data. After
+// Close everything is accepted and discarded. Callers hold c.mu.
+func (c *RUDPConn) recvRoom() bool {
+	return c.closed || len(c.recvQ) < cap(c.recvQ)
+}
+
 // deliver advances recvNext past m and queues it for Recv. Callers hold
-// c.mu.
+// c.mu and have checked recvRoom; only they send on recvQ, so the send
+// never blocks.
 func (c *RUDPConn) deliver(m *Message) {
 	c.recvNext++
 	if !c.closed {
-		select {
-		case c.recvQ <- m:
-		default:
-			// Receiver not draining: drop to protect the loop; the ack
-			// already covered it, mirroring a full app buffer.
-		}
+		c.recvQ <- m
 	}
 }
 

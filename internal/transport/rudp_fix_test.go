@@ -96,6 +96,54 @@ func TestRUDPBatchAckCrossesBoundary(t *testing.T) {
 	}
 }
 
+// TestRUDPRecvLagKeepsAckedData is the regression test for acked data
+// lost behind a lagging application: with Recv a full queue behind, the
+// next in-order frame used to be acked and then dropped, so the sender
+// retired it and Recv skipped it. Now the frame is refused unacked, and
+// its retransmission is delivered once Recv has made room, together with
+// what parked behind it.
+func TestRUDPRecvLagKeepsAckedData(t *testing.T) {
+	c, sent := fakeConn()
+	defer c.Close()
+	q := uint64(cap(c.recvQ))
+	feed := func(seq uint64) {
+		c.handle(&Message{Kind: KindData, Seq: seq, Payload: []byte{byte(seq)}})
+	}
+	accepted := func() uint64 {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.recvNext - 1
+	}
+
+	for seq := uint64(1); seq <= q+2; seq++ { // q+1 finds the queue full
+		feed(seq)
+	}
+	if got := accepted(); got != q {
+		t.Fatalf("accepted through seq %d with Recv a full queue behind, want %d", got, q)
+	}
+	for _, m := range sent() {
+		if m.Kind == KindAck && m.Seq > q {
+			t.Fatalf("acked seq %d, which Recv has no room for", m.Seq)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := c.Recv(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	feed(q + 1) // the sender's retransmission
+	for want := uint64(3); want <= q+2; want++ {
+		select {
+		case m := <-c.recvQ:
+			if m.Seq != want || m.Payload[0] != byte(want) {
+				t.Fatalf("Recv returned seq %d, want %d", m.Seq, want)
+			}
+		default:
+			t.Fatalf("seq %d was never delivered", want)
+		}
+	}
+}
+
 // TestRUDPQuiescentTailNoRTO is the regression test for the unacked tail:
 // the final in-order packets of a transfer never reach an ack boundary, so
 // before the delayed-ack flush the sender could only learn about them via

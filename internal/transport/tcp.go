@@ -14,7 +14,14 @@ type Conn interface {
 	// both across calls.
 	Send(m *Message) error
 	// Recv reads the next message (blocking; safe for one concurrent
-	// receiver).
+	// receiver). The message and its Payload belong to the caller and
+	// are never reused or overwritten by the connection. An
+	// implementation may carve them from memory shared with neighbouring
+	// messages (RUDPConn does, from its receive slab); the Payload's
+	// capacity ends at its length, so append copies instead of writing
+	// into a neighbour. Retaining a message keeps that shared memory
+	// alive: a caller that stores messages long-term should copy what it
+	// keeps.
 	Recv() (*Message, error)
 	// Close tears the connection down; pending Recv calls fail.
 	Close() error
